@@ -9,7 +9,9 @@ them three ways and shows the results are identical:
    :class:`repro.serving.SessionPool`, whose vectorized ingest batches
    the per-cycle stepping kernels across the whole fleet.
 3. **Sharded** — :func:`repro.serving.serve_fleet` partitions the
-   fleet across worker processes via ``repro.runtime.parallel_map``.
+   fleet across worker processes via ``repro.runtime.parallel_map``;
+   each shard runs the fleet-batched
+   :class:`repro.serving.BatchedSessionPool`.
 
 It then makes profiles durable: a :class:`repro.profiles.ProfileStore`
 round-trips the same fleet — serving by ``user_id`` warm-loads the

@@ -129,9 +129,11 @@ def fleet_health_table(
     count as the value and approximate p50/p95 plus the mean in the
     detail column.
 
-    Snapshots from different drivers carry different series mixes (the
-    batched pool emits ``serving_batch_*`` where the lockstep pool
-    emits per-session series), so a merged or hand-assembled snapshot
+    Both pools publish the shared ``serving_pool_*`` series; the
+    batched pool (which every ``serve_fleet`` shard runs) adds the
+    ``serving_batch_round_occupancy`` histogram of due sessions per
+    fleet round. Snapshots from different drivers therefore carry
+    different series mixes, so a merged or hand-assembled snapshot
     may list a histogram name whose series data is absent (``None``)
     or partial (no bucket layout). Such rows render as ``absent`` /
     count-only instead of raising.

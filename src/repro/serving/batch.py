@@ -60,6 +60,17 @@ from repro.types import StepEvent, StrideEstimate
 # importing the serving layer. Re-exported for compatibility.
 __all__ = ["FleetBatchBuffer", "BatchedSessionPool"]
 
+#: Most pending filter blocks (one per session, three columns each) a
+#: fleet round low-passes in one column-stacked call. Filtering runs
+#: per column, so the cap cannot change a credit; it bounds the stack
+#: and the filter's temporaries, which otherwise grow with the fleet,
+#: and measured as fast as one uncapped stack.
+FILTER_STACK_BLOCKS = 64
+
+#: Power-of-two bucket bounds of ``serving_batch_round_occupancy``
+#: (due sessions per fleet round).
+OCCUPANCY_BUCKETS = tuple(float(2**i) for i in range(13))
+
 
 class BatchedSessionPool(SessionPool):
     """A session pool whose ingest rounds run fleet-batched kernels.
@@ -93,10 +104,6 @@ class BatchedSessionPool(SessionPool):
 
     All other arguments are inherited from :class:`SessionPool`.
     """
-
-    ROUND_SECONDS_METRIC = "serving_batch_round_seconds"
-    APPENDS_METRIC = "serving_batch_appends_total"
-    SESSIONS_GAUGE_METRIC = "serving_batch_sessions"
 
     #: Default ``small_fleet_cutoff``. 0 = packed rounds at every
     #: occupancy: measured on the tracked workload, the packed round
@@ -138,8 +145,9 @@ class BatchedSessionPool(SessionPool):
         )
         if self._telemetry is not None:
             reg = self._telemetry
-            self._m_rounds = reg.counter("serving_batch_rounds_total")
-            self._m_occupancy = reg.gauge("serving_batch_occupancy")
+            self._m_occupancy = reg.histogram(
+                "serving_batch_round_occupancy", buckets=OCCUPANCY_BUCKETS
+            )
 
     @property
     def backend(self) -> ComputeBackend:
@@ -246,8 +254,7 @@ class BatchedSessionPool(SessionPool):
         if not n_due:
             return []
         if self._telemetry is not None:
-            self._m_rounds.inc()
-            self._m_occupancy.set(n_due)
+            self._m_occupancy.observe(n_due)
         if n_due <= self._small_fleet_cutoff and self._backend.bit_identical:
             # Small-fleet escape hatch: delegate tiny rounds to the
             # lockstep scalar round. It IS the batched round's
@@ -269,9 +276,9 @@ class BatchedSessionPool(SessionPool):
 
         # -- Stage 1: fleet filter -------------------------------------
         # Gather every due session's pending filter blocks, low-pass
-        # equal-length blocks in one column-stacked backend call per
-        # length group, then commit per session in plan order (the
-        # order apply_filtered_block requires).
+        # equal-length blocks in column-stacked backend calls of at most
+        # FILTER_STACK_BLOCKS blocks, then commit per session in plan
+        # order (the order apply_filtered_block requires).
         plans: List[List[Tuple[int, int, int]]] = []
         groups: Dict[int, List[Tuple[int, int, int, int]]] = {}
         for d in range(n_due):
@@ -282,45 +289,42 @@ class BatchedSessionPool(SessionPool):
         blocks: List[List[Union[np.ndarray, Exception, None]]] = [
             [None] * len(plan) for plan in plans
         ]
-        for length, entries in groups.items():
-            if len(entries) == 1:
-                d, j, lo, hi = entries[0]
-                try:
-                    blocks[d][j] = be.lowpass_block(
-                        due_sess[d].raw_block(lo, hi),
-                        cfg.lowpass_cutoff_hz,
-                        rate,
-                        cfg.lowpass_order,
-                    )
-                except Exception as exc:  # noqa: BLE001
-                    blocks[d][j] = exc
-                continue
-            stack = self._buffers.request(
-                f"filter:{length}", (length, 3 * len(entries))
-            )
-            for col, (d, _j, lo, hi) in enumerate(entries):
-                np.copyto(
-                    stack[:, 3 * col : 3 * col + 3],
-                    due_sess[d].raw_block(lo, hi),
-                )
+
+        def lowpass_solo(d: int, j: int, lo: int, hi: int) -> None:
             try:
-                filtered = be.lowpass_block(
-                    stack, cfg.lowpass_cutoff_hz, rate, cfg.lowpass_order
+                blocks[d][j] = be.lowpass_block(
+                    due_sess[d].raw_block(lo, hi),
+                    cfg.lowpass_cutoff_hz,
+                    rate,
+                    cfg.lowpass_order,
                 )
-            except Exception:  # noqa: BLE001 — retry solo to find the owner
-                for d, j, lo, hi in entries:
-                    try:
-                        blocks[d][j] = be.lowpass_block(
-                            due_sess[d].raw_block(lo, hi),
-                            cfg.lowpass_cutoff_hz,
-                            rate,
-                            cfg.lowpass_order,
-                        )
-                    except Exception as exc:  # noqa: BLE001
-                        blocks[d][j] = exc
-            else:
-                for col, (d, j, _lo, _hi) in enumerate(entries):
-                    blocks[d][j] = filtered[:, 3 * col : 3 * col + 3]
+            except Exception as exc:  # noqa: BLE001
+                blocks[d][j] = exc
+
+        for length, group in groups.items():
+            for at in range(0, len(group), FILTER_STACK_BLOCKS):
+                entries = group[at : at + FILTER_STACK_BLOCKS]
+                if len(entries) == 1:
+                    lowpass_solo(*entries[0])
+                    continue
+                stack = self._buffers.request(
+                    "filter", (length, 3 * len(entries))
+                )
+                for col, (d, _j, lo, hi) in enumerate(entries):
+                    np.copyto(
+                        stack[:, 3 * col : 3 * col + 3],
+                        due_sess[d].raw_block(lo, hi),
+                    )
+                try:
+                    filtered = be.lowpass_block(
+                        stack, cfg.lowpass_cutoff_hz, rate, cfg.lowpass_order
+                    )
+                except Exception:  # noqa: BLE001 — retry solo to find the owner
+                    for entry in entries:
+                        lowpass_solo(*entry)
+                else:
+                    for col, (d, j, _lo, _hi) in enumerate(entries):
+                        blocks[d][j] = filtered[:, 3 * col : 3 * col + 3]
         for d in range(n_due):
             sess = due_sess[d]
             for j, (lo, hi, final) in enumerate(plans[d]):

@@ -204,19 +204,27 @@ class CheckpointStore:
         """Persist one checkpoint atomically; return its path."""
         ensure_snapshot_kind(payload, "checkpoint")
         path = self._path(name)
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        for injector in self._blob_faults:
+        # Pickle straight into the temp file: a fleet shard's payload
+        # runs to megabytes, and building it as ``bytes`` first doubles
+        # the write's peak memory. Blob faults need the bytes in hand.
+        blob: Optional[bytes] = None
+        if self._blob_faults:
             from repro.faults.injectors import derive_blob_rng
 
-            blob = injector.apply_blob(
-                blob, derive_blob_rng(self._seed, name, self._saves)
-            )
+            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            for injector in self._blob_faults:
+                blob = injector.apply_blob(
+                    blob, derive_blob_rng(self._seed, name, self._saves)
+                )
         fd, tmp = tempfile.mkstemp(
             dir=self._dir, prefix=f".{name}.", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
+                if blob is None:
+                    pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                else:
+                    fh.write(blob)
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -3,14 +3,15 @@
 :func:`serve_fleet` drives N finished traces through N streaming
 sessions at a fixed upload cadence. Sessions are partitioned into
 contiguous shards, each shard is served by its own
-:class:`~repro.serving.pool.SessionPool` inside a worker process, and
-the per-session results are reassembled in fleet order.
+:class:`~repro.serving.batch.BatchedSessionPool` (NumPy backend) inside
+a worker process, and the per-session results are reassembled in fleet
+order.
 
-Because every session's pipeline state is independent and the pooled
-stepping batch is composition-independent, the shard layout — one
-process, many processes, any shard size — cannot change any session's
-credited steps or strides; the serving tests assert this identity
-against serially-driven :class:`StreamingPTrack` instances.
+Because every session's pipeline state is independent and the
+fleet-batched kernels are composition-independent, the shard layout —
+one process, many processes, any shard size — cannot change any
+session's credited steps or strides; the serving tests assert this
+identity against serially-driven :class:`StreamingPTrack` instances.
 
 Fault tolerance is layered on three levels:
 
@@ -69,7 +70,7 @@ from repro.serving.checkpoint import (
     make_checkpoint,
     split_checkpoint,
 )
-from repro.serving.pool import SessionPool
+from repro.serving.batch import BatchedSessionPool
 from repro.serving.rebalance import RebalancePolicy, ShardEpochStats
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracing import trace_span
@@ -86,6 +87,11 @@ __all__ = ["SessionReport", "FleetReport", "serve_fleet"]
 #: Two, because a shard's first failure can be collateral damage from
 #: a sibling shard breaking the shared process pool.
 _MAX_SHARD_ATTEMPTS = 2
+
+#: Compute backend of every shard's pool, pinned rather than read from
+#: ``PTRACK_BACKEND``: the fleet's credits stay bit-identical to
+#: serially driven sessions whatever backend the environment selects.
+_FLEET_BACKEND = "numpy"
 
 
 @dataclass(frozen=True)
@@ -249,7 +255,7 @@ def _serve_shard(
         collect_observations,
     ) = shard
     registry = MetricsRegistry() if telemetry else None
-    pool = SessionPool(
+    pool = BatchedSessionPool(
         sample_rate_hz,
         config=config,
         settle_s=settle_s,
@@ -257,6 +263,7 @@ def _serve_shard(
         fault_policy=fault_policy,
         telemetry=registry,
         collect_observations=collect_observations,
+        backend=_FLEET_BACKEND,
     )
     sids = pool.add_sessions(profiles)
     steps: List[List[StepEvent]] = [[] for _ in sids]
@@ -441,7 +448,7 @@ def _serve_shard_epoch(job: _EpochJob) -> Dict[str, Any]:
     t0 = time.perf_counter()
     registry = MetricsRegistry() if telemetry else None
     if pool_blob is None:
-        pool = SessionPool(
+        pool = BatchedSessionPool(
             sample_rate_hz,
             config=config,
             settle_s=settle_s,
@@ -449,10 +456,13 @@ def _serve_shard_epoch(job: _EpochJob) -> Dict[str, Any]:
             fault_policy=fault_policy,
             telemetry=registry,
             collect_observations=collect_observations,
+            backend=_FLEET_BACKEND,
         )
         sids = pool.add_sessions(profiles)
     else:
-        pool = SessionPool.from_snapshot(pool_blob, telemetry=registry)
+        pool = BatchedSessionPool.from_snapshot(
+            pool_blob, telemetry=registry, backend=_FLEET_BACKEND
+        )
         sids = pool.session_ids
     steps: List[List[StepEvent]] = [[] for _ in sids]
     strides: List[List[StrideEstimate]] = [[] for _ in sids]
@@ -1040,7 +1050,9 @@ def serve_fleet(
             ``serving_fleet_*`` series land on
             :attr:`FleetReport.telemetry`. Counter totals are
             deterministic and shard-layout-invariant on clean runs;
-            latency histograms are wall-clock and are not.
+            histograms are not (latency is wall-clock, and the
+            ``serving_batch_round_occupancy`` distribution follows
+            the shard layout).
         checkpoint_every_s: Enable *durable mode*: serve in epochs of
             this many stream-seconds, snapshotting every shard's pool
             (``ptrack-session-v1``) plus its settled credits after each

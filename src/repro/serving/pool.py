@@ -102,13 +102,6 @@ class SessionPool:
             tap only adds per-cycle bookkeeping.
     """
 
-    #: Instrument names, overridable per driver so a subclass (e.g. the
-    #: fleet-batched pool) publishes its own ``serving_*`` series while
-    #: the failure/revival counters stay shared fleet-wide.
-    ROUND_SECONDS_METRIC = "serving_pool_round_seconds"
-    APPENDS_METRIC = "serving_pool_appends_total"
-    SESSIONS_GAUGE_METRIC = "serving_pool_sessions"
-
     def __init__(
         self,
         sample_rate_hz: float,
@@ -138,11 +131,11 @@ class SessionPool:
         )
         if self._telemetry is not None:
             reg = self._telemetry
-            self._m_round_s = reg.histogram(self.ROUND_SECONDS_METRIC)
-            self._m_appends = reg.counter(self.APPENDS_METRIC)
+            self._m_round_s = reg.histogram("serving_pool_round_seconds")
+            self._m_appends = reg.counter("serving_pool_appends_total")
             self._m_failed = reg.counter("serving_sessions_failed_total")
             self._m_revived = reg.counter("serving_sessions_revived_total")
-            self._m_live = reg.gauge(self.SESSIONS_GAUGE_METRIC)
+            self._m_live = reg.gauge("serving_pool_sessions")
 
     # ------------------------------------------------------------------
     # Session management

@@ -75,6 +75,16 @@ class StepEvent:
     gait_type: GaitType
     cycle_id: int
 
+    # Credits are kept by the thousand (settled-credit lists, pickled
+    # checkpoints), so they carry no per-instance ``__dict__``. Pickle
+    # and copy rebuild through ``__init__``: restoring slot state would
+    # ``setattr`` on a frozen instance, and ``dataclass(slots=True)``
+    # only pickles frozen instances from Python 3.11 on.
+    __slots__ = ("time", "index", "gait_type", "cycle_id")
+
+    def __reduce__(self):
+        return (type(self), (self.time, self.index, self.gait_type, self.cycle_id))
+
 
 @dataclass(frozen=True)
 class StrideEstimate:
@@ -93,6 +103,15 @@ class StrideEstimate:
     bounce_m: Optional[float]
     cycle_id: int
     gait_type: GaitType
+
+    # Slotted and rebuilt through ``__init__``, like :class:`StepEvent`.
+    __slots__ = ("time", "length_m", "bounce_m", "cycle_id", "gait_type")
+
+    def __reduce__(self):
+        return (
+            type(self),
+            (self.time, self.length_m, self.bounce_m, self.cycle_id, self.gait_type),
+        )
 
 
 @dataclass(frozen=True)

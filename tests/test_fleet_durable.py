@@ -4,9 +4,9 @@ live rebalancing, and the checkpoint store's quarantine contract.
 The invariant under test everywhere: whatever the fault schedule does
 to the workers — SIGKILL mid-round, exceptions mid-epoch, checkpoint
 bytes torn on disk, shards split live between epochs — the fleet's
-credited steps and strides are bit-identical to the classic clean
-single-pass driver. Crashes may cost wall-clock; they may never cost
-(or duplicate) a credit.
+credited steps and strides are bit-identical to a serial replay of each
+trace through its own StreamingPTrack. Crashes may cost wall-clock;
+they may never cost (or duplicate) a credit.
 """
 
 import multiprocessing
@@ -14,6 +14,7 @@ import pickle
 
 import pytest
 
+from repro.core.streaming import StreamingPTrack
 from repro.exceptions import ConfigurationError
 from repro.faults import ShardCrash, TornCheckpoint, plan_shard_crash
 from repro.serving import (
@@ -37,28 +38,48 @@ _TRACES = [w.samples for w in _FLEET]
 _PROFILES = [w.profile for w in _FLEET]
 
 
+def _credit_row(status, steps, strides):
+    return (
+        status,
+        [(e.index, e.time) for e in steps],
+        [(e.time, e.length_m) for e in strides],
+    )
+
+
 def _credits(report):
-    return [
-        (
-            s.status,
-            [(e.index, e.time) for e in s.steps],
-            [(e.time, e.length_m) for e in s.strides],
-        )
-        for s in report.sessions
-    ]
+    return [_credit_row(s.status, s.steps, s.strides) for s in report.sessions]
 
 
 @pytest.fixture(scope="module")
-def classic_credits():
+def serial_credits():
+    """The reference every fleet run must reproduce: one plain
+    StreamingPTrack per trace, fed at the fleet's upload cadence — no
+    pool, shard, epoch or checkpoint involved."""
+    rows = []
+    for trace, profile in zip(_TRACES, _PROFILES):
+        session = StreamingPTrack(RATE, profile=profile)
+        steps, strides = [], []
+        for off in range(0, trace.shape[0], BATCH):
+            new_steps, new_strides = session.append(trace[off : off + BATCH])
+            steps.extend(new_steps)
+            strides.extend(new_strides)
+        new_steps, new_strides = session.flush()
+        steps.extend(new_steps)
+        strides.extend(new_strides)
+        rows.append(_credit_row("ok", steps, strides))
+    return rows
+
+
+def test_classic_fleet_matches_serial_replay(serial_credits):
     report = serve_fleet(
         _TRACES, RATE, profiles=_PROFILES, workers=1, batch_samples=BATCH
     )
     assert report.status == "ok"
-    return _credits(report)
+    assert _credits(report) == serial_credits
 
 
 class TestRollingRestart:
-    def test_raise_crash_restores_from_checkpoint(self, classic_credits):
+    def test_raise_crash_restores_from_checkpoint(self, serial_credits):
         report = serve_fleet(
             _TRACES,
             RATE,
@@ -74,16 +95,16 @@ class TestRollingRestart:
         # worker process exists to SIGKILL) but must still recover.
         assert report.checkpoint_restores > 0
         assert report.status == "ok"
-        assert _credits(report) == classic_credits
+        assert _credits(report) == serial_credits
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="worker-kill test relies on fork start method",
     )
-    def test_kill_worker_mid_round_zero_credit_loss(self, classic_credits):
+    def test_kill_worker_mid_round_zero_credit_loss(self, serial_credits):
         # The headline rolling-restart drill: SIGKILL a live worker
         # process mid-epoch; the shard restores from its checkpoint and
-        # the fleet finishes with exactly the clean run's credits.
+        # the fleet finishes with exactly the serial replay's credits.
         report = serve_fleet(
             _TRACES,
             RATE,
@@ -97,9 +118,9 @@ class TestRollingRestart:
         )
         assert report.checkpoint_restores > 0
         assert report.status == "ok"
-        assert _credits(report) == classic_credits
+        assert _credits(report) == serial_credits
 
-    def test_retry_crashes_fall_back_to_bisection(self, classic_credits):
+    def test_retry_crashes_fall_back_to_bisection(self, serial_credits):
         # retry_prob=1 makes every restore retry die too; after the
         # attempt budget the driver must fall back to classic healing
         # (bisection from the trace) and still credit everything.
@@ -116,9 +137,9 @@ class TestRollingRestart:
         )
         assert report.shard_retries > 0
         assert report.status == "ok"
-        assert _credits(report) == classic_credits
+        assert _credits(report) == serial_credits
 
-    def test_clean_run_durable_mode_matches_classic(self, classic_credits):
+    def test_clean_run_durable_mode_matches_classic(self, serial_credits):
         report = serve_fleet(
             _TRACES,
             RATE,
@@ -128,12 +149,12 @@ class TestRollingRestart:
             checkpoint_every_s=5.0,
         )
         assert report.checkpoint_restores == 0
-        assert _credits(report) == classic_credits
+        assert _credits(report) == serial_credits
 
 
 class TestTornCheckpointFallback:
     def test_torn_disk_checkpoint_reads_as_miss(
-        self, tmp_path, classic_credits
+        self, tmp_path, serial_credits
     ):
         # Every checkpoint write is torn; every crash therefore finds
         # no usable disk state and re-ingests from the trace. Slower,
@@ -157,14 +178,14 @@ class TestTornCheckpointFallback:
             fault_seed=7,
         )
         assert report.status == "ok"
-        assert _credits(report) == classic_credits
+        assert _credits(report) == serial_credits
         counters = report.telemetry["counters"]
         assert counters.get("serving_checkpoint_torn_total", 0) > 0
         # Quarantined remains are renamed aside, not left as live state.
         assert list(tmp_path.glob("*.ckpt.corrupt"))
 
     def test_disk_checkpoints_cleaned_up_on_success(
-        self, tmp_path, classic_credits
+        self, tmp_path, serial_credits
     ):
         report = serve_fleet(
             _TRACES,
@@ -175,12 +196,12 @@ class TestTornCheckpointFallback:
             checkpoint_every_s=2.0,
             checkpoint_dir=tmp_path,
         )
-        assert _credits(report) == classic_credits
+        assert _credits(report) == serial_credits
         assert list(tmp_path.glob("*.ckpt")) == []
 
 
 class TestRebalance:
-    def test_crash_driven_split_keeps_credits(self, classic_credits):
+    def test_crash_driven_split_keeps_credits(self, serial_credits):
         # One crash marks a shard for splitting; the split halves must
         # resume bit-identically from the split checkpoint.
         report = serve_fleet(
@@ -197,7 +218,7 @@ class TestRebalance:
         )
         assert report.rebalances > 0
         assert report.status == "ok"
-        assert _credits(report) == classic_credits
+        assert _credits(report) == serial_credits
 
     def test_rebalances_surface_in_telemetry(self):
         report = serve_fleet(
@@ -219,6 +240,58 @@ class TestRebalance:
             counters["serving_fleet_checkpoint_restores_total"]
             == report.checkpoint_restores
         )
+
+
+class TestBatchedShards:
+    def test_durable_workers_publish_batched_round_telemetry(
+        self, serial_credits
+    ):
+        # Shards serve through the fleet-batched pool: its occupancy
+        # histogram is present, and the shared round-latency series the
+        # rebalance policy reads carries real round timings.
+        seen = []
+
+        class Recording(RebalancePolicy):
+            def plan(self, stats):
+                seen.extend(stats)
+                return []
+
+        report = serve_fleet(
+            _TRACES,
+            RATE,
+            profiles=_PROFILES,
+            workers=1,
+            batch_samples=BATCH,
+            sessions_per_shard=3,
+            checkpoint_every_s=5.0,
+            telemetry=True,
+            rebalance=Recording(),
+        )
+        assert _credits(report) == serial_credits
+        hists = report.telemetry["histograms"]
+        assert hists["serving_pool_round_seconds"]["count"] > 0
+        occupancy = hists["serving_batch_round_occupancy"]
+        assert occupancy["count"] > 0
+        assert 1 <= occupancy["sum"] / occupancy["count"] <= 3
+        assert seen and all(s.round_seconds_count > 0 for s in seen)
+
+    def test_shards_ignore_the_backend_environment(
+        self, serial_credits, monkeypatch
+    ):
+        # The tolerance-bounded float32 backend would move credits; the
+        # fleet pins its shards to NumPy whatever the environment says.
+        monkeypatch.setenv("PTRACK_BACKEND", "float32")
+        for kwargs in ({}, {"checkpoint_every_s": 5.0}):
+            report = serve_fleet(
+                _TRACES,
+                RATE,
+                profiles=_PROFILES,
+                workers=1,
+                batch_samples=BATCH,
+                sessions_per_shard=3,
+                **kwargs,
+            )
+            assert _credits(report) == serial_credits
 
 
 class TestCheckpointStore:
@@ -244,6 +317,20 @@ class TestCheckpointStore:
             payload["pool"]["sessions"]
         )
         assert store.stats == {"saves": 1, "loads": 1, "torn_loads": 0}
+
+    def test_failed_streamed_save_keeps_previous_checkpoint(self, tmp_path):
+        # The payload is pickled straight into the temp file, so a
+        # pickling failure happens mid-write: the temp file must go and
+        # the last good checkpoint must survive untouched.
+        store = CheckpointStore(tmp_path)
+        payload = self._payload()
+        store.save("shard-0", payload)
+        broken = dict(payload, steps=[[lambda: None]])
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            store.save("shard-0", broken)
+        assert [p.name for p in tmp_path.iterdir()] == ["shard-0.ckpt"]
+        assert store.load("shard-0")["epoch"] == payload["epoch"]
+        assert store.stats["saves"] == 1
 
     def test_names_and_delete(self, tmp_path):
         store = CheckpointStore(tmp_path)

@@ -409,6 +409,19 @@ def test_batched_pool_small_fleet_fast_path_bit_identical():
     _assert_credits_identical(packed, serial)
 
 
+def test_batched_pool_filter_stack_cap_keeps_credits(monkeypatch):
+    # A cap below the fleet size splits every filter length group into
+    # several column-stacked calls (plus a one-block remainder call);
+    # filtering is per column, so credits must not move.
+    from repro.serving import batch
+
+    workloads = synthesize_workload(5, 14.0, seed=29)
+    serial = _serve_serially(workloads, batch=64)
+    monkeypatch.setattr(batch, "FILTER_STACK_BLOCKS", 2)
+    capped, _ = _serve_batched(workloads, batch=64)
+    _assert_credits_identical(capped, serial)
+
+
 def test_batched_pool_fast_path_skipped_on_tolerance_backend():
     # float32 is not bit-identical, so the fast path (which computes in
     # float64) must never trigger: a huge cutoff and a zero cutoff must
@@ -450,11 +463,14 @@ def test_batched_pool_telemetry_instruments():
         pool.append(sids, [w.samples[off : off + 256] for w in workloads])
     pool.flush(sids)
     snap = reg.snapshot()
-    assert snap["counters"]["serving_batch_appends_total"] > 0
-    assert snap["counters"]["serving_batch_rounds_total"] > 0
-    assert snap["gauges"]["serving_batch_occupancy"] >= 1
-    assert snap["gauges"]["serving_batch_sessions"] == 3
-    assert snap["histograms"]["serving_batch_round_seconds"]["count"] > 0
+    # The batched pool publishes the pool series every driver shares,
+    # plus one occupancy distribution of its fleet rounds.
+    assert snap["counters"]["serving_pool_appends_total"] > 0
+    occupancy = snap["histograms"]["serving_batch_round_occupancy"]
+    assert occupancy["count"] > 0
+    assert occupancy["sum"] >= occupancy["count"]
+    assert snap["gauges"]["serving_pool_sessions"] == 3
+    assert snap["histograms"]["serving_pool_round_seconds"]["count"] > 0
 
 
 # ----------------------------------------------------------------------

@@ -573,21 +573,22 @@ class TestReportingAndCli:
         assert "no observations" in text
 
     def test_fleet_health_table_absent_histogram_series(self):
-        # Drivers emit different series mixes (the batched pool emits
-        # serving_batch_* where the lockstep pool does not), so merged
-        # or hand-assembled snapshots can list a histogram whose series
-        # data is absent or partial; the table must render regardless.
+        # Drivers emit different series mixes (the batched pool adds
+        # serving_batch_round_occupancy, the lockstep pool does not), so
+        # merged or hand-assembled snapshots can list a histogram whose
+        # series data is absent or partial; the table must render
+        # regardless.
         snapshot = {
             "schema": SNAPSHOT_SCHEMA,
-            "counters": {"serving_batch_rounds_total": 4},
+            "counters": {"serving_pool_appends_total": 4},
             "gauges": {},
             "histograms": {
-                "serving_batch_round_seconds": None,
+                "serving_batch_round_occupancy": None,
                 "serving_pool_round_seconds": {"count": 3, "sum": 0.6},
             },
         }
         text = fleet_health_table(snapshot).render()
-        assert "serving_batch_round_seconds" in text and "absent" in text
+        assert "serving_batch_round_occupancy" in text and "absent" in text
         assert "mean=0.200000" in text
 
     def test_fleet_health_table_missing_sections(self):
