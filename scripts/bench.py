@@ -290,9 +290,16 @@ def _print_fleet_kernels(fleet_kernels) -> bool:
         f"({kernel['speedup']:.1f}x)"
     )
     regression = fleet_kernels["regression"]
+    reading = (
+        f", median of {fleet_kernels['check_reference']['pairs']} pairs "
+        f"{regression['current_speedup']:.2f}x vs floor "
+        f"{regression['floor_speedup']:.2f}x"
+        if regression["status"] == "compared"
+        else ""
+    )
     print(
         f"  regression gate: {regression['status']} "
-        f"(ok={regression['regression_ok']})"
+        f"(ok={regression['regression_ok']}{reading})"
     )
     ok = True
     if not identity["ok"] or not diff["ok"]:

@@ -682,52 +682,33 @@ class StreamingPTrack:
         t0 = time.perf_counter() if self._telemetry is not None else 0.0
         self.ingest(samples)
         steps, strides = self.take_pending_credits()
-        while True:
-            staged = self.collect()
-            if staged is None:
-                break
-            st, sr = self.resolve(staged, self.stepping_values(staged))
-            steps.extend(st)
-            strides.extend(sr)
+        self._drain(steps, strides)
         if self._telemetry is not None:
             self._m_append_s.observe(time.perf_counter() - t0)
         return steps, strides
 
     def flush(self) -> Tuple[List[StepEvent], List[StrideEstimate]]:
         """Settle everything remaining in the buffer (end of stream)."""
-        if self._pending_invalid:
-            # A trailing defect has no right-hand good sample to
-            # repair against; it can only be quarantined.
-            self._stats.samples_rejected += self._pending_invalid
-            self._pending_invalid = 0
-        self._in_gap = False
-        steps, strides = self.take_pending_credits()
-        head = self._buf_start + self._size
-        if head == 0:
-            if self._telemetry is not None:
-                self._publish_ops()
-            return steps, strides
-        while True:
-            staged = self.collect()
-            if staged is None:
-                break
+        head, steps, strides = self.begin_flush()
+        if head is not None:
+            self._drain(steps, strides)
+            # Finalise the filter through the head and classify the tail
+            # with a zero settle horizon.
+            cfg = self._config
+            for lo, hi, final in self.final_filter_plan(head):
+                block = butter_lowpass(
+                    self.raw_block(lo, hi),
+                    cfg.lowpass_cutoff_hz,
+                    self._rate,
+                    cfg.lowpass_order,
+                )
+                self.apply_final_block(lo, hi, final, block)
+            staged = self._pass(head, settle_margin=0)
+            self.finish_collect(head)
             st, sr = self.resolve(staged, self.stepping_values(staged))
             steps.extend(st)
             strides.extend(sr)
-        # Finalise the filter through the head and classify the tail
-        # with a zero settle horizon.
-        self._finalize_filter_to(head)
-        staged = self._pass(head, settle_margin=0)
-        self._next_boundary = head + self._hop
-        self._trim_boundary = head
-        st, sr = self.resolve(staged, self.stepping_values(staged))
-        steps.extend(st)
-        strides.extend(sr)
-        # Trailing pending cycles can never confirm: interference.
-        for res in self._machine.flush():
-            self._seg_store.pop(res.candidate.cycle_id, None)
-        if self._telemetry is not None:
-            self._publish_ops()
+        self.end_flush()
         return steps, strides
 
     # ------------------------------------------------------------------
@@ -891,14 +872,47 @@ class StreamingPTrack:
     # ------------------------------------------------------------------
     # Fleet-batching seams (used by repro.serving.batch)
     #
-    # Each method is one phase of what collect/resolve do for a single
-    # session, exposed so a BatchedSessionPool can run the phase's
-    # numeric kernel across a whole fleet between the per-session state
-    # transitions. Every op-stat bump lives inside the phase that does
-    # the work, so the counters stay driver-invariant; and the solo
-    # paths (_advance_filter/_pass/resolve) are themselves built from
-    # these seams, so there is exactly one implementation of each phase.
+    # Each method is one phase of what collect/resolve/flush do for a
+    # single session, exposed so a BatchedSessionPool can run the
+    # phase's numeric kernel across a whole fleet between the
+    # per-session state transitions. Every op-stat bump lives inside the
+    # phase that does the work, so the counters stay driver-invariant;
+    # and the solo paths (_advance_filter/_pass/resolve/flush) are
+    # themselves built from these seams, so there is exactly one
+    # implementation of each phase.
     # ------------------------------------------------------------------
+    def begin_flush(
+        self,
+    ) -> Tuple[Optional[int], List[StepEvent], List[StrideEstimate]]:
+        """Open the end-of-stream flush; return ``(head, steps, strides)``.
+
+        Quarantines a trailing invalid run (it has no right-hand good
+        sample to repair against), leaves any gap, and takes the
+        credits a gap reset parked. ``head`` is the absolute index the
+        tail settles through, or ``None`` for a stream that never
+        buffered a sample (nothing to settle; go straight to
+        :meth:`end_flush`). Otherwise the caller drains the due hop
+        boundaries, finalises the filter (:meth:`final_filter_plan`),
+        runs one zero-settle pass at ``head`` closed by
+        :meth:`finish_collect`, resolves it, then calls
+        :meth:`end_flush`.
+        """
+        if self._pending_invalid:
+            self._stats.samples_rejected += self._pending_invalid
+            self._pending_invalid = 0
+        self._in_gap = False
+        steps, strides = self.take_pending_credits()
+        head = self._buf_start + self._size
+        return (head if head else None), steps, strides
+
+    def end_flush(self) -> None:
+        """Close the flush: trailing pending cycles can never confirm
+        (interference), and the op-stat deltas are published."""
+        for res in self._machine.flush():
+            self._seg_store.pop(res.candidate.cycle_id, None)
+        if self._telemetry is not None:
+            self._publish_ops()
+
     def peek_boundary(self) -> Optional[int]:
         """The next due hop boundary, or ``None`` when the head has not
         crossed it. Pure query: no state changes."""
@@ -951,6 +965,34 @@ class StreamingPTrack:
         ] = block[out_lo : out_lo + self._hop]
         self._filt_final = final + self._hop
         self._stats.samples_filtered += hi - lo
+
+    def final_filter_plan(self, head: int) -> List[Tuple[int, int, int]]:
+        """The end-of-stream filter block through ``head``; no state
+        changes.
+
+        At most one entry ``(lo, head, final)``: no right context
+        remains, so the whole unfinalised tail ``[final, head)`` is
+        filtered at once from raw rows ``[lo, head)``, with up to
+        ``pad`` rows of left context (what :meth:`apply_final_block`
+        consumes). Empty when the filter already reaches ``head``. A
+        batched pool stacks equal-length tail blocks exactly as it
+        stacks :meth:`filter_plan` blocks.
+        """
+        if head <= self._filt_final:
+            return []
+        lo = max(self._buf_start, self._filt_final - self._pad)
+        return [(lo, head, self._filt_final)]
+
+    def apply_final_block(
+        self, lo: int, hi: int, final: int, block: np.ndarray
+    ) -> None:
+        """Commit the filtered :meth:`final_filter_plan` block: rows
+        from ``final`` through ``hi`` become final filtered output."""
+        self._filt[final - self._buf_start : hi - self._buf_start] = block[
+            final - lo :
+        ]
+        self._stats.samples_filtered += hi - lo
+        self._filt_final = hi
 
     def begin_pass(
         self, boundary: int, settle_margin: Optional[int] = None
@@ -1466,22 +1508,17 @@ class StreamingPTrack:
             )
             self.apply_filtered_block(lo, hi, final, block)
 
-    def _finalize_filter_to(self, head: int) -> None:
-        """Flush-path filter finalisation (no right context remains)."""
-        if head <= self._filt_final:
-            return
-        lo = max(self._buf_start, self._filt_final - self._pad)
-        block = butter_lowpass(
-            self._data[lo - self._buf_start : head - self._buf_start],
-            self._config.lowpass_cutoff_hz,
-            self._rate,
-            self._config.lowpass_order,
-        )
-        self._filt[
-            self._filt_final - self._buf_start : head - self._buf_start
-        ] = block[self._filt_final - lo :]
-        self._stats.samples_filtered += head - lo
-        self._filt_final = head
+    def _drain(
+        self, steps: List[StepEvent], strides: List[StrideEstimate]
+    ) -> None:
+        """Run every due hop boundary's pass, extending the credits."""
+        while True:
+            staged = self.collect()
+            if staged is None:
+                return
+            st, sr = self.resolve(staged, self.stepping_values(staged))
+            steps.extend(st)
+            strides.extend(sr)
 
     def _pass(self, boundary: int, settle_margin: int) -> List[StagedCycle]:
         """One processing pass at an absolute hop boundary.

@@ -19,6 +19,12 @@ runs **once for the whole fleet**:
 5. all credited cycles' stride integrations run in length-grouped
    stacks (:func:`repro.core.batched.batched_cycle_solutions`).
 
+The end-of-stream flush runs the same stages once more as a final
+round: each session's boundary is its head, the filter stage commits
+the one tail block with no right context instead of the hop plan, and
+cycles settle with a zero margin — for chunks of at most
+:data:`FLUSH_STACK_SESSIONS` sessions at a time.
+
 Per-session *state* transitions (boundary bookkeeping, cycle admission,
 streak classification, crediting, trimming) still run session by
 session through the seams :class:`~repro.core.streaming.StreamingPTrack`
@@ -37,7 +43,7 @@ without it.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -67,6 +73,17 @@ __all__ = ["FleetBatchBuffer", "BatchedSessionPool"]
 #: and measured as fast as one uncapped stack.
 FILTER_STACK_BLOCKS = 64
 
+#: Most sessions one end-of-stream flush settles together: the pool
+#: flushes in chunks of this many sessions, each one begin → drain →
+#: final round → end sequence. The final round holds every chunk
+#: session's tail cycles (copied segments, measurement and stride
+#: stacks) at once, so a fleet-wide round's high-water mark grows with
+#: the fleet. Flushing 512 sessions of 12 s walks on a 2-vCPU host, a
+#: fleet-wide round peaked at 34 MB traced against 4.3 MB in chunks of
+#: 64 (2.1 MB for the per-session flush); the chunks cost 0.43 s of
+#: flush against 0.32 s fleet-wide (2.75 s per session).
+FLUSH_STACK_SESSIONS = 64
+
 #: Power-of-two bucket bounds of ``serving_batch_round_occupancy``
 #: (due sessions per fleet round).
 OCCUPANCY_BUCKETS = tuple(float(2**i) for i in range(13))
@@ -79,7 +96,9 @@ class BatchedSessionPool(SessionPool):
     same ``append``/``flush``/failure-isolation contract, and (with the
     default NumPy backend) bit-identical per-session credits and
     op-stats. What changes is *how* each round computes: one kernel
-    dispatch per stage per round instead of per session.
+    dispatch per stage per round instead of per session — the
+    end-of-stream ``flush`` included, whose tails settle in one final
+    fleet round per chunk of sessions.
 
     Args:
         backend: Compute backend for the batched kernels — a
@@ -219,6 +238,93 @@ class BatchedSessionPool(SessionPool):
             self._m_round_s.observe(time.perf_counter() - t0)
         return out
 
+    def flush(
+        self, session_ids: Optional[Sequence[int]] = None
+    ) -> List[Tuple[List[StepEvent], List[StrideEstimate]]]:
+        """Settle the remaining tail of the named (default all) sessions.
+
+        Same contract as :meth:`SessionPool.flush` — each session's
+        credits are exactly its own :meth:`StreamingPTrack.flush`, and a
+        session that raises anywhere in its flush is marked failed and
+        yields empty credits — but the tail runs fleet-batched, in
+        chunks of at most :data:`FLUSH_STACK_SESSIONS` sessions: open
+        every session's flush, drain due hop boundaries through ordinary
+        rounds, settle all tails in one final round, close.
+        """
+        t0 = time.perf_counter() if self._telemetry is not None else 0.0
+        ids = self.session_ids if session_ids is None else list(session_ids)
+        sessions = [self._session(sid) for sid in ids]
+        out: List[Tuple[List[StepEvent], List[StrideEstimate]]] = [
+            ([], []) for _ in ids
+        ]
+        chunk: List[int] = []
+        members: Set[int] = set()
+        for k, sid in enumerate(ids):
+            # A repeated id flushes again only after its first flush
+            # completed, as the one-at-a-time flush would.
+            if len(chunk) == FLUSH_STACK_SESSIONS or sid in members:
+                self._flush_chunk(ids, sessions, chunk, out)
+                chunk, members = [], set()
+            chunk.append(k)
+            members.add(sid)
+        if chunk:
+            self._flush_chunk(ids, sessions, chunk, out)
+        if self._telemetry is not None:
+            self._m_flush_s.observe(time.perf_counter() - t0)
+        return out
+
+    def _flush_chunk(
+        self,
+        session_ids: Sequence[int],
+        sessions: Sequence,
+        chunk: List[int],
+        out: List[Tuple[List[StepEvent], List[StrideEstimate]]],
+    ) -> None:
+        """Flush the sessions at positions ``chunk``, tails batched."""
+        opened: List[int] = []
+        heads: Dict[int, int] = {}
+        for k in chunk:
+            sid = session_ids[k]
+            if sid in self._errors:
+                continue
+            try:
+                head, steps, strides = sessions[k].begin_flush()
+            except Exception as exc:  # noqa: BLE001 — isolation boundary
+                self._mark_failed(sid, exc)
+                continue
+            out[k] = (steps, strides)
+            opened.append(k)
+            if head is not None:
+                heads[k] = head
+        active = list(heads)
+        while active:
+            active = self._batched_round(session_ids, sessions, active, out)
+        due_ks = [k for k in heads if session_ids[k] not in self._errors]
+        if due_ks:
+            # The tail pass is never delegated to the small-fleet
+            # escape hatch: that is a settle-margin pass, not this one.
+            if self._telemetry is not None:
+                self._m_occupancy.observe(len(due_ks))
+            self._run_stages(
+                session_ids,
+                sessions,
+                due_ks,
+                [heads[k] for k in due_ks],
+                out,
+                final=True,
+            )
+        for k in opened:
+            sid = session_ids[k]
+            if sid not in self._errors:
+                try:
+                    sessions[k].end_flush()
+                except Exception as exc:  # noqa: BLE001
+                    self._mark_failed(sid, exc)
+            if sid in self._errors:
+                # Failed mid-flush: drop what it had settled so far
+                # rather than half-deliver it.
+                out[k] = ([], [])
+
     # ------------------------------------------------------------------
     # One fleet round
     # ------------------------------------------------------------------
@@ -242,20 +348,20 @@ class BatchedSessionPool(SessionPool):
         # position — at fleet scale the per-session dict churn is
         # measurable against the batched kernels.
         due_ks: List[int] = []
-        due_sess: List = []
         boundaries: List[int] = []
         for k in active:
             boundary = sessions[k].peek_boundary()
             if boundary is not None:
                 due_ks.append(k)
-                due_sess.append(sessions[k])
                 boundaries.append(boundary)
-        n_due = len(due_ks)
-        if not n_due:
+        if not due_ks:
             return []
         if self._telemetry is not None:
-            self._m_occupancy.observe(n_due)
-        if n_due <= self._small_fleet_cutoff and self._backend.bit_identical:
+            self._m_occupancy.observe(len(due_ks))
+        if (
+            len(due_ks) <= self._small_fleet_cutoff
+            and self._backend.bit_identical
+        ):
             # Small-fleet escape hatch: delegate tiny rounds to the
             # lockstep scalar round. It IS the batched round's
             # bit-identity reference, so taking it changes nothing but
@@ -264,6 +370,28 @@ class BatchedSessionPool(SessionPool):
             # (see SMALL_FLEET_CUTOFF): the packed round measures
             # faster at every occupancy on the tracked workload.
             return self._scalar_round(session_ids, sessions, due_ks, out)
+        return self._run_stages(session_ids, sessions, due_ks, boundaries, out)
+
+    def _run_stages(
+        self,
+        session_ids: Sequence[int],
+        sessions: Sequence,
+        due_ks: List[int],
+        boundaries: List[int],
+        out: List[Tuple[List[StepEvent], List[StrideEstimate]]],
+        final: bool = False,
+    ) -> List[int]:
+        """The six batched stages of one round over the due sessions.
+
+        ``final`` selects the end-of-stream tail pass: each session's
+        boundary is its head, the filter stage commits the
+        :meth:`~StreamingPTrack.final_filter_plan` block instead of the
+        hop plan, and cycles settle with a zero margin — exactly what
+        :meth:`StreamingPTrack.flush` does after its last hop boundary.
+        Returns the positions that completed the round.
+        """
+        due_sess = [sessions[k] for k in due_ks]
+        n_due = len(due_ks)
         alive = [True] * n_due
 
         def fail(d: int, exc: BaseException) -> None:
@@ -282,7 +410,12 @@ class BatchedSessionPool(SessionPool):
         plans: List[List[Tuple[int, int, int]]] = []
         groups: Dict[int, List[Tuple[int, int, int, int]]] = {}
         for d in range(n_due):
-            plan = due_sess[d].filter_plan(boundaries[d])
+            sess = due_sess[d]
+            plan = (
+                sess.final_filter_plan(boundaries[d])
+                if final
+                else sess.filter_plan(boundaries[d])
+            )
             plans.append(plan)
             for j, (lo, hi, _final) in enumerate(plan):
                 groups.setdefault(hi - lo, []).append((d, j, lo, hi))
@@ -325,14 +458,18 @@ class BatchedSessionPool(SessionPool):
                 else:
                     for col, (d, j, _lo, _hi) in enumerate(entries):
                         blocks[d][j] = filtered[:, 3 * col : 3 * col + 3]
+        settle_margin = 0 if final else None
         for d in range(n_due):
             sess = due_sess[d]
-            for j, (lo, hi, final) in enumerate(plans[d]):
+            apply = (
+                sess.apply_final_block if final else sess.apply_filtered_block
+            )
+            for j, (lo, hi, start) in enumerate(plans[d]):
                 block = blocks[d][j]
                 if isinstance(block, Exception):
                     fail(d, block)
                     break
-                sess.apply_filtered_block(lo, hi, final, block)
+                apply(lo, hi, start, block)
 
         # -- Stage 2: fleet segmentation -------------------------------
         opened: List[Optional[Tuple[np.ndarray, int]]] = [None] * n_due
@@ -342,7 +479,7 @@ class BatchedSessionPool(SessionPool):
             if not alive[d]:
                 continue
             try:
-                win = due_sess[d].begin_pass(boundaries[d])
+                win = due_sess[d].begin_pass(boundaries[d], settle_margin)
             except Exception as exc:  # noqa: BLE001
                 fail(d, exc)
                 continue

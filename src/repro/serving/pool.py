@@ -133,6 +133,7 @@ class SessionPool:
             reg = self._telemetry
             self._m_round_s = reg.histogram("serving_pool_round_seconds")
             self._m_appends = reg.counter("serving_pool_appends_total")
+            self._m_flush_s = reg.histogram("serving_pool_flush_seconds")
             self._m_failed = reg.counter("serving_sessions_failed_total")
             self._m_revived = reg.counter("serving_sessions_revived_total")
             self._m_live = reg.gauge("serving_pool_sessions")
@@ -629,7 +630,9 @@ class SessionPool:
         if self._telemetry is not None:
             self._m_failed.inc()
         if not self._isolate:
-            raise
+            # ``exc`` may have been caught earlier and handed over by a
+            # batched kernel, outside any except block.
+            raise exc
         self._errors[session_id] = f"{type(exc).__name__}: {exc}"
 
     # ------------------------------------------------------------------
@@ -728,6 +731,7 @@ class SessionPool:
 
         Failed sessions yield empty credits instead of raising.
         """
+        t0 = time.perf_counter() if self._telemetry is not None else 0.0
         ids = self.session_ids if session_ids is None else list(session_ids)
         out: List[Tuple[List[StepEvent], List[StrideEstimate]]] = []
         for sid in ids:
@@ -740,6 +744,8 @@ class SessionPool:
             except Exception as exc:  # noqa: BLE001
                 self._mark_failed(sid, exc)
                 out.append(([], []))
+        if self._telemetry is not None:
+            self._m_flush_s.observe(time.perf_counter() - t0)
         return out
 
     # ------------------------------------------------------------------

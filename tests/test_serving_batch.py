@@ -25,7 +25,8 @@ from repro.core.offset import cycle_offset
 from repro.core.streaming import StreamingPTrack
 from repro.core.stride import PTrackStrideEstimator
 from repro.exceptions import SignalError
-from repro.runtime.backends import get_backend
+from repro.faults.policy import FaultPolicy
+from repro.runtime.backends import NumpyBackend, get_backend
 from repro.serving import (
     BatchedSessionPool,
     FleetBatchBuffer,
@@ -471,6 +472,244 @@ def test_batched_pool_telemetry_instruments():
     assert occupancy["sum"] >= occupancy["count"]
     assert snap["gauges"]["serving_pool_sessions"] == 3
     assert snap["histograms"]["serving_pool_round_seconds"]["count"] > 0
+
+
+# ----------------------------------------------------------------------
+# Batched end-of-stream flush
+# ----------------------------------------------------------------------
+
+
+class _SpyBackend(NumpyBackend):
+    """NumPy backend recording the shape of every low-pass call."""
+
+    def __init__(self):
+        self.lowpass_shapes = []
+
+    def lowpass_block(self, block, cutoff_hz, sample_rate_hz, order):
+        self.lowpass_shapes.append(block.shape)
+        return super().lowpass_block(block, cutoff_hz, sample_rate_hz, order)
+
+
+def _credit_key(credits):
+    steps, strides = credits
+    return (
+        [(e.index, e.time, e.gait_type, e.cycle_id) for e in steps],
+        [
+            (e.time, e.length_m, e.bounce_m, e.gait_type, e.cycle_id)
+            for e in strides
+        ],
+    )
+
+
+def _ragged_traces(n, duration_s, seed, cut):
+    """``n`` walks cut to ``cut(k)`` samples (``None`` = whole walk)."""
+    workloads = synthesize_workload(n, duration_s, seed=seed)
+    traces = [
+        w.samples if cut(k) is None else w.samples[: cut(k)]
+        for k, w in enumerate(workloads)
+    ]
+    return traces, [w.profile for w in workloads]
+
+
+def _flush_pool(traces, profiles, batch, pool_cls, flush_at=None,
+                extra=None, **kw):
+    """Feed ``traces`` lock-step through a pool, then flush.
+
+    ``flush_at`` picks (and orders) the positions flushed; ``extra``
+    maps a position to one more batch buffered through the session's
+    split-phase ``ingest`` right before the flush (its parked gap-reset
+    credits are the flush's to deliver). Returns the pool, its ids and
+    the flush output.
+    """
+    if pool_cls is BatchedSessionPool:
+        kw.setdefault("small_fleet_cutoff", 0)
+    pool = pool_cls(RATE, **kw)
+    sids = pool.add_sessions(profiles)
+    longest = max(t.shape[0] for t in traces)
+    for off in range(0, longest, batch):
+        live = [k for k, t in enumerate(traces) if off < t.shape[0]]
+        pool.append(
+            [sids[k] for k in live],
+            [traces[k][off : off + batch] for k in live],
+        )
+    for k, samples in (extra or {}).items():
+        pool.session(sids[k]).ingest(samples)
+    positions = range(len(sids)) if flush_at is None else flush_at
+    return pool, sids, pool.flush([sids[k] for k in positions])
+
+
+def _flush_serial(traces, profiles, batch, flush_at=None, extra=None,
+                  **kw):
+    """The per-session reference of :func:`_flush_pool`."""
+    sessions = [StreamingPTrack(RATE, profile=p, **kw) for p in profiles]
+    for sess, trace in zip(sessions, traces):
+        for off in range(0, trace.shape[0], batch):
+            sess.append(trace[off : off + batch])
+    for k, samples in (extra or {}).items():
+        sessions[k].ingest(samples)
+    positions = range(len(sessions)) if flush_at is None else flush_at
+    return sessions, [sessions[k].flush() for k in positions]
+
+
+def _assert_flush_identical(traces, profiles, batch, flush_at=None,
+                            extra=None, **kw):
+    """BatchedSessionPool.flush == SessionPool.flush == per-session
+    flush, in credits and op-stats; returns the batched pool."""
+    sessions, ref = _flush_serial(
+        traces, profiles, batch, flush_at=flush_at, extra=extra,
+        **{k: v for k, v in kw.items() if k in ("fault_policy",
+                                                "collect_observations")},
+    )
+    lockstep_kw = {k: v for k, v in kw.items()
+                   if k not in ("backend", "small_fleet_cutoff")}
+    runs = [
+        _flush_pool(traces, profiles, batch, SessionPool,
+                    flush_at=flush_at, extra=extra, **lockstep_kw),
+        _flush_pool(traces, profiles, batch, BatchedSessionPool,
+                    flush_at=flush_at, extra=extra, **kw),
+    ]
+    for pool, sids, got in runs:
+        assert not pool.failed_sessions
+        assert [_credit_key(c) for c in got] == [_credit_key(c) for c in ref]
+        assert [pool.session(sid).op_stats.as_dict() for sid in sids] == [
+            s.op_stats.as_dict() for s in sessions
+        ]
+    return runs[1]
+
+
+def test_batched_flush_ragged_tails_bit_identical():
+    # Ragged lengths put the tails into several final-filter length
+    # groups; the last session is added but never fed (head == 0).
+    lengths = [1200 + 37 * k for k in range(6)] + [1200, 1200]
+    traces, profiles = _ragged_traces(8, 16.0, seed=41,
+                                      cut=lambda k: lengths[k])
+    traces.append(np.empty((0, 3)))
+    profiles.append(profiles[0])
+    spy = _SpyBackend()
+    pool, sids, got = _assert_flush_identical(traces, profiles, batch=96,
+                                              backend=spy)
+    assert got[-1] == ([], [])
+    assert pool.session(sids[-1]).op_stats.passes == 0
+    # The tail round's own filter calls: equal-length tails stack into
+    # one call per length group, several groups.
+    pool, sids, _ = _flush_pool(traces, profiles, 96, BatchedSessionPool,
+                                backend=spy, flush_at=[])
+    spy.lowpass_shapes.clear()
+    pool.flush(sids)
+    tail_rows = [rows for rows, _cols in spy.lowpass_shapes]
+    assert len(tail_rows) == len(set(tail_rows)) >= 3
+    assert max(cols for _rows, cols in spy.lowpass_shapes) >= 6
+
+
+def test_batched_flush_degraded_tails_bit_identical():
+    policy = FaultPolicy()
+    traces, profiles = _ragged_traces(4, 12.0, seed=42, cut=lambda k: None)
+    nan = np.full((3, 3), np.nan)
+    # Session 0 ends in a short defect the flush must quarantine;
+    # session 1 ends inside an unrecoverable gap.
+    traces[0] = np.vstack([traces[0], nan])
+    traces[1] = np.vstack([traces[1], np.full((80, 3), np.nan)])
+    # Session 2 buffers a gap reset right before the flush, so the
+    # credits the reset parked are the flush's to deliver.
+    extra = {2: np.vstack([np.full((60, 3), np.nan), traces[3][:200]])}
+    pool, sids, got = _assert_flush_identical(
+        traces, profiles, batch=128, extra=extra, fault_policy=policy
+    )
+    ops = [pool.session(sid).op_stats for sid in sids]
+    assert ops[0].samples_rejected >= 3
+    assert ops[1].gaps_reset >= 1 and ops[2].gaps_reset >= 1
+    assert got[2][0]  # the parked pre-gap tail plus the post-gap tail
+
+
+def test_batched_flush_subset_and_repeated_ids():
+    traces, profiles = _ragged_traces(
+        5, 12.0, seed=43, cut=lambda k: 900 + 61 * k
+    )
+    _assert_flush_identical(traces, profiles, batch=128,
+                            flush_at=[3, 0, 4, 3])
+
+
+def test_batched_flush_chunked_sessions(monkeypatch):
+    from repro.serving import batch
+
+    monkeypatch.setattr(batch, "FLUSH_STACK_SESSIONS", 2)
+    traces, profiles = _ragged_traces(
+        5, 12.0, seed=44, cut=lambda k: 1000 + 29 * k
+    )
+    _assert_flush_identical(traces, profiles, batch=128)
+
+
+def test_batched_flush_never_takes_small_fleet_fast_path():
+    # Every append round takes the scalar escape hatch; the tail round
+    # must still settle the tail (a settle-margin pass would not).
+    traces, profiles = _ragged_traces(
+        4, 12.0, seed=45, cut=lambda k: 1000 + 43 * k
+    )
+    _assert_flush_identical(traces, profiles, batch=128,
+                            small_fleet_cutoff=10**6)
+
+
+def test_batched_flush_collects_same_observations():
+    traces, profiles = _ragged_traces(
+        4, 12.0, seed=46, cut=lambda k: 1000 + 53 * k
+    )
+    sessions, _ref = _flush_serial(traces, profiles, 128,
+                                   collect_observations=True)
+    pool, sids, _got = _assert_flush_identical(
+        traces, profiles, batch=128, collect_observations=True
+    )
+    drained = pool.take_observations()
+    want = [s.take_pending_observations() for s in sessions]
+    assert any(want)
+    assert [drained.get(sid, []) for sid in sids] == want
+
+
+class _FailingTailBackend(NumpyBackend):
+    """Raises on every low-pass of a block holding ``SENTINEL``."""
+
+    SENTINEL = 77.25  # finite and under FaultPolicy's saturation rail
+
+    def lowpass_block(self, block, cutoff_hz, sample_rate_hz, order):
+        if (block == self.SENTINEL).any():
+            raise FloatingPointError("tail filter blew up")
+        return super().lowpass_block(block, cutoff_hz, sample_rate_hz, order)
+
+
+def test_batched_flush_isolates_failing_tail():
+    policy = FaultPolicy()
+    # Sessions 2 and 3 have equal lengths, so their tails share a
+    # stacked filter call that must be retried solo to find the owner.
+    lengths = [1000, 1031, 1062, 1062, 1124]
+    traces, profiles = _ragged_traces(5, 12.0, seed=47,
+                                      cut=lambda k: lengths[k])
+    sessions, ref = _flush_serial(traces, profiles, 128,
+                                  fault_policy=policy)
+    # The victim ends on a gap reset (parked credits) and a short
+    # post-gap run whose last sample only its tail block reads.
+    post_gap = traces[3][:200].copy()
+    post_gap[-1] = _FailingTailBackend.SENTINEL
+    extra = {2: np.vstack([np.full((60, 3), np.nan), post_gap])}
+    pool, sids, got = _flush_pool(
+        traces, profiles, 128, BatchedSessionPool, extra=extra,
+        backend=_FailingTailBackend(), fault_policy=policy,
+    )
+    assert list(pool.failed_sessions) == [sids[2]]
+    assert "tail filter blew up" in pool.failed_sessions[sids[2]]
+    # Parked and drained credits are dropped, not half-delivered.
+    assert got[2] == ([], [])
+    for k in (0, 1, 3, 4):
+        assert _credit_key(got[k]) == _credit_key(ref[k])
+        assert (
+            pool.session(sids[k]).op_stats.as_dict()
+            == sessions[k].op_stats.as_dict()
+        )
+    # Fail-fast pools propagate the kernel's own exception.
+    with pytest.raises(FloatingPointError, match="tail filter blew up"):
+        _flush_pool(
+            traces, profiles, 128, BatchedSessionPool, extra=extra,
+            backend=_FailingTailBackend(), fault_policy=policy,
+            isolate_failures=False,
+        )
 
 
 # ----------------------------------------------------------------------

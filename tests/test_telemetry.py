@@ -18,6 +18,7 @@ from repro.exceptions import ConfigurationError
 from repro.runtime.cache import TraceCache
 from repro.runtime.parallel import parallel_map, parallel_map_outcomes
 from repro.serving.fleet import serve_fleet
+from repro.serving.batch import BatchedSessionPool
 from repro.serving.pool import SessionPool
 from repro.serving.workload import synthesize_workload
 from repro.telemetry import (
@@ -386,6 +387,66 @@ class TestPoolInstrumentation:
         assert counters["serving_pool_appends_total"] == 5
         hist = reg.snapshot()["histograms"]["serving_pool_round_seconds"]
         assert hist["count"] == 2
+
+
+    @pytest.mark.parametrize("pool_cls", [SessionPool, BatchedSessionPool])
+    def test_flush_histogram_leaves_append_series_alone(self, pool_cls):
+        # Flush time gets its own histogram; the append-only series the
+        # rebalancer and the traced split read must not move.
+        workloads = synthesize_workload(3, 12.0, seed=8)
+        reg = MetricsRegistry()
+        pool = pool_cls(RATE_HZ, telemetry=reg)
+        sids = pool.add_sessions([w.profile for w in workloads])
+        n = max(w.samples.shape[0] for w in workloads)
+        for i in range(0, n, 256):
+            pool.append(sids, [w.samples[i : i + 256] for w in workloads])
+        before = reg.snapshot()
+        pool.flush(sids)
+        pool.flush(sids[:1])
+        after = reg.snapshot()
+        assert before["histograms"]["serving_pool_flush_seconds"]["count"] == 0
+        flush_s = after["histograms"]["serving_pool_flush_seconds"]
+        assert flush_s["count"] == 2 and flush_s["sum"] > 0
+        assert (
+            after["histograms"]["serving_pool_round_seconds"]
+            == before["histograms"]["serving_pool_round_seconds"]
+        )
+        assert (
+            after["counters"]["serving_pool_appends_total"]
+            == before["counters"]["serving_pool_appends_total"]
+        )
+        # The flush publishes every session's op-stats in full.
+        totals = {
+            f"ptrack_{field}_total": sum(
+                getattr(pool.session(sid).op_stats, field) for sid in sids
+            )
+            for field in StreamingOpStats().as_dict()
+        }
+        assert {k: after["counters"][k] for k in totals} == totals
+
+    def test_batched_flush_keeps_counter_totals(self):
+        # The batched tail round leaves every counter total — the
+        # shard-invariant ptrack/pool series — where the lockstep
+        # pool's one-session-at-a-time flush puts them.
+        workloads = synthesize_workload(4, 12.0, seed=9)
+        counters = []
+        for pool_cls in (SessionPool, BatchedSessionPool):
+            reg = MetricsRegistry()
+            pool = pool_cls(RATE_HZ, telemetry=reg)
+            sids = pool.add_sessions([w.profile for w in workloads])
+            n = max(w.samples.shape[0] for w in workloads)
+            for i in range(0, n, CADENCE):
+                pool.append(
+                    sids, [w.samples[i : i + CADENCE] for w in workloads]
+                )
+            pool.flush(sids)
+            counters.append(dict(reg.snapshot()["counters"]))
+        lockstep, batched = counters
+        dist = "ptrack_distance_m_total"
+        assert batched.pop(dist) == pytest.approx(
+            lockstep.pop(dist), rel=1e-12
+        )
+        assert batched == lockstep
 
 
 class TestFleetTelemetry:
