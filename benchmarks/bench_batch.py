@@ -1,6 +1,6 @@
 """Tracked fleet-batched serving benchmarks (the PR-6 scoreboard).
 
-Four sections, written into the ``fleet_batch`` block of
+Three sections, written into the ``fleet_batch`` block of
 ``BENCH_PR6.json``:
 
 * **identity** — the serving equivalence oracle, asserted *before any
@@ -17,11 +17,6 @@ Four sections, written into the ``fleet_batch`` block of
 * **occupancy** — batched-pool throughput swept across fleet sizes
   (10 / 100 / 1000 / 10000 sessions): µs/sample, samples/s and the
   real-time factor as round occupancy grows.
-* **backends** — per-backend status on a small fleet: the default
-  NumPy backend must be bit-identical, ``float32`` must stay within
-  the documented tolerance (credited step totals), and backends whose
-  dependency is missing (``numba`` without the package) must skip
-  cleanly rather than fail.
 
 Timing methodology: sessions are created and the final ``flush()``
 runs *outside* the timed window — both drivers share the identical
@@ -37,8 +32,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.streaming import StreamingPTrack
-from repro.exceptions import ConfigurationError
-from repro.runtime.backends import available_backends, get_backend
 from repro.serving import (
     BatchedSessionPool,
     SessionPool,
@@ -156,8 +149,8 @@ def bench_batched_vs_lockstep(
     steps: Dict[str, int] = {}
     drivers = (("batched", BatchedSessionPool), ("lockstep", SessionPool))
     # Untimed warmup on a slice of the fleet: page in the workload,
-    # prime scipy/numpy caches (filter design, ufunc loops) and any
-    # backend JIT before the first timed replicate — otherwise rep 0
+    # prime scipy/numpy caches (filter design, ufunc loops) before
+    # the first timed replicate — otherwise rep 0
     # of whichever driver runs first absorbs the one-time costs.
     for _name, cls in drivers:
         pool = cls(SAMPLE_RATE_HZ)
@@ -239,65 +232,6 @@ def bench_occupancy(
     return {"rows": rows}
 
 
-def bench_backends(
-    n_sessions: int = 6,
-    duration_s: float = 20.0,
-    seed: int = 14,
-) -> Dict[str, Any]:
-    """Per-backend status: bit-identical, tolerance-bounded, or skipped."""
-    workloads = synthesize_workload(n_sessions, duration_s, seed=seed)
-    reference = _run_pool(BatchedSessionPool, workloads, backend="numpy")
-    ref_steps = sum(len(s[0]) for s in reference)
-    serial = _run_serial(workloads)
-    rows: List[Dict[str, Any]] = []
-    for name, (available, detail) in sorted(available_backends().items()):
-        if not available:
-            rows.append(
-                {"backend": name, "status": "skipped", "detail": detail}
-            )
-            continue
-        try:
-            backend = get_backend(name)
-        except ConfigurationError as exc:
-            rows.append(
-                {"backend": name, "status": "skipped", "detail": str(exc)}
-            )
-            continue
-        credits = (
-            reference
-            if name == "numpy"
-            else _run_pool(BatchedSessionPool, workloads, backend=name)
-        )
-        if backend.bit_identical:
-            assert credits == serial, f"backend {name} broke bit-identity"
-            rows.append(
-                {
-                    "backend": name,
-                    "status": "bit_identical",
-                    "detail": detail,
-                    "steps": ref_steps,
-                }
-            )
-        else:
-            got = sum(len(s[0]) for s in credits)
-            tol = max(2, int(round(0.02 * ref_steps)))
-            assert abs(got - ref_steps) <= tol, (
-                f"backend {name}: {got} steps vs {ref_steps} reference "
-                f"(tolerance {tol})"
-            )
-            rows.append(
-                {
-                    "backend": name,
-                    "status": "tolerance_ok",
-                    "detail": detail,
-                    "steps": got,
-                    "reference_steps": ref_steps,
-                    "step_tolerance": tol,
-                }
-            )
-    return {"rows": rows}
-
-
 def run_fleet_batch(check: bool = False) -> Dict[str, Any]:
     """The full fleet-batch suite; ``check`` shrinks every workload."""
     if check:
@@ -308,16 +242,13 @@ def run_fleet_batch(check: bool = False) -> Dict[str, Any]:
         occupancy = bench_occupancy(
             session_counts=(4, 16), durations_s={4: 8.0, 16: 8.0}
         )
-        backends = bench_backends(n_sessions=3, duration_s=12.0)
     else:
         identity = assert_batched_identity()
         headline = bench_batched_vs_lockstep()
         occupancy = bench_occupancy()
-        backends = bench_backends()
     return {
         "check_mode": check,
         "identity": identity,
         "batched_vs_lockstep": headline,
         "occupancy": occupancy,
-        "backends": backends,
     }

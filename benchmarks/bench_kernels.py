@@ -1,6 +1,6 @@
-"""Tracked backend-kernel benchmarks (the PR-8 scoreboard).
+"""Tracked batched-kernel benchmarks (the PR-8 scoreboard).
 
-Five sections, written into the ``fleet_kernels`` block of
+Four sections, written into the ``fleet_kernels`` block of
 ``BENCH_PR8.json``:
 
 * **identity** — asserted *before any timing*: (a) the serving
@@ -13,7 +13,7 @@ Five sections, written into the ``fleet_kernels`` block of
   to scipy's ``brentq`` result, and every geometry the scalar path
   rejects must come back ``valid=False``.
 * **headline** — amortized steady-state ingest cost (µs/sample) of the
-  batched pool at 1000 sessions on the NumPy backend, measured against
+  batched pool at 1000 sessions, measured against
   the *tracked PR-6 batched baseline* read from ``BENCH_PR6.json``.
   The tracked targets: >= 1.5x improvement over that baseline and an
   absolute cost <= 1.2 µs/sample.
@@ -21,12 +21,8 @@ Five sections, written into the ``fleet_kernels`` block of
   against the scalar-round escape hatch (``small_fleet_cutoff``), plus
   the improvement over the PR-6 10-session occupancy row. This is the
   measurement behind ``BatchedSessionPool.SMALL_FLEET_CUTOFF = 0``:
-  with the backend-wide kernels the packed round wins even at tiny
+  with every stage batched the packed round wins even at tiny
   occupancy.
-* **backends** — per-backend µs/sample on a medium fleet: NumPy
-  (bit-identical reference), float32 (tolerance-bounded credit totals),
-  and a clean skip for backends whose dependency is absent (numba
-  without the package).
 * **bounce_kernel** — the solver microbenchmark: one
   ``solve_bounce_block`` call against the equivalent scalar loop at a
   fleet-scale row count.
@@ -57,13 +53,11 @@ from bench_batch import (
     assert_batched_identity,
 )
 from repro.core.bounce import GeometryError, solve_bounce, solve_bounce_block
-from repro.exceptions import ConfigurationError
-from repro.runtime.backends import available_backends, get_backend
 from repro.serving import BatchedSessionPool, SessionPool, synthesize_workload
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-#: Tracked targets for the 1000-session NumPy headline.
+#: Tracked targets for the 1000-session headline.
 TARGET_IMPROVEMENT = 1.5
 TARGET_US_PER_SAMPLE = 1.2
 #: Check-mode regression gate: fail below this fraction of the tracked
@@ -205,7 +199,7 @@ def _best_pool_us(
 
 
 def _warmup(workloads) -> None:
-    """Untimed pass priming filter design, ufunc loops, backend JIT."""
+    """Untimed pass priming filter design and ufunc loops."""
     warm = workloads[: max(1, len(workloads) // 16)]
     pool = BatchedSessionPool(SAMPLE_RATE_HZ)
     sids = pool.add_sessions([w.profile for w in warm])
@@ -225,7 +219,7 @@ def bench_headline(
     seed: int = 82,
     baseline: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """1000-session NumPy µs/sample vs the tracked PR-6 batched row."""
+    """1000-session µs/sample vs the tracked PR-6 batched row."""
     if baseline is None:
         baseline = load_pr6_baseline()
     workloads = synthesize_workload(n_sessions, duration_s, seed=seed)
@@ -238,7 +232,6 @@ def bench_headline(
         "duration_s": duration_s,
         "batch_samples": BATCH_SAMPLES,
         "reps": reps,
-        "backend": "numpy",
         "us_per_sample": us,
         "baseline_us_per_sample": base_us,
         "baseline_source": baseline["source"],
@@ -279,70 +272,6 @@ def bench_small_fleet(
         "improvement_x": base_us / packed_us,
         "default_small_fleet_cutoff": BatchedSessionPool.SMALL_FLEET_CUTOFF,
     }
-
-
-def bench_backend_rows(
-    n_sessions: int = 200,
-    duration_s: float = 10.0,
-    reps: int = 2,
-    seed: int = 84,
-) -> Dict[str, Any]:
-    """Per-backend µs/sample rows on one medium fleet."""
-    workloads = synthesize_workload(n_sessions, duration_s, seed=seed)
-    _warmup(workloads)
-    rows: List[Dict[str, Any]] = []
-    ref_steps: Optional[int] = None
-    # NumPy first: it is the bit-identical reference the tolerance
-    # backends' credit totals are checked against.
-    ordered = sorted(
-        available_backends().items(), key=lambda kv: (kv[0] != "numpy", kv[0])
-    )
-    for name, (available, detail) in ordered:
-        if not available:
-            rows.append(
-                {"backend": name, "status": "skipped", "detail": detail}
-            )
-            continue
-        try:
-            backend = get_backend(name)
-        except ConfigurationError as exc:
-            rows.append(
-                {"backend": name, "status": "skipped", "detail": str(exc)}
-            )
-            continue
-        best = float("inf")
-        steps = 0
-        for _rep in range(reps):
-            pool = BatchedSessionPool(SAMPLE_RATE_HZ, backend=backend)
-            sids = pool.add_sessions([w.profile for w in workloads])
-            wall, total = _timed_ingest(pool, workloads, sids)
-            pool.flush(sids)
-            best = min(best, 1e6 * wall / total)
-            steps = pool.total_steps
-        row = {
-            "backend": name,
-            "status": "bit_identical"
-            if backend.bit_identical
-            else "tolerance",
-            "detail": detail,
-            "us_per_sample": best,
-            "total_steps": steps,
-        }
-        if backend.bit_identical:
-            if ref_steps is None:
-                ref_steps = steps
-            assert steps == ref_steps, (
-                f"backend {name}: {steps} steps vs bit-identical "
-                f"reference {ref_steps}"
-            )
-        elif ref_steps is not None:
-            tol = max(2, int(round(0.02 * ref_steps)))
-            assert abs(steps - ref_steps) <= tol, (
-                f"backend {name}: {steps} steps vs {ref_steps} reference "
-                f"(tolerance {tol})"
-            )
-        rows.append(row)
-    return {"n_sessions": n_sessions, "duration_s": duration_s, "rows": rows}
 
 
 def bench_bounce_kernel(
@@ -436,7 +365,6 @@ def run_fleet_kernels(check: bool = False) -> Dict[str, Any]:
         small_fleet = bench_small_fleet(
             n_sessions=4, duration_s=8.0, reps=1, baseline=baseline
         )
-        backends = bench_backend_rows(n_sessions=8, duration_s=8.0, reps=1)
         bounce_kernel = bench_bounce_kernel(n_rows=512, reps=2)
         tracked = load_tracked_check_reference()
         if tracked is None:
@@ -459,7 +387,6 @@ def run_fleet_kernels(check: bool = False) -> Dict[str, Any]:
             "bounce_differential": differential,
             "headline": headline,
             "small_fleet": small_fleet,
-            "backends": backends,
             "bounce_kernel": bounce_kernel,
             "check_reference": reference,
             "regression": regression,
@@ -469,7 +396,6 @@ def run_fleet_kernels(check: bool = False) -> Dict[str, Any]:
     differential = assert_bounce_differential()
     headline = bench_headline(baseline=baseline)
     small_fleet = bench_small_fleet(baseline=baseline)
-    backends = bench_backend_rows()
     bounce_kernel = bench_bounce_kernel()
     reference = measure_check_reference()
     return {
@@ -478,7 +404,6 @@ def run_fleet_kernels(check: bool = False) -> Dict[str, Any]:
         "bounce_differential": differential,
         "headline": headline,
         "small_fleet": small_fleet,
-        "backends": backends,
         "bounce_kernel": bounce_kernel,
         "check_reference": reference,
         "regression": {"status": "full_run", "regression_ok": True},

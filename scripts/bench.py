@@ -26,7 +26,7 @@ Suites:
   ``BENCH_PR5.json``).
 * ``fleet_batch`` — the fleet-batched pool against the lockstep pool
   (tracked >= 5x amortized µs/sample reduction at 1000 sessions),
-  the occupancy sweep, and per-backend equivalence status — all gated
+  and the occupancy sweep — both gated
   on the ``serial == pooled == sharded == batched`` crediting oracle
   (the PR-6 scoreboard, ``BENCH_PR6.json``).
 * ``ragged-ingest`` — the async ingest gateway under seeded ragged
@@ -35,10 +35,10 @@ Suites:
   deterministic-shedding row under a mailbox flood — gated on the
   ``serial replay == gateway`` crediting oracle (the PR-7 scoreboard,
   ``BENCH_PR7.json``).
-* ``fleet-kernels`` — the backend-wide kernel seam: 1000-session
+* ``fleet-kernels`` — the batched round kernels: 1000-session
   batched µs/sample against the tracked PR-6 batched baseline
   (tracked >= 1.5x improvement, <= 1.2 µs/sample), the 10-session
-  small-fleet row, per-backend rows, and the batched bounce solver —
+  small-fleet row, and the batched bounce solver —
   gated on the crediting oracle *and* a bitwise
   ``solve_bounce_block == solve_bounce`` differential sweep (the PR-8
   scoreboard, ``BENCH_PR8.json``).
@@ -232,8 +232,6 @@ def _print_fleet_batch(fleet_batch) -> bool:
             f"{row['samples_per_s']:,.0f} samples/s, "
             f"{row['real_time_factor']:.0f}x real time"
         )
-    for row in fleet_batch["backends"]["rows"]:
-        print(f"  backend {row['backend']}: {row['status']} ({row['detail']})")
     ok = True
     if not identity["ok"]:
         print("ERROR: batched serving diverged from the crediting oracle")
@@ -259,8 +257,8 @@ def _print_fleet_kernels(fleet_kernels) -> bool:
     )
     headline = fleet_kernels["headline"]
     print(
-        f"  headline ({headline['n_sessions']} sessions, "
-        f"{headline['backend']}): {headline['us_per_sample']:.3f} "
+        f"  headline ({headline['n_sessions']} sessions): "
+        f"{headline['us_per_sample']:.3f} "
         f"us/sample vs tracked {headline['baseline_us_per_sample']:.3f} "
         f"({headline['improvement_x']:.2f}x, target "
         f"{headline['target_improvement_x']:.1f}x, abs target "
@@ -274,14 +272,6 @@ def _print_fleet_kernels(fleet_kernels) -> bool:
         f"({small['improvement_x']:.2f}x over tracked "
         f"{small['baseline_us_per_sample']:.3f})"
     )
-    for row in fleet_kernels["backends"]["rows"]:
-        if row["status"] == "skipped":
-            print(f"  backend {row['backend']}: skipped ({row['detail']})")
-        else:
-            print(
-                f"  backend {row['backend']}: {row['status']}, "
-                f"{row['us_per_sample']:.3f} us/sample"
-            )
     kernel = fleet_kernels["bounce_kernel"]
     print(
         f"  bounce kernel ({kernel['rows']} rows): block "

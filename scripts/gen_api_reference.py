@@ -17,7 +17,6 @@ MODULES = [
     "repro.simulation",
     "repro.core",
     "repro.runtime",
-    "repro.runtime.backends",
     "repro.runtime.buffers",
     "repro.runtime.clock",
     "repro.faults",

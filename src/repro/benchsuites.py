@@ -68,7 +68,7 @@ SUITES: Tuple[BenchSuite, ...] = (
     BenchSuite(
         "fleet-batch",
         "BENCH_PR6.json",
-        "fleet-batched pool vs lockstep pool and backend equivalence",
+        "fleet-batched pool vs lockstep pool, serial-replay oracle",
     ),
     BenchSuite(
         "ragged-ingest",
@@ -78,7 +78,7 @@ SUITES: Tuple[BenchSuite, ...] = (
     BenchSuite(
         "fleet-kernels",
         "BENCH_PR8.json",
-        "backend-wide kernel seam and the batched bounce solver",
+        "batched round kernels and the batched bounce solver",
     ),
     BenchSuite(
         "durability",

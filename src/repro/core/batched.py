@@ -25,16 +25,10 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.bounce import solve_bounce
+from repro.core.bounce import solve_bounce, solve_bounce_block
 from repro.core.config import PTrackConfig
 from repro.core.stride import stride_rows_from_bounce
 from repro.exceptions import GeometryError, SignalError
-from repro.runtime.backends import (
-    ComputeBackend,
-    _rows_cumtrapz,
-    _rows_integrate_mean_removal,
-    get_backend,
-)
 from repro.runtime.buffers import FleetBatchBuffer
 from repro.signal.batched import batched_crossing_indices, multi_window_extrema_pair
 from repro.types import GaitType, UserProfile
@@ -42,8 +36,8 @@ from repro.types import GaitType, UserProfile
 __all__ = [
     "StageMeasurement",
     "batched_stage_measurements",
-    "stage_measurements_impl",
     "batched_cycle_solutions",
+    "integrate_block",
 ]
 
 #: ``(a_seg, anterior_ok, motion_ok, offset)`` — the measured half of
@@ -73,50 +67,62 @@ def _stack_rows(
     return np.stack(arrs, out=out)
 
 
+def _rows_cumtrapz(rows: np.ndarray, dt: float) -> np.ndarray:
+    """Row-wise :func:`repro.signal.integration.cumulative_trapezoid`."""
+    out = np.empty_like(rows)
+    out[:, 0] = 0.0
+    np.cumsum((rows[:, 1:] + rows[:, :-1]) * (dt / 2.0), axis=1, out=out[:, 1:])
+    return out
+
+
+def _rows_integrate_mean_removal(rows: np.ndarray, dt: float) -> np.ndarray:
+    """Row-wise :func:`repro.signal.integration.integrate_mean_removal`."""
+    n = rows.shape[1]
+    trapezoid_mean = (rows.sum(axis=1) - 0.5 * (rows[:, 0] + rows[:, -1])) / (n - 1)
+    return _rows_cumtrapz(rows - trapezoid_mean[:, None], dt)
+
+
+def integrate_block(rows: np.ndarray, dt: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-wise mean-removal single **and** double integration.
+
+    For a ``(cycles, samples)`` stack of accelerations this returns
+    ``(velocity, displacement)`` — the row-wise forms of
+    :func:`repro.signal.integration.integrate_mean_removal` and
+    :func:`repro.signal.integration.double_integrate_mean_removal`.
+    The double integral's inner velocity *is* the returned velocity,
+    so callers needing both (the walking-cycle moment extraction) pay
+    one fused call instead of recomputing it. Every reduction is the
+    same NumPy pairwise sum over the same operand order as the scalar
+    reference, so both outputs are bit-identical to it.
+    """
+    velocity = _rows_integrate_mean_removal(rows, dt)
+    displacement = _rows_cumtrapz(velocity - velocity.mean(axis=1)[:, None], dt)
+    return velocity, displacement
+
+
 def batched_stage_measurements(
     v_segs: Sequence[np.ndarray],
     h_segs: Sequence[np.ndarray],
     config: PTrackConfig,
-    backend: Optional[ComputeBackend] = None,
     buffers: Optional[FleetBatchBuffer] = None,
 ) -> List[StageMeasurement]:
     """Measure every staged cycle of a serving round in stacked kernels.
-
-    Thin dispatcher: the measurement stage lives behind
-    :meth:`repro.runtime.backends.ComputeBackend.measurement_block`,
-    whose default implementation is :func:`stage_measurements_impl`
-    below — backends may quantize inputs (float32) or fuse sub-kernels
-    (numba) without callers changing.
-
-    Args:
-        v_segs: Per-cycle vertical acceleration segments.
-        h_segs: Per-cycle horizontal segments, each ``(n, 2)``.
-        config: PTrack configuration.
-        backend: Compute backend; ``None`` resolves the default.
-        buffers: Optional scratch pool for the per-length stacks and
-            the packed extrema signals.
-
-    Returns:
-        One :data:`StageMeasurement` per cycle, input order.
-    """
-    be = backend if backend is not None else get_backend()
-    return be.measurement_block(v_segs, h_segs, config, buffers)
-
-
-def stage_measurements_impl(
-    v_segs: Sequence[np.ndarray],
-    h_segs: Sequence[np.ndarray],
-    config: PTrackConfig,
-    be: ComputeBackend,
-    buffers: Optional[FleetBatchBuffer] = None,
-) -> List[StageMeasurement]:
-    """The stacked float64 measurement stage (backend default impl).
 
     For each cycle ``i`` this computes exactly what the scalar
     ``StreamingPTrack._stage`` computes from ``(v_segs[i], h_segs[i])``:
     the anterior projection (or zeros when the direction fit fails),
     the motion gate, and — for moving cycles — the Eq. (1)
     critical-point offset.
+
+    Args:
+        v_segs: Per-cycle vertical acceleration segments.
+        h_segs: Per-cycle horizontal segments, each ``(n, 2)``.
+        config: PTrack configuration.
+        buffers: Optional scratch pool for the per-length stacks and
+            the packed extrema signals.
+
+    Returns:
+        One :data:`StageMeasurement` per cycle, input order.
     """
     count = len(v_segs)
     results: List[StageMeasurement] = [None] * count  # type: ignore[list-item]
@@ -252,7 +258,7 @@ def stage_measurements_impl(
             else None
         )
         peaks_per, valleys_per = multi_window_extrema_pair(
-            windows, proms, proms, dists, be, scratch=scratch
+            windows, proms, proms, dists, scratch=scratch
         )
         v_turn: dict = {}
         a_turn: dict = {}
@@ -374,7 +380,6 @@ def batched_cycle_solutions(
         Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], GaitType, UserProfile]
     ],
     dt: float,
-    backend: Optional[ComputeBackend] = None,
     buffers: Optional[FleetBatchBuffer] = None,
 ) -> List[Optional[Tuple[float, float]]]:
     """Per-cycle ``(stride_m, bounce_m)`` solves in stacked kernels.
@@ -386,20 +391,18 @@ def batched_cycle_solutions(
 
     * per length group, the walking anterior rows, walking vertical
       rows and stepping vertical rows share **one**
-      :meth:`~repro.runtime.backends.ComputeBackend.integrate_block`
-      call (the double integral's inner velocity is reused instead of
-      recomputed, and row-wise kernels are independent across rows, so
-      mixing populations in one stack changes nothing);
+      :func:`integrate_block` call (the double integral's inner
+      velocity is reused instead of recomputed, and row-wise kernels
+      are independent across rows, so mixing populations in one stack
+      changes nothing);
     * the walking key-moment location (arm extremes, anterior-speed
       peak, the skip gates) runs as masked row-wise reductions instead
       of a per-cycle Python loop;
     * all surviving bounce geometries across **all** length groups pool
-      into a single
-      :meth:`~repro.runtime.backends.ComputeBackend.bounce_solve_block`
+      into a single :func:`~repro.core.bounce.solve_bounce_block`
       call, with a scalar :func:`~repro.core.bounce.solve_bounce`
       fallback for any row the block solver does not fully resolve —
-      so credits are bit-identical to the per-cycle reference on
-      bit-identical backends.
+      so credits are bit-identical to the per-cycle reference.
 
     Args:
         items: Per credited cycle: vertical segment, horizontal segment,
@@ -408,14 +411,12 @@ def batched_cycle_solutions(
             re-derivation would fail identically), gait type, and the
             owning session's user profile.
         dt: Shared sample period in seconds.
-        backend: Compute backend; ``None`` resolves the default.
         buffers: Optional scratch pool for the per-length stacks.
 
     Returns:
         Per cycle, ``(stride_m, bounce_m)`` or ``None`` when the
         geometry admits no solve.
     """
-    be = backend if backend is not None else get_backend()
     count = len(items)
     results: List[Optional[Tuple[float, float]]] = [None] * count
     stepping_by_length: dict = {}
@@ -444,7 +445,7 @@ def batched_cycle_solutions(
             + [items[i][0] for i in s_idxs]
         )
         stack = _stack_rows(rows, buffers, f"solve_stack:{n}")
-        vel, disp = be.integrate_block(stack, dt)
+        vel, disp = integrate_block(stack, dt)
 
         if s_idxs:
             disp_s = disp[2 * nw :]
@@ -499,7 +500,7 @@ def batched_cycle_solutions(
         h2_all = np.concatenate(sol_h2)
         d_all = np.concatenate(sol_d)
         arms = np.asarray([items[i][4].arm_length_m for i in sol_idx])
-        bounce, valid = be.bounce_solve_block(h1_all, h2_all, d_all, arms)
+        bounce, valid = solve_bounce_block(h1_all, h2_all, d_all, arms)
         for r in np.flatnonzero(~valid):
             # The block solver leaves a row unresolved when the scalar
             # path would raise (or, theoretically, on iteration

@@ -183,10 +183,9 @@ def _anterior_travel(b: float, h1: float, h2: float, m: float) -> float:
     (both sqrts are correctly rounded).  The squares are spelled as
     explicit products, not ``**2``: CPython routes ``float ** 2``
     through C ``pow``, which differs from ``x * x`` in the last ulp for
-    a fraction of inputs, while every vectorized counterpart
-    (:func:`_anterior_travel_rows`, the numba rows loop) necessarily
-    multiplies — the product form is what keeps scalar and block
-    solvers bit-identical.
+    a fraction of inputs, while the vectorized counterpart
+    (:func:`_anterior_travel_rows`) necessarily multiplies — the
+    product form is what keeps scalar and block solvers bit-identical.
     """
     r1 = h1 + b
     r2 = h2 + b

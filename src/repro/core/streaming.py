@@ -936,7 +936,7 @@ class StreamingPTrack:
         at absolute index ``final`` (exactly what
         :meth:`apply_filtered_block` consumes). A batched pool collects
         the plans of every due session, stacks equal-length raw blocks
-        column-wise and runs one backend filter call per length group.
+        column-wise and runs one filter call per length group.
         """
         plan: List[Tuple[int, int, int]] = []
         final = self._filt_final

@@ -10,10 +10,6 @@ loops into fan-out studies:
   LRU + optional on-disk store) so repeated experiments stop
   re-simulating identical walks.
 
-* :mod:`repro.runtime.backends` — the pluggable compute-backend seam
-  behind the fleet-batched serving kernels (NumPy float64 baseline,
-  optional float32 and Numba variants selected via ``PTRACK_BACKEND``).
-
 * :mod:`repro.runtime.buffers` — grow-on-demand keyed scratch arrays
   shared by the batched kernel layers and the fleet serving round.
 
@@ -22,19 +18,10 @@ loops into fan-out studies:
   :class:`ManualClock` in tests, so schedulers are testable without
   wall-clock sleeps).
 
-See ``docs/performance.md`` for the workflow, worker-count resolution,
-backend selection and cache invalidation rules.
+See ``docs/performance.md`` for the workflow, worker-count resolution
+and cache invalidation rules.
 """
 
-from repro.runtime.backends import (
-    BACKEND_ENV_VAR,
-    ComputeBackend,
-    Float32Backend,
-    NumbaBackend,
-    NumpyBackend,
-    available_backends,
-    get_backend,
-)
 from repro.runtime.buffers import FleetBatchBuffer
 from repro.runtime.clock import Clock, ManualClock, SystemClock
 from repro.runtime.cache import (
@@ -56,17 +43,10 @@ from repro.runtime.parallel import (
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "Clock",
-    "ComputeBackend",
     "FleetBatchBuffer",
-    "Float32Backend",
     "ManualClock",
-    "NumbaBackend",
-    "NumpyBackend",
     "SystemClock",
-    "available_backends",
-    "get_backend",
     "TaskOutcome",
     "CACHE_SCHEMA",
     "TraceCache",

@@ -9,7 +9,7 @@ per-key backing arrays that only ever grow.
 
 Historically this lived in :mod:`repro.serving.batch`; it moved here so
 the kernel layers (:mod:`repro.core.batched`,
-:mod:`repro.runtime.backends`) can accept scratch without importing the
+:mod:`repro.signal.batched`) can accept scratch without importing the
 serving layer. The old import path still re-exports it.
 """
 

@@ -8,9 +8,8 @@ together:
   ingest call, batching the per-cycle stepping kernels fleet-wide.
 * :class:`BatchedSessionPool` — the fleet-batched pool: every round's
   filter / segmentation / measurement / stride kernels run once for
-  the whole fleet on a pluggable compute backend
-  (:mod:`repro.runtime.backends`), bit-identical to the lockstep pool
-  on the default NumPy backend.
+  the whole fleet as float64 batched kernels, bit-identical to the
+  lockstep pool.
 * :class:`IngestGateway` — the async ingest front end: per-session
   bounded mailboxes absorb ragged arrivals (bursts, stalls, bounded
   reordering, join/leave), a coalescing scheduler feeds whatever has

@@ -8,7 +8,7 @@ times. :class:`BatchedSessionPool` restructures the round so each stage
 runs **once for the whole fleet**:
 
 1. the pending filter blocks of every due session are column-stacked by
-   length and low-passed in one backend call per length group;
+   length and low-passed in one filter call per length group;
 2. every session's segmentation window is packed into one concatenated
    signal and scanned by a single peak/valley kernel dispatch
    (:func:`repro.signal.batched.batched_segment_windows`);
@@ -28,12 +28,13 @@ cycles settle with a zero margin — for chunks of at most
 Per-session *state* transitions (boundary bookkeeping, cycle admission,
 streak classification, crediting, trimming) still run session by
 session through the seams :class:`~repro.core.streaming.StreamingPTrack`
-exposes — the numeric kernels between them are what gets batched. With
-the default NumPy backend every batched kernel is bit-identical to its
-scalar reference, so credits satisfy the serving equivalence oracle
-``serial == pooled == sharded == batched``; alternate backends (see
-:mod:`repro.runtime.backends`) trade that for throughput under a
-documented tolerance policy.
+exposes — the numeric kernels between them are what gets batched. Every
+batched kernel is a float64 function bit-identical to its scalar
+reference, so credits satisfy the serving equivalence oracle
+``serial == pooled == sharded == batched``. There is deliberately one
+set of kernels: PTrack's decisions sit on float64 thresholds (the
+Eq. (1) offset against δ, the Eq. (3)-(5) Brent bounce root), and a
+reduced-precision variant moves exactly those decisions.
 
 Failure isolation matches the lockstep pool: an exception attributable
 to one session marks only that session failed and the round continues
@@ -54,10 +55,10 @@ from repro.core.batched import (
 from repro.core.config import PTrackConfig
 from repro.core.streaming import StagedCycle
 from repro.faults.policy import FaultPolicy
-from repro.runtime.backends import ComputeBackend, get_backend
 from repro.runtime.buffers import FleetBatchBuffer
 from repro.serving.pool import SessionPool
 from repro.signal.batched import batched_segment_windows
+from repro.signal.filters import butter_lowpass
 from repro.telemetry.registry import MetricsRegistry
 from repro.types import StepEvent, StrideEstimate
 
@@ -93,33 +94,24 @@ class BatchedSessionPool(SessionPool):
     """A session pool whose ingest rounds run fleet-batched kernels.
 
     Drop-in replacement for :class:`SessionPool` — same constructor,
-    same ``append``/``flush``/failure-isolation contract, and (with the
-    default NumPy backend) bit-identical per-session credits and
-    op-stats. What changes is *how* each round computes: one kernel
-    dispatch per stage per round instead of per session — the
-    end-of-stream ``flush`` included, whose tails settle in one final
-    fleet round per chunk of sessions.
+    same ``append``/``flush``/failure-isolation contract, and
+    bit-identical per-session credits and op-stats. What changes is
+    *how* each round computes: one kernel dispatch per stage per round
+    instead of per session — the end-of-stream ``flush`` included,
+    whose tails settle in one final fleet round per chunk of sessions.
 
     Args:
-        backend: Compute backend for the batched kernels — a
-            :class:`~repro.runtime.backends.ComputeBackend`, a registry
-            name (``"numpy"``, ``"float32"``, ``"numba"``), or ``None``
-            to consult ``PTRACK_BACKEND`` and default to NumPy. Only
-            bit-identical backends preserve the crediting-equivalence
-            oracle; see :mod:`repro.runtime.backends` for the
-            per-kernel tolerance policy of the alternates.
         small_fleet_cutoff: Rounds with at most this many due sessions
             skip the fleet packing/stacking machinery and run the
-            lockstep scalar round instead. Only taken on bit-identical
-            backends (the scalar round *is* the reference, so credits
-            are unchanged by construction); ``0`` disables the fast
-            path. ``None`` uses :attr:`SMALL_FLEET_CUTOFF` — currently
-            ``0``: with the backend-wide kernels the packed round beats
-            the scalar round at every measured occupancy (1–10 due
-            sessions; see the ``small_fleet`` section of
-            ``BENCH_PR8.json``), so the scalar path is an escape hatch
-            for deployments whose profile says otherwise, not a
-            default.
+            lockstep scalar round instead (the scalar round *is* the
+            reference, so credits are unchanged by construction); ``0``
+            disables the fast path. ``None`` uses
+            :attr:`SMALL_FLEET_CUTOFF` — currently ``0``: with every
+            stage batched the packed round beats the scalar round at
+            every measured occupancy (1–10 due sessions; see the
+            ``small_fleet`` section of ``BENCH_PR8.json``), so the
+            scalar path is an escape hatch for deployments whose
+            profile says otherwise, not a default.
 
     All other arguments are inherited from :class:`SessionPool`.
     """
@@ -127,8 +119,8 @@ class BatchedSessionPool(SessionPool):
     #: Default ``small_fleet_cutoff``. 0 = packed rounds at every
     #: occupancy: measured on the tracked workload, the packed round
     #: wins even at one due session once measurement/integration/bounce
-    #: all dispatch through backend kernels (BENCH_PR8 ``small_fleet``
-    #: rows), so delegating small rounds to the scalar path would be a
+    #: all run as batched kernels (BENCH_PR8 ``small_fleet`` rows), so
+    #: delegating small rounds to the scalar path would be a
     #: pessimisation, not a fast path.
     SMALL_FLEET_CUTOFF = 0
 
@@ -141,7 +133,6 @@ class BatchedSessionPool(SessionPool):
         fault_policy: Optional[FaultPolicy] = None,
         isolate_failures: bool = True,
         telemetry: Optional[MetricsRegistry] = None,
-        backend: Optional[Union[str, ComputeBackend]] = None,
         small_fleet_cutoff: Optional[int] = None,
         **pool_kwargs: Any,
     ) -> None:
@@ -155,7 +146,6 @@ class BatchedSessionPool(SessionPool):
             telemetry=telemetry,
             **pool_kwargs,
         )
-        self._backend = get_backend(backend)
         self._buffers = FleetBatchBuffer()
         self._small_fleet_cutoff = (
             self.SMALL_FLEET_CUTOFF
@@ -168,34 +158,13 @@ class BatchedSessionPool(SessionPool):
                 "serving_batch_round_occupancy", buckets=OCCUPANCY_BUCKETS
             )
 
-    @property
-    def backend(self) -> ComputeBackend:
-        """The compute backend the batched kernels dispatch to."""
-        return self._backend
-
     # ------------------------------------------------------------------
     # Durability
     # ------------------------------------------------------------------
     def _backend_identity(self) -> Optional[str]:
-        """Echo the backend name into pool snapshots: only the exact
-        same backend is guaranteed to resume bit-identically (float32
-        is tolerance-bounded, not bit-identical), so restore refuses a
-        snapshot taken under any other backend."""
-        return self._backend.name
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        snapshot: Dict[str, object],
-        telemetry: Optional[MetricsRegistry] = None,
-        **kwargs: object,
-    ) -> "BatchedSessionPool":
-        """Build a batched pool resuming ``snapshot``, reconstructing
-        the snapshot's own compute backend by name."""
-        kwargs.setdefault("backend", snapshot.get("backend"))
-        return super().from_snapshot(  # type: ignore[return-value]
-            snapshot, telemetry=telemetry, **kwargs
-        )
+        """Batched pool snapshots record ``"numpy"``: the float64
+        batched kernels, as opposed to the lockstep pool's ``None``."""
+        return "numpy"
 
     # ------------------------------------------------------------------
     # Batched ingest
@@ -358,17 +327,13 @@ class BatchedSessionPool(SessionPool):
             return []
         if self._telemetry is not None:
             self._m_occupancy.observe(len(due_ks))
-        if (
-            len(due_ks) <= self._small_fleet_cutoff
-            and self._backend.bit_identical
-        ):
+        if len(due_ks) <= self._small_fleet_cutoff:
             # Small-fleet escape hatch: delegate tiny rounds to the
             # lockstep scalar round. It IS the batched round's
             # bit-identity reference, so taking it changes nothing but
-            # latency. Tolerance backends (float32) must not take it —
-            # they would silently compute in float64. Off by default
-            # (see SMALL_FLEET_CUTOFF): the packed round measures
-            # faster at every occupancy on the tracked workload.
+            # latency. Off by default (see SMALL_FLEET_CUTOFF): the
+            # packed round measures faster at every occupancy on the
+            # tracked workload.
             return self._scalar_round(session_ids, sessions, due_ks, out)
         return self._run_stages(session_ids, sessions, due_ks, boundaries, out)
 
@@ -399,12 +364,11 @@ class BatchedSessionPool(SessionPool):
             alive[d] = False
 
         cfg = self._config
-        be = self._backend
         rate = self._rate
 
         # -- Stage 1: fleet filter -------------------------------------
         # Gather every due session's pending filter blocks, low-pass
-        # equal-length blocks in column-stacked backend calls of at most
+        # equal-length blocks in column-stacked filter calls of at most
         # FILTER_STACK_BLOCKS blocks, then commit per session in plan
         # order (the order apply_filtered_block requires).
         plans: List[List[Tuple[int, int, int]]] = []
@@ -423,14 +387,20 @@ class BatchedSessionPool(SessionPool):
             [None] * len(plan) for plan in plans
         ]
 
+        def lowpass(block: np.ndarray) -> np.ndarray:
+            # The round copies hop-sized slices straight out of the
+            # result, so skip the final contiguous copy of the block.
+            return butter_lowpass(
+                block,
+                cfg.lowpass_cutoff_hz,
+                rate,
+                cfg.lowpass_order,
+                contiguous=False,
+            )
+
         def lowpass_solo(d: int, j: int, lo: int, hi: int) -> None:
             try:
-                blocks[d][j] = be.lowpass_block(
-                    due_sess[d].raw_block(lo, hi),
-                    cfg.lowpass_cutoff_hz,
-                    rate,
-                    cfg.lowpass_order,
-                )
+                blocks[d][j] = lowpass(due_sess[d].raw_block(lo, hi))
             except Exception as exc:  # noqa: BLE001
                 blocks[d][j] = exc
 
@@ -449,9 +419,7 @@ class BatchedSessionPool(SessionPool):
                         due_sess[d].raw_block(lo, hi),
                     )
                 try:
-                    filtered = be.lowpass_block(
-                        stack, cfg.lowpass_cutoff_hz, rate, cfg.lowpass_order
-                    )
+                    filtered = lowpass(stack)
                 except Exception:  # noqa: BLE001 — retry solo to find the owner
                     for entry in entries:
                         lowpass_solo(*entry)
@@ -498,7 +466,6 @@ class BatchedSessionPool(SessionPool):
                 min_step_rate_hz=cfg.min_step_rate_hz,
                 max_step_rate_hz=cfg.max_step_rate_hz,
                 min_prominence=cfg.min_peak_prominence,
-                backend=be,
                 scratch=scratch,
             )
 
@@ -531,7 +498,7 @@ class BatchedSessionPool(SessionPool):
                 flat_h.append(h_seg)
         measurements = (
             batched_stage_measurements(
-                flat_v, flat_h, cfg, be, buffers=self._buffers
+                flat_v, flat_h, cfg, buffers=self._buffers
             )
             if flat_v
             else []
@@ -599,9 +566,7 @@ class BatchedSessionPool(SessionPool):
             solve_start[d] = len(all_items)
             all_items.extend(items)
         flat_solutions = (
-            batched_cycle_solutions(
-                all_items, 1.0 / rate, backend=be, buffers=self._buffers
-            )
+            batched_cycle_solutions(all_items, 1.0 / rate, buffers=self._buffers)
             if all_items
             else []
         )

@@ -3,9 +3,8 @@
 :func:`serve_fleet` drives N finished traces through N streaming
 sessions at a fixed upload cadence. Sessions are partitioned into
 contiguous shards, each shard is served by its own
-:class:`~repro.serving.batch.BatchedSessionPool` (NumPy backend) inside
-a worker process, and the per-session results are reassembled in fleet
-order.
+:class:`~repro.serving.batch.BatchedSessionPool` inside a worker
+process, and the per-session results are reassembled in fleet order.
 
 Because every session's pipeline state is independent and the
 fleet-batched kernels are composition-independent, the shard layout —
@@ -87,12 +86,6 @@ __all__ = ["SessionReport", "FleetReport", "serve_fleet"]
 #: Two, because a shard's first failure can be collateral damage from
 #: a sibling shard breaking the shared process pool.
 _MAX_SHARD_ATTEMPTS = 2
-
-#: Compute backend of every shard's pool, pinned rather than read from
-#: ``PTRACK_BACKEND``: the fleet's credits stay bit-identical to
-#: serially driven sessions whatever backend the environment selects.
-_FLEET_BACKEND = "numpy"
-
 
 @dataclass(frozen=True)
 class SessionReport:
@@ -263,7 +256,6 @@ def _serve_shard(
         fault_policy=fault_policy,
         telemetry=registry,
         collect_observations=collect_observations,
-        backend=_FLEET_BACKEND,
     )
     sids = pool.add_sessions(profiles)
     steps: List[List[StepEvent]] = [[] for _ in sids]
@@ -456,13 +448,10 @@ def _serve_shard_epoch(job: _EpochJob) -> Dict[str, Any]:
             fault_policy=fault_policy,
             telemetry=registry,
             collect_observations=collect_observations,
-            backend=_FLEET_BACKEND,
         )
         sids = pool.add_sessions(profiles)
     else:
-        pool = BatchedSessionPool.from_snapshot(
-            pool_blob, telemetry=registry, backend=_FLEET_BACKEND
-        )
+        pool = BatchedSessionPool.from_snapshot(pool_blob, telemetry=registry)
         sids = pool.session_ids
     steps: List[List[StepEvent]] = [[] for _ in sids]
     strides: List[List[StrideEstimate]] = [[] for _ in sids]

@@ -357,13 +357,12 @@ class SessionPool:
     # Durability: snapshot / restore / migration
     # ------------------------------------------------------------------
     def _backend_identity(self) -> Optional[str]:
-        """The compute-backend identity echoed into pool snapshots.
+        """The round identity echoed into pool snapshots.
 
-        ``None`` for the lockstep pool (no backend seam); the batched
-        pool overrides this with its backend's name. Restore refuses a
-        mismatch: the float32 backend is only tolerance-bounded, so
-        resuming its state under a different backend could diverge from
-        the uninterrupted run.
+        ``None`` for the lockstep pool; the batched pool records
+        ``"numpy"`` (its float64 batched kernels). Restore refuses a
+        mismatch, so a snapshot resumes only under the pool kind that
+        wrote it.
         """
         return None
 

@@ -5,7 +5,7 @@ The scalar pipeline pays one scipy dispatch per window per primitive
 around nanoseconds of scanning. When a serving fleet stages hundreds of
 windows per ingest round, that overhead dominates. The kernels here
 amortise it: all windows are packed into **one** concatenated signal
-with ``+inf`` separator samples and scanned by a single backend call.
+with ``+inf`` separator samples and scanned by a single kernel call.
 
 The separator trick preserves bit-identical semantics per window:
 
@@ -33,8 +33,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ConfigurationError, SignalError
-from repro.runtime.backends import ComputeBackend, get_backend
-from repro.signal.peaks import _enforce_min_distance
+from repro.signal.peaks import _enforce_min_distance, _local_maxima
+from repro.signal.peaks import peak_prominences as _peak_prominences
 from repro.signal.segmentation import Segment, _pair_cycles
 
 __all__ = [
@@ -120,11 +120,10 @@ def multi_window_extrema(
     windows: Windows,
     min_prominences: Union[float, Sequence[float]],
     min_distances: Union[int, Sequence[int]],
-    backend: Optional[ComputeBackend] = None,
     negate: bool = False,
     scratch: Optional[np.ndarray] = None,
 ) -> List[np.ndarray]:
-    """Per-window peak (or valley) detection in one backend dispatch.
+    """Per-window peak (or valley) detection in one kernel dispatch.
 
     Semantically ``[detect_peaks(w, p, d) for w, p, d in zip(...)]``
     (or ``detect_valleys`` with ``negate=True``), evaluated with a
@@ -137,17 +136,15 @@ def multi_window_extrema(
         windows: Windows to scan (sequence of 1-D arrays or 2-D rows).
         min_prominences: Prominence floor, scalar or one per window.
         min_distances: Spacing gate, scalar or one per window.
-        backend: Compute backend; ``None`` resolves the default.
         negate: Detect valleys instead of peaks.
         scratch: Optional packing scratch (see :func:`pack_windows`).
 
     Returns:
         One sorted window-local index array per window.
     """
-    be = backend if backend is not None else get_backend()
     concat, starts, lens = pack_windows(windows, negate=negate, out=scratch)
     return _extrema_from_packed(
-        be, concat, starts, lens, min_prominences, min_distances
+        concat, starts, lens, min_prominences, min_distances
     )
 
 
@@ -156,7 +153,6 @@ def multi_window_extrema_pair(
     peak_prominences: Union[float, Sequence[float]],
     valley_prominences: Union[float, Sequence[float]],
     min_distances: Union[int, Sequence[int]],
-    backend: Optional[ComputeBackend] = None,
     scratch: Optional[np.ndarray] = None,
 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     """Peaks *and* valleys of the same windows from one packing.
@@ -174,29 +170,46 @@ def multi_window_extrema_pair(
         valley_prominences: Valley-prominence floor, scalar or per
             window.
         min_distances: Spacing gate, scalar or one per window.
-        backend: Compute backend; ``None`` resolves the default.
         scratch: Optional packing scratch (see :func:`pack_windows`).
 
     Returns:
         Tuple ``(peaks_per, valleys_per)`` of per-window sorted
         window-local index arrays.
     """
-    be = backend if backend is not None else get_backend()
     concat, starts, lens = pack_windows(windows, out=scratch)
     peaks_per = _extrema_from_packed(
-        be, concat, starts, lens, peak_prominences, min_distances
+        concat, starts, lens, peak_prominences, min_distances
     )
     if lens.size:
         np.negative(concat, out=concat)
         concat[starts + lens] = np.inf
     valleys_per = _extrema_from_packed(
-        be, concat, starts, lens, valley_prominences, min_distances
+        concat, starts, lens, valley_prominences, min_distances
     )
     return peaks_per, valleys_per
 
 
+def _finite_extrema(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Fused maxima + prominence scan over a packed signal.
+
+    Returns ``(candidates, prominences)`` for every *finite* local
+    maximum of ``x``. On a :func:`pack_windows` signal the non-finite
+    samples are exactly the ``+inf`` separators, so dropping
+    non-finite peaks is the packed equivalent of the per-window
+    interior filter — one call replaces the maxima scan, the interior
+    mask and the prominence scan. Both scans are the scipy C kernels
+    the scalar detectors use, so every value is bit-identical to a
+    per-window :func:`repro.signal.peaks.detect_peaks` pass.
+    """
+    candidates = _local_maxima(x)
+    if candidates.size:
+        candidates = candidates[np.isfinite(x[candidates])]
+    if candidates.size == 0:
+        return candidates, np.empty(0)
+    return candidates, _peak_prominences(x, candidates)
+
+
 def _extrema_from_packed(
-    be: ComputeBackend,
     concat: np.ndarray,
     starts: np.ndarray,
     lens: np.ndarray,
@@ -215,19 +228,16 @@ def _extrema_from_packed(
     distances = np.broadcast_to(
         np.asarray(min_distances, dtype=np.intp), (n_windows,)
     )
-    # One fused kernel call replaces the local_maxima + prominence
-    # pair. extrema_block drops non-finite candidates, which here is
-    # exactly the old interior filter: the separators are the only
-    # non-finite samples in the packed signal (callers validate window
-    # samples finite), and every separator index is a window's
-    # one-past-the-end position.
-    candidates, proms = be.extrema_block(concat)
-    candidates = np.asarray(candidates, dtype=np.intp)
+    # One fused scan replaces the local_maxima + prominence pair. It
+    # drops non-finite candidates, which here is exactly the interior
+    # filter: the separators are the only non-finite samples in the
+    # packed signal (callers validate window samples finite), and every
+    # separator index is a window's one-past-the-end position.
+    candidates, proms = _finite_extrema(concat)
     if candidates.size == 0:
         return results
     win_ids = np.searchsorted(starts, candidates, side="right") - 1
     local = candidates - starts[win_ids]
-    proms = np.asarray(proms, dtype=float)
     keep = proms >= proms_floor[win_ids]
     win_ids, local, proms = win_ids[keep], local[keep], proms[keep]
     m = win_ids.size
@@ -272,7 +282,6 @@ def batched_segment_windows(
     min_step_rate_hz: float = 1.2,
     max_step_rate_hz: float = 3.2,
     min_prominence: float = 0.6,
-    backend: Optional[ComputeBackend] = None,
     scratch: Optional[np.ndarray] = None,
 ) -> List[Union[List[Segment], Exception]]:
     """Gait-cycle segmentation of many windows per kernel dispatch.
@@ -290,7 +299,6 @@ def batched_segment_windows(
         min_step_rate_hz: Slowest admissible stepping rate.
         max_step_rate_hz: Fastest admissible stepping rate.
         min_prominence: Step-peak prominence floor.
-        backend: Compute backend; ``None`` resolves the default.
         scratch: Optional packing scratch.
 
     Returns:
@@ -336,7 +344,6 @@ def batched_segment_windows(
         min_prominence,
         min_prominence * 0.5,
         min_gap,
-        backend,
         scratch=scratch,
     )
     for i, peaks, valleys in zip(live, peaks_per, valleys_per):

@@ -145,17 +145,12 @@ def test_fleet_batch_sections_complete(check_results):
         "identity",
         "batched_vs_lockstep",
         "occupancy",
-        "backends",
     }
     assert fleet_batch["identity"]["ok"] is True
     headline = fleet_batch["batched_vs_lockstep"]
     assert headline["batched_us_per_sample"] > 0
     assert headline["lockstep_us_per_sample"] > 0
     assert all(r["samples_per_s"] > 0 for r in fleet_batch["occupancy"]["rows"])
-    statuses = {r["backend"]: r["status"] for r in fleet_batch["backends"]["rows"]}
-    assert statuses["numpy"] == "bit_identical"
-    assert statuses["float32"] in ("tolerance_ok", "bit_identical")
-    assert statuses["numba"] in ("bit_identical", "skipped")
 
 
 def test_pr6_scoreboard_meets_acceptance():
@@ -172,10 +167,9 @@ def test_pr6_scoreboard_meets_acceptance():
     assert headline["speedup_ok"] is True
     # The occupancy sweep reaches 10000 concurrent sessions.
     assert max(r["sessions"] for r in fleet_batch["occupancy"]["rows"]) >= 10000
-    # The default backend is bit-identical; absent deps skip cleanly.
+    # The recorded NumPy row was bit-identical to the serial replay.
     statuses = {r["backend"]: r["status"] for r in fleet_batch["backends"]["rows"]}
     assert statuses["numpy"] == "bit_identical"
-    assert statuses["numba"] in ("bit_identical", "skipped")
 
 
 def test_ragged_ingest_sections_complete(check_results):
@@ -229,7 +223,6 @@ def test_fleet_kernels_sections_complete(check_results):
         "bounce_differential",
         "headline",
         "small_fleet",
-        "backends",
         "bounce_kernel",
         "check_reference",
         "regression",
@@ -240,9 +233,6 @@ def test_fleet_kernels_sections_complete(check_results):
     assert diff["solved_rows"] + diff["rejected_rows"] == diff["rows"]
     assert kernels["headline"]["us_per_sample"] > 0
     assert kernels["small_fleet"]["packed_us_per_sample"] > 0
-    statuses = {r["backend"]: r["status"] for r in kernels["backends"]["rows"]}
-    assert statuses["numpy"] == "bit_identical"
-    assert statuses["numba"] in ("bit_identical", "skipped")
     assert kernels["bounce_kernel"]["block_us_per_row"] > 0
     assert kernels["check_reference"]["speedup"] > 0
     assert kernels["regression"]["regression_ok"] is True

@@ -275,24 +275,6 @@ class TestBatchedShards:
         assert 1 <= occupancy["sum"] / occupancy["count"] <= 3
         assert seen and all(s.round_seconds_count > 0 for s in seen)
 
-    def test_shards_ignore_the_backend_environment(
-        self, serial_credits, monkeypatch
-    ):
-        # The tolerance-bounded float32 backend would move credits; the
-        # fleet pins its shards to NumPy whatever the environment says.
-        monkeypatch.setenv("PTRACK_BACKEND", "float32")
-        for kwargs in ({}, {"checkpoint_every_s": 5.0}):
-            report = serve_fleet(
-                _TRACES,
-                RATE,
-                profiles=_PROFILES,
-                workers=1,
-                batch_samples=BATCH,
-                sessions_per_shard=3,
-                **kwargs,
-            )
-            assert _credits(report) == serial_credits
-
 
 class TestCheckpointStore:
     @staticmethod

@@ -26,7 +26,6 @@ from repro.core.streaming import StreamingPTrack
 from repro.core.stride import PTrackStrideEstimator
 from repro.exceptions import SignalError
 from repro.faults.policy import FaultPolicy
-from repro.runtime.backends import NumpyBackend, get_backend
 from repro.serving import (
     BatchedSessionPool,
     FleetBatchBuffer,
@@ -423,36 +422,6 @@ def test_batched_pool_filter_stack_cap_keeps_credits(monkeypatch):
     _assert_credits_identical(capped, serial)
 
 
-def test_batched_pool_fast_path_skipped_on_tolerance_backend():
-    # float32 is not bit-identical, so the fast path (which computes in
-    # float64) must never trigger: a huge cutoff and a zero cutoff must
-    # produce identical float32 credits.
-    workloads = synthesize_workload(3, 12.0, seed=29)
-    a, _ = _serve_batched(
-        workloads, batch=128, backend="float32", small_fleet_cutoff=10**9
-    )
-    b, _ = _serve_batched(
-        workloads, batch=128, backend="float32", small_fleet_cutoff=0
-    )
-    _assert_credits_identical(a, b)
-
-
-def test_batched_pool_float32_backend_close_totals():
-    workloads = synthesize_workload(5, 15.0, seed=26)
-    ref, _ = _serve_batched(workloads, batch=128)
-    f32, pool = _serve_batched(workloads, batch=128, backend="float32")
-    assert pool.backend.name == "float32"
-    tot_ref = sum(len(s) for s, _, _ in ref)
-    tot_f32 = sum(len(s) for s, _, _ in f32)
-    assert abs(tot_f32 - tot_ref) <= max(2, round(0.02 * tot_ref))
-
-
-def test_batched_pool_backend_instance_passthrough():
-    be = get_backend("numpy")
-    pool = BatchedSessionPool(RATE, backend=be)
-    assert pool.backend is be
-
-
 def test_batched_pool_telemetry_instruments():
     from repro.telemetry.registry import MetricsRegistry
 
@@ -479,15 +448,19 @@ def test_batched_pool_telemetry_instruments():
 # ----------------------------------------------------------------------
 
 
-class _SpyBackend(NumpyBackend):
-    """NumPy backend recording the shape of every low-pass call."""
+def _spy_lowpass(monkeypatch):
+    """Record the shape of every low-pass call of the batched round."""
+    from repro.serving import batch
 
-    def __init__(self):
-        self.lowpass_shapes = []
+    shapes = []
+    lowpass = batch.butter_lowpass
 
-    def lowpass_block(self, block, cutoff_hz, sample_rate_hz, order):
-        self.lowpass_shapes.append(block.shape)
-        return super().lowpass_block(block, cutoff_hz, sample_rate_hz, order)
+    def spy(block, *args, **kwargs):
+        shapes.append(block.shape)
+        return lowpass(block, *args, **kwargs)
+
+    monkeypatch.setattr(batch, "butter_lowpass", spy)
+    return shapes
 
 
 def _credit_key(credits):
@@ -560,8 +533,7 @@ def _assert_flush_identical(traces, profiles, batch, flush_at=None,
         **{k: v for k, v in kw.items() if k in ("fault_policy",
                                                 "collect_observations")},
     )
-    lockstep_kw = {k: v for k, v in kw.items()
-                   if k not in ("backend", "small_fleet_cutoff")}
+    lockstep_kw = {k: v for k, v in kw.items() if k != "small_fleet_cutoff"}
     runs = [
         _flush_pool(traces, profiles, batch, SessionPool,
                     flush_at=flush_at, extra=extra, **lockstep_kw),
@@ -577,7 +549,7 @@ def _assert_flush_identical(traces, profiles, batch, flush_at=None,
     return runs[1]
 
 
-def test_batched_flush_ragged_tails_bit_identical():
+def test_batched_flush_ragged_tails_bit_identical(monkeypatch):
     # Ragged lengths put the tails into several final-filter length
     # groups; the last session is added but never fed (head == 0).
     lengths = [1200 + 37 * k for k in range(6)] + [1200, 1200]
@@ -585,20 +557,19 @@ def test_batched_flush_ragged_tails_bit_identical():
                                       cut=lambda k: lengths[k])
     traces.append(np.empty((0, 3)))
     profiles.append(profiles[0])
-    spy = _SpyBackend()
-    pool, sids, got = _assert_flush_identical(traces, profiles, batch=96,
-                                              backend=spy)
+    pool, sids, got = _assert_flush_identical(traces, profiles, batch=96)
     assert got[-1] == ([], [])
     assert pool.session(sids[-1]).op_stats.passes == 0
     # The tail round's own filter calls: equal-length tails stack into
     # one call per length group, several groups.
+    shapes = _spy_lowpass(monkeypatch)
     pool, sids, _ = _flush_pool(traces, profiles, 96, BatchedSessionPool,
-                                backend=spy, flush_at=[])
-    spy.lowpass_shapes.clear()
+                                flush_at=[])
+    shapes.clear()
     pool.flush(sids)
-    tail_rows = [rows for rows, _cols in spy.lowpass_shapes]
+    tail_rows = [rows for rows, _cols in shapes]
     assert len(tail_rows) == len(set(tail_rows)) >= 3
-    assert max(cols for _rows, cols in spy.lowpass_shapes) >= 6
+    assert max(cols for _rows, cols in shapes) >= 6
 
 
 def test_batched_flush_degraded_tails_bit_identical():
@@ -664,18 +635,25 @@ def test_batched_flush_collects_same_observations():
     assert [drained.get(sid, []) for sid in sids] == want
 
 
-class _FailingTailBackend(NumpyBackend):
-    """Raises on every low-pass of a block holding ``SENTINEL``."""
+TAIL_SENTINEL = 77.25  # finite and under FaultPolicy's saturation rail
 
-    SENTINEL = 77.25  # finite and under FaultPolicy's saturation rail
 
-    def lowpass_block(self, block, cutoff_hz, sample_rate_hz, order):
-        if (block == self.SENTINEL).any():
+def _fail_lowpass_on_sentinel(monkeypatch):
+    """Make the batched round's low-pass raise on every block holding
+    :data:`TAIL_SENTINEL`."""
+    from repro.serving import batch
+
+    lowpass = batch.butter_lowpass
+
+    def failing(block, *args, **kwargs):
+        if (block == TAIL_SENTINEL).any():
             raise FloatingPointError("tail filter blew up")
-        return super().lowpass_block(block, cutoff_hz, sample_rate_hz, order)
+        return lowpass(block, *args, **kwargs)
+
+    monkeypatch.setattr(batch, "butter_lowpass", failing)
 
 
-def test_batched_flush_isolates_failing_tail():
+def test_batched_flush_isolates_failing_tail(monkeypatch):
     policy = FaultPolicy()
     # Sessions 2 and 3 have equal lengths, so their tails share a
     # stacked filter call that must be retried solo to find the owner.
@@ -687,11 +665,12 @@ def test_batched_flush_isolates_failing_tail():
     # The victim ends on a gap reset (parked credits) and a short
     # post-gap run whose last sample only its tail block reads.
     post_gap = traces[3][:200].copy()
-    post_gap[-1] = _FailingTailBackend.SENTINEL
+    post_gap[-1] = TAIL_SENTINEL
     extra = {2: np.vstack([np.full((60, 3), np.nan), post_gap])}
+    _fail_lowpass_on_sentinel(monkeypatch)
     pool, sids, got = _flush_pool(
         traces, profiles, 128, BatchedSessionPool, extra=extra,
-        backend=_FailingTailBackend(), fault_policy=policy,
+        fault_policy=policy,
     )
     assert list(pool.failed_sessions) == [sids[2]]
     assert "tail filter blew up" in pool.failed_sessions[sids[2]]
@@ -707,8 +686,7 @@ def test_batched_flush_isolates_failing_tail():
     with pytest.raises(FloatingPointError, match="tail filter blew up"):
         _flush_pool(
             traces, profiles, 128, BatchedSessionPool, extra=extra,
-            backend=_FailingTailBackend(), fault_policy=policy,
-            isolate_failures=False,
+            fault_policy=policy, isolate_failures=False,
         )
 
 

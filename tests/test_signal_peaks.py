@@ -2,9 +2,22 @@
 
 import numpy as np
 import pytest
+from scipy import signal as sp_signal
 
 from repro.exceptions import ConfigurationError, SignalError
-from repro.signal.peaks import detect_peaks, detect_valleys, peak_prominences
+from repro.signal.peaks import (
+    _local_maxima_reference,
+    _peak_prominences_reference,
+    detect_peaks,
+    detect_valleys,
+    peak_prominences,
+)
+
+
+def _gait_like(n=400, seed=0):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / 100.0
+    return np.sin(2 * np.pi * 1.8 * t) + 0.2 * rng.standard_normal(n)
 
 
 class TestDetectPeaks:
@@ -106,3 +119,29 @@ class TestDetectValleys:
         t = np.arange(1000) / 100.0
         x = np.sin(2 * np.pi * 2.0 * t)
         assert len(detect_valleys(x, min_prominence=0.5)) == 20
+
+
+class TestReferenceScans:
+    """The pure-Python specifications agree with the scipy C kernels."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_local_maxima_reference_matches_scipy(self, seed):
+        x = _gait_like(seed=seed)
+        np.testing.assert_array_equal(
+            _local_maxima_reference(x), sp_signal.find_peaks(x)[0]
+        )
+
+    def test_local_maxima_reference_plateaus(self):
+        x = np.asarray([0.0, 1.0, 1.0, 1.0, 0.0, 2.0, 0.0])
+        np.testing.assert_array_equal(
+            _local_maxima_reference(x), sp_signal.find_peaks(x)[0]
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_prominences_reference_matches_scipy(self, seed):
+        x = _gait_like(seed=seed)
+        peaks = sp_signal.find_peaks(x)[0]
+        expected = sp_signal.peak_prominences(x, peaks)[0]
+        np.testing.assert_array_equal(
+            _peak_prominences_reference(x, peaks), expected
+        )

@@ -324,14 +324,14 @@ class TestValidation:
             sess.restore(blob)
 
     def test_pool_rejects_backend_mismatch(self):
-        pool = BatchedSessionPool(RATE, backend="numpy")
+        pool = BatchedSessionPool(RATE)
         pool.add_sessions(_PROFILES)
         blob = pool.snapshot()
         assert blob["backend"] == "numpy"
         tampered = dict(blob)
         tampered["backend"] = "float32"
         with pytest.raises(ConfigurationError, match="backend"):
-            BatchedSessionPool(RATE, backend="numpy").restore(tampered)
+            BatchedSessionPool(RATE).restore(tampered)
 
     def test_pool_error_lists_every_mismatch(self):
         pool = SessionPool(RATE)
