@@ -1,21 +1,12 @@
-"""Tests for repro.runtime.backends: registry, kernels, tolerances."""
+"""Tests for the NumPy (float64) peak kernels every batched stage calls.
+
+Each kernel must return exactly what scipy returns for the same input.
+"""
 
 import numpy as np
-import pytest
 from scipy import signal as sp_signal
 
-from repro.exceptions import ConfigurationError
-from repro.runtime.backends import (
-    BACKEND_ENV_VAR,
-    Float32Backend,
-    NumpyBackend,
-    _local_maxima_loop,
-    _prominences_loop,
-    available_backends,
-    get_backend,
-)
-
-NUMBA_AVAILABLE = available_backends()["numba"][0]
+from repro.signal.peaks import _local_maxima, peak_prominences
 
 
 def _gait_like(n=400, seed=0):
@@ -24,133 +15,14 @@ def _gait_like(n=400, seed=0):
     return np.sin(2 * np.pi * 1.8 * t) + 0.2 * rng.standard_normal(n)
 
 
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-
-def test_registry_lists_every_backend():
-    reg = available_backends()
-    assert set(reg) == {"numpy", "float32", "numba"}
-    assert reg["numpy"] == (True, "float64 baseline (always available)")
-    assert reg["float32"][0] is True
-    available, detail = reg["numba"]
-    assert isinstance(detail, str) and detail
-
-
-def test_get_backend_by_name_and_passthrough():
-    be = get_backend("numpy")
-    assert isinstance(be, NumpyBackend)
-    assert be.bit_identical
-    assert get_backend(be) is be
-    assert get_backend("FLOAT32").name == "float32"
-    assert not get_backend("float32").bit_identical
-
-
-def test_get_backend_env_var(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "float32")
-    assert get_backend().name == "float32"
-    monkeypatch.delenv(BACKEND_ENV_VAR)
-    assert get_backend().name == "numpy"
-
-
-def test_get_backend_unknown_name():
-    with pytest.raises(ConfigurationError, match="unknown"):
-        get_backend("cuda")
-
-
-@pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba installed")
-def test_numba_unavailable_fails_cleanly():
-    with pytest.raises(ConfigurationError, match="numba"):
-        get_backend("numba")
-
-
-# ----------------------------------------------------------------------
-# NumPy backend: exactly the scalar kernels
-# ----------------------------------------------------------------------
-
-
 def test_numpy_local_maxima_matches_scipy():
     x = _gait_like()
-    be = NumpyBackend()
-    np.testing.assert_array_equal(be.local_maxima(x), sp_signal.find_peaks(x)[0])
-    assert be.local_maxima(np.asarray([1.0, 2.0])).size == 0
+    np.testing.assert_array_equal(_local_maxima(x), sp_signal.find_peaks(x)[0])
+    assert _local_maxima(np.asarray([1.0, 2.0])).size == 0
 
 
 def test_numpy_prominences_match_scipy():
     x = _gait_like(seed=1)
-    be = NumpyBackend()
-    peaks = be.local_maxima(x)
+    peaks = _local_maxima(x)
     expected = sp_signal.peak_prominences(x, peaks)[0]
-    np.testing.assert_array_equal(be.peak_prominences(x, peaks), expected)
-
-
-# ----------------------------------------------------------------------
-# Reference scans (the numba-compilable loops) vs scipy
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_reference_local_maxima_loop_matches_scipy(seed):
-    x = _gait_like(seed=seed)
-    np.testing.assert_array_equal(_local_maxima_loop(x), sp_signal.find_peaks(x)[0])
-
-
-def test_reference_local_maxima_loop_plateaus():
-    x = np.asarray([0.0, 1.0, 1.0, 1.0, 0.0, 2.0, 0.0])
-    np.testing.assert_array_equal(_local_maxima_loop(x), sp_signal.find_peaks(x)[0])
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_reference_prominences_loop_matches_scipy(seed):
-    x = _gait_like(seed=seed)
-    peaks = sp_signal.find_peaks(x)[0]
-    expected = sp_signal.peak_prominences(x, peaks)[0]
-    np.testing.assert_array_equal(_prominences_loop(x, peaks), expected)
-
-
-# ----------------------------------------------------------------------
-# float32 backend: documented tolerance bounds
-# ----------------------------------------------------------------------
-
-
-def test_float32_lowpass_within_tolerance():
-    block = np.column_stack([_gait_like(seed=s) for s in range(3)])
-    ref = NumpyBackend().lowpass_block(block, 3.0, 100.0, 4)
-    out = Float32Backend().lowpass_block(block, 3.0, 100.0, 4)
-    assert out.dtype == np.float64
-    np.testing.assert_allclose(out, ref, rtol=1e-4, atol=1e-4)
-
-
-def test_float32_prominences_within_tolerance():
-    x = _gait_like(seed=2)
-    be32 = Float32Backend()
-    peaks = be32.local_maxima(x)
-    ref = sp_signal.peak_prominences(np.asarray(x, dtype=np.float32), peaks)[0]
-    np.testing.assert_allclose(
-        be32.peak_prominences(x, peaks), ref, rtol=1e-3, atol=1e-3
-    )
-
-
-# ----------------------------------------------------------------------
-# numba backend: bit-identical when present, clean skip otherwise
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-def test_numba_backend_bit_identical():
-    be = get_backend("numba")
-    assert be.bit_identical
-    ref = NumpyBackend()
-    for seed in range(3):
-        x = _gait_like(seed=seed)
-        np.testing.assert_array_equal(be.local_maxima(x), ref.local_maxima(x))
-        peaks = ref.local_maxima(x)
-        np.testing.assert_array_equal(
-            be.peak_prominences(x, peaks), ref.peak_prominences(x, peaks)
-        )
-        block = np.column_stack([x, x[::-1].copy(), x * 0.5])
-        np.testing.assert_array_equal(
-            be.lowpass_block(block, 3.0, 100.0, 4),
-            ref.lowpass_block(block, 3.0, 100.0, 4),
-        )
+    np.testing.assert_array_equal(peak_prominences(x, peaks), expected)

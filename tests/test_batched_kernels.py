@@ -18,6 +18,7 @@ Two layers:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sp_signal
@@ -200,14 +201,15 @@ def _scalar_stage_measurement(v_seg, h_seg, cfg):
     return a_seg, anterior_ok, motion_ok, offset
 
 
-def test_extrema_block_parity():
+@pytest.mark.parametrize("extrema", [_finite_extrema], ids=["numpy"])
+def test_extrema_block_parity(extrema):
     windows = [_walky(n, seed) for n, seed in ((120, 0), (40, 1), (7, 2), (400, 3))]
     windows += [
         np.asarray([0.0, 2.0, 2.0, 2.0, 0.0, 1.0, 0.5, 3.0]),  # plateau, edge
         np.asarray([1.0, 2.0]),  # too short to hold a maximum
     ]
     concat, starts, _lens = pack_windows(windows)
-    cand, proms = _finite_extrema(concat)
+    cand, proms = extrema(concat)
     assert np.all(np.isfinite(concat[cand]))  # separators dropped
     ref_cand, ref_proms = [], []
     for w, start in zip(windows, starts):
@@ -221,7 +223,7 @@ def test_extrema_block_parity():
         ref_proms.append(prominences)
     np.testing.assert_array_equal(cand, np.concatenate(ref_cand))
     np.testing.assert_array_equal(proms, np.concatenate(ref_proms))  # bitwise
-    empty_cand, empty_proms = _finite_extrema(np.asarray([1.0, 2.0]))
+    empty_cand, empty_proms = extrema(np.asarray([1.0, 2.0]))
     assert empty_cand.size == 0 and empty_proms.size == 0
 
 
