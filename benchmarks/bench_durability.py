@@ -6,9 +6,9 @@ Three sections, written into the ``durability`` block of
 * **identity** — the resume oracle, asserted *before any timing*: a
   session snapshot taken at an arbitrary upload boundary and restored
   (through a pickle round-trip) must continue bit-identically to the
-  uninterrupted run, and the durable fleet driver (epochs, checkpoint,
-  restore-on-crash) must credit exactly what the classic single-pass
-  driver credits. A snapshot format that drifts by one sample is a
+  uninterrupted run, and the checkpointed fleet (epochs, checkpoint,
+  restore-on-crash) must credit exactly what the one-epoch fleet
+  credits. A snapshot format that drifts by one sample is a
   correctness bug, not a performance trade, so the timing sections
   refuse to run until this passes.
 * **checkpoint_overhead** — the cost of durability on the hot path:
@@ -85,7 +85,7 @@ def assert_resume_identity(
     seed: int = 91,
 ) -> Dict[str, Any]:
     """The resume oracle: snapshot+restore == uninterrupted, and the
-    durable fleet == the classic fleet."""
+    checkpointed fleet == the one-epoch fleet."""
     workloads = synthesize_workload(n_sessions, duration_s, seed=seed)
     n_ticks = workloads[0].samples.shape[0] // BATCH_SAMPLES
     cuts = sorted({1, n_ticks // 3, n_ticks // 2, n_ticks - 1})
@@ -106,7 +106,7 @@ def assert_resume_identity(
             )
     traces = [w.samples for w in workloads]
     profiles = [w.profile for w in workloads]
-    classic = serve_fleet(
+    one_epoch = serve_fleet(
         traces, SAMPLE_RATE_HZ, profiles=profiles, workers=1,
         batch_samples=BATCH_SAMPLES,
     )
@@ -115,14 +115,14 @@ def assert_resume_identity(
         batch_samples=BATCH_SAMPLES, checkpoint_every_s=3.0,
     )
     assert [
-        _credit_signature(s.steps, s.strides) for s in classic.sessions
+        _credit_signature(s.steps, s.strides) for s in one_epoch.sessions
     ] == [
         _credit_signature(s.steps, s.strides) for s in durable.sessions
-    ], "durable fleet diverged from the classic driver"
+    ], "checkpointed fleet diverged from the one-epoch fleet"
     return {
         "oracle": (
             "uninterrupted == snapshot+restore(any boundary); "
-            "classic fleet == durable fleet"
+            "one-epoch fleet == checkpointed fleet"
         ),
         "n_sessions": n_sessions,
         "duration_s": duration_s,

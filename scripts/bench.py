@@ -46,7 +46,7 @@ Suites:
   checkpoint overhead on the 1000-session round (tracked <= 5%
   budget) and the restore-vs-reingest recovery speedup after a late
   crash — gated on the snapshot/restore resume oracle and the
-  ``classic fleet == durable fleet`` crediting identity (the PR-9
+  ``one-epoch fleet == checkpointed fleet`` crediting identity (the PR-9
   scoreboard, ``BENCH_PR9.json``).
 * ``profile-store`` — the persistent profile subsystem: batched
   ``put_many`` ingest of a million-profile population, cold random
@@ -164,7 +164,10 @@ def _print_faults(faults) -> bool:
     print(
         f"  clean-trace overhead ({clean['duration_s']:.0f}s trace): "
         f"{100 * clean['overhead_frac']:+.1f}% "
-        f"(budget {100 * clean['overhead_budget']:.0f}%), "
+        f"(median of {clean['repeats']} pairs, "
+        f"{100 * clean['overhead_min']:+.1f}%.."
+        f"{100 * clean['overhead_max']:+.1f}%; "
+        f"budget {100 * clean['overhead_budget']:.0f}%), "
         f"identical credits: {clean['identical_credits']}"
     )
     fleet = faults["faulted_fleet"]

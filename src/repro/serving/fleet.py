@@ -12,44 +12,45 @@ one process, many processes, any shard size — cannot change any
 session's credited steps or strides; the serving tests assert this
 identity against serially-driven :class:`StreamingPTrack` instances.
 
+Every fleet is served by one loop that runs in *epochs* of upload
+ticks. With ``checkpoint_every_s`` set, an epoch lasts that many
+stream-seconds and every shard's pool is snapshotted
+(``ptrack-session-v1``) together with the credits settled so far, in
+memory or — with ``checkpoint_dir`` — in an atomic
+:class:`~repro.serving.checkpoint.CheckpointStore`; without it, one
+epoch covers the longest trace and no checkpoint is taken.
+
 Fault tolerance is layered on three levels:
 
-* **caller's process** — traces are validated eagerly before anything
-  is sharded, so malformed input fails as a
+* **caller's process** — traces and serving arguments are validated
+  eagerly before anything is sharded, so malformed input fails as a
   :class:`~repro.exceptions.ConfigurationError` here rather than a
   pickled traceback from a worker;
 * **inside a shard** — the pool isolates per-session exceptions: a
   poisoned session is reported with ``status="failed"`` and its error
   while its shard-mates keep serving;
-* **across shards** — a shard that dies wholesale (worker killed,
-  timeout, crash during pool construction) is retried by *bisection*:
-  split in half and re-served until the poison is cornered in a
-  single-session shard, which is then reported failed. The healthy
-  majority of the fleet always completes.
+* **across shards** — a shard whose worker dies mid-epoch (crash,
+  SIGKILL, timeout — the :class:`repro.faults.ShardCrash` surface) is
+  *restored from its last checkpoint* and replays only the lost epoch,
+  with zero credit loss and zero credit duplication, or re-served from
+  the trace when it has no usable checkpoint (first epoch, torn
+  checkpoint file). A shard that fails :data:`_MAX_SHARD_ATTEMPTS`
+  times is *bisected*: two fresh halves re-serve from the trace until
+  the poison is cornered in a single-session shard, which is then
+  reported failed. The healthy majority of the fleet always completes.
 
-With ``checkpoint_every_s`` set, :func:`serve_fleet` becomes a
-*rolling-restartable service* instead of a replay-only batch harness.
-Serving proceeds in epochs; after each epoch every shard's pool is
-snapshotted (``ptrack-session-v1``) together with the credits settled
-so far, in memory or — with ``checkpoint_dir`` — in an atomic
-:class:`~repro.serving.checkpoint.CheckpointStore`. A shard whose
-worker dies mid-epoch (crash, SIGKILL, timeout — the
-:class:`repro.faults.ShardCrash` surface) is *restored from its last
-checkpoint* and replays only the lost epoch, with zero credit loss and
-zero credit duplication; classic bisection from the original trace
-remains the fallback when no usable checkpoint exists (first epoch,
-torn checkpoint file, or an epoch that keeps dying). A
-:class:`~repro.serving.rebalance.RebalancePolicy` may additionally
+A :class:`~repro.serving.rebalance.RebalancePolicy` may additionally
 split overloaded shards between epochs, migrating live session state
 through the same snapshot format without touching a single credit.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -129,8 +130,9 @@ class FleetReport:
     Attributes:
         sessions: Per-session reports in fleet order.
         n_samples: Samples across all input traces.
-        shard_retries: Bisection rounds spent healing failed shards
-            (0 on a clean run).
+        shard_retries: Shard re-serves from the start of the trace —
+            a failed shard retried with no checkpoint to resume from,
+            or bisected into two halves (0 on a clean run).
         telemetry: The fleet-wide metrics snapshot — per-shard
             registries merged across the process boundary, plus the
             fleet-level series (``serving_fleet_*``) — when
@@ -139,9 +141,9 @@ class FleetReport:
             :func:`~repro.telemetry.to_prometheus` or
             :func:`repro.eval.reporting.fleet_health_table`.
         checkpoint_restores: Shard epochs recovered from a checkpoint
-            instead of re-ingested (durable mode only).
+            instead of re-ingested (0 without ``checkpoint_every_s``).
         rebalances: Live shard splits applied by the rebalance policy
-            (durable mode only).
+            (0 without one).
         profiles_loaded: Sessions whose profile was warm-loaded from
             the fleet's :class:`~repro.profiles.ProfileStore`.
         profiles_updated: Profile-record write-backs committed by
@@ -193,272 +195,112 @@ class FleetReport:
         return sum(s.gaps_reset for s in self.sessions)
 
 
-#: Worker payload: everything needed to rebuild one shard's pool. The
-#: final flag turns on the sessions' self-training observation tap
-#: (``_split_shard`` keeps everything past the per-session triple as an
-#: opaque tail, so appending fields here is split-safe).
-_Shard = Tuple[
-    List[int],
-    List[np.ndarray],
-    List[Optional[UserProfile]],
-    float,
-    Optional[PTrackConfig],
-    float,
-    float,
-    int,
-    Optional[FaultPolicy],
-    bool,
-    bool,
-]
+@dataclass(frozen=True)
+class _ServeSpec:
+    """Serving settings shared by every shard of one fleet run."""
+
+    sample_rate_hz: float
+    config: Optional[PTrackConfig]
+    settle_s: float
+    max_buffer_s: float
+    batch_samples: int
+    fault_policy: Optional[FaultPolicy]
+    telemetry: bool
+    #: Turns on the sessions' self-training observation tap.
+    collect_observations: bool
 
 
-def _serve_shard(
-    shard: _Shard,
-) -> Tuple[
-    List[SessionReport],
-    Optional[Dict[str, Any]],
-    Dict[int, List[CycleObservation]],
-]:
-    """Serve one shard of sessions through a pool (worker entry point).
+@dataclass(frozen=True)
+class _ShardData:
+    """One shard's sessions: fleet indices with their traces and
+    profiles, aligned."""
 
-    Module-level so it pickles for the process map; the payload
-    carries everything a worker needs to rebuild its shard's pool.
-    Per-session failures are contained by the pool and surfaced as
-    ``status="failed"`` reports; only shard-level disasters (worker
-    death, timeout) escape to the bisection layer above.
+    indices: List[int]
+    traces: List[np.ndarray]
+    profiles: List[Optional[UserProfile]]
 
-    With telemetry requested, the worker builds a fresh registry for
-    its pool and ships the picklable snapshot home next to the
-    reports; the caller merges snapshots across shards, which is how
-    the fleet registry crosses process boundaries via ``parallel_map``.
-    With the observation tap on, the drained self-training evidence
-    travels home the same way, keyed by fleet index.
+    def halves(self) -> Tuple["_ShardData", "_ShardData"]:
+        """Split at ``len // 2`` — the cut :func:`split_checkpoint`
+        applies to the shard's checkpoint."""
+        mid = len(self.indices) // 2
+        return (
+            _ShardData(
+                self.indices[:mid], self.traces[:mid], self.profiles[:mid]
+            ),
+            _ShardData(
+                self.indices[mid:], self.traces[mid:], self.profiles[mid:]
+            ),
+        )
+
+
+@dataclass(frozen=True)
+class _EpochJob:
+    """One epoch's worker payload.
+
+    Attributes:
+        shard: The sessions to serve.
+        spec: The fleet's serving settings.
+        pool: Pool snapshot to resume from; ``None`` builds the pool
+            fresh (the shard's first epoch).
+        start: Absolute sample offset the epoch starts at.
+        epoch_ticks: Upload-tick budget of the epoch.
+        crash: Injected crash directive ``(mode, position)``.
     """
-    (
-        indices,
-        traces,
-        profiles,
-        sample_rate_hz,
-        config,
-        settle_s,
-        max_buffer_s,
-        batch_samples,
-        fault_policy,
-        telemetry,
-        collect_observations,
-    ) = shard
-    registry = MetricsRegistry() if telemetry else None
-    pool = BatchedSessionPool(
-        sample_rate_hz,
-        config=config,
-        settle_s=settle_s,
-        max_buffer_s=max_buffer_s,
-        fault_policy=fault_policy,
-        telemetry=registry,
-        collect_observations=collect_observations,
-    )
-    sids = pool.add_sessions(profiles)
+
+    shard: _ShardData
+    spec: _ServeSpec
+    pool: Optional[Dict[str, Any]]
+    start: int
+    epoch_ticks: int
+    crash: Optional[Tuple[str, float]]
+
+
+def _serve_shard_epoch(job: _EpochJob) -> Dict[str, Any]:
+    """Serve one shard for one epoch (the worker entry point).
+
+    Module-level so it pickles for the process map. Resumes the shard's
+    pool from its snapshot (or builds it fresh on the first epoch),
+    serves at most ``epoch_ticks`` upload ticks, and returns the new
+    pool snapshot plus the credits settled *this epoch* — the driver
+    owns accumulation, so a crashed attempt's partial work is simply
+    never returned and the replay after restore cannot double-count.
+    On the final epoch (the shard's traces are exhausted) the pool is
+    flushed and per-session health travels home instead of a snapshot.
+
+    Per-session failures are contained by the pool and surface as
+    ``status="failed"`` health; only shard-level disasters (worker
+    death, timeout) escape to the driver. With telemetry requested,
+    the worker serves under a fresh registry and ships its snapshot
+    home for the driver to merge; with the observation tap on, the
+    drained self-training evidence travels home keyed by fleet index.
+    """
+    shard, spec = job.shard, job.spec
+    t0 = time.perf_counter()
+    registry = MetricsRegistry() if spec.telemetry else None
+    if job.pool is None:
+        pool = BatchedSessionPool(
+            spec.sample_rate_hz,
+            config=spec.config,
+            settle_s=spec.settle_s,
+            max_buffer_s=spec.max_buffer_s,
+            fault_policy=spec.fault_policy,
+            telemetry=registry,
+            collect_observations=spec.collect_observations,
+        )
+        sids = pool.add_sessions(shard.profiles)
+    else:
+        pool = BatchedSessionPool.from_snapshot(job.pool, telemetry=registry)
+        sids = pool.session_ids
     steps: List[List[StepEvent]] = [[] for _ in sids]
     strides: List[List[StrideEstimate]] = [[] for _ in sids]
 
     # Time-aligned serving: at each upload tick, every session whose
     # trace still has samples contributes one batch to the pooled call.
+    traces, batch = shard.traces, spec.batch_samples
     longest = max((t.shape[0] for t in traces), default=0)
-    for offset in range(0, longest, batch_samples):
-        live = [k for k, t in enumerate(traces) if offset < t.shape[0]]
-        results = pool.append(
-            [sids[k] for k in live],
-            [traces[k][offset : offset + batch_samples] for k in live],
-        )
-        for k, (new_steps, new_strides) in zip(live, results):
-            steps[k].extend(new_steps)
-            strides[k].extend(new_strides)
-    for k, (new_steps, new_strides) in enumerate(pool.flush(sids)):
-        steps[k].extend(new_steps)
-        strides[k].extend(new_strides)
-
-    idx_of = {sid: indices[k] for k, sid in enumerate(sids)}
-    observations = {
-        idx_of[sid]: obs for sid, obs in pool.take_observations().items()
-    }
-    errors = pool.failed_sessions
-    reports = []
-    for k, sid in enumerate(sids):
-        ops = pool.session(sid).op_stats
-        reports.append(
-            SessionReport(
-                session_index=indices[k],
-                steps=tuple(steps[k]),
-                strides=tuple(strides[k]),
-                status="failed" if sid in errors else "ok",
-                error=errors.get(sid),
-                samples_repaired=ops.samples_repaired,
-                samples_rejected=ops.samples_rejected,
-                gaps_reset=ops.gaps_reset,
-            )
-        )
-    return (
-        reports,
-        registry.snapshot() if registry is not None else None,
-        observations,
-    )
-
-
-def _split_shard(shard: _Shard) -> List[_Shard]:
-    """Bisect a failed shard into two halves (for healing retries)."""
-    indices, traces, profiles = shard[0], shard[1], shard[2]
-    rest = shard[3:]
-    mid = len(indices) // 2
-    return [
-        (indices[:mid], traces[:mid], profiles[:mid], *rest),
-        (indices[mid:], traces[mid:], profiles[mid:], *rest),
-    ]
-
-
-def _heal_shards(
-    shards: Sequence[_Shard],
-    n_workers: int,
-    shard_timeout_s: Optional[float],
-) -> Tuple[
-    Dict[int, SessionReport],
-    List[Dict[str, Any]],
-    int,
-    Dict[int, List[CycleObservation]],
-]:
-    """Serve shards to completion with bisection healing (the classic
-    replay-from-trace path).
-
-    Every pending shard is served; a shard that fails wholesale is
-    bisected and re-served from the original traces until the poison
-    is cornered in a single-session shard, which gets
-    :data:`_MAX_SHARD_ATTEMPTS` tries before being written off. Each
-    round runs in a fresh pool, so a worker lost to a crash in round k
-    cannot poison round k+1 — which also means a shard that failed only
-    as *collateral* of a pool break deserves a clean retry before being
-    written off. Terminates because splits strictly shrink shards and
-    attempts are bounded.
-
-    Returns ``(reports_by_index, telemetry_snapshots, retries,
-    observations_by_index)`` — observations only from shards whose tap
-    is on, delivered exactly once per successfully served shard.
-    """
-    results: Dict[int, SessionReport] = {}
-    snapshots: List[Dict[str, Any]] = []
-    observations: Dict[int, List[CycleObservation]] = {}
-    retries = 0
-    pending: List[Tuple[_Shard, int]] = [(shard, 0) for shard in shards]
-    while pending:
-        with trace_span("serve_fleet.healing_round"):
-            if n_workers > 1 and any(attempts for _, attempts in pending):
-                # Retry round: one pool per shard, so a culprit that
-                # kills its worker cannot break the pool under its
-                # innocent collateral siblings a second time.
-                outcomes = []
-                for shard, _ in pending:
-                    outcomes.extend(
-                        parallel_map_outcomes(
-                            _serve_shard,
-                            [shard],
-                            workers=n_workers,
-                            timeout_s=shard_timeout_s,
-                        )
-                    )
-            else:
-                outcomes = parallel_map_outcomes(
-                    _serve_shard,
-                    [shard for shard, _ in pending],
-                    workers=n_workers,
-                    timeout_s=shard_timeout_s,
-                )
-        next_round: List[Tuple[_Shard, int]] = []
-        for (shard, attempts), outcome in zip(pending, outcomes):
-            if outcome.ok:
-                reports, snapshot, shard_obs = outcome.value
-                for report in reports:
-                    results[report.session_index] = report
-                if snapshot is not None:
-                    snapshots.append(snapshot)
-                observations.update(shard_obs)
-            elif len(shard[0]) > 1:
-                next_round.extend((s, 0) for s in _split_shard(shard))
-                retries += 1
-            elif attempts + 1 < _MAX_SHARD_ATTEMPTS:
-                next_round.append((shard, attempts + 1))
-                retries += 1
-            else:
-                index = shard[0][0]
-                results[index] = SessionReport(
-                    session_index=index,
-                    steps=(),
-                    strides=(),
-                    status="failed",
-                    error=outcome.error,
-                )
-        pending = next_round
-    return results, snapshots, retries, observations
-
-
-# ----------------------------------------------------------------------
-# Durable mode: epoch serving, checkpoint recovery, live rebalancing
-# ----------------------------------------------------------------------
-
-#: One epoch's worker payload: the static shard, the pool snapshot to
-#: resume from (``None`` = first epoch, build fresh), the absolute
-#: sample offset to start at, the tick budget, and an optional injected
-#: crash directive ``(mode, position)``.
-_EpochJob = Tuple[
-    _Shard, Optional[Dict[str, Any]], int, int, Optional[Tuple[str, float]]
-]
-
-
-def _serve_shard_epoch(job: _EpochJob) -> Dict[str, Any]:
-    """Serve one shard for one epoch (durable-mode worker entry point).
-
-    Resumes the shard's pool from its snapshot (or builds it fresh on
-    the first epoch), serves at most ``epoch_ticks`` upload ticks, and
-    returns the new pool snapshot plus the credits settled *this
-    epoch* — the driver owns accumulation, so a crashed attempt's
-    partial work is simply never returned and the replay after restore
-    cannot double-count. On the final epoch (the shard's traces are
-    exhausted) the pool is flushed and per-session health travels home
-    instead of a snapshot.
-    """
-    shard, pool_blob, start, epoch_ticks, crash = job
-    (
-        indices,
-        traces,
-        profiles,
-        sample_rate_hz,
-        config,
-        settle_s,
-        max_buffer_s,
-        batch_samples,
-        fault_policy,
-        telemetry,
-        collect_observations,
-    ) = shard
-    t0 = time.perf_counter()
-    registry = MetricsRegistry() if telemetry else None
-    if pool_blob is None:
-        pool = BatchedSessionPool(
-            sample_rate_hz,
-            config=config,
-            settle_s=settle_s,
-            max_buffer_s=max_buffer_s,
-            fault_policy=fault_policy,
-            telemetry=registry,
-            collect_observations=collect_observations,
-        )
-        sids = pool.add_sessions(profiles)
-    else:
-        pool = BatchedSessionPool.from_snapshot(pool_blob, telemetry=registry)
-        sids = pool.session_ids
-    steps: List[List[StepEvent]] = [[] for _ in sids]
-    strides: List[List[StrideEstimate]] = [[] for _ in sids]
-
-    longest = max((t.shape[0] for t in traces), default=0)
-    end = min(longest, start + epoch_ticks * batch_samples)
-    ticks = range(start, end, batch_samples)
+    end = min(longest, job.start + job.epoch_ticks * batch)
+    ticks = range(job.start, end, batch)
+    crash = job.crash
     crash_tick = (
         min(len(ticks) - 1, int(crash[1] * len(ticks)))
         if crash is not None and len(ticks)
@@ -474,7 +316,7 @@ def _serve_shard_epoch(job: _EpochJob) -> Dict[str, Any]:
         live = [k for k, t in enumerate(traces) if offset < t.shape[0]]
         results = pool.append(
             [sids[k] for k in live],
-            [traces[k][offset : offset + batch_samples] for k in live],
+            [traces[k][offset : offset + batch] for k in live],
         )
         for k, (new_steps, new_strides) in zip(live, results):
             steps[k].extend(new_steps)
@@ -490,7 +332,7 @@ def _serve_shard_epoch(job: _EpochJob) -> Dict[str, Any]:
     # Drain the observation tap *before* snapshotting, so pending
     # evidence travels home exactly once: this epoch's result carries
     # it, and a resume from the snapshot starts with an empty tap.
-    idx_of = {sid: indices[k] for k, sid in enumerate(sids)}
+    idx_of = {sid: shard.indices[k] for k, sid in enumerate(sids)}
     observations = {
         idx_of[sid]: obs for sid, obs in pool.take_observations().items()
     }
@@ -671,27 +513,32 @@ class _ProfileCtx:
             )
 
 
+
 @dataclass
-class _DurableShard:
+class _FleetShard:
     """Driver-side bookkeeping for one shard across epochs."""
 
     sid: int
-    shard: _Shard
+    shard: _ShardData
     ckpt: Optional[Dict[str, Any]] = None
     epoch: int = 0
     attempt: int = 0
     crashes: int = 0
     #: Epochs whose drained observations were already fed to the
-    #: driver's trainers. A replay (crash recovery or from-scratch
-    #: re-ingest) regenerates bit-identical observations for epochs
-    #: below this mark, so the driver skips re-feeding them — the
-    #: exactly-once contract for self-training evidence.
+    #: driver's trainers. A replay (crash recovery, from-scratch
+    #: re-ingest, or a bisected half re-serving from the trace)
+    #: regenerates bit-identical observations for epochs below this
+    #: mark, so the driver skips re-feeding them — the exactly-once
+    #: contract for self-training evidence.
     obs_fed: int = 0
     #: From-scratch re-ingests (checkpoint lost/torn). Offsets the
     #: fault-plan attempt coordinate so replayed epochs re-roll as
     #: retries instead of deterministically re-dying.
     restarts: int = 0
-    last: Optional[Dict[str, Any]] = field(default=None, repr=False)
+    #: A half of a bisected shard: served without injected
+    #: :class:`~repro.faults.ShardCrash` directives, since bisection is
+    #: the fallback that must terminate.
+    bisected: bool = False
 
     @property
     def name(self) -> str:
@@ -699,34 +546,33 @@ class _DurableShard:
         return f"shard-{self.sid}"
 
 
-def _serve_fleet_durable(
-    shards: List[_Shard],
-    n: int,
+def _serve_fleet(
+    shards: List[_ShardData],
+    spec: _ServeSpec,
     n_workers: int,
     shard_timeout_s: Optional[float],
-    telemetry: bool,
-    sample_rate_hz: float,
-    batch_samples: int,
-    checkpoint_every_s: float,
+    epoch_ticks: int,
     checkpoint_dir: Optional[os.PathLike],
     rebalance: Optional[RebalancePolicy],
     shard_faults: Sequence[FaultInjector],
     fault_seed: int,
-    profile_ctx: Optional[_ProfileCtx] = None,
+    profile_ctx: Optional[_ProfileCtx],
 ) -> Tuple[Dict[int, SessionReport], List[Dict[str, Any]], int, int, int]:
-    """Drive the fleet epoch by epoch with checkpoint recovery.
+    """Drive the fleet epoch by epoch until every session reports.
 
     Returns ``(reports_by_index, telemetry_snapshots, retries,
-    restores, rebalances)``. The credit stream is bit-identical to the
-    classic path: epochs only partition the same append sequence, the
-    flush still happens exactly once at each shard's end of stream, and
-    crash recovery replays from a snapshot proven bit-identical by the
-    resume oracle.
+    restores, rebalances)``. The credit stream is bit-identical to a
+    serial replay: epochs only partition the same append sequence, the
+    flush happens exactly once at each shard's end of stream, and crash
+    recovery replays from a snapshot proven bit-identical by the resume
+    oracle. A failed shard is restored from its last checkpoint (or
+    re-served from the trace when it has none) until it has used
+    :data:`_MAX_SHARD_ATTEMPTS`; then it is replaced by two fresh
+    halves re-serving from the trace, and a single-session shard is
+    reported failed. Terminates because halves strictly shrink and
+    attempts are bounded.
     """
-    epoch_ticks = max(
-        1, int(round(checkpoint_every_s * sample_rate_hz / batch_samples))
-    )
-    driver_reg = MetricsRegistry() if telemetry else None
+    driver_reg = MetricsRegistry() if spec.telemetry else None
     store = (
         CheckpointStore(
             checkpoint_dir,
@@ -737,14 +583,11 @@ def _serve_fleet_durable(
         if checkpoint_dir is not None
         else None
     )
-    states = [
-        _DurableShard(sid=i, shard=shard) for i, shard in enumerate(shards)
-    ]
-    next_sid = len(states)
+    active = [_FleetShard(sid=i, shard=s) for i, s in enumerate(shards)]
+    next_sid = len(active)
     results: Dict[int, SessionReport] = {}
     snapshots: List[Dict[str, Any]] = []
     retries = restores = rebalances = 0
-    active = list(states)
 
     while active:
         jobs: List[_EpochJob] = []
@@ -754,24 +597,29 @@ def _serve_fleet_durable(
             # attempt), so without the restart offset a shard whose
             # checkpoint was lost would re-cross its fatal epoch at
             # the original coordinates and deterministically re-die.
-            crash = (
-                plan_shard_crash(
+            crash = None
+            if shard_faults and not st.bisected:
+                crash = plan_shard_crash(
                     shard_faults,
                     fault_seed,
                     st.sid,
                     st.epoch,
                     st.attempt + st.restarts,
                 )
-                if shard_faults
-                else None
-            )
             if crash is not None and crash[0] == "kill" and n_workers == 1:
                 # In-process serving has no worker to kill; degrade to
                 # the exception flavour so the recovery path still runs.
                 crash = ("raise", crash[1])
-            start = st.ckpt["next_offset"] if st.ckpt is not None else 0
-            blob = st.ckpt["pool"] if st.ckpt is not None else None
-            jobs.append((st.shard, blob, start, epoch_ticks, crash))
+            jobs.append(
+                _EpochJob(
+                    shard=st.shard,
+                    spec=spec,
+                    pool=st.ckpt["pool"] if st.ckpt is not None else None,
+                    start=st.ckpt["next_offset"] if st.ckpt is not None else 0,
+                    epoch_ticks=epoch_ticks,
+                    crash=crash,
+                )
+            )
         with trace_span("serve_fleet.epoch"):
             if n_workers > 1 and any(st.attempt for st in active):
                 # Recovery round: isolate each shard in its own pool so
@@ -794,44 +642,34 @@ def _serve_fleet_durable(
                     timeout_s=shard_timeout_s,
                 )
 
-        survivors: List[_DurableShard] = []
-        epoch_stats: List[ShardEpochStats] = []
+        survivors: List[_FleetShard] = []
+        served: List[Tuple[_FleetShard, Dict[str, Any], list, list]] = []
+        fed: Set[str] = set()
         for st, outcome in zip(active, outcomes):
             if outcome.ok:
                 res = outcome.value
                 prev = st.ckpt
-                acc_steps = (
-                    [list(s) for s in prev["steps"]]
-                    if prev is not None
-                    else [[] for _ in st.shard[0]]
-                )
-                acc_strides = (
-                    [list(s) for s in prev["strides"]]
-                    if prev is not None
-                    else [[] for _ in st.shard[0]]
-                )
-                for k in range(len(st.shard[0])):
-                    acc_steps[k].extend(res["steps"][k])
-                    acc_strides[k].extend(res["strides"][k])
+                acc_steps = [
+                    (list(prev["steps"][k]) if prev is not None else [])
+                    + res["steps"][k]
+                    for k in range(len(st.shard.indices))
+                ]
+                acc_strides = [
+                    (list(prev["strides"][k]) if prev is not None else [])
+                    + res["strides"][k]
+                    for k in range(len(st.shard.indices))
+                ]
                 st.epoch += 1
                 st.attempt = 0
-                st.last = res
                 if res["telemetry"] is not None:
                     snapshots.append(res["telemetry"])
-                # Streaming self-training: feed this epoch's drained
-                # observations once (replayed epochs are below the
-                # obs_fed mark and skipped) and persist the touched
-                # users before the checkpoint commits, so the pinned
-                # versions are always the post-write-back ones.
-                if profile_ctx is not None:
-                    fed: Set[str] = set()
-                    if st.epoch > st.obs_fed and res["observations"]:
-                        fed = profile_ctx.feed(res["observations"])
-                    st.obs_fed = max(st.obs_fed, st.epoch)
-                    if fed:
-                        profile_ctx.write_back(fed)
+                # Feed this epoch's drained observations once; replayed
+                # epochs are below the obs_fed mark and skipped.
+                if profile_ctx is not None and st.epoch > st.obs_fed:
+                    fed |= profile_ctx.feed(res["observations"])
+                st.obs_fed = max(st.obs_fed, st.epoch)
                 if res["done"]:
-                    for k, index in enumerate(st.shard[0]):
+                    for k, index in enumerate(st.shard.indices):
                         status, error, repaired, rejected, gaps = res[
                             "health"
                         ][k]
@@ -848,52 +686,40 @@ def _serve_fleet_durable(
                     if store is not None:
                         store.delete(st.name)
                 else:
-                    st.ckpt = make_checkpoint(
-                        res["pool"],
-                        res["next_offset"],
-                        acc_steps,
-                        acc_strides,
-                        st.epoch,
-                    )
-                    if profile_ctx is not None:
-                        st.ckpt["profiles"] = profile_ctx.shard_versions(
-                            st.shard[0]
-                        )
-                    if store is not None:
-                        store.save(st.name, st.ckpt)
                     survivors.append(st)
-                    epoch_stats.append(
-                        ShardEpochStats(
-                            shard_id=st.sid,
-                            n_sessions=len(st.shard[0]),
-                            elapsed_s=float(res["elapsed_s"]),
-                            round_seconds_sum=res["round_seconds_sum"],
-                            round_seconds_count=res["round_seconds_count"],
-                            crashes=st.crashes,
-                        )
-                    )
+                    served.append((st, res, acc_steps, acc_strides))
                 continue
 
             # Shard-level death: restore from the last checkpoint and
-            # replay the lost epoch; exhaust the attempt budget and the
-            # shard falls back to classic bisection from the trace.
+            # replay the lost epoch, or re-serve from the trace when
+            # there is none.
             st.crashes += 1
             st.attempt += 1
             if st.attempt >= _MAX_SHARD_ATTEMPTS:
-                # Bisection re-serves the whole trace, but earlier
-                # epochs' observations were already fed — re-run the
-                # fallback with the tap off so self-training evidence
-                # stays exactly-once (this shard simply contributes no
-                # further evidence).
-                fallback = st.shard[:10] + (False,)
-                healed, heal_snaps, heal_retries, _ = _heal_shards(
-                    [fallback], n_workers, shard_timeout_s
-                )
-                results.update(healed)
-                snapshots.extend(heal_snaps)
-                retries += heal_retries + 1
+                # Attempt budget spent: corner the poison by bisection.
                 if store is not None:
                     store.delete(st.name)
+                if len(st.shard.indices) == 1:
+                    index = st.shard.indices[0]
+                    results[index] = SessionReport(
+                        session_index=index,
+                        steps=(),
+                        strides=(),
+                        status="failed",
+                        error=outcome.error,
+                    )
+                    continue
+                for half in st.shard.halves():
+                    survivors.append(
+                        _FleetShard(
+                            sid=next_sid,
+                            shard=half,
+                            obs_fed=st.obs_fed,
+                            bisected=True,
+                        )
+                    )
+                    next_sid += 1
+                retries += 1
                 continue
             if store is not None:
                 # Disk is authoritative in persistent mode — the torn-
@@ -903,13 +729,46 @@ def _serve_fleet_durable(
                 if st.ckpt is None and st.epoch > 0:
                     st.restarts += 1
                 st.epoch = st.ckpt["epoch"] if st.ckpt is not None else 0
-            if st.ckpt is not None:
+            if st.ckpt is None:
+                retries += 1
+            else:
                 if profile_ctx is not None:
                     # Fail loud before resuming over profiles an
                     # external writer advanced mid-run.
-                    profile_ctx.check_restored(st.ckpt, st.shard[0])
+                    profile_ctx.check_restored(st.ckpt, st.shard.indices)
                 restores += 1
             survivors.append(st)
+
+        # Streaming self-training: persist every user fed this round
+        # once, before the round's checkpoints commit, so the pinned
+        # versions are always the post-write-back ones.
+        if fed:
+            profile_ctx.write_back(fed)
+        epoch_stats: List[ShardEpochStats] = []
+        for st, res, acc_steps, acc_strides in served:
+            st.ckpt = make_checkpoint(
+                res["pool"],
+                res["next_offset"],
+                acc_steps,
+                acc_strides,
+                st.epoch,
+            )
+            if profile_ctx is not None:
+                st.ckpt["profiles"] = profile_ctx.shard_versions(
+                    st.shard.indices
+                )
+            if store is not None:
+                store.save(st.name, st.ckpt)
+            epoch_stats.append(
+                ShardEpochStats(
+                    shard_id=st.sid,
+                    n_sessions=len(st.shard.indices),
+                    elapsed_s=float(res["elapsed_s"]),
+                    round_seconds_sum=res["round_seconds_sum"],
+                    round_seconds_count=res["round_seconds_count"],
+                    crashes=st.crashes,
+                )
+            )
 
         # Live rebalancing: split overloaded shards between epochs by
         # splitting their checkpoints (pool snapshot + settled credits),
@@ -919,22 +778,23 @@ def _serve_fleet_durable(
             by_sid = {st.sid: st for st in survivors}
             for sid in rebalance.plan(epoch_stats):
                 st = by_sid.get(sid)
-                if st is None or st.ckpt is None or len(st.shard[0]) < 2:
+                if st is None or st.ckpt is None or len(st.shard.indices) < 2:
                     continue
-                mid = len(st.shard[0]) // 2
-                left_ck, right_ck = split_checkpoint(st.ckpt, mid)
-                left_shard, right_shard = _split_shard(st.shard)
-                right = _DurableShard(
+                left_ck, right_ck = split_checkpoint(
+                    st.ckpt, len(st.shard.indices) // 2
+                )
+                st.shard, right_shard = st.shard.halves()
+                st.ckpt = left_ck
+                right = _FleetShard(
                     sid=next_sid,
                     shard=right_shard,
                     ckpt=right_ck,
                     epoch=st.epoch,
                     crashes=st.crashes,
                     obs_fed=st.obs_fed,
+                    bisected=st.bisected,
                 )
                 next_sid += 1
-                st.shard = left_shard
-                st.ckpt = left_ck
                 if store is not None:
                     store.save(st.name, left_ck)
                     store.save(right.name, right_ck)
@@ -1029,9 +889,10 @@ def serve_fleet(
             fleet evenly over the resolved workers.
         fault_policy: Degraded-mode ingest policy for every session;
             required to serve traces with non-finite samples.
-        shard_timeout_s: Wall-clock budget per healing round; a shard
-            not finished in time is treated as failed and bisected.
-            Enforced only with ``workers > 1``.
+        shard_timeout_s: Wall-clock budget per epoch round; a shard
+            not finished in time fails that attempt, like a crash.
+            Enforced only with ``workers > 1``; ``None`` or finite and
+            > 0.
         telemetry: Collect a fleet-wide metrics snapshot: every shard
             serves under its own in-worker registry, snapshots travel
             home with the shard results, and the merge (additive
@@ -1043,13 +904,14 @@ def serve_fleet(
             ``serving_batch_round_occupancy`` distribution follows
             the shard layout).
         checkpoint_every_s: Enable *durable mode*: serve in epochs of
-            this many stream-seconds, snapshotting every shard's pool
-            (``ptrack-session-v1``) plus its settled credits after each
-            epoch. A shard lost mid-epoch restores from its last
-            checkpoint and replays only the lost epoch instead of
-            re-ingesting; repeated failure falls back to classic
-            bisection from the trace. ``None`` (default) keeps the
-            classic single-pass path byte for byte.
+            this many stream-seconds (finite, > 0), snapshotting every
+            shard's pool (``ptrack-session-v1``) plus its settled
+            credits after each epoch. A shard lost mid-epoch restores
+            from its last checkpoint and replays only the lost epoch
+            instead of re-ingesting. ``None`` (default) serves one
+            epoch covering the longest trace, so a lost shard re-serves
+            from the trace. Either way a shard that keeps failing is
+            bisected.
         checkpoint_dir: Persist checkpoints to this directory through
             an atomic :class:`~repro.serving.checkpoint.CheckpointStore`
             (created if missing). The disk copy is authoritative on
@@ -1083,8 +945,9 @@ def serve_fleet(
             :class:`~repro.profiles.IncrementalSelfTrainer` instances
             (one per user, warm-started from persisted
             ``trainer_state``) and persist updated profile records with
-            compare-and-swap — at every checkpoint epoch in durable
-            mode, once at completion on the classic path. Observations
+            compare-and-swap — once per epoch round for every user fed
+            in it (so once at completion without checkpointing).
+            Observations
             are delivered exactly once even across crash replays; live
             sessions are never retouched, so the credit stream is
             invariant to self-training. Requires ``profile_store``.
@@ -1096,7 +959,8 @@ def serve_fleet(
 
     Raises:
         ConfigurationError: On malformed traces, mismatched lengths,
-            or a bad cadence — always from the caller's process.
+            or bad serving arguments — always from the caller's
+            process, before any profile-store I/O.
     """
     n = len(traces)
     if profiles is None:
@@ -1140,9 +1004,24 @@ def serve_fleet(
                     f"{name} requires durable mode; also pass "
                     "checkpoint_every_s=<epoch seconds>"
                 )
-    elif checkpoint_every_s <= 0:
+    elif not (math.isfinite(checkpoint_every_s) and checkpoint_every_s > 0):
         raise ConfigurationError(
-            f"checkpoint_every_s must be > 0, got {checkpoint_every_s}"
+            "checkpoint_every_s must be finite and > 0, got "
+            f"{checkpoint_every_s}"
+        )
+    if shard_timeout_s is not None and not (
+        math.isfinite(shard_timeout_s) and shard_timeout_s > 0
+    ):
+        raise ConfigurationError(
+            "shard_timeout_s must be None or finite and > 0, got "
+            f"{shard_timeout_s}"
+        )
+    n_workers = resolve_workers(workers)
+    if sessions_per_shard is None:
+        sessions_per_shard = max(1, -(-n // n_workers))
+    elif sessions_per_shard < 1:
+        raise ConfigurationError(
+            f"sessions_per_shard must be >= 1, got {sessions_per_shard}"
         )
     if n == 0:
         snap = MetricsRegistry().snapshot() if telemetry else None
@@ -1175,57 +1054,45 @@ def serve_fleet(
                 profile_store, user_ids, records, config
             )
 
-    n_workers = resolve_workers(workers)
-    if sessions_per_shard is None:
-        sessions_per_shard = max(1, -(-n // n_workers))
-    elif sessions_per_shard < 1:
-        raise ConfigurationError(
-            f"sessions_per_shard must be >= 1, got {sessions_per_shard}"
-        )
-    shards: List[_Shard] = [
-        (
+    spec = _ServeSpec(
+        sample_rate_hz=sample_rate_hz,
+        config=config,
+        settle_s=settle_s,
+        max_buffer_s=max_buffer_s,
+        batch_samples=batch_samples,
+        fault_policy=fault_policy,
+        telemetry=telemetry,
+        collect_observations=profile_ctx is not None,
+    )
+    shards = [
+        _ShardData(
             list(range(lo, min(lo + sessions_per_shard, n))),
             validated[lo : lo + sessions_per_shard],
-            list(profiles[lo : lo + sessions_per_shard]),
-            sample_rate_hz,
-            config,
-            settle_s,
-            max_buffer_s,
-            batch_samples,
-            fault_policy,
-            telemetry,
-            profile_ctx is not None,
+            profiles[lo : lo + sessions_per_shard],
         )
         for lo in range(0, n, sessions_per_shard)
     ]
-
-    restores = rebalances = 0
-    if checkpoint_every_s is not None:
-        results, snapshots, retries, restores, rebalances = (
-            _serve_fleet_durable(
-                shards,
-                n,
-                n_workers,
-                shard_timeout_s,
-                telemetry,
-                sample_rate_hz,
-                batch_samples,
-                checkpoint_every_s,
-                checkpoint_dir,
-                rebalance,
-                list(shard_faults) if shard_faults else [],
-                fault_seed,
-                profile_ctx,
-            )
-        )
+    if checkpoint_every_s is None:
+        # One epoch covering the longest trace: every shard finishes
+        # in its first round, so no checkpoint is ever taken.
+        longest = max(t.shape[0] for t in validated)
+        epoch_ticks = -(-longest // batch_samples)
     else:
-        # Classic path: one pass per shard, bisection healing on
-        # wholesale failure.
-        results, snapshots, retries, fleet_obs = _heal_shards(
-            shards, n_workers, shard_timeout_s
+        epoch_ticks = int(
+            round(checkpoint_every_s * sample_rate_hz / batch_samples)
         )
-        if profile_ctx is not None and fleet_obs:
-            profile_ctx.write_back(profile_ctx.feed(fleet_obs))
+    results, snapshots, retries, restores, rebalances = _serve_fleet(
+        shards,
+        spec,
+        n_workers,
+        shard_timeout_s,
+        max(1, epoch_ticks),
+        checkpoint_dir,
+        rebalance,
+        list(shard_faults) if shard_faults else [],
+        fault_seed,
+        profile_ctx,
+    )
 
     sessions = tuple(results[i] for i in range(n))
     merged: Optional[Dict[str, Any]] = None
@@ -1233,20 +1100,17 @@ def serve_fleet(
         fleet_reg = MetricsRegistry()
         for snapshot in snapshots:
             fleet_reg.merge(snapshot)
-        # Fleet-level series the shards cannot see: the healing layer's
-        # own activity and the terminal per-session outcomes.
+        # Fleet-level series the shards cannot see: the recovery
+        # loop's own activity and the terminal per-session outcomes.
         fleet_reg.gauge("serving_fleet_sessions").set(n)
         fleet_reg.counter("serving_fleet_shard_retries_total").inc(retries)
         fleet_reg.counter("serving_fleet_sessions_failed_total").inc(
             sum(1 for s in sessions if s.status != "ok")
         )
-        if checkpoint_every_s is not None:
-            fleet_reg.counter(
-                "serving_fleet_checkpoint_restores_total"
-            ).inc(restores)
-            fleet_reg.counter("serving_fleet_rebalances_total").inc(
-                rebalances
-            )
+        fleet_reg.counter("serving_fleet_checkpoint_restores_total").inc(
+            restores
+        )
+        fleet_reg.counter("serving_fleet_rebalances_total").inc(rebalances)
         if profile_store is not None:
             fleet_reg.counter("serving_fleet_profiles_loaded_total").inc(
                 profiles_loaded

@@ -112,7 +112,7 @@ class trace_span:
     Example::
 
         with trace_span("serve_fleet"):
-            with trace_span("healing_round"):
+            with trace_span("epoch"):
                 ...
 
     Args:

@@ -565,3 +565,39 @@ class TestDurableArgValidation:
                 workers=1,
                 checkpoint_every_s=0.0,
             )
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"checkpoint_every_s": float("nan")}, "checkpoint_every_s"),
+            ({"checkpoint_every_s": float("inf")}, "checkpoint_every_s"),
+            ({"shard_timeout_s": 0.0, "workers": 2}, "shard_timeout_s"),
+            ({"shard_timeout_s": -1.0}, "shard_timeout_s"),
+            ({"shard_timeout_s": float("nan")}, "shard_timeout_s"),
+            ({"sessions_per_shard": 0}, "sessions_per_shard"),
+            ({"workers": -1}, "workers"),
+        ],
+        ids=[
+            "nan-epoch",
+            "inf-epoch",
+            "zero-timeout",
+            "negative-timeout",
+            "nan-timeout",
+            "zero-shard-size",
+            "negative-workers",
+        ],
+    )
+    def test_bad_serving_args_rejected_before_store_io(self, kwargs, match):
+        class NoStoreIO:
+            def __getattr__(self, name):
+                raise AssertionError(f"profile store touched: {name}")
+
+        with pytest.raises(ConfigurationError, match=match):
+            serve_fleet(
+                _TRACES[:1],
+                RATE,
+                profiles=_PROFILES[:1],
+                user_ids=["u0"],
+                profile_store=NoStoreIO(),
+                **{"workers": 1, **kwargs},
+            )

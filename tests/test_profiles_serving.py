@@ -355,3 +355,63 @@ class TestSelfTraining:
             _TRACES, RATE, profiles=_PROFILES, workers=1, batch_samples=BATCH
         )
         assert _credits(report) == _credits(direct)
+
+    def test_bisected_durable_keeps_evidence(self, tmp_path):
+        # retry_prob=1 spends every crashed shard's attempt budget, so
+        # its sessions finish in bisected halves re-serving from the
+        # trace. The halves keep feeding the epochs past the mark the
+        # parent shard had reached: no evidence lost, none doubled.
+        clean_store = _seeded_store(tmp_path / "clean")
+        serve_fleet(
+            _TRACES,
+            RATE,
+            user_ids=_USER_IDS,
+            profile_store=clean_store,
+            self_train=True,
+            workers=1,
+            batch_samples=BATCH,
+        )
+        clean = {u: clean_store.get(u).observations for u in _USER_IDS}
+
+        bisected_store = _seeded_store(tmp_path / "bisected")
+        report = serve_fleet(
+            _TRACES,
+            RATE,
+            user_ids=_USER_IDS,
+            profile_store=bisected_store,
+            self_train=True,
+            workers=1,
+            batch_samples=BATCH,
+            checkpoint_every_s=3.0,
+            shard_faults=[ShardCrash(prob=0.9, retry_prob=1.0)],
+            # Seed 104 first crashes the shard in epoch 2, so its
+            # halves replay an epoch that already fed evidence.
+            fault_seed=104,
+        )
+        assert report.shard_retries > 0, "no shard was bisected"
+        bisected = {
+            u: bisected_store.get(u).observations for u in _USER_IDS
+        }
+        assert bisected == clean
+        direct = serve_fleet(
+            _TRACES, RATE, profiles=_PROFILES, workers=1, batch_samples=BATCH
+        )
+        assert _credits(report) == _credits(direct)
+
+    def test_one_write_back_per_user_per_run(self, tmp_path):
+        # Two sessions of one user in two shards: the single epoch
+        # round feeds both, then writes the user's record back once.
+        store = _seeded_store(tmp_path)
+        uid = _USER_IDS[0]
+        report = serve_fleet(
+            _TRACES[:2],
+            RATE,
+            user_ids=[uid, uid],
+            profile_store=store,
+            self_train=True,
+            workers=1,
+            sessions_per_shard=1,
+            batch_samples=BATCH,
+        )
+        assert report.profiles_updated == 1
+        assert store.get(uid).version == 2

@@ -180,22 +180,28 @@ class TestDegradedFleet:
 
 
 class TestShardHealing:
+    """Bisection healing in the one-epoch run; the subclass below runs
+    the same tests with checkpointing on."""
+
+    checkpoint_every_s = None
+
     def test_killed_shard_is_bisected_to_the_culprit(self, monkeypatch):
         traces, profiles = _workload(4)
-        real = fleet_mod._serve_shard
+        real = fleet_mod._serve_shard_epoch
 
-        def poisoned(shard):
-            if 2 in shard[0]:
+        def poisoned(job):
+            if 2 in job.shard.indices:
                 raise RuntimeError("worker down")
-            return real(shard)
+            return real(job)
 
-        monkeypatch.setattr(fleet_mod, "_serve_shard", poisoned)
+        monkeypatch.setattr(fleet_mod, "_serve_shard_epoch", poisoned)
         report = fleet_mod.serve_fleet(
             traces,
             100.0,
             profiles=profiles,
             workers=1,
             sessions_per_shard=4,
+            checkpoint_every_s=self.checkpoint_every_s,
         )
         assert report.status == "degraded"
         assert report.n_failed == 1
@@ -213,20 +219,21 @@ class TestShardHealing:
         clean = serve_fleet(
             traces, 100.0, profiles=profiles, sessions_per_shard=4
         )
-        real = fleet_mod._serve_shard
+        real = fleet_mod._serve_shard_epoch
 
-        def poisoned(shard):
-            if 2 in shard[0]:
+        def poisoned(job):
+            if 2 in job.shard.indices:
                 raise RuntimeError("worker down")
-            return real(shard)
+            return real(job)
 
-        monkeypatch.setattr(fleet_mod, "_serve_shard", poisoned)
+        monkeypatch.setattr(fleet_mod, "_serve_shard_epoch", poisoned)
         healed = fleet_mod.serve_fleet(
             traces,
             100.0,
             profiles=profiles,
             workers=1,
             sessions_per_shard=4,
+            checkpoint_every_s=self.checkpoint_every_s,
         )
         for i in (0, 1, 3):
             assert [(e.index, e.time) for e in healed.sessions[i].steps] == [
@@ -236,12 +243,16 @@ class TestShardHealing:
     def test_all_shards_poisoned_still_returns(self, monkeypatch):
         traces, profiles = _workload(2)
 
-        def always_down(shard):
+        def always_down(job):
             raise RuntimeError("rack on fire")
 
-        monkeypatch.setattr(fleet_mod, "_serve_shard", always_down)
+        monkeypatch.setattr(fleet_mod, "_serve_shard_epoch", always_down)
         report = fleet_mod.serve_fleet(
-            traces, 100.0, profiles=profiles, sessions_per_shard=2
+            traces,
+            100.0,
+            profiles=profiles,
+            sessions_per_shard=2,
+            checkpoint_every_s=self.checkpoint_every_s,
         )
         assert report.status == "degraded"
         assert report.n_failed == 2
@@ -256,7 +267,7 @@ class TestShardHealing:
         # OOM) must be healed by bisection in a fresh pool, not crash
         # serve_fleet.
         traces, profiles = _workload(2, duration_s=10.0)
-        report = _serve_with_kill(traces, profiles)
+        report = _serve_with_kill(traces, profiles, self.checkpoint_every_s)
         assert len(report.sessions) == 2
         assert report.n_failed <= 1
         ok = [s for s in report.sessions if s.status == "ok"]
@@ -266,24 +277,28 @@ class TestShardHealing:
                 assert "BrokenProcessPool" in s.error or "Timeout" in s.error
 
 
+class TestShardHealingCheckpointed(TestShardHealing):
+    checkpoint_every_s = 2.0
+
+
 # Captured at import time, before any test patches the module attr —
 # _kill_if_marked must delegate to the real implementation.
-_REAL_SERVE_SHARD = fleet_mod._serve_shard
+_REAL_SERVE_SHARD = fleet_mod._serve_shard_epoch
 
 
-def _kill_if_marked(shard):
+def _kill_if_marked(job):
     import os
     import signal
 
-    if shard[0] == [0]:
+    if job.shard.indices == [0]:
         os.kill(os.getpid(), signal.SIGKILL)
-    return _REAL_SERVE_SHARD(shard)
+    return _REAL_SERVE_SHARD(job)
 
 
-def _serve_with_kill(traces, profiles):
-    original = fleet_mod._serve_shard
+def _serve_with_kill(traces, profiles, checkpoint_every_s):
+    original = fleet_mod._serve_shard_epoch
     # Patch at module level so the fork-started workers inherit it.
-    fleet_mod._serve_shard = _kill_if_marked  # type: ignore[assignment]
+    fleet_mod._serve_shard_epoch = _kill_if_marked  # type: ignore[assignment]
     try:
         return fleet_mod.serve_fleet(
             traces,
@@ -292,6 +307,7 @@ def _serve_with_kill(traces, profiles):
             workers=2,
             sessions_per_shard=1,
             shard_timeout_s=120.0,
+            checkpoint_every_s=checkpoint_every_s,
         )
     finally:
-        fleet_mod._serve_shard = original  # type: ignore[assignment]
+        fleet_mod._serve_shard_epoch = original  # type: ignore[assignment]
