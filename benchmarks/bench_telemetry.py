@@ -5,8 +5,9 @@ scoreboard (``BENCH_PR5.json``):
 
 * **instrumented_overhead** — the cost of observability: the same
   clean trace served with the telemetry gate closed and with a live
-  registry attached. The instrumented path must stay bit-identical
-  (telemetry observes, never steers) and within the tracked overhead
+  registry attached, side by side in interleaved pairs. The
+  instrumented path must stay bit-identical (telemetry observes, never
+  steers) and the median pair ratio within the tracked overhead
   budget (<5%), so instrumentation can be left on in production
   rather than sampled per deployment.
 * **fleet_merge** — :func:`serve_fleet` with per-shard registries
@@ -21,6 +22,7 @@ that silently diverges from the reference is reporting noise.
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -54,11 +56,32 @@ def _serve(
     return steps, sess
 
 
-def _time_once(profile, data: np.ndarray, instrumented: bool) -> float:
-    registry = MetricsRegistry() if instrumented else None
-    t0 = time.perf_counter()
-    _serve(profile, data, registry)
-    return time.perf_counter() - t0
+def _time_pair(profile, data: np.ndarray, plain_first: bool) -> Tuple[float, float]:
+    """Serve ``data`` through a plain and an instrumented session in
+    lockstep, timing each session's appends and flush separately;
+    ``plain_first`` picks which arm takes each upload first."""
+    sessions = {
+        "plain": StreamingPTrack(SAMPLE_RATE_HZ, profile=profile),
+        "instrumented": StreamingPTrack(
+            SAMPLE_RATE_HZ, profile=profile, telemetry=MetricsRegistry()
+        ),
+    }
+    order = ["plain", "instrumented"] if plain_first else ["instrumented", "plain"]
+    elapsed = dict.fromkeys(order, 0.0)
+    # Start from a collected heap, so a full collection of earlier
+    # pairs' garbage never lands inside this one.
+    gc.collect()
+    for i in range(0, data.shape[0], HEADLINE_CADENCE):
+        batch = data[i : i + HEADLINE_CADENCE]
+        for arm in order:
+            t0 = time.perf_counter()
+            sessions[arm].append(batch)
+            elapsed[arm] += time.perf_counter() - t0
+    for arm in order:
+        t0 = time.perf_counter()
+        sessions[arm].flush()
+        elapsed[arm] += time.perf_counter() - t0
+    return elapsed["plain"], elapsed["instrumented"]
 
 
 def bench_instrumented_overhead(
@@ -85,23 +108,29 @@ def bench_instrumented_overhead(
         == instr_sess.op_stats.samples_in
     )
 
-    # Interleave the two configurations so slow drift (thermal, other
-    # processes) hits both sides equally; min-of-N rejects the noise.
+    # Gate on the median of interleaved pair ratios: both arms of a
+    # pair serve the trace side by side, one upload at a time, so
+    # host-speed drift on a shared machine hits both alike, and the
+    # median rides out a stalled pair.
     plain_times: List[float] = []
     instr_times: List[float] = []
-    for _ in range(repeats):
-        plain_times.append(_time_once(workload.profile, data, False))
-        instr_times.append(_time_once(workload.profile, data, True))
-    plain_s = min(plain_times)
-    instr_s = min(instr_times)
-    overhead = instr_s / plain_s - 1.0
+    for pair in range(repeats):
+        plain_s, instr_s = _time_pair(
+            workload.profile, data, plain_first=pair % 2 == 0
+        )
+        plain_times.append(plain_s)
+        instr_times.append(instr_s)
+    ratios = [i / p for p, i in zip(plain_times, instr_times)]
+    overhead = float(np.median(ratios)) - 1.0
     return {
         "duration_s": duration_s,
         "n_samples": int(data.shape[0]),
         "repeats": repeats,
-        "plain_s": plain_s,
-        "instrumented_s": instr_s,
+        "plain_s": float(np.median(plain_times)),
+        "instrumented_s": float(np.median(instr_times)),
         "overhead_frac": overhead,
+        "overhead_min": min(ratios) - 1.0,
+        "overhead_max": max(ratios) - 1.0,
         "overhead_budget": TELEMETRY_OVERHEAD_BUDGET,
         "overhead_ok": overhead < TELEMETRY_OVERHEAD_BUDGET,
         "identical_credits": True,

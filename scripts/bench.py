@@ -193,7 +193,10 @@ def _print_telemetry(telemetry) -> bool:
     print(
         f"  instrumented overhead ({overhead['duration_s']:.0f}s trace): "
         f"{100 * overhead['overhead_frac']:+.1f}% "
-        f"(budget {100 * overhead['overhead_budget']:.0f}%), "
+        f"(median of {overhead['repeats']} pairs, "
+        f"{100 * overhead['overhead_min']:+.1f}%.."
+        f"{100 * overhead['overhead_max']:+.1f}%; "
+        f"budget {100 * overhead['overhead_budget']:.0f}%), "
         f"identical credits: {overhead['identical_credits']}"
     )
     merge = telemetry["fleet_merge"]

@@ -4,19 +4,31 @@ Per staged cycle the scalar streaming core runs an eigen-decomposition,
 two critical-point extractions and (when credited) three mean-removal
 integrations — each a handful of tiny NumPy calls whose dispatch
 overhead dwarfs the arithmetic at gait-cycle lengths (~100 samples).
-This module evaluates the same measurements for *all* cycles staged in
-one serving round at once: cycles are grouped by length, stacked into
-``(cycles, samples)`` (or ``(cycles, samples, 2)``) blocks, and every
-reduction/integration runs across the stack.
+This module evaluates the same measurements for *all* cycles of one
+serving round at once. Cycle length follows cadence, so a round's
+cycles rarely share one: each kernel right-pads every cycle of the call
+into one ``(cycles, width)`` stack (``(cycles, width, 2)`` for the
+horizontal axes), carries the per-row lengths, and runs every pass
+once over the whole stack.
 
-Every batched expression is the row-wise form of the scalar one —
-``rows.mean(axis=1)`` for ``arr.mean()``, stacked ``eigh`` for the 2x2
-eigensolve, row-wise ``cumsum`` for the trapezoid integral — forms
-NumPy evaluates with the same summation order and the same C kernels,
-so the results are **bit-identical** to the per-cycle reference (the
-serving equivalence suite asserts credit-for-credit identity). The few
-genuinely serial pieces — the Brent bounce solve, the greedy spacing —
-stay scalar per cycle, on row views of the shared stacks.
+Each padded expression reproduces the scalar one bit for bit on every
+row's valid prefix:
+
+* sums and means — NumPy reduces a float64 row by pairwise summation;
+  :func:`_row_sums` replays that exact operand order on every
+  row's prefix at once;
+* the ``(n, 2)`` column means and the trapezoid integrals — sequential
+  sums, read off a row-wise ``cumsum`` (exact on any prefix);
+* the 2x2 scatter, the direction norms and the projection — stacked
+  BLAS products over the zero-padded stack (trailing zero terms leave
+  a BLAS sum unchanged while the product stays within one BLAS block,
+  see :data:`_SCATTER_WIDTH`);
+* extremum locations and values — reductions over the prefix through
+  ``+-inf`` fills.
+
+The serving equivalence suite asserts credit-for-credit identity with
+the per-cycle reference. The few genuinely serial pieces — the Brent
+bounce solve, the greedy spacing — stay scalar per cycle.
 """
 
 from __future__ import annotations
@@ -50,54 +62,155 @@ StageMeasurement = Union[
     Exception,
 ]
 
+#: NumPy's pairwise-summation block: a float64 sum of at most this many
+#: elements is one 8-lane unrolled loop; a longer one splits in two at
+#: a multiple of 8 near the middle and adds the halves.
+_PAIRWISE_BLOCK = 128
 
-def _stack_rows(
-    arrs: Sequence[np.ndarray],
-    buffers: Optional[FleetBatchBuffer],
-    key: str,
-) -> np.ndarray:
-    """``np.stack`` into reusable scratch when a buffer pool is given."""
-    if len(arrs) == 1:
-        # Singleton groups dominate small rounds (ragged cycle lengths
-        # rarely collide); a 1-row "stack" is a read-only view, no copy.
-        return arrs[0][None]
-    if buffers is None:
-        return np.stack(arrs)
-    out = buffers.request(key, (len(arrs),) + arrs[0].shape)
-    return np.stack(arrs, out=out)
+#: Longest row whose 2x2 scatter comes from the stacked product. BLAS
+#: splits the inner dimension of a product longer than its block size
+#: (384 for OpenBLAS 0.3.31 on a Sapphire Rapids Xeon; other kernels
+#: block smaller) and adds the parts, so a zero-padded row could split
+#: where its own ``(n, 2)`` product does not. Up to this width neither
+#: product splits; longer rows (over 2.5 s at 100 Hz) take their own.
+_SCATTER_WIDTH = 256
+
+#: Scratch keys of the padded stacks. Every stack is consumed within
+#: the call that requests it, so the measurement and solve kernels
+#: share the same two buffers.
+_STACK = "cycle_stack"
+_WORK = "cycle_work"
 
 
-def _rows_cumtrapz(rows: np.ndarray, dt: float) -> np.ndarray:
-    """Row-wise :func:`repro.signal.integration.cumulative_trapezoid`."""
-    out = np.empty_like(rows)
-    out[:, 0] = 0.0
-    np.cumsum((rows[:, 1:] + rows[:, :-1]) * (dt / 2.0), axis=1, out=out[:, 1:])
+def _pairwise(rows: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """NumPy's ``pairwise_sum`` of ``rows[r, :lens[r]]`` for every row.
+
+    A segment of at most 128 elements is a *leaf*: eight lanes
+    accumulate it block by block (lane ``j`` starts at element ``j``),
+    combine as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and the 0-7
+    trailing elements add on sequentially; under 8 elements it is a
+    sequential sum from ``0.0``. A longer segment splits at
+    ``n//2 - (n//2) % 8`` and sums as ``pw(left) + pw(right)``.
+    Masked lanes and tail slots hold ``-0.0``, the exact additive
+    identity, so no partial sum moves and nothing past a segment is
+    read.
+    """
+    count, width = rows.shape
+    split = lens > _PAIRWISE_BLOCK
+    sizes = np.where(split, 0, lens)
+    blocks = sizes // 8
+    seq = np.zeros((count, 8))
+    n_blocks = int(blocks.max())
+    if n_blocks:
+        cols = np.arange(8 * n_blocks)
+        lanes = np.where(cols < 8 * blocks[:, None], rows[:, : cols.size], -0.0)
+        lanes = lanes.reshape(count, n_blocks, 8)
+        np.cumsum(lanes, axis=1, out=lanes)
+        pairs = lanes[:, -1, 0::2] + lanes[:, -1, 1::2]
+        quads = pairs[:, 0::2] + pairs[:, 1::2]
+        seq[:, 0] = np.where(blocks > 0, quads[:, 0] + quads[:, 1], 0.0)
+    tail = np.arange(7)
+    keep = tail < (sizes % 8)[:, None]
+    at = np.where(keep, 8 * blocks[:, None] + tail, 0)
+    seq[:, 1:] = np.where(keep, rows[np.arange(count)[:, None], at], -0.0)
+    out = np.cumsum(seq, axis=1)[:, -1]
+    if split.any():
+        idx = np.flatnonzero(split)
+        n = lens[idx]
+        half = n // 2
+        left = half - half % 8
+        right = n - left
+        cols = np.minimum(left[:, None] + np.arange(int(right.max())), width - 1)
+        out[idx] = _pairwise(rows[idx], left) + _pairwise(
+            rows[idx[:, None], cols], right
+        )
     return out
 
 
-def _rows_integrate_mean_removal(rows: np.ndarray, dt: float) -> np.ndarray:
-    """Row-wise :func:`repro.signal.integration.integrate_mean_removal`."""
-    n = rows.shape[1]
-    trapezoid_mean = (rows.sum(axis=1) - 0.5 * (rows[:, 0] + rows[:, -1])) / (n - 1)
-    return _rows_cumtrapz(rows - trapezoid_mean[:, None], dt)
+def _row_sums(rows: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``rows[r, :lens[r]].sum()`` for every row, bit for bit.
+
+    A float64 ``sum`` reduces from ``+0.0``: ``0.0 + pairwise_sum``.
+    """
+    return 0.0 + _pairwise(rows, lens)
 
 
-def integrate_block(rows: np.ndarray, dt: float) -> Tuple[np.ndarray, np.ndarray]:
+def _scratch(
+    buffers: Optional[FleetBatchBuffer], key: str, shape: Tuple[int, ...]
+) -> np.ndarray:
+    """Uninitialised float64 scratch: a pooled view, or a fresh array."""
+    if buffers is None:
+        return np.empty(shape)
+    return buffers.request(key, shape)
+
+
+def _pad_rows(
+    arrs: Sequence[np.ndarray], valid: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Right-pad ``arrs`` into ``out``, zeros past each row's length.
+
+    ``valid`` is the ``(rows, width)`` prefix mask and ``out`` is
+    ``(rows, width)`` or ``(rows, width, 2)``; a boolean-mask store
+    fills in row-major order, so the concatenation lands row by row.
+    """
+    out[valid] = np.concatenate(arrs)
+    out[~valid] = 0.0
+    return out
+
+
+def _rows_cumtrapz(rows: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`repro.signal.integration.cumulative_trapezoid`.
+
+    A sequential sum, so exact on each row's prefix whatever follows.
+    """
+    out[:, 0] = 0.0
+    body = out[:, 1:]
+    np.add(rows[:, 1:], rows[:, :-1], out=body)
+    body *= dt / 2.0
+    np.cumsum(body, axis=1, out=body)
+    return out
+
+
+def _integrate_rows(
+    stack: np.ndarray, lens: np.ndarray, dt: float, velocity: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean-removal velocity (into ``velocity``) and displacement.
+
+    Consumes ``stack``: it is the work buffer of both integrals.
+    """
+    n = lens.astype(float)
+    last = stack[np.arange(lens.size), lens - 1]
+    trapezoid_mean = (_row_sums(stack, lens) - 0.5 * (stack[:, 0] + last)) / (
+        n - 1.0
+    )
+    stack -= trapezoid_mean[:, None]
+    _rows_cumtrapz(stack, dt, velocity)
+    np.subtract(velocity, (_row_sums(velocity, lens) / n)[:, None], out=stack)
+    return velocity, _rows_cumtrapz(stack, dt, np.empty_like(stack))
+
+
+def integrate_block(
+    rows: Sequence[np.ndarray], dt: float
+) -> Tuple[np.ndarray, np.ndarray]:
     """Row-wise mean-removal single **and** double integration.
 
-    For a ``(cycles, samples)`` stack of accelerations this returns
-    ``(velocity, displacement)`` — the row-wise forms of
+    For accelerations of any lengths (at least 2 samples each; a 2-D
+    array is a sequence of equal-length rows) this returns
+    ``(velocity, displacement)`` as two ``(rows, width)`` stacks, right
+    padded to the longest row. Row ``r``'s first ``len(rows[r])``
+    entries are the row-wise forms of
     :func:`repro.signal.integration.integrate_mean_removal` and
-    :func:`repro.signal.integration.double_integrate_mean_removal`.
+    :func:`repro.signal.integration.double_integrate_mean_removal`,
+    bit-identical to them; the padding past it carries no meaning.
     The double integral's inner velocity *is* the returned velocity,
     so callers needing both (the walking-cycle moment extraction) pay
-    one fused call instead of recomputing it. Every reduction is the
-    same NumPy pairwise sum over the same operand order as the scalar
-    reference, so both outputs are bit-identical to it.
+    one fused call instead of recomputing it.
     """
-    velocity = _rows_integrate_mean_removal(rows, dt)
-    displacement = _rows_cumtrapz(velocity - velocity.mean(axis=1)[:, None], dt)
-    return velocity, displacement
+    lens = np.asarray([r.size for r in rows], dtype=np.intp)
+    width = int(lens.max())
+    valid = np.arange(width) < lens[:, None]
+    stack = _pad_rows(rows, valid, np.empty((lens.size, width)))
+    return _integrate_rows(stack, lens, dt, np.empty_like(stack))
 
 
 def batched_stage_measurements(
@@ -106,7 +219,7 @@ def batched_stage_measurements(
     config: PTrackConfig,
     buffers: Optional[FleetBatchBuffer] = None,
 ) -> List[StageMeasurement]:
-    """Measure every staged cycle of a serving round in stacked kernels.
+    """Measure every staged cycle of a serving round in one padded stack.
 
     For each cycle ``i`` this computes exactly what the scalar
     ``StreamingPTrack._stage`` computes from ``(v_segs[i], h_segs[i])``:
@@ -115,67 +228,50 @@ def batched_stage_measurements(
     critical-point offset.
 
     Args:
-        v_segs: Per-cycle vertical acceleration segments.
+        v_segs: Per-cycle vertical acceleration segments, any lengths.
         h_segs: Per-cycle horizontal segments, each ``(n, 2)``.
         config: PTrack configuration.
-        buffers: Optional scratch pool for the per-length stacks and
-            the packed extrema signals.
+        buffers: Optional scratch pool for the padded stacks and the
+            packed extrema signals.
 
     Returns:
-        One :data:`StageMeasurement` per cycle, input order.
+        One :data:`StageMeasurement` per cycle, input order. Returned
+        projections own their memory, never a view of ``buffers``.
     """
     count = len(v_segs)
     results: List[StageMeasurement] = [None] * count  # type: ignore[list-item]
     if count == 0:
         return results
 
-    by_length: dict = {}
-    for i, v in enumerate(v_segs):
-        by_length.setdefault(v.size, []).append(i)
+    lens = np.asarray([v.size for v in v_segs], dtype=np.intp)
+    width = int(lens.max())
+    valid = np.arange(width) < lens[:, None]
+    n = lens.astype(float)
+    # Two scratch stacks of 2 * count rows serve every pass in turn.
+    stack_h = _pad_rows(
+        h_segs, valid, _scratch(buffers, _STACK, (count, width, 2))
+    )
 
-    a_segs: List[np.ndarray] = [None] * count  # type: ignore[list-item]
-    anterior_ok = np.zeros(count, dtype=bool)
-    motion_ok = np.zeros(count, dtype=bool)
-    v_std = np.zeros(count)
-    a_std = np.zeros(count)
-    centred_v: List[np.ndarray] = [None] * count  # type: ignore[list-item]
-    centred_a: dict = {}
-
-    # Pass 1, per length group: stack, centre, scatter, vertical gate.
-    # Everything length-independent (the 2x2 eigensolves, direction
-    # fixing) is deferred to one global pass — cycle lengths vary a
-    # lot in practice, so length groups are small and per-group kernel
-    # dispatch would dominate.
-    groups: List[Tuple[int, List[int], slice, np.ndarray]] = []
-    scatters = np.empty((count, 2, 2))
-    ok_flat = np.zeros(count, dtype=bool)
-    pos = 0
-    for n, idxs in by_length.items():
-        g = len(idxs)
-        sl = slice(pos, pos + g)
-        pos += g
-        stack_v = _stack_rows([v_segs[i] for i in idxs], buffers, f"meas_v:{n}")
-        stack_h = _stack_rows([h_segs[i] for i in idxs], buffers, f"meas_h:{n}")
-        vc = stack_v - stack_v.mean(axis=1)[:, None]
-        stds = vc.std(axis=1)
-        if n >= 3:
-            centred = stack_h - stack_h.mean(axis=1)[:, None, :]
-            sc = np.matmul(centred.transpose(0, 2, 1), centred)
-            scatters[sl] = sc
-            # allclose(scatter, 0) with b == 0 reduces to |x| <= atol.
-            ok_flat[sl] = np.isfinite(sc).all(axis=(1, 2)) & ~(
-                (np.abs(sc) <= 1e-8).all(axis=(1, 2))
-            )
-        groups.append((n, idxs, sl, stack_h))
-        ii = np.asarray(idxs, dtype=np.intp)
-        v_std[ii] = stds
-        motion_ok[ii] = stds >= config.min_vertical_std
-        for i, vc_row in zip(idxs, vc):
-            centred_v[i] = vc_row
-
-    # Pass 2, global: one eigensolve + direction fix for every cycle.
-    dirs_flat = np.zeros((count, 2))
-    live = np.flatnonzero(ok_flat)
+    # Direction fit (anterior_direction per row). NumPy sums an (n, 2)
+    # column sequentially from +0.0: a cumsum read at the last sample.
+    centred = _scratch(buffers, _WORK, (count, width, 2))
+    np.cumsum(stack_h, axis=1, out=centred)
+    col_means = (0.0 + centred[np.arange(count), lens - 1]) / n[:, None]
+    np.subtract(stack_h, col_means[:, None, :], out=centred)
+    centred[~valid] = 0.0
+    k = min(width, _SCATTER_WIDTH)
+    scatters = np.matmul(centred.transpose(0, 2, 1)[:, :, :k], centred[:, :k])
+    for r in np.flatnonzero(lens > _SCATTER_WIDTH):
+        rows = centred[r, : lens[r]]
+        scatters[r] = rows.T @ rows
+    # allclose(scatter, 0) with b == 0 reduces to |x| <= atol.
+    anterior_ok = (
+        (lens >= 3)
+        & np.isfinite(scatters).all(axis=(1, 2))
+        & ~(np.abs(scatters) <= 1e-8).all(axis=(1, 2))
+    )
+    directions = np.zeros((count, 2))
+    live = np.flatnonzero(anterior_ok)
     if live.size:
         eigvals, eigvecs = np.linalg.eigh(scatters[live])
         sel = np.argmax(eigvals, axis=1)
@@ -184,34 +280,45 @@ def batched_stage_measurements(
             np.abs(dirs[:, 0]) > 1e-12, dirs[:, 0] < 0, dirs[:, 1] < 0
         )
         dirs[flip] = -dirs[flip]
-        for row in range(live.size):
-            # Normalise per row through the same BLAS-dot norm the
-            # reference uses (anterior_direction once, then
-            # project_horizontal again); sqrt(d.dot(d)) is exactly the
-            # 1-D np.linalg.norm fast path, minus the wrapper.
-            d = dirs[row] / np.sqrt(dirs[row].dot(dirs[row]))
-            dirs[row] = d / np.sqrt(d.dot(d))
-        dirs_flat[live] = dirs
+        # Normalised twice, as the reference does (anterior_direction,
+        # then project_horizontal), each time through the BLAS dot of
+        # np.linalg.norm's 1-D path: a stacked (1, 2) @ (2, 1) product.
+        for _ in range(2):
+            dirs = dirs / np.sqrt(np.matmul(dirs[:, None, :], dirs[:, :, None])[:, 0])
+        directions[live] = dirs
 
-    # Pass 3, per length group: projection + anterior centring/gate.
-    for n, idxs, sl, stack_h in groups:
-        proj = np.zeros((len(idxs), n))
-        rows = np.flatnonzero(ok_flat[sl])
-        if rows.size:
-            proj[rows] = np.matmul(
-                stack_h[rows], dirs_flat[sl][rows][:, :, None]
-            )[:, :, 0]
-        ii = np.asarray(idxs, dtype=np.intp)
-        anterior_ok[ii] = ok_flat[sl]
-        for i, proj_row in zip(idxs, proj):
-            a_segs[i] = proj_row
-        if n >= 4:
-            pc = proj - proj.mean(axis=1)[:, None]
-            astds = pc.std(axis=1)
-            a_std[ii] = astds
-            for i, s, pc_row in zip(idxs, astds, pc):
-                if s > 0.0:
-                    centred_a[i] = pc_row
+    # Vertical rows on top, anterior rows below: both axes' moments
+    # come from one pass over one stack.
+    va = _scratch(buffers, _WORK, (2 * count, width))
+    anterior = va[count:]
+    np.matmul(
+        stack_h, directions[:, :, None], out=anterior.reshape(count, width, 1)
+    )
+    anterior[~anterior_ok] = 0.0
+    _pad_rows(v_segs, valid, va[:count])
+    # Owned copies: staged segments outlive the round's scratch
+    # (session stores, snapshots).
+    a_segs = [
+        anterior[i, :size].copy() if ok else np.zeros_like(v)
+        for i, (size, ok, v) in enumerate(
+            zip(lens.tolist(), anterior_ok.tolist(), v_segs)
+        )
+    ]
+
+    # Motion gate and centred axes (np.std(x - x.mean()) per row, and
+    # critical_points_for_offset's centring): mean, centre, re-centre,
+    # square, mean, sqrt — every sum in NumPy's pairwise order.
+    lens2 = np.concatenate([lens, lens])
+    n2 = np.concatenate([n, n])
+    dev = _scratch(buffers, _STACK, (2 * count, width))
+    np.subtract(va, (_row_sums(va, lens2) / n2)[:, None], out=dev)
+    sq = va
+    np.subtract(dev, (_row_sums(dev, lens2) / n2)[:, None], out=sq)
+    np.multiply(sq, sq, out=sq)
+    stds = np.sqrt(_row_sums(sq, lens2) / n2)
+    v_std = stds[:count]
+    a_std = stds[count:]
+    motion_ok = v_std >= config.min_vertical_std
 
     # Offsets for moving cycles only (the scalar path skips the rest).
     need = [i for i in range(count) if motion_ok[i]]
@@ -237,19 +344,21 @@ def batched_stage_measurements(
         proms: List[float] = []
         dists: List[int] = []
         slots: List[Tuple[int, str]] = []
+        a_windows: List[np.ndarray] = []
         for i in need:
             n = v_segs[i].size
             min_dist = max(1, n // 16)
             if v_std[i] > 0.0:
-                windows.append(centred_v[i])
+                windows.append(dev[i, :n])
                 proms.append(config.critical_point_prominence)
                 dists.append(min_dist)
                 slots.append((i, "v"))
             if a_std[i] > 0.0:
-                windows.append(centred_a[i])
+                windows.append(dev[count + i, :n])
                 proms.append(relaxed_prom)
                 dists.append(min_dist)
                 slots.append((i, "a"))
+                a_windows.append(windows[-1])
         scratch = (
             buffers.request(
                 "meas_pack", sum(w.size for w in windows) + len(windows)
@@ -290,9 +399,7 @@ def batched_stage_measurements(
                 turning = lifted[slot_starts[s] : slot_starts[s + 1]]
                 (v_turn if axis == "v" else a_turn)[i] = turning
         a_order = [i for (i, axis) in slots if axis == "a"]
-        cross_per = batched_crossing_indices(
-            [centred_a[i] for i in a_order], relaxed_hyst
-        )
+        cross_per = batched_crossing_indices(a_windows, relaxed_hyst)
         cross_by_i = dict(zip(a_order, cross_per))
         # Eq. (1) for every eligible cycle in one pass. Each cycle's
         # (integer) point indices are lifted by a per-cycle base B*c
@@ -302,9 +409,8 @@ def batched_stage_measurements(
         # per-cycle loop. All lifted values are exact integers in
         # float64, and every difference pairs same-cycle values, so the
         # bases cancel exactly — results are bit-identical to the
-        # scalar tail. Only the final weighted sum stays per cycle
-        # (pairwise summation must see exactly the scalar operand
-        # order).
+        # scalar tail. The final weighted sums replay NumPy's pairwise
+        # order per cycle (:func:`_row_sums`).
         pre = [
             i
             for i in need
@@ -355,19 +461,15 @@ def batched_stage_measurements(
             n_v = n_per[cid]
             weights = np.minimum(dv / n_v, config.max_point_weight)
             wm = weights * mismatch / n_v
-            ac_l = a_counts.tolist()
-            vs_l = v_starts.tolist()
-            vc_l = vt_counts.tolist()
-            for c, i in enumerate(pre):
-                if ac_l[c] < 2:
-                    continue
-                lo = vs_l[c]
-                offsets[i] = float(wm[lo : lo + vc_l[c]].sum())
+            at = v_starts[:, None] + np.arange(int(vt_counts.max()))
+            sums = _row_sums(wm[np.minimum(at, wm.size - 1)], vt_counts)
+            summed = a_counts >= 2
+            offsets[np.asarray(pre)[summed]] = sums[summed]
 
     for i in range(count):
         if results[i] is None:
             results[i] = (
-                a_segs[i] if anterior_ok[i] else np.zeros_like(v_segs[i]),
+                a_segs[i],
                 bool(anterior_ok[i]),
                 bool(motion_ok[i]),
                 float(offsets[i]),
@@ -382,27 +484,27 @@ def batched_cycle_solutions(
     dt: float,
     buffers: Optional[FleetBatchBuffer] = None,
 ) -> List[Optional[Tuple[float, float]]]:
-    """Per-cycle ``(stride_m, bounce_m)`` solves in stacked kernels.
+    """Per-cycle ``(stride_m, bounce_m)`` solves in one padded stack.
 
     The batched form of
     :meth:`repro.core.stride.PTrackStrideEstimator.cycle_stride` over
     every cycle credited in one serving round. Three fusions keep the
     per-cycle Python floor out of the hot path:
 
-    * per length group, the walking anterior rows, walking vertical
-      rows and stepping vertical rows share **one**
-      :func:`integrate_block` call (the double integral's inner
+    * the walking anterior rows, walking vertical rows and stepping
+      vertical rows of every length share **one** padded
+      :func:`integrate_block` pass (the double integral's inner
       velocity is reused instead of recomputed, and row-wise kernels
       are independent across rows, so mixing populations in one stack
       changes nothing);
     * the walking key-moment location (arm extremes, anterior-speed
       peak, the skip gates) runs as masked row-wise reductions instead
       of a per-cycle Python loop;
-    * all surviving bounce geometries across **all** length groups pool
-      into a single :func:`~repro.core.bounce.solve_bounce_block`
-      call, with a scalar :func:`~repro.core.bounce.solve_bounce`
-      fallback for any row the block solver does not fully resolve —
-      so credits are bit-identical to the per-cycle reference.
+    * all surviving bounce geometries pool into a single
+      :func:`~repro.core.bounce.solve_bounce_block` call, with a scalar
+      :func:`~repro.core.bounce.solve_bounce` fallback for any row the
+      block solver does not fully resolve — so credits are
+      bit-identical to the per-cycle reference.
 
     Args:
         items: Per credited cycle: vertical segment, horizontal segment,
@@ -411,97 +513,96 @@ def batched_cycle_solutions(
             re-derivation would fail identically), gait type, and the
             owning session's user profile.
         dt: Shared sample period in seconds.
-        buffers: Optional scratch pool for the per-length stacks.
+        buffers: Optional scratch pool for the padded stack.
 
     Returns:
         Per cycle, ``(stride_m, bounce_m)`` or ``None`` when the
-        geometry admits no solve.
+        geometry admits no solve (non-finite segments included, which
+        the scalar integrator rejects).
     """
     count = len(items)
     results: List[Optional[Tuple[float, float]]] = [None] * count
-    stepping_by_length: dict = {}
-    walking_by_length: dict = {}
+    walking: List[int] = []
+    stepping: List[int] = []
     for i, (v_seg, _h_seg, a_seg, gait, _profile) in enumerate(items):
         if gait is GaitType.STEPPING:
             if v_seg.size >= 2:
-                stepping_by_length.setdefault(v_seg.size, []).append(i)
-        elif a_seg is not None and v_seg.size >= 16:
-            walking_by_length.setdefault(v_seg.size, []).append(i)
+                stepping.append(i)
+        elif a_seg is not None and a_seg.size == v_seg.size >= 16:
+            walking.append(i)
+    nw = len(walking)
+    segs = (
+        [items[i][2] for i in walking]
+        + [items[i][0] for i in walking]
+        + [items[i][0] for i in stepping]
+    )
+    if not segs:
+        return results
+    lens = np.asarray([s.size for s in segs], dtype=np.intp)
+    width = int(lens.max())
+    valid = np.arange(width) < lens[:, None]
+    stack = _pad_rows(segs, valid, _scratch(buffers, _STACK, (lens.size, width)))
+    # The scalar integrator rejects non-finite segments outright.
+    finite = np.isfinite(stack).all(axis=1)
+    vel, disp = _integrate_rows(
+        stack, lens, dt, _scratch(buffers, _WORK, stack.shape)
+    )
+    # Extremes over each row's prefix: fill the padding with +inf for
+    # the minima, then -inf for the maxima (first-extremum ties and
+    # NaN propagation stay the scalar reductions').
+    padding = ~valid
+    disp[padding] = np.inf
+    lows = np.argmin(disp[:nw], axis=1)
+    step_min = disp[2 * nw :].min(axis=1)
+    disp[padding] = -np.inf
+    highs = np.argmax(disp[:nw], axis=1)
+    step_max = disp[2 * nw :].max(axis=1)
 
-    # Pooled bounce-solve inputs across every length group.
+    if stepping:
+        bounces = step_max - step_min
+        legs = np.asarray([items[i][4].leg_length_m for i in stepping])
+        ks = np.asarray([items[i][4].calibration_k for i in stepping])
+        strides = stride_rows_from_bounce(bounces, legs, ks)
+        for row in np.flatnonzero(finite[2 * nw :]).tolist():
+            results[stepping[row]] = (float(strides[row]), float(bounces[row]))
+
     sol_idx: List[int] = []
-    sol_h1: List[np.ndarray] = []
-    sol_h2: List[np.ndarray] = []
-    sol_d: List[np.ndarray] = []
-
-    lengths = sorted(set(stepping_by_length) | set(walking_by_length))
-    for n in lengths:
-        w_idxs = walking_by_length.get(n, [])
-        s_idxs = stepping_by_length.get(n, [])
-        nw = len(w_idxs)
-        rows = (
-            [items[i][2] for i in w_idxs]
-            + [items[i][0] for i in w_idxs]
-            + [items[i][0] for i in s_idxs]
-        )
-        stack = _stack_rows(rows, buffers, f"solve_stack:{n}")
-        vel, disp = integrate_block(stack, dt)
-
-        if s_idxs:
-            disp_s = disp[2 * nw :]
-            bounces = disp_s.max(axis=1) - disp_s.min(axis=1)
-            legs = np.asarray([items[i][4].leg_length_m for i in s_idxs])
-            ks = np.asarray([items[i][4].calibration_k for i in s_idxs])
-            strides = stride_rows_from_bounce(bounces, legs, ks)
-            for row, i in enumerate(s_idxs):
-                results[i] = (float(strides[row]), float(bounces[row]))
-
-        if nw:
-            disp_a = disp[:nw]
-            disp_v = disp[nw : 2 * nw]
-            vel_a = vel[:nw]
-            lows = np.argmin(disp_a, axis=1)
-            highs = np.argmax(disp_a, axis=1)
-            backmost = np.minimum(lows, highs)
-            foremost = np.maximum(lows, highs)
-            span = foremost - backmost
-            ok = span >= n // 4
-            margin = np.maximum(1, span // 8)
-            # First max of |vel_a| within [backmost+margin, foremost-margin]
-            # per row — the masked form of the scalar slice argmax (the
-            # -inf fill preserves first-max tie-breaking, and the window
-            # is never empty: margin <= span // 2 by construction).
-            cols = np.arange(n)
-            speed = np.abs(vel_a)
-            masked = np.where(
-                (cols >= (backmost + margin)[:, None])
-                & (cols <= (foremost - margin)[:, None]),
-                speed,
-                -np.inf,
-            )
-            vidx = np.argmax(masked, axis=1)
-            take = np.arange(nw)
-            ok &= masked[take, vidx] > 0.0
-            d_total = np.abs(disp_a[take, foremost] - disp_a[take, backmost])
-            # Scalar gate is `if d_total < 0.01: continue`; keep the
-            # negated form so non-finite rows follow the scalar branch.
-            ok &= ~(d_total < 0.01)
-            sel = np.flatnonzero(ok)
-            if sel.size:
-                h1 = disp_v[sel, backmost[sel]] - disp_v[sel, vidx[sel]]
-                h2 = disp_v[sel, foremost[sel]] - disp_v[sel, vidx[sel]]
-                sol_idx.extend(w_idxs[s] for s in sel)
-                sol_h1.append(h1)
-                sol_h2.append(h2)
-                sol_d.append(d_total[sel])
+    if nw:
+        disp_a = disp[:nw]
+        disp_v = disp[nw : 2 * nw]
+        backmost = np.minimum(lows, highs)
+        foremost = np.maximum(lows, highs)
+        span = foremost - backmost
+        ok = finite[:nw] & finite[nw : 2 * nw] & (span >= lens[:nw] // 4)
+        margin = np.maximum(1, span // 8)
+        # First max of |vel_a| within [backmost+margin, foremost-margin]
+        # per row — the masked form of the scalar slice argmax (the
+        # -inf fill preserves first-max tie-breaking, and the window
+        # is never empty: margin <= span // 2 by construction).
+        cols = np.arange(width)
+        speed = np.abs(vel[:nw], out=vel[:nw])
+        speed[
+            (cols < (backmost + margin)[:, None])
+            | (cols > (foremost - margin)[:, None])
+        ] = -np.inf
+        vidx = np.argmax(speed, axis=1)
+        take = np.arange(nw)
+        ok &= speed[take, vidx] > 0.0
+        d_total = np.abs(disp_a[take, foremost] - disp_a[take, backmost])
+        # Scalar gate is `if d_total < 0.01: continue`; keep the
+        # negated form so non-finite rows follow the scalar branch.
+        ok &= ~(d_total < 0.01)
+        sel = np.flatnonzero(ok)
+        if sel.size:
+            h1_all = disp_v[sel, backmost[sel]] - disp_v[sel, vidx[sel]]
+            h2_all = disp_v[sel, foremost[sel]] - disp_v[sel, vidx[sel]]
+            d_all = d_total[sel]
+            sol_idx = [walking[s] for s in sel.tolist()]
 
     if sol_idx:
-        h1_all = np.concatenate(sol_h1)
-        h2_all = np.concatenate(sol_h2)
-        d_all = np.concatenate(sol_d)
         arms = np.asarray([items[i][4].arm_length_m for i in sol_idx])
-        bounce, valid = solve_bounce_block(h1_all, h2_all, d_all, arms)
-        for r in np.flatnonzero(~valid):
+        bounce, solved = solve_bounce_block(h1_all, h2_all, d_all, arms)
+        for r in np.flatnonzero(~solved):
             # The block solver leaves a row unresolved when the scalar
             # path would raise (or, theoretically, on iteration
             # exhaustion): re-run it scalar so error semantics — and
@@ -511,13 +612,13 @@ def batched_cycle_solutions(
                     float(h1_all[r]), float(h2_all[r]),
                     float(d_all[r]), float(arms[r]),
                 )
-                valid[r] = True
+                solved[r] = True
             except GeometryError:
                 pass
         legs = np.asarray([items[i][4].leg_length_m for i in sol_idx])
         ks = np.asarray([items[i][4].calibration_k for i in sol_idx])
         strides = stride_rows_from_bounce(bounce, legs, ks)
         for r, i in enumerate(sol_idx):
-            if valid[r]:
+            if solved[r]:
                 results[i] = (float(strides[r]), float(bounce[r]))
     return results

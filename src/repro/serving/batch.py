@@ -12,12 +12,14 @@ runs **once for the whole fleet**:
 2. every session's segmentation window is packed into one concatenated
    signal and scanned by a single peak/valley kernel dispatch
    (:func:`repro.signal.batched.batched_segment_windows`);
-3. all admitted cycles are measured in length-grouped stacks
+3. all admitted cycles, whatever their lengths, are measured in one
+   right-padded stack
    (:func:`repro.core.batched.batched_stage_measurements`);
 4. the stepping tests run in the same fleet-wide batch the lockstep
    pool uses;
-5. all credited cycles' stride integrations run in length-grouped
-   stacks (:func:`repro.core.batched.batched_cycle_solutions`).
+5. all credited cycles' stride integrations run in one right-padded
+   stack (:func:`repro.core.batched.batched_cycle_solutions`);
+6. each session is credited from its solved cycles.
 
 The end-of-stream flush runs the same stages once more as a final
 round: each session's boundary is its head, the filter stage commits
@@ -89,6 +91,10 @@ FLUSH_STACK_SESSIONS = 64
 #: (due sessions per fleet round).
 OCCUPANCY_BUCKETS = tuple(float(2**i) for i in range(13))
 
+#: The six stages of one fleet round, in order; each has a wall-time
+#: histogram ``serving_batch_stage_<name>_seconds``.
+ROUND_STAGES = ("filter", "segment", "measure", "stepping", "solve", "credit")
+
 
 class BatchedSessionPool(SessionPool):
     """A session pool whose ingest rounds run fleet-batched kernels.
@@ -157,6 +163,10 @@ class BatchedSessionPool(SessionPool):
             self._m_occupancy = reg.histogram(
                 "serving_batch_round_occupancy", buckets=OCCUPANCY_BUCKETS
             )
+            self._m_stages = [
+                reg.histogram(f"serving_batch_stage_{name}_seconds")
+                for name in ROUND_STAGES
+            ]
 
     # ------------------------------------------------------------------
     # Durability
@@ -337,6 +347,12 @@ class BatchedSessionPool(SessionPool):
             return self._scalar_round(session_ids, sessions, due_ks, out)
         return self._run_stages(session_ids, sessions, due_ks, boundaries, out)
 
+    def _lap(self, stage: int, since: float) -> float:
+        """Observe stage ``stage``'s wall time since ``since``; return now."""
+        now = time.perf_counter()
+        self._m_stages[stage].observe(now - since)
+        return now
+
     def _run_stages(
         self,
         session_ids: Sequence[int],
@@ -353,8 +369,12 @@ class BatchedSessionPool(SessionPool):
         :meth:`~StreamingPTrack.final_filter_plan` block instead of the
         hop plan, and cycles settle with a zero margin — exactly what
         :meth:`StreamingPTrack.flush` does after its last hop boundary.
-        Returns the positions that completed the round.
+        Returns the positions that completed the round. With telemetry
+        on, each stage's wall time lands in its
+        ``serving_batch_stage_<name>_seconds`` histogram (see
+        :data:`ROUND_STAGES`); off, no clock is read.
         """
+        lap = time.perf_counter() if self._telemetry is not None else 0.0
         due_sess = [sessions[k] for k in due_ks]
         n_due = len(due_ks)
         alive = [True] * n_due
@@ -438,6 +458,8 @@ class BatchedSessionPool(SessionPool):
                     fail(d, block)
                     break
                 apply(lo, hi, start, block)
+        if self._telemetry is not None:
+            lap = self._lap(0, lap)
 
         # -- Stage 2: fleet segmentation -------------------------------
         opened: List[Optional[Tuple[np.ndarray, int]]] = [None] * n_due
@@ -468,6 +490,8 @@ class BatchedSessionPool(SessionPool):
                 min_prominence=cfg.min_peak_prominence,
                 scratch=scratch,
             )
+        if self._telemetry is not None:
+            lap = self._lap(1, lap)
 
         # -- Stage 3: admit + measure all cycles fleet-wide ------------
         admitted_by_d: List = [None] * n_due
@@ -504,7 +528,7 @@ class BatchedSessionPool(SessionPool):
             else []
         )
 
-        # -- Stage 4: stage per session, in cycle order ----------------
+        # Build each session's staged cycles, in cycle order.
         staged_by_d: List[Optional[List[StagedCycle]]] = [None] * n_due
         for d in range(n_due):
             if not alive[d]:
@@ -543,12 +567,16 @@ class BatchedSessionPool(SessionPool):
         for d in range(n_due):
             if staged_by_d[d] is not None:
                 due_sess[d].finish_collect(boundaries[d])
+        if self._telemetry is not None:
+            lap = self._lap(2, lap)
 
-        # -- Stage 5: fleet stepping tests -----------------------------
+        # -- Stage 4: fleet stepping tests -----------------------------
         resolve_ds = [d for d in range(n_due) if staged_by_d[d] is not None]
         values = self._pooled_stepping([staged_by_d[d] for d in resolve_ds])
+        if self._telemetry is not None:
+            lap = self._lap(3, lap)
 
-        # -- Stage 6: classify, solve strides fleet-wide, credit -------
+        # -- Stage 5: classify, solve strides fleet-wide ---------------
         credited_by_d: List = [None] * n_due
         solve_idx: List = [None] * n_due
         solve_start: List[int] = [0] * n_due
@@ -570,6 +598,10 @@ class BatchedSessionPool(SessionPool):
             if all_items
             else []
         )
+        if self._telemetry is not None:
+            lap = self._lap(4, lap)
+
+        # -- Stage 6: credit -------------------------------------------
         next_active: List[int] = []
         for d in resolve_ds:
             if not alive[d]:
@@ -595,6 +627,8 @@ class BatchedSessionPool(SessionPool):
             out[k][0].extend(steps)
             out[k][1].extend(strides)
             next_active.append(k)
+        if self._telemetry is not None:
+            self._lap(5, lap)
         return next_active
 
     # ------------------------------------------------------------------

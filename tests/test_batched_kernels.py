@@ -9,12 +9,13 @@ Two layers:
   come back ``valid=False``, and a starved iteration budget must
   surface as ``valid=False`` (the callers' scalar-fallback contract)
   rather than a wrong root.
-* **kernel parity** — the fused extrema scan, the row-stacked
-  integrations, the cycle-measurement stage and the bounce solve,
-  each bit-identical to the scalar code it replaces: per-window
-  ``scipy.signal.find_peaks`` + prominences, the scalar mean-removal
-  integrals, the per-cycle projection/gate/offset of
-  ``StreamingPTrack._stage``, and ``solve_bounce``.
+* **kernel parity** — the fused extrema scan, the padded row sums,
+  the row-stacked integrations, the cycle-measurement stage, the
+  stride solve and the bounce solve, each bit-identical to the scalar
+  code it replaces: per-window ``scipy.signal.find_peaks`` +
+  prominences, NumPy's ``sum``, the scalar mean-removal integrals, the
+  per-cycle projection/gate/offset of ``StreamingPTrack._stage``,
+  ``PTrackStrideEstimator.cycle_stride`` and ``solve_bounce``.
 """
 
 import numpy as np
@@ -29,19 +30,32 @@ from repro.core.bounce import (
     solve_bounce,
     solve_bounce_block,
 )
-from repro.core.batched import batched_stage_measurements, integrate_block
+from repro.core.batched import (
+    _row_sums,
+    batched_cycle_solutions,
+    batched_stage_measurements,
+    integrate_block,
+)
 from repro.core.config import PTrackConfig
 from repro.core.offset import cycle_offset
-from repro.core.stride import stride_from_bounce_model, stride_rows_from_bounce
+from repro.core.stride import (
+    PTrackStrideEstimator,
+    stride_from_bounce_model,
+    stride_rows_from_bounce,
+)
 from repro.exceptions import SignalError
+from repro.runtime.buffers import FleetBatchBuffer
+from repro.serving import synthesize_workload
 from repro.signal.batched import _finite_extrema, pack_windows
+from repro.signal.filters import butter_lowpass
 from repro.signal.integration import (
     double_integrate_mean_removal,
     integrate_mean_removal,
 )
 from repro.signal.peaks import peak_prominences
 from repro.signal.projection import anterior_direction, project_horizontal
-from repro.types import UserProfile
+from repro.signal.segmentation import segment_gait_cycles
+from repro.types import GaitType, UserProfile
 
 
 def _walky(n, seed, freq=1.8, noise=0.25):
@@ -227,6 +241,37 @@ def test_extrema_block_parity(extrema):
     assert empty_cand.size == 0 and empty_proms.size == 0
 
 
+def _bits(x):
+    """Bit pattern of a float array or scalar (distinguishes -0.0, NaNs)."""
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def _assert_bitwise(got, want):
+    assert np.shape(got) == np.shape(want)
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def test_row_sums_match_numpy_sum_bitwise():
+    # Every length from 1 to 600: both sides of the 8-lane threshold,
+    # of the 128-sample block and of 256 (two leaves), and the 249-255
+    # band whose right half (129+) splits again.
+    n_max = 600
+    lens = np.arange(1, n_max + 1)
+    padding = np.arange(n_max)[None, :] >= lens[:, None]
+    rng = np.random.default_rng(0)
+    noisy = rng.standard_normal((n_max, n_max)) * rng.uniform(1e-3, 1e3, (n_max, 1))
+    infs = noisy.copy()
+    infs[::3, 5] = np.inf
+    infs[1::3, 0] = -np.inf
+    infs[2::3, -1] = np.inf  # past every row but the longest
+    neg_zero = np.full((n_max, n_max), -0.0)
+    for rows in (noisy, infs, neg_zero):
+        rows[padding] = np.nan  # never read
+        got = _row_sums(rows, lens)
+        want = np.asarray([rows[r, :n].sum() for r, n in enumerate(lens)])
+        _assert_bitwise(got, want)
+
+
 def test_integrate_block_parity():
     rows = np.stack([_walky(80, s) for s in range(6)])
     dt = 0.01
@@ -236,6 +281,14 @@ def test_integrate_block_parity():
         np.testing.assert_array_equal(
             disp[r], double_integrate_mean_removal(rows[r], dt)
         )
+    # Mixed lengths in one call: each row's prefix of the padded
+    # outputs is its own scalar integral.
+    mixed = [_walky(n, n) for n in (2, 7, 80, 129, 300, 80, 16)]
+    vel, disp = integrate_block(mixed, dt)
+    assert vel.shape == disp.shape == (len(mixed), 300)
+    for r, row in enumerate(mixed):
+        _assert_bitwise(vel[r, : row.size], integrate_mean_removal(row, dt))
+        _assert_bitwise(disp[r, : row.size], double_integrate_mean_removal(row, dt))
 
 
 def test_measurement_block_parity():
@@ -261,6 +314,130 @@ def test_measurement_block_parity():
         np.testing.assert_array_equal(g_a, w_a)
         assert (g_ant, g_mot) == (w_ant, w_mot)
         assert g_off == w_off  # bitwise
+
+
+#: Cycle lengths of the realistic round: under 4 (too short for an
+#: offset), under 16 (too short for a walking solve), both sides of 8,
+#: 128 and 256, and past 256 (their own scatter product); the 400-sample
+#: rows pad the stack past one BLAS block.
+_ROUND_LENGTHS = (
+    3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 40, 64, 71, 100, 128, 129, 137,
+    200, 249, 255, 256, 257, 300, 400,
+)
+
+
+def _realistic_round(repeats=12, seed=5):
+    """A few hundred ``(v_seg, h_seg)`` cycles with repeated lengths.
+
+    Real gait cycles — segmented out of filtered simulated walks —
+    resampled to every length of :data:`_ROUND_LENGTHS`, plus still
+    cycles (the motion gate shuts), cycles with no horizontal motion
+    (the direction fit fails) and NaN rows on either axis. Also returns
+    the walks, whose profiles own the cycles.
+    """
+    cfg = PTrackConfig()
+    walks = synthesize_workload(2, 30.0, seed=seed)
+    real = []
+    for walk in walks:
+        filt = butter_lowpass(
+            walk.samples, cfg.lowpass_cutoff_hz, 100.0, cfg.lowpass_order
+        )
+        real += [filt[s.start : s.end] for s in segment_gait_cycles(filt[:, 2], 100.0)]
+    rng = np.random.default_rng(seed)
+    cycles = []
+    for _ in range(repeats):
+        for n in _ROUND_LENGTHS:
+            src = real[rng.integers(len(real))]
+            t = np.linspace(0.0, src.shape[0] - 1.0, n)
+            cyc = np.column_stack(
+                [np.interp(t, np.arange(src.shape[0]), src[:, c]) for c in range(3)]
+            )
+            cycles.append((cyc[:, 2].copy(), cyc[:, :2].copy()))
+    for n in (90, 137, 300):
+        still = 0.01 * rng.standard_normal(n)
+        cycles.append((still, np.column_stack([_walky(n, n), _walky(n, n + 1)])))
+        cycles.append((_walky(n, n + 2), np.zeros((n, 2))))
+        nan_v, nan_h = _walky(n, n + 3), np.column_stack([_walky(n, n), _walky(n, 1)])
+        nan_v[n // 2] = np.nan
+        cycles.append((nan_v, nan_h.copy()))
+        nan_h[n // 3, 1] = np.nan
+        cycles.append((_walky(n, n + 4), nan_h))
+    order = rng.permutation(len(cycles))
+    return [cycles[i] for i in order], walks
+
+
+def test_measurement_realistic_round_matches_scalar_bitwise():
+    cfg = PTrackConfig()
+    cycles, _walks = _realistic_round()
+    got = batched_stage_measurements([v for v, _ in cycles], [h for _, h in cycles], cfg)
+    assert len(got) == len(cycles)
+    outcomes = set()
+    for (v_seg, h_seg), g in zip(cycles, got):
+        try:
+            want = _scalar_stage_measurement(v_seg, h_seg, cfg)
+        except SignalError as exc:
+            assert isinstance(g, SignalError) and str(g) == str(exc)
+            outcomes.add("short")
+            continue
+        g_a, g_ant, g_mot, g_off = g
+        w_a, w_ant, w_mot, w_off = want
+        _assert_bitwise(g_a, w_a)
+        assert (g_ant, g_mot) == (w_ant, w_mot)
+        _assert_bitwise(g_off, w_off)
+        outcomes.add((w_ant, w_mot, w_off > 0.0))
+    # Every branch ran: direction fit failed / succeeded, gate shut /
+    # open, a nonzero offset, and a short moving cycle.
+    assert outcomes >= {
+        "short", (False, True, False), (True, False, False), (True, True, True)
+    }
+
+
+def test_measurement_projections_outlive_the_scratch():
+    # Staged projections live on in session stores and snapshots after
+    # the round: the next round reusing the scratch must not touch them.
+    cfg = PTrackConfig()
+    cycles, _walks = _realistic_round(repeats=1)
+    buffers = FleetBatchBuffer()
+    first = batched_stage_measurements(
+        [v for v, _ in cycles], [h for _, h in cycles], cfg, buffers=buffers
+    )
+    kept = [m[0].copy() for m in first if not isinstance(m, Exception)]
+    batched_stage_measurements(
+        [h[:, 0].copy() for _, h in cycles], [h[:, ::-1].copy() for _, h in cycles],
+        cfg, buffers=buffers,
+    )
+    projections = [m[0] for m in first if not isinstance(m, Exception)]
+    for got, want in zip(projections, kept):
+        _assert_bitwise(got, want)
+    for scratch in buffers._store.values():
+        assert not any(np.shares_memory(a, scratch) for a in projections)
+
+
+def test_stride_solutions_realistic_round_match_scalar_bitwise():
+    cycles, walks = _realistic_round()
+    dt = 0.01
+    items = []
+    for k, (v_seg, h_seg) in enumerate(cycles):
+        try:
+            a_seg = project_horizontal(h_seg, anterior_direction(h_seg))
+        except SignalError:
+            a_seg = None  # staging's direction fit failed
+        gait = GaitType.STEPPING if k % 3 == 0 else GaitType.WALKING
+        items.append((v_seg, h_seg, a_seg, gait, walks[k % 2].profile))
+    got = batched_cycle_solutions(items, dt)
+    solved = {GaitType.STEPPING: 0, GaitType.WALKING: 0}
+    for (v_seg, h_seg, a_seg, gait, profile), g in zip(items, got):
+        want = PTrackStrideEstimator(profile).cycle_stride(
+            v_seg, h_seg, dt, gait, a_seg
+        )
+        if want is None:
+            assert g is None
+            continue
+        _assert_bitwise(g, want)
+        solved[gait] += 1
+    # Enough walking geometries for the vectorized bounce block.
+    assert solved[GaitType.WALKING] > _BLOCK_SCALAR_CUTOFF
+    assert solved[GaitType.STEPPING] > 50
 
 
 def test_bounce_solve_block_parity():

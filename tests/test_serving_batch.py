@@ -301,6 +301,21 @@ def test_batched_pool_ragged_session_lengths():
     _assert_credits_identical(batched, serial)
 
 
+def test_batched_pool_scratch_keys_are_length_free():
+    # The measurement and solve kernels pad every cycle of a round into
+    # one stack: after a ragged run no scratch key names a length.
+    import dataclasses
+
+    workloads = [
+        dataclasses.replace(w, samples=w.samples[: (k + 2) * 300])
+        for k, w in enumerate(synthesize_workload(5, 20.0, seed=22))
+    ]
+    _, pool = _serve_batched(workloads, batch=96)
+    keys = set(pool._buffers._store)
+    assert {"cycle_stack", "cycle_work"} <= keys
+    assert not [key for key in keys if any(ch.isdigit() for ch in key)]
+
+
 def test_batched_pool_session_joins_mid_round():
     workloads = synthesize_workload(3, 14.0, seed=23)
     late = workloads[2]
@@ -441,6 +456,40 @@ def test_batched_pool_telemetry_instruments():
     assert occupancy["sum"] >= occupancy["count"]
     assert snap["gauges"]["serving_pool_sessions"] == 3
     assert snap["histograms"]["serving_pool_round_seconds"]["count"] > 0
+
+
+def test_batched_pool_stage_histograms_count_rounds(monkeypatch):
+    # One observation per stage per fleet round, flush rounds included
+    # (ragged sessions, so flush chunks drain uneven tails); credits do
+    # not depend on whether the clock is read, and with telemetry off
+    # it is not read at all.
+    import dataclasses
+
+    from repro.serving import batch
+    from repro.telemetry.registry import MetricsRegistry
+
+    workloads = [
+        dataclasses.replace(w, samples=w.samples[: (k + 3) * 250])
+        for k, w in enumerate(synthesize_workload(4, 12.0, seed=31))
+    ]
+    reg = MetricsRegistry()
+    timed, _ = _serve_batched(workloads, batch=80, telemetry=reg)
+
+    class _NoClock:
+        @staticmethod
+        def perf_counter():
+            raise AssertionError("clock read with telemetry off")
+
+    monkeypatch.setattr(batch, "time", _NoClock)
+    untimed, _ = _serve_batched(workloads, batch=80)
+    _assert_credits_identical(timed, untimed)
+    hists = reg.snapshot()["histograms"]
+    rounds = hists["serving_batch_round_occupancy"]["count"]
+    assert rounds > 0
+    for name in batch.ROUND_STAGES:
+        stage = hists[f"serving_batch_stage_{name}_seconds"]
+        assert stage["count"] == rounds
+        assert stage["sum"] >= 0.0
 
 
 # ----------------------------------------------------------------------
