@@ -41,7 +41,6 @@ from repro.core.bounce import solve_bounce, solve_bounce_block
 from repro.core.config import PTrackConfig
 from repro.core.stride import stride_rows_from_bounce
 from repro.exceptions import GeometryError, SignalError
-from repro.runtime.buffers import FleetBatchBuffer
 from repro.signal.batched import batched_crossing_indices, multi_window_extrema_pair
 from repro.types import GaitType, UserProfile
 
@@ -74,12 +73,6 @@ _PAIRWISE_BLOCK = 128
 #: where its own ``(n, 2)`` product does not. Up to this width neither
 #: product splits; longer rows (over 2.5 s at 100 Hz) take their own.
 _SCATTER_WIDTH = 256
-
-#: Scratch keys of the padded stacks. Every stack is consumed within
-#: the call that requests it, so the measurement and solve kernels
-#: share the same two buffers.
-_STACK = "cycle_stack"
-_WORK = "cycle_work"
 
 
 def _pairwise(rows: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -135,15 +128,6 @@ def _row_sums(rows: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return 0.0 + _pairwise(rows, lens)
 
 
-def _scratch(
-    buffers: Optional[FleetBatchBuffer], key: str, shape: Tuple[int, ...]
-) -> np.ndarray:
-    """Uninitialised float64 scratch: a pooled view, or a fresh array."""
-    if buffers is None:
-        return np.empty(shape)
-    return buffers.request(key, shape)
-
-
 def _pad_rows(
     arrs: Sequence[np.ndarray], valid: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
@@ -172,9 +156,9 @@ def _rows_cumtrapz(rows: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
 
 
 def _integrate_rows(
-    stack: np.ndarray, lens: np.ndarray, dt: float, velocity: np.ndarray
+    stack: np.ndarray, lens: np.ndarray, dt: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Mean-removal velocity (into ``velocity``) and displacement.
+    """Mean-removal velocity and displacement of a padded stack.
 
     Consumes ``stack``: it is the work buffer of both integrals.
     """
@@ -184,7 +168,7 @@ def _integrate_rows(
         n - 1.0
     )
     stack -= trapezoid_mean[:, None]
-    _rows_cumtrapz(stack, dt, velocity)
+    velocity = _rows_cumtrapz(stack, dt, np.empty_like(stack))
     np.subtract(velocity, (_row_sums(velocity, lens) / n)[:, None], out=stack)
     return velocity, _rows_cumtrapz(stack, dt, np.empty_like(stack))
 
@@ -210,14 +194,13 @@ def integrate_block(
     width = int(lens.max())
     valid = np.arange(width) < lens[:, None]
     stack = _pad_rows(rows, valid, np.empty((lens.size, width)))
-    return _integrate_rows(stack, lens, dt, np.empty_like(stack))
+    return _integrate_rows(stack, lens, dt)
 
 
 def batched_stage_measurements(
     v_segs: Sequence[np.ndarray],
     h_segs: Sequence[np.ndarray],
     config: PTrackConfig,
-    buffers: Optional[FleetBatchBuffer] = None,
 ) -> List[StageMeasurement]:
     """Measure every staged cycle of a serving round in one padded stack.
 
@@ -231,12 +214,10 @@ def batched_stage_measurements(
         v_segs: Per-cycle vertical acceleration segments, any lengths.
         h_segs: Per-cycle horizontal segments, each ``(n, 2)``.
         config: PTrack configuration.
-        buffers: Optional scratch pool for the padded stacks and the
-            packed extrema signals.
 
     Returns:
         One :data:`StageMeasurement` per cycle, input order. Returned
-        projections own their memory, never a view of ``buffers``.
+        projections own their memory.
     """
     count = len(v_segs)
     results: List[StageMeasurement] = [None] * count  # type: ignore[list-item]
@@ -247,15 +228,13 @@ def batched_stage_measurements(
     width = int(lens.max())
     valid = np.arange(width) < lens[:, None]
     n = lens.astype(float)
-    # Two scratch stacks of 2 * count rows serve every pass in turn.
-    stack_h = _pad_rows(
-        h_segs, valid, _scratch(buffers, _STACK, (count, width, 2))
-    )
+    # Every stack is allocated per call: kept in the pool's scratch
+    # across rounds, they read 1-2 MB higher in peak RSS.
+    stack_h = _pad_rows(h_segs, valid, np.empty((count, width, 2)))
 
     # Direction fit (anterior_direction per row). NumPy sums an (n, 2)
     # column sequentially from +0.0: a cumsum read at the last sample.
-    centred = _scratch(buffers, _WORK, (count, width, 2))
-    np.cumsum(stack_h, axis=1, out=centred)
+    centred = np.cumsum(stack_h, axis=1)
     col_means = (0.0 + centred[np.arange(count), lens - 1]) / n[:, None]
     np.subtract(stack_h, col_means[:, None, :], out=centred)
     centred[~valid] = 0.0
@@ -289,15 +268,15 @@ def batched_stage_measurements(
 
     # Vertical rows on top, anterior rows below: both axes' moments
     # come from one pass over one stack.
-    va = _scratch(buffers, _WORK, (2 * count, width))
+    va = np.empty((2 * count, width))
     anterior = va[count:]
     np.matmul(
         stack_h, directions[:, :, None], out=anterior.reshape(count, width, 1)
     )
     anterior[~anterior_ok] = 0.0
     _pad_rows(v_segs, valid, va[:count])
-    # Owned copies: staged segments outlive the round's scratch
-    # (session stores, snapshots).
+    # Owned copies: staged segments outlive the round (session stores,
+    # snapshots) and must neither pin this stack nor see its reuse.
     a_segs = [
         anterior[i, :size].copy() if ok else np.zeros_like(v)
         for i, (size, ok, v) in enumerate(
@@ -310,8 +289,7 @@ def batched_stage_measurements(
     # square, mean, sqrt — every sum in NumPy's pairwise order.
     lens2 = np.concatenate([lens, lens])
     n2 = np.concatenate([n, n])
-    dev = _scratch(buffers, _STACK, (2 * count, width))
-    np.subtract(va, (_row_sums(va, lens2) / n2)[:, None], out=dev)
+    dev = va - (_row_sums(va, lens2) / n2)[:, None]
     sq = va
     np.subtract(dev, (_row_sums(dev, lens2) / n2)[:, None], out=sq)
     np.multiply(sq, sq, out=sq)
@@ -359,15 +337,8 @@ def batched_stage_measurements(
                 dists.append(min_dist)
                 slots.append((i, "a"))
                 a_windows.append(windows[-1])
-        scratch = (
-            buffers.request(
-                "meas_pack", sum(w.size for w in windows) + len(windows)
-            )
-            if buffers is not None and windows
-            else None
-        )
         peaks_per, valleys_per = multi_window_extrema_pair(
-            windows, proms, proms, dists, scratch=scratch
+            windows, proms, proms, dists
         )
         v_turn: dict = {}
         a_turn: dict = {}
@@ -482,7 +453,6 @@ def batched_cycle_solutions(
         Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], GaitType, UserProfile]
     ],
     dt: float,
-    buffers: Optional[FleetBatchBuffer] = None,
 ) -> List[Optional[Tuple[float, float]]]:
     """Per-cycle ``(stride_m, bounce_m)`` solves in one padded stack.
 
@@ -513,7 +483,6 @@ def batched_cycle_solutions(
             re-derivation would fail identically), gait type, and the
             owning session's user profile.
         dt: Shared sample period in seconds.
-        buffers: Optional scratch pool for the padded stack.
 
     Returns:
         Per cycle, ``(stride_m, bounce_m)`` or ``None`` when the
@@ -541,12 +510,10 @@ def batched_cycle_solutions(
     lens = np.asarray([s.size for s in segs], dtype=np.intp)
     width = int(lens.max())
     valid = np.arange(width) < lens[:, None]
-    stack = _pad_rows(segs, valid, _scratch(buffers, _STACK, (lens.size, width)))
+    stack = _pad_rows(segs, valid, np.empty((lens.size, width)))
     # The scalar integrator rejects non-finite segments outright.
     finite = np.isfinite(stack).all(axis=1)
-    vel, disp = _integrate_rows(
-        stack, lens, dt, _scratch(buffers, _WORK, stack.shape)
-    )
+    vel, disp = _integrate_rows(stack, lens, dt)
     # Extremes over each row's prefix: fill the padding with +inf for
     # the minima, then -inf for the maxima (first-extremum ties and
     # NaN propagation stay the scalar reductions').

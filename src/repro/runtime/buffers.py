@@ -1,9 +1,8 @@
 """Grow-on-demand keyed scratch buffers for batched hot paths.
 
 The fleet-batched round repeatedly needs large transient arrays (the
-packed segmentation signal, column-stacked filter blocks, the padded
-cycle stacks of the measurement and solve kernels) whose sizes vary
-round to round. Allocating them
+packed segmentation signal, column-stacked filter blocks) whose sizes
+vary round to round. Allocating them
 fresh each round churns the allocator at exactly the call rate batching
 is meant to amortise; :class:`FleetBatchBuffer` hands out views over
 per-key backing arrays that only ever grow.

@@ -521,9 +521,7 @@ class BatchedSessionPool(SessionPool):
                 flat_v.append(v_seg)
                 flat_h.append(h_seg)
         measurements = (
-            batched_stage_measurements(
-                flat_v, flat_h, cfg, buffers=self._buffers
-            )
+            batched_stage_measurements(flat_v, flat_h, cfg)
             if flat_v
             else []
         )
@@ -594,7 +592,7 @@ class BatchedSessionPool(SessionPool):
             solve_start[d] = len(all_items)
             all_items.extend(items)
         flat_solutions = (
-            batched_cycle_solutions(all_items, 1.0 / rate, buffers=self._buffers)
+            batched_cycle_solutions(all_items, 1.0 / rate)
             if all_items
             else []
         )

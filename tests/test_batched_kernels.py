@@ -44,7 +44,6 @@ from repro.core.stride import (
     stride_rows_from_bounce,
 )
 from repro.exceptions import SignalError
-from repro.runtime.buffers import FleetBatchBuffer
 from repro.serving import synthesize_workload
 from repro.signal.batched import _finite_extrema, pack_windows
 from repro.signal.filters import butter_lowpass
@@ -392,25 +391,17 @@ def test_measurement_realistic_round_matches_scalar_bitwise():
     }
 
 
-def test_measurement_projections_outlive_the_scratch():
+def test_measurement_projections_own_their_memory():
     # Staged projections live on in session stores and snapshots after
-    # the round: the next round reusing the scratch must not touch them.
+    # the round: none may be a view that pins (or sees the reuse of) the
+    # round's stack.
     cfg = PTrackConfig()
     cycles, _walks = _realistic_round(repeats=1)
-    buffers = FleetBatchBuffer()
-    first = batched_stage_measurements(
-        [v for v, _ in cycles], [h for _, h in cycles], cfg, buffers=buffers
+    got = batched_stage_measurements(
+        [v for v, _ in cycles], [h for _, h in cycles], cfg
     )
-    kept = [m[0].copy() for m in first if not isinstance(m, Exception)]
-    batched_stage_measurements(
-        [h[:, 0].copy() for _, h in cycles], [h[:, ::-1].copy() for _, h in cycles],
-        cfg, buffers=buffers,
-    )
-    projections = [m[0] for m in first if not isinstance(m, Exception)]
-    for got, want in zip(projections, kept):
-        _assert_bitwise(got, want)
-    for scratch in buffers._store.values():
-        assert not any(np.shares_memory(a, scratch) for a in projections)
+    projections = [m[0] for m in got if not isinstance(m, Exception)]
+    assert projections and all(a.flags.owndata for a in projections)
 
 
 def test_stride_solutions_realistic_round_match_scalar_bitwise():
