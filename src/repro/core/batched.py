@@ -9,14 +9,17 @@ serving round at once. Cycle length follows cadence, so a round's
 cycles rarely share one: each kernel right-pads every cycle of the call
 into one ``(cycles, width)`` stack (``(cycles, width, 2)`` for the
 horizontal axes), carries the per-row lengths, and runs every pass
-once over the whole stack.
+once over the whole stack. One concatenate of the cycles, each
+followed by a run of zeros, fills a stack (:func:`_stack_rows`).
 
 Each padded expression reproduces the scalar one bit for bit on every
 row's valid prefix:
 
 * sums and means — NumPy reduces a float64 row by pairwise summation;
-  :func:`_row_sums` replays that exact operand order on every
-  row's prefix at once;
+  a :class:`_SumPlan`, built once per call from the row lengths,
+  replays that exact operand order on every row's prefix and serves
+  every sum over stacks of those lengths (the motion gate's three, the
+  integrator's two);
 * the ``(n, 2)`` column means and the trapezoid integrals — sequential
   sums, read off a row-wise ``cumsum`` (exact on any prefix);
 * the 2x2 scatter, the direction norms and the projection — stacked
@@ -24,7 +27,16 @@ row's valid prefix:
   a BLAS sum unchanged while the product stays within one BLAS block,
   see :data:`_SCATTER_WIDTH`);
 * extremum locations and values — reductions over the prefix through
-  ``+-inf`` fills.
+  ``+-inf`` fills;
+* the Eq. (1) critical points — the padded stack *is* the packed
+  signal: with ``+inf`` past each row and one spare column, one
+  :func:`~repro.signal.batched.stack_extrema` scan finds every row's
+  peaks and valleys and :func:`~repro.signal.batched.stack_crossings`
+  its zero crossings, all as flat indices ``row * stride + sample``.
+  Points stay flat from there to the offset: the stride keeps each
+  row's values apart, so one sort merges every row's turning points,
+  one ``searchsorted`` matches them, and the stride cancels in every
+  same-row difference.
 
 The serving equivalence suite asserts credit-for-credit identity with
 the per-cycle reference. The few genuinely serial pieces — the Brent
@@ -41,7 +53,7 @@ from repro.core.bounce import solve_bounce, solve_bounce_block
 from repro.core.config import PTrackConfig
 from repro.core.stride import stride_rows_from_bounce
 from repro.exceptions import GeometryError, SignalError
-from repro.signal.batched import batched_crossing_indices, multi_window_extrema_pair
+from repro.signal.batched import stack_crossings, stack_extrema
 from repro.types import GaitType, UserProfile
 
 __all__ = [
@@ -75,70 +87,167 @@ _PAIRWISE_BLOCK = 128
 _SCATTER_WIDTH = 256
 
 
-def _pairwise(rows: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """NumPy's ``pairwise_sum`` of ``rows[r, :lens[r]]`` for every row.
+def _leaf_tables(
+    offset: np.ndarray, size: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lane mask and tail gather of pairwise-sum leaves.
 
-    A segment of at most 128 elements is a *leaf*: eight lanes
-    accumulate it block by block (lane ``j`` starts at element ``j``),
-    combine as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and the 0-7
-    trailing elements add on sequentially; under 8 elements it is a
-    sequential sum from ``0.0``. A longer segment splits at
-    ``n//2 - (n//2) % 8`` and sums as ``pw(left) + pw(right)``.
-    Masked lanes and tail slots hold ``-0.0``, the exact additive
-    identity, so no partial sum moves and nothing past a segment is
-    read.
+    A leaf of ``size`` elements starting at flat index ``offset`` holds
+    ``size // 8`` full lane blocks and ``size % 8`` tail elements.
+    Masked tail slots point at index 0 (any in-bounds index will do:
+    the mask replaces them).
     """
-    count, width = rows.shape
-    split = lens > _PAIRWISE_BLOCK
-    sizes = np.where(split, 0, lens)
-    blocks = sizes // 8
-    seq = np.zeros((count, 8))
-    n_blocks = int(blocks.max())
-    if n_blocks:
-        cols = np.arange(8 * n_blocks)
-        lanes = np.where(cols < 8 * blocks[:, None], rows[:, : cols.size], -0.0)
-        lanes = lanes.reshape(count, n_blocks, 8)
-        np.cumsum(lanes, axis=1, out=lanes)
-        pairs = lanes[:, -1, 0::2] + lanes[:, -1, 1::2]
-        quads = pairs[:, 0::2] + pairs[:, 1::2]
-        seq[:, 0] = np.where(blocks > 0, quads[:, 0] + quads[:, 1], 0.0)
-    tail = np.arange(7)
-    keep = tail < (sizes % 8)[:, None]
-    at = np.where(keep, 8 * blocks[:, None] + tail, 0)
-    seq[:, 1:] = np.where(keep, rows[np.arange(count)[:, None], at], -0.0)
-    out = np.cumsum(seq, axis=1)[:, -1]
-    if split.any():
-        idx = np.flatnonzero(split)
-        n = lens[idx]
-        half = n // 2
-        left = half - half % 8
-        right = n - left
-        cols = np.minimum(left[:, None] + np.arange(int(right.max())), width - 1)
-        out[idx] = _pairwise(rows[idx], left) + _pairwise(
-            rows[idx[:, None], cols], right
+    blocks = size // 8
+    width = 8 * int(blocks.max()) if size.size else 0
+    lane_mask = np.arange(width) < 8 * blocks[:, None]
+    tail_keep = np.arange(7) < (size % 8)[:, None]
+    tail_idx = np.where(tail_keep, (offset + 8 * blocks)[:, None] + np.arange(7), 0)
+    return lane_mask, tail_idx, tail_keep
+
+
+def _leaf_sums(
+    lanes: np.ndarray,
+    lane_mask: np.ndarray,
+    flat: np.ndarray,
+    tail_idx: np.ndarray,
+    tail_keep: np.ndarray,
+) -> np.ndarray:
+    """NumPy's leaf ``pairwise_sum`` of many leaves at once.
+
+    NumPy sums a leaf in eight lanes, block by block (lane ``j`` starts
+    at element ``j``), combines them as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the 0-7 trailing
+    elements on sequentially; a leaf under 8 elements is all tail.
+    ``lanes`` holds each leaf's first ``lane_mask.shape[1]`` elements,
+    row per leaf. The masked blocks land block-major, so the block axis
+    is the outer one: ``np.add.reduce`` over it is a sequential sum per
+    lane (never a pairwise one), and its inner loop runs over every
+    leaf's eight lanes at once instead of eight elements at a time.
+    The lanes then combine in NumPy's order, and the tail adds on
+    through a sequential ``cumsum``.
+    """
+    count, width = lane_mask.shape
+    shape = (count, width // 8, 8)
+    blocks = np.full((width // 8, count, 8), -0.0)
+    np.copyto(
+        blocks.transpose(1, 0, 2),
+        lanes.reshape(shape),
+        where=lane_mask.reshape(shape),
+    )
+    acc = np.add.reduce(blocks, axis=0)
+    pairs = acc[:, 0::2] + acc[:, 1::2]
+    quads = pairs[:, 0::2] + pairs[:, 1::2]
+    seq = np.empty((count, 8))
+    np.add(quads[:, 0], quads[:, 1], out=seq[:, 0])
+    seq[:, 1:] = np.where(tail_keep, flat[tail_idx], -0.0)
+    return np.cumsum(seq, axis=1)[:, -1]
+
+
+class _SumPlan:
+    """``stack[r, :lens[r]].sum()`` for every row, bit for bit, planned once.
+
+    Built from the row lengths and the row stride of a C-contiguous
+    ``(rows, stride)`` stack, one plan serves every sum over stacks of
+    that shape and those lengths (the motion gate's three, the
+    integrator's two).
+
+    NumPy sums a float64 segment of at most 128 elements as one *leaf*
+    (:func:`_leaf_sums`); a longer segment splits at
+    ``n//2 - (n//2) % 8`` and sums as ``pw(left) + pw(right)``; and
+    ``sum`` reduces from ``+0.0``, so the result is
+    ``0.0 + pairwise_sum``. The plan cuts every row into its leaves
+    once. Each row's first leaf starts at column 0, so all of them read
+    one slice of the stack; only the later leaves of split rows (right
+    halves, and their halves) gather. The splits then combine level by
+    level, deepest first. Masked lanes and tail slots hold ``-0.0``,
+    the exact additive identity, so nothing past a segment is read.
+    """
+
+    def __init__(self, lens: np.ndarray, stride: int) -> None:
+        size = np.asarray(lens, dtype=np.intp)
+        count = size.size
+        self._count = count
+        self._levels: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        # Node ids: row r's whole sum is node r; every split adds two.
+        first_size = size.copy()
+        self._first_node = np.arange(count)
+        later = []
+        # Pending splits (row, start, size, node), level by level.
+        row = np.flatnonzero(size > _PAIRWISE_BLOCK)
+        start = np.zeros(row.size, dtype=np.intp)
+        seg = size[row]
+        node = row
+        n_nodes = count
+        while row.size:
+            half = seg // 2
+            left = half - half % 8
+            k = row.size
+            children = n_nodes + np.arange(2 * k)
+            n_nodes += 2 * k
+            self._levels.append((node, children[:k], children[k:]))
+            row = np.concatenate([row, row])
+            start = np.concatenate([start, start + left])
+            seg = np.concatenate([left, seg - left])
+            node = children
+            leaf = seg <= _PAIRWISE_BLOCK
+            lead = leaf & (start == 0)
+            first_size[row[lead]] = seg[lead]
+            self._first_node[row[lead]] = node[lead]
+            rest = leaf & (start > 0)
+            later.append((row[rest] * stride + start[rest], seg[rest], node[rest]))
+            row, start, seg, node = row[~leaf], start[~leaf], seg[~leaf], node[~leaf]
+        self._n_nodes = n_nodes
+        self._first = _leaf_tables(np.arange(count) * stride, first_size)
+        if later:
+            offset, seg, self._later_node = (np.concatenate(p) for p in zip(*later))
+            self._later = _leaf_tables(offset, seg)
+            self._later_lanes = np.minimum(
+                offset[:, None] + np.arange(self._later[0].shape[1]),
+                count * stride - 1,
+            )
+
+    def __call__(self, stack: np.ndarray) -> np.ndarray:
+        flat = stack.reshape(-1)
+        lane_mask, tail_idx, tail_keep = self._first
+        first = _leaf_sums(
+            stack[:, : lane_mask.shape[1]], lane_mask, flat, tail_idx, tail_keep
         )
-    return out
+        if not self._levels:
+            return 0.0 + first
+        vals = np.empty(self._n_nodes)
+        vals[self._first_node] = first
+        lane_mask, tail_idx, tail_keep = self._later
+        vals[self._later_node] = _leaf_sums(
+            flat[self._later_lanes], lane_mask, flat, tail_idx, tail_keep
+        )
+        for parent, left, right in reversed(self._levels):
+            vals[parent] = vals[left] + vals[right]
+        return 0.0 + vals[: self._count]
 
 
 def _row_sums(rows: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """``rows[r, :lens[r]].sum()`` for every row, bit for bit.
-
-    A float64 ``sum`` reduces from ``+0.0``: ``0.0 + pairwise_sum``.
-    """
-    return 0.0 + _pairwise(rows, lens)
+    """``rows[r, :lens[r]].sum()`` for every row, bit for bit."""
+    return _SumPlan(lens, rows.shape[1])(rows)
 
 
-def _pad_rows(
-    arrs: Sequence[np.ndarray], valid: np.ndarray, out: np.ndarray
+def _stack_rows(
+    arrs: Sequence[np.ndarray], lens: Sequence[int], out: np.ndarray
 ) -> np.ndarray:
-    """Right-pad ``arrs`` into ``out``, zeros past each row's length.
+    """Right-pad ``arrs`` into ``out``, zeros past each length.
 
-    ``valid`` is the ``(rows, width)`` prefix mask and ``out`` is
-    ``(rows, width)`` or ``(rows, width, 2)``; a boolean-mask store
-    fills in row-major order, so the concatenation lands row by row.
+    ``out`` is a C-contiguous ``(rows, width)`` or ``(rows, width, 2)``
+    stack. One concatenate of the rows, each followed by a zero run (a
+    view of one zero block), fills it in row-major order: cheaper at
+    round sizes than two slice stores per row, and several times
+    cheaper than a boolean-mask store over the stack.
     """
-    out[valid] = np.concatenate(arrs)
-    out[~valid] = 0.0
+    width = out.shape[1]
+    zeros = np.zeros((width,) + out.shape[2:])
+    parts = []
+    for arr, n in zip(arrs, lens):
+        parts.append(arr)
+        parts.append(zeros[: width - n])
+    np.concatenate(parts, out=out.reshape((-1,) + out.shape[2:]))
     return out
 
 
@@ -162,14 +271,13 @@ def _integrate_rows(
 
     Consumes ``stack``: it is the work buffer of both integrals.
     """
+    plan = _SumPlan(lens, stack.shape[1])
     n = lens.astype(float)
     last = stack[np.arange(lens.size), lens - 1]
-    trapezoid_mean = (_row_sums(stack, lens) - 0.5 * (stack[:, 0] + last)) / (
-        n - 1.0
-    )
+    trapezoid_mean = (plan(stack) - 0.5 * (stack[:, 0] + last)) / (n - 1.0)
     stack -= trapezoid_mean[:, None]
     velocity = _rows_cumtrapz(stack, dt, np.empty_like(stack))
-    np.subtract(velocity, (_row_sums(velocity, lens) / n)[:, None], out=stack)
+    np.subtract(velocity, (plan(velocity) / n)[:, None], out=stack)
     return velocity, _rows_cumtrapz(stack, dt, np.empty_like(stack))
 
 
@@ -191,10 +299,63 @@ def integrate_block(
     one fused call instead of recomputing it.
     """
     lens = np.asarray([r.size for r in rows], dtype=np.intp)
-    width = int(lens.max())
-    valid = np.arange(width) < lens[:, None]
-    stack = _pad_rows(rows, valid, np.empty((lens.size, width)))
+    stack = _stack_rows(rows, lens.tolist(), np.empty((lens.size, int(lens.max()))))
     return _integrate_rows(stack, lens, dt)
+
+
+def _offsets_from_flat(
+    v_points: np.ndarray,
+    a_points: np.ndarray,
+    eligible: np.ndarray,
+    lens: np.ndarray,
+    stride: int,
+    config: PTrackConfig,
+) -> np.ndarray:
+    """Eq. (1) of every row from sorted flat critical-point indices.
+
+    ``v_points`` and ``a_points`` are row ``r``'s vertical turning
+    points and anterior critical points as ``r * stride + index``. The
+    stride keeps each row's values in a range of its own, so one
+    ``searchsorted`` finds every point's bracketing neighbours within
+    its row, and every difference pairs values of one row: the lift
+    cancels exactly, integer for integer. Per row this is
+    :func:`repro.core.offset.offset_from_points`; rows not
+    ``eligible`` (an axis with no variance), without vertical points
+    or with fewer than two anterior points read 0.0, as there.
+    """
+    offsets = np.zeros(lens.size)
+    a_rows = a_points // stride
+    a_counts = np.bincount(a_rows, minlength=lens.size)
+    v_rows = v_points // stride
+    keep = (eligible & (a_counts >= 2))[v_rows]
+    v = v_points[keep]
+    if v.size == 0:
+        return offsets
+    rows = v_rows[keep]
+    lo = np.zeros(lens.size, dtype=np.intp)
+    np.cumsum(a_counts[:-1], out=lo[1:])
+    lo = lo[rows]
+    hi = lo + a_counts[rows] - 1
+    pos = a_points.searchsorted(v)
+    left = a_points[np.clip(pos - 1, lo, hi)]
+    right = a_points[np.clip(pos, lo, hi)]
+    n = lens[rows].astype(float)
+    mismatch = np.minimum(np.abs(v - left), np.abs(right - v)).astype(float)
+    np.minimum(mismatch, config.max_normalized_offset * n, out=mismatch)
+    # np.diff(vertical_idx, prepend=0.0) per row: a row's first point
+    # differences against the row's own origin.
+    first = np.ones(v.size, dtype=bool)
+    np.not_equal(rows[1:], rows[:-1], out=first[1:])
+    prev = np.empty_like(v)
+    prev[1:] = v[:-1]
+    prev[first] = rows[first] * stride
+    weights = np.minimum((v - prev) / n, config.max_point_weight)
+    terms = weights * mismatch / n
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, v.size))
+    cols = np.minimum(starts[:, None] + np.arange(int(counts.max())), v.size - 1)
+    offsets[rows[starts]] = _row_sums(terms[cols], counts)
+    return offsets
 
 
 def batched_stage_measurements(
@@ -225,19 +386,22 @@ def batched_stage_measurements(
         return results
 
     lens = np.asarray([v.size for v in v_segs], dtype=np.intp)
+    size_list = lens.tolist()
     width = int(lens.max())
-    valid = np.arange(width) < lens[:, None]
     n = lens.astype(float)
     # Every stack is allocated per call: kept in the pool's scratch
     # across rounds, they read 1-2 MB higher in peak RSS.
-    stack_h = _pad_rows(h_segs, valid, np.empty((count, width, 2)))
+    stack_h = _stack_rows(h_segs, size_list, np.empty((count, width, 2)))
 
     # Direction fit (anterior_direction per row). NumPy sums an (n, 2)
-    # column sequentially from +0.0: a cumsum read at the last sample.
+    # column sequentially from +0.0: a cumsum read at the last sample
+    # (twice as fast as a reduce over the padded axis, whose inner
+    # loop is two elements long).
     centred = np.cumsum(stack_h, axis=1)
     col_means = (0.0 + centred[np.arange(count), lens - 1]) / n[:, None]
     np.subtract(stack_h, col_means[:, None, :], out=centred)
-    centred[~valid] = 0.0
+    for row, size in zip(centred, size_list):
+        row[size:] = 0.0
     k = min(width, _SCATTER_WIDTH)
     scatters = np.matmul(centred.transpose(0, 2, 1)[:, :, :k], centred[:, :k])
     for r in np.flatnonzero(lens > _SCATTER_WIDTH):
@@ -274,177 +438,85 @@ def batched_stage_measurements(
         stack_h, directions[:, :, None], out=anterior.reshape(count, width, 1)
     )
     anterior[~anterior_ok] = 0.0
-    _pad_rows(v_segs, valid, va[:count])
+    _stack_rows(v_segs, size_list, va[:count])
     # Owned copies: staged segments outlive the round (session stores,
     # snapshots) and must neither pin this stack nor see its reuse.
     a_segs = [
         anterior[i, :size].copy() if ok else np.zeros_like(v)
         for i, (size, ok, v) in enumerate(
-            zip(lens.tolist(), anterior_ok.tolist(), v_segs)
+            zip(size_list, anterior_ok.tolist(), v_segs)
         )
     ]
 
     # Motion gate and centred axes (np.std(x - x.mean()) per row, and
     # critical_points_for_offset's centring): mean, centre, re-centre,
-    # square, mean, sqrt — every sum in NumPy's pairwise order.
+    # square, mean, sqrt — every sum in NumPy's pairwise order, all
+    # from one plan.
     lens2 = np.concatenate([lens, lens])
     n2 = np.concatenate([n, n])
-    dev = va - (_row_sums(va, lens2) / n2)[:, None]
+    plan = _SumPlan(lens2, width)
+    dev = va - (plan(va) / n2)[:, None]
     sq = va
-    np.subtract(dev, (_row_sums(dev, lens2) / n2)[:, None], out=sq)
+    np.subtract(dev, (plan(dev) / n2)[:, None], out=sq)
     np.multiply(sq, sq, out=sq)
-    stds = np.sqrt(_row_sums(sq, lens2) / n2)
+    stds = np.sqrt(plan(sq) / n2)
     v_std = stds[:count]
     a_std = stds[count:]
     motion_ok = v_std >= config.min_vertical_std
 
     # Offsets for moving cycles only (the scalar path skips the rest).
-    need = [i for i in range(count) if motion_ok[i]]
     offsets = np.zeros(count)
-    short = [i for i in need if v_segs[i].size < 4]
-    for i in short:
+    for i in np.flatnonzero(motion_ok & (lens < 4)).tolist():
         # The scalar path raises out of critical_points_for_offset here;
         # surface the same failure per cycle instead of per round.
         results[i] = SignalError(
-            f"cycle axis must be 1-D with >= 4 samples, got ({v_segs[i].size},)"
+            f"cycle axis must be 1-D with >= 4 samples, got ({size_list[i]},)"
         )
-    need = [i for i in need if v_segs[i].size >= 4]
-    if need:
+    need = np.flatnonzero(motion_ok & (lens >= 4))
+    m = need.size
+    if m:
+        # The centred vertical rows of the moving cycles, then their
+        # centred anterior rows, in one stack with a spare column: row
+        # ``r`` of either half is cycle ``need[r]``, so a flat index
+        # ``r * stride + j`` names the same cycle and sample in both.
+        stride = width + 1
+        need_lens = lens[need]
+        scan = np.empty((2 * m, stride))
+        scan[:, :width] = dev[np.concatenate([need, count + need])]
         relaxed_prom = (
             config.matching_prominence_factor * config.critical_point_prominence
         )
         relaxed_hyst = config.matching_prominence_factor * config.crossing_hysteresis
-        # Per cycle, up to two extrema windows: the centred vertical axis
-        # (full prominence) and the centred anterior axis (relaxed).
-        # A zero-variance axis yields no critical points in the scalar
-        # path, so it is simply not packed.
-        windows: List[np.ndarray] = []
-        proms: List[float] = []
-        dists: List[int] = []
-        slots: List[Tuple[int, str]] = []
-        a_windows: List[np.ndarray] = []
-        for i in need:
-            n = v_segs[i].size
-            min_dist = max(1, n // 16)
-            if v_std[i] > 0.0:
-                windows.append(dev[i, :n])
-                proms.append(config.critical_point_prominence)
-                dists.append(min_dist)
-                slots.append((i, "v"))
-            if a_std[i] > 0.0:
-                windows.append(dev[count + i, :n])
-                proms.append(relaxed_prom)
-                dists.append(min_dist)
-                slots.append((i, "a"))
-                a_windows.append(windows[-1])
-        peaks_per, valleys_per = multi_window_extrema_pair(
-            windows, proms, proms, dists
+        peaks, valleys = stack_extrema(
+            scan,
+            np.concatenate([need_lens, need_lens]),
+            np.repeat([config.critical_point_prominence, relaxed_prom], m),
+            np.tile(np.maximum(1, need_lens // 16), 2),
         )
-        v_turn: dict = {}
-        a_turn: dict = {}
-        # Per-slot ``sort(concat(pk, vl))`` merges, globalised with the
-        # same integer base lift as the Eq. (1) tail below: every
-        # slot's (integer) indices are lifted by a per-slot base with
-        # disjoint ranges, one global sort replaces thousands of tiny
-        # ones, and ``lifted - base`` recovers the exact local indices
-        # — integer arithmetic, so per-slot results are bit-identical.
-        if slots:
-            pk_counts = np.asarray([p.size for p in peaks_per], dtype=np.intp)
-            vl_counts = np.asarray([v.size for v in valleys_per], dtype=np.intp)
-            slot_sizes = pk_counts + vl_counts
-            sstep = 1 + max(v_segs[i].size for i, _axis in slots)
-            sbase = np.arange(len(slots), dtype=np.intp) * sstep
-            lifted = np.concatenate(
-                [
-                    np.concatenate(peaks_per) + np.repeat(sbase, pk_counts),
-                    np.concatenate(valleys_per) + np.repeat(sbase, vl_counts),
-                ]
-            )
-            lifted.sort()
-            np.subtract(
-                lifted, np.repeat(sbase, slot_sizes), out=lifted
-            )
-            slot_starts = np.zeros(len(slots) + 1, dtype=np.intp)
-            np.cumsum(slot_sizes, out=slot_starts[1:])
-            for s, (i, axis) in enumerate(slots):
-                turning = lifted[slot_starts[s] : slot_starts[s + 1]]
-                (v_turn if axis == "v" else a_turn)[i] = turning
-        a_order = [i for (i, axis) in slots if axis == "a"]
-        cross_per = batched_crossing_indices(a_windows, relaxed_hyst)
-        cross_by_i = dict(zip(a_order, cross_per))
-        # Eq. (1) for every eligible cycle in one pass. Each cycle's
-        # (integer) point indices are lifted by a per-cycle base B*c
-        # with B > any cycle length, making the concatenation globally
-        # sorted with disjoint per-cycle ranges: one sort, one
-        # searchsorted and a handful of elementwise ops replace the
-        # per-cycle loop. All lifted values are exact integers in
-        # float64, and every difference pairs same-cycle values, so the
-        # bases cancel exactly — results are bit-identical to the
-        # scalar tail. The final weighted sums replay NumPy's pairwise
-        # order per cycle (:func:`_row_sums`).
-        pre = [
-            i
-            for i in need
-            if i in a_turn and v_turn.get(i) is not None and v_turn[i].size
-        ]
-        if pre:
-            bstep = float(1 + max(v_segs[i].size for i in pre))
-            base = np.arange(len(pre)) * bstep
-            at_arrs = [a_turn[i] for i in pre]
-            cr_arrs = [cross_by_i[i] for i in pre]
-            at_counts = np.asarray([a.size for a in at_arrs], dtype=np.intp)
-            cr_counts = np.asarray([c.size for c in cr_arrs], dtype=np.intp)
-            at_g = np.concatenate(at_arrs) + np.repeat(base, at_counts)
-            cr_g = np.concatenate(cr_arrs) + np.repeat(base, cr_counts)
-            if cr_g.size and at_g.size:
-                # Sorted-membership filter (== per-cycle ~np.isin):
-                # lifted values collide only within their own cycle.
-                posm = np.minimum(at_g.searchsorted(cr_g), at_g.size - 1)
-                cr_g = cr_g[at_g[posm] != cr_g]
-            a_all = np.sort(np.concatenate([at_g, cr_g]))
-            a_starts = a_all.searchsorted(base)
-            a_counts = a_all.searchsorted(base + bstep) - a_starts
-            vt_arrs = [v_turn[i] for i in pre]
-            vt_counts = np.asarray([v.size for v in vt_arrs], dtype=np.intp)
-            v_g = np.concatenate(vt_arrs) + np.repeat(base, vt_counts)
-            cid = np.repeat(np.arange(len(pre)), vt_counts)
-            n_per = np.asarray([float(v_segs[i].size) for i in pre])
-            pos = a_all.searchsorted(v_g)
-            lo_b = a_starts[cid]
-            hi_b = (a_starts + a_counts)[cid] - 1
-            left = a_all[np.minimum(np.maximum(pos - 1, lo_b), hi_b)]
-            right = a_all[np.minimum(pos, hi_b)]
-            mismatch = np.minimum(np.abs(v_g - left), np.abs(right - v_g))
-            np.minimum(
-                mismatch,
-                (config.max_normalized_offset * n_per)[cid],
-                out=mismatch,
-            )
-            # np.diff(vertical_idx, prepend=0.0) per cycle: a global
-            # shifted difference, with each cycle's first element reset
-            # to its (base-free) local value.
-            v_starts = np.zeros(len(pre), dtype=np.intp)
-            np.cumsum(vt_counts[:-1], out=v_starts[1:])
-            dv = np.empty_like(v_g)
-            dv[0] = v_g[0]
-            np.subtract(v_g[1:], v_g[:-1], out=dv[1:])
-            dv[v_starts] = v_g[v_starts] - base
-            n_v = n_per[cid]
-            weights = np.minimum(dv / n_v, config.max_point_weight)
-            wm = weights * mismatch / n_v
-            at = v_starts[:, None] + np.arange(int(vt_counts.max()))
-            sums = _row_sums(wm[np.minimum(at, wm.size - 1)], vt_counts)
-            summed = a_counts >= 2
-            offsets[np.asarray(pre)[summed]] = sums[summed]
+        turning = np.sort(np.concatenate([peaks, valleys]))
+        split = turning.searchsorted(m * stride)
+        vertical_points = turning[:split]
+        anterior_turns = turning[split:] - m * stride
+        # Anterior crossings, minus those on a turning point (sorted
+        # membership, == per-cycle ~np.isin). Crossings are sign-blind,
+        # so the negated rows stack_extrema leaves behind serve as is.
+        crossings = stack_crossings(scan[m:], need_lens, relaxed_hyst)
+        if crossings.size and anterior_turns.size:
+            at = anterior_turns.searchsorted(crossings)
+            np.minimum(at, anterior_turns.size - 1, out=at)
+            crossings = crossings[anterior_turns[at] != crossings]
+        anterior_points = np.sort(np.concatenate([anterior_turns, crossings]))
+        # A zero-variance axis has no critical points in the scalar path.
+        eligible = (v_std[need] > 0.0) & (a_std[need] > 0.0)
+        offsets[need] = _offsets_from_flat(
+            vertical_points, anterior_points, eligible, need_lens, stride, config
+        )
 
-    for i in range(count):
+    for i, measured in enumerate(
+        zip(a_segs, anterior_ok.tolist(), motion_ok.tolist(), offsets.tolist())
+    ):
         if results[i] is None:
-            results[i] = (
-                a_segs[i],
-                bool(anterior_ok[i]),
-                bool(motion_ok[i]),
-                float(offsets[i]),
-            )
+            results[i] = measured
     return results
 
 
@@ -509,19 +581,18 @@ def batched_cycle_solutions(
         return results
     lens = np.asarray([s.size for s in segs], dtype=np.intp)
     width = int(lens.max())
-    valid = np.arange(width) < lens[:, None]
-    stack = _pad_rows(segs, valid, np.empty((lens.size, width)))
+    stack = _stack_rows(segs, lens.tolist(), np.empty((lens.size, width)))
     # The scalar integrator rejects non-finite segments outright.
     finite = np.isfinite(stack).all(axis=1)
     vel, disp = _integrate_rows(stack, lens, dt)
     # Extremes over each row's prefix: fill the padding with +inf for
     # the minima, then -inf for the maxima (first-extremum ties and
     # NaN propagation stay the scalar reductions').
-    padding = ~valid
-    disp[padding] = np.inf
+    padding = np.arange(width) >= lens[:, None]
+    np.copyto(disp, np.inf, where=padding)
     lows = np.argmin(disp[:nw], axis=1)
     step_min = disp[2 * nw :].min(axis=1)
-    disp[padding] = -np.inf
+    np.copyto(disp, -np.inf, where=padding)
     highs = np.argmax(disp[:nw], axis=1)
     step_max = disp[2 * nw :].max(axis=1)
 

@@ -278,11 +278,14 @@ _BRENT_XTOL = 2e-12
 _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
 _BRENT_MAXITER = 100
 
-# Below this many rows the numpy lockstep loop's fixed dispatch cost
+# Up to this many rows the numpy lockstep loop's fixed dispatch cost
 # (~40 array ops per Brent iteration) exceeds N scalar brentq calls;
 # fall back to the scalar solver (the results are bit-identical either
-# way, this is purely a perf knob — measured crossover ≈ 64 rows).
-_BLOCK_SCALAR_CUTOFF = 64
+# way, this is purely a perf knob). Measured on walking geometries from
+# served rounds (2-vCPU Xeon): a block solve costs ~0.6-1.0 ms whatever
+# the row count, a scalar brentq ~29-32 us per row, so the crossover
+# sits at ~32 rows.
+_BLOCK_SCALAR_CUTOFF = 32
 
 
 def _brent_rows(

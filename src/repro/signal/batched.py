@@ -21,9 +21,24 @@ Spacing enforcement and cycle pairing cannot cross separators either:
 they run per window through the exact helpers the scalar detectors use
 (:func:`repro.signal.peaks._enforce_min_distance`,
 :func:`repro.signal.segmentation._pair_cycles`), so every decision is
-shared code, not a re-implementation. The differential tests assert
-window-for-window identity against :func:`repro.signal.peaks.detect_peaks`
-and :func:`repro.signal.segmentation.segment_gait_cycles`.
+shared code, not a re-implementation. One extrema core
+(:func:`_kept_extrema`) returns the kept peaks as flat indices into the
+packed signal; segmentation splits them into per-window lists.
+
+A right-padded ``(rows, stride)`` stack is a packed signal too, with
+window ``r`` starting at ``r * stride``: :func:`stack_extrema` fills
+the padding with ``+inf`` (the stride leaves at least one separator
+column) and :func:`stack_crossings` with ``0.0``. A zero sample sits
+inside the hysteresis band and is never armed, and a flip must pair two
+armed samples of one row, so the hysteresis state machine restarts at
+every row as the scalar :func:`crossing_indices` does. Both return flat
+indices ``r * stride + j``, so callers keep working on the stack's own
+indices.
+
+The differential tests assert window-for-window identity against
+:func:`repro.signal.peaks.detect_peaks`,
+:func:`repro.signal.peaks.detect_valleys`, :func:`crossing_indices` and
+:func:`repro.signal.segmentation.segment_gait_cycles`.
 """
 
 from __future__ import annotations
@@ -42,8 +57,9 @@ __all__ = [
     "multi_window_extrema",
     "multi_window_extrema_pair",
     "batched_segment_windows",
+    "stack_extrema",
     "crossing_indices",
-    "batched_crossing_indices",
+    "stack_crossings",
 ]
 
 Windows = Union[np.ndarray, Sequence[np.ndarray]]
@@ -209,19 +225,26 @@ def _finite_extrema(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return candidates, _peak_prominences(x, candidates)
 
 
-def _extrema_from_packed(
-    concat: np.ndarray,
+def _kept_extrema(
+    signal: np.ndarray,
     starts: np.ndarray,
     lens: np.ndarray,
     min_prominences: Union[float, Sequence[float]],
     min_distances: Union[int, Sequence[int]],
-) -> List[np.ndarray]:
-    """Shared post-packing half of the multi-window extrema scans."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The extrema core: kept peaks of a packed signal, as flat indices.
+
+    ``signal`` holds window ``w`` at ``starts[w]`` for ``lens[w]``
+    samples, each followed by ``+inf`` up to the next window (a
+    :func:`pack_windows` signal, or a padded stack read flat). Per
+    window this is :func:`repro.signal.peaks.detect_peaks` with that
+    window's prominence floor and spacing gate.
+
+    Returns:
+        ``(kept, owners)``: the kept peaks' sorted flat indices and the
+        window each belongs to.
+    """
     n_windows = lens.size
-    empty = np.empty(0, dtype=int)
-    results: List[np.ndarray] = [empty] * n_windows
-    if n_windows == 0:
-        return results
     proms_floor = np.broadcast_to(
         np.asarray(min_prominences, dtype=float), (n_windows,)
     )
@@ -230,50 +253,98 @@ def _extrema_from_packed(
     )
     # One fused scan replaces the local_maxima + prominence pair. It
     # drops non-finite candidates, which here is exactly the interior
-    # filter: the separators are the only non-finite samples in the
-    # packed signal (callers validate window samples finite), and every
-    # separator index is a window's one-past-the-end position.
-    candidates, proms = _finite_extrema(concat)
-    if candidates.size == 0:
-        return results
-    win_ids = np.searchsorted(starts, candidates, side="right") - 1
-    local = candidates - starts[win_ids]
-    keep = proms >= proms_floor[win_ids]
-    win_ids, local, proms = win_ids[keep], local[keep], proms[keep]
-    m = win_ids.size
-    if m == 0:
-        return results
-    # Candidates arrive in ascending packed order, so searchsorted cuts
-    # recover each window's (still sorted) slice without np.split.
-    bounds = np.empty(n_windows + 1, dtype=np.intp)
-    bounds[0] = 0
-    bounds[-1] = m
-    if n_windows > 1:
-        bounds[1:-1] = win_ids.searchsorted(np.arange(1, n_windows))
+    # filter: the +inf fill is the only non-finite data in the signal
+    # (callers validate window samples finite), and every fill run
+    # starts one past a window's end.
+    candidates, proms = _finite_extrema(signal)
+    owners = np.searchsorted(starts, candidates, side="right") - 1
+    keep = proms >= proms_floor[owners]
+    candidates, owners, proms = candidates[keep], owners[keep], proms[keep]
+    if candidates.size < 2:
+        return candidates, owners
     # Spacing fast path: when a window's surviving candidates are
     # already >= min_distance apart, the greedy enforcement cannot
-    # reject anything — accept the slice wholesale and run the scalar
-    # greedy loop only for the (rare) crowded windows.
-    if m > 1:
-        tight = (win_ids[1:] == win_ids[:-1]) & (
-            local[1:] - local[:-1] < distances[win_ids[1:]]
+    # reject anything — keep them wholesale and run the scalar greedy
+    # loop only for the (rare) crowded windows.
+    tight = (owners[1:] == owners[:-1]) & (
+        np.diff(candidates) < distances[owners[1:]]
+    )
+    if not tight.any():
+        return candidates, owners
+    keep = np.ones(candidates.size, dtype=bool)
+    for w in np.unique(owners[1:][tight]).tolist():
+        lo, hi = owners.searchsorted([w, w + 1])
+        local = candidates[lo:hi] - starts[w]
+        kept = _enforce_min_distance(
+            local, proms[lo:hi], int(distances[w]), int(lens[w])
         )
-        crowded = set(win_ids[1:][tight].tolist())
-    else:
-        crowded = set()
-    bl = bounds.tolist()
-    for w in range(n_windows):
-        lo, hi = bl[w], bl[w + 1]
-        if lo == hi:
-            continue
-        cand = local[lo:hi]
-        if hi - lo == 1 or w not in crowded or int(distances[w]) == 1:
-            results[w] = cand
-            continue
-        results[w] = _enforce_min_distance(
-            cand, proms[lo:hi], int(distances[w]), int(lens[w])
-        )
+        keep[lo:hi] = np.isin(local, kept)
+    return candidates[keep], owners[keep]
+
+
+def _extrema_from_packed(
+    concat: np.ndarray,
+    starts: np.ndarray,
+    lens: np.ndarray,
+    min_prominences: Union[float, Sequence[float]],
+    min_distances: Union[int, Sequence[int]],
+) -> List[np.ndarray]:
+    """:func:`_kept_extrema`, split into window-local index lists."""
+    n_windows = lens.size
+    results: List[np.ndarray] = [np.empty(0, dtype=int)] * n_windows
+    if n_windows == 0:
+        return results
+    kept, owners = _kept_extrema(
+        concat, starts, lens, min_prominences, min_distances
+    )
+    local = kept - starts[owners]
+    # Kept peaks arrive in ascending packed order, so searchsorted cuts
+    # recover each window's (still sorted) slice without np.split.
+    bounds = owners.searchsorted(np.arange(n_windows + 1)).tolist()
+    for w in np.unique(owners).tolist():
+        results[w] = local[bounds[w] : bounds[w + 1]]
     return results
+
+
+def _stack_padding(stack: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Mask of the columns past each row's length in a padded stack."""
+    return np.arange(stack.shape[1]) >= np.asarray(lens)[:, None]
+
+
+def stack_extrema(
+    stack: np.ndarray,
+    lens: np.ndarray,
+    min_prominences: Union[float, Sequence[float]],
+    min_distances: Union[int, Sequence[int]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Peaks *and* valleys of every row of a padded stack, as flat indices.
+
+    Row ``r`` of the C-contiguous ``(rows, stride)`` float64 ``stack``
+    holds a finite window in ``stack[r, :lens[r]]``, with
+    ``stride > max(lens)``; what follows is ignored. Per row this is
+    ``detect_peaks(row, p, d)`` and ``detect_valleys(row, p, d)`` with
+    that row's prominence floor ``p`` and spacing gate ``d``, every
+    index lifted by ``r * stride`` — the stack *is* the packed signal:
+    filled with ``+inf`` past each row's end, it carries the separator
+    semantics of :func:`pack_windows` (the spare column separates the
+    longest rows), and ``flat // stride`` names a point's row.
+
+    The stack is consumed: on return it holds the negated rows with
+    ``+inf`` padding (the valley pass negates it in place; float64
+    negation is exact).
+
+    Returns:
+        ``(peaks, valleys)``: sorted flat index arrays.
+    """
+    rows, stride = stack.shape
+    padding = _stack_padding(stack, lens)
+    np.copyto(stack, np.inf, where=padding)
+    flat = stack.reshape(-1)
+    starts = np.arange(rows) * stride
+    peaks, _ = _kept_extrema(flat, starts, lens, min_prominences, min_distances)
+    np.negative(stack, out=stack, where=~padding)
+    valleys, _ = _kept_extrema(flat, starts, lens, min_prominences, min_distances)
+    return peaks, valleys
 
 
 def batched_segment_windows(
@@ -378,50 +449,32 @@ def crossing_indices(x: np.ndarray, hysteresis: float) -> np.ndarray:
     return armed[flips]
 
 
-def batched_crossing_indices(
-    windows: Sequence[np.ndarray],
-    hysteresis: float,
-    scratch: Optional[np.ndarray] = None,
-) -> List[np.ndarray]:
-    """Per-window :func:`crossing_indices` in one packed state machine.
+def stack_crossings(
+    stack: np.ndarray, lens: np.ndarray, hysteresis: float
+) -> np.ndarray:
+    """Per-row :func:`crossing_indices` of a padded stack, as flat indices.
 
-    Windows are packed with ``0.0`` separators — a zero sample sits
-    inside the hysteresis band, is never armed, and therefore cannot
-    form a flip pair — and flips are additionally required to pair two
-    armed samples of the *same* window, so the first armed sample of a
-    window never reports the last armed sample of the previous window
-    as a crossing. Per window the armed subsequence and its flips are
-    exactly the scalar machine's.
+    Same layout as :func:`stack_extrema` (row ``r``'s window is
+    ``stack[r, :lens[r]]``, a crossing at ``j`` reads
+    ``r * stride + j``), with ``hysteresis >= 0``. The padding is
+    zeroed in place — a zero sample sits inside the hysteresis band,
+    is never armed, and so cannot form a flip pair — and flips must
+    pair two armed samples of the *same* row, so a row's first armed
+    sample never reports the previous row's last one. Per row the
+    armed subsequence and its flips are exactly the scalar machine's.
+    Crossings are sign-blind: a negated stack gives the same indices.
+
+    Returns:
+        Sorted flat indices of every row's crossings.
     """
-    n_windows = len(windows)
-    empty = np.empty(0, dtype=np.intp)
-    results: List[np.ndarray] = [empty] * n_windows
-    if n_windows == 0:
-        return results
-    concat, starts, _lens = pack_windows(windows, out=scratch, fill=0.0)
-    signs = np.zeros(concat.size, dtype=np.int8)
-    signs[concat > hysteresis] = 1
-    signs[concat < -hysteresis] = -1
-    armed = np.flatnonzero(signs)
+    stride = stack.shape[1]
+    np.copyto(stack, 0.0, where=_stack_padding(stack, lens))
+    flat = stack.reshape(-1)
+    below = flat < -hysteresis
+    armed = np.flatnonzero((flat > hysteresis) | below)
     if armed.size < 2:
-        return results
-    owners = starts.searchsorted(armed, side="right") - 1
-    armed_signs = signs[armed]
-    flips = (armed_signs[1:] != armed_signs[:-1]) & (
-        owners[1:] == owners[:-1]
-    )
-    hits = armed[1:][flips]
-    if hits.size == 0:
-        return results
-    win_ids = owners[1:][flips]
-    local = hits - starts[win_ids]
-    bounds = np.empty(n_windows + 1, dtype=np.intp)
-    bounds[0] = 0
-    bounds[-1] = hits.size
-    if n_windows > 1:
-        bounds[1:-1] = win_ids.searchsorted(np.arange(1, n_windows))
-    for w in range(n_windows):
-        lo, hi = int(bounds[w]), int(bounds[w + 1])
-        if lo != hi:
-            results[w] = local[lo:hi]
-    return results
+        return np.empty(0, dtype=np.intp)
+    armed_below = below[armed]
+    rows = armed // stride
+    flips = (armed_below[1:] != armed_below[:-1]) & (rows[1:] == rows[:-1])
+    return armed[1:][flips]

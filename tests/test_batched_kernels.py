@@ -31,6 +31,7 @@ from repro.core.bounce import (
     solve_bounce_block,
 )
 from repro.core.batched import (
+    _SumPlan,
     _row_sums,
     batched_cycle_solutions,
     batched_stage_measurements,
@@ -251,11 +252,14 @@ def _assert_bitwise(got, want):
 
 
 def test_row_sums_match_numpy_sum_bitwise():
-    # Every length from 1 to 600: both sides of the 8-lane threshold,
-    # of the 128-sample block and of 256 (two leaves), and the 249-255
-    # band whose right half (129+) splits again.
+    # Every length from 1 to 600, through one sum plan: both sides of
+    # the 8-lane threshold, of the 128-sample block and of 256 (two
+    # leaves), the 249-255 band whose right half (129+) splits again,
+    # and rows over 512 whose halves split twice more.
     n_max = 600
     lens = np.arange(1, n_max + 1)
+    assert set(range(249, 256)) <= set(lens.tolist())
+    assert (lens > 512).sum() == n_max - 512
     padding = np.arange(n_max)[None, :] >= lens[:, None]
     rng = np.random.default_rng(0)
     noisy = rng.standard_normal((n_max, n_max)) * rng.uniform(1e-3, 1e3, (n_max, 1))
@@ -269,6 +273,31 @@ def test_row_sums_match_numpy_sum_bitwise():
         got = _row_sums(rows, lens)
         want = np.asarray([rows[r, :n].sum() for r, n in enumerate(lens)])
         _assert_bitwise(got, want)
+    # A plan of one row (the Eq. (1) sums of a lone cycle) reduces in
+    # the same order.
+    for n in (1, 7, 8, 100, 128, 129, 249, 255, 256, 300, 513, 600):
+        _assert_bitwise(
+            _row_sums(noisy[n - 1 : n], lens[n - 1 : n]), [noisy[n - 1, :n].sum()]
+        )
+
+
+def test_sum_plan_serves_every_stack_of_its_lengths():
+    # The motion gate plans once and sums three stacks of the same
+    # lengths (the axes, the centred axes, their squares); a plan must
+    # read each stack afresh, whatever its padding holds.
+    lens = np.asarray([3, 71, 128, 129, 138, 200, 252, 300, 520, 8, 16, 71])
+    width = int(lens.max())
+    plan = _SumPlan(lens, width)
+    rng = np.random.default_rng(4)
+    padding = np.arange(width)[None, :] >= lens[:, None]
+    first = rng.standard_normal((lens.size, width))
+    centred = first - first.mean(axis=1, keepdims=True)
+    squares = centred * centred
+    for stack, fill in ((first, np.nan), (centred, np.inf), (squares, -1e300)):
+        stack[padding] = fill
+        want = np.asarray([stack[r, :n].sum() for r, n in enumerate(lens)])
+        _assert_bitwise(plan(stack), want)
+        _assert_bitwise(plan(stack), want)  # a plan is reusable
 
 
 def test_integrate_block_parity():

@@ -7,22 +7,50 @@ import sys
 
 import pytest
 
+from repro.benchsuites import SUITE_CHOICES
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
-def check_results(tmp_path_factory):
-    """One --check run shared by every assertion in this module."""
-    out = tmp_path_factory.mktemp("bench") / "bench.json"
-    proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "scripts" / "bench.py"), "--check",
-         "--output", str(out)],
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    return json.loads(out.read_text())
+def check_suite(tmp_path_factory):
+    """``--suite <name> --check``, one run per suite shared by the module.
+
+    Each suite gets its own run, so a suite whose gate fails fails only
+    the assertions that read it, not every test in this file.
+    """
+    runs = {}
+
+    def run(suite):
+        if suite not in runs:
+            out = tmp_path_factory.mktemp("bench") / f"{suite}.json"
+            proc = subprocess.run(
+                [sys.executable, str(REPO_ROOT / "scripts" / "bench.py"),
+                 "--suite", suite, "--check", "--output", str(out)],
+                capture_output=True,
+                text=True,
+                timeout=600,
+            )
+            runs[suite] = (proc, out)
+        proc, out = runs[suite]
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        return json.loads(out.read_text())
+
+    return run
+
+
+@pytest.fixture(scope="module")
+def check_results(check_suite):
+    """The runtime suite's sections (top-level in its scoreboard)."""
+    return check_suite("runtime")
+
+
+@pytest.mark.parametrize(
+    "suite", [name for name in SUITE_CHOICES if name != "all"]
+)
+def test_every_suite_check_passes(check_suite, suite):
+    # Every suite `--suite all --check` covers passes its own gates.
+    assert check_suite(suite)["schema"] == "ptrack-bench-v2"
 
 
 def test_check_mode_reports_all_sections(check_results):
@@ -75,8 +103,8 @@ def test_revision_and_schema_stamped(check_results):
     assert rev == "unknown" or len(rev.split("-")[0]) == 40
 
 
-def test_serving_sections_complete(check_results):
-    serving = check_results["serving"]
+def test_serving_sections_complete(check_suite):
+    serving = check_suite("serving")["serving"]
     assert set(serving) == {
         "single_session",
         "amortized_append",
@@ -92,8 +120,8 @@ def test_serving_sections_complete(check_results):
     assert all(r["samples_per_s"] > 0 for r in fleet["scaling"])
 
 
-def test_telemetry_sections_complete(check_results):
-    telemetry = check_results["telemetry"]
+def test_telemetry_sections_complete(check_suite):
+    telemetry = check_suite("telemetry")["telemetry"]
     assert set(telemetry) == {"instrumented_overhead", "fleet_merge"}
     overhead = telemetry["instrumented_overhead"]
     assert overhead["identical_credits"] is True
@@ -138,8 +166,8 @@ def test_pr3_scoreboard_meets_acceptance():
     assert fleet["identity_serial_pooled_sharded"] is True
 
 
-def test_fleet_batch_sections_complete(check_results):
-    fleet_batch = check_results["fleet_batch"]
+def test_fleet_batch_sections_complete(check_suite):
+    fleet_batch = check_suite("fleet-batch")["fleet_batch"]
     assert set(fleet_batch) == {
         "check_mode",
         "identity",
@@ -172,8 +200,8 @@ def test_pr6_scoreboard_meets_acceptance():
     assert statuses["numpy"] == "bit_identical"
 
 
-def test_ragged_ingest_sections_complete(check_results):
-    ragged = check_results["ragged_ingest"]
+def test_ragged_ingest_sections_complete(check_suite):
+    ragged = check_suite("ragged-ingest")["ragged_ingest"]
     assert set(ragged) == {
         "check_mode",
         "identity",
@@ -215,8 +243,8 @@ def test_pr7_scoreboard_meets_acceptance():
     assert shed["deterministic"] is True
 
 
-def test_fleet_kernels_sections_complete(check_results):
-    kernels = check_results["fleet_kernels"]
+def test_fleet_kernels_sections_complete(check_suite):
+    kernels = check_suite("fleet-kernels")["fleet_kernels"]
     assert set(kernels) == {
         "check_mode",
         "identity",

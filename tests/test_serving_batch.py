@@ -33,11 +33,12 @@ from repro.serving import (
     synthesize_workload,
 )
 from repro.signal.batched import (
-    batched_crossing_indices,
     batched_segment_windows,
     crossing_indices,
     multi_window_extrema,
     pack_windows,
+    stack_crossings,
+    stack_extrema,
 )
 from repro.signal.peaks import detect_peaks, detect_valleys
 from repro.signal.projection import anterior_direction, project_horizontal
@@ -94,11 +95,84 @@ def test_multi_window_extrema_per_window_params():
 @settings(max_examples=40, deadline=None)
 @given(ragged_windows, st.floats(0.01, 0.8))
 def test_batched_crossing_indices_matches_scalar(specs, hyst):
+    # The stack form: windows right-padded into one stack whose padding
+    # holds armed garbage of both signs, crossings as r * stride + j.
     windows = [_walky(n, seed, noise=0.4) for n, seed in specs]
-    got = batched_crossing_indices(windows, hyst)
-    assert len(got) == len(windows)
-    for w, g in zip(windows, got):
-        np.testing.assert_array_equal(g, crossing_indices(w, hyst))
+    lens = np.asarray([w.size for w in windows])
+    stride = int(lens.max()) + 1
+    stack = 5.0 * np.random.default_rng(len(windows)).choice(
+        [-1.0, 1.0], (len(windows), stride)
+    )
+    for row, w in zip(stack, windows):
+        row[: w.size] = w
+    got = stack_crossings(stack, lens, hyst)
+    np.testing.assert_array_equal(got, np.sort(got))
+    for r, w in enumerate(windows):
+        np.testing.assert_array_equal(
+            got[got // stride == r] - r * stride, crossing_indices(w, hyst)
+        )
+
+
+def _rows_of(flat, stride, count):
+    """Split sorted flat stack indices into per-row local index arrays."""
+    return [flat[flat // stride == r] - r * stride for r in range(count)]
+
+
+def test_stack_extrema_and_crossings_match_scalar_row_by_row(monkeypatch):
+    # Windows right-padded into one stack whose padding holds garbage
+    # (NaN, and values far above and below every window): per row,
+    # the flat-index kernels must be the scalar detectors exactly.
+    import repro.signal.batched as signal_batched
+
+    greedy = []
+    enforce = signal_batched._enforce_min_distance
+    monkeypatch.setattr(
+        signal_batched,
+        "_enforce_min_distance",
+        lambda *args: greedy.append(args) or enforce(*args),
+    )
+    rng = np.random.default_rng(12)
+    windows = [_walky(int(n), int(n), noise=0.6) for n in rng.integers(4, 301, 40)]
+    windows += [_walky(4, 1), _walky(300, 2)]
+    windows += [np.zeros(50), np.full(37, 2.5)]  # constant rows
+    # Plateaus touching a row's start and end: never extrema.
+    windows += [
+        np.asarray([0.0, 1.0, 3.0, 3.0, 3.0]),
+        np.asarray([3.0, 3.0, 1.0, 0.0, 2.0, 2.0]),
+        np.asarray([-1.0, -1.0, 0.5, -2.0, -2.0, -2.0]),
+    ]
+    # Crowded rows: candidates every ~2 samples against wide spacing.
+    windows += [np.sin(2.9 * np.arange(n)) + 0.3 * _walky(n, n) for n in (90, 211)]
+    count = len(windows)
+    proms = rng.uniform(0.05, 0.8, count)
+    dists = rng.integers(1, 12, count)
+    dists[-2:] = 9
+    lens = np.asarray([w.size for w in windows])
+    stride = int(lens.max()) + 1
+    stack = rng.choice([np.nan, -1e6, 1e6], (count, stride))
+    for row, w in zip(stack, windows):
+        row[: w.size] = w
+    fresh = stack.copy()
+    peaks, valleys = stack_extrema(stack, lens, proms, dists)
+    assert {args[2] for args in greedy} >= {9}  # crowded rows ran the greedy
+    np.testing.assert_array_equal(peaks, np.sort(peaks))
+    np.testing.assert_array_equal(valleys, np.sort(valleys))
+    for r, (w, pk, vl) in enumerate(
+        zip(windows, _rows_of(peaks, stride, count), _rows_of(valleys, stride, count))
+    ):
+        np.testing.assert_array_equal(
+            pk, detect_peaks(w, min_prominence=proms[r], min_distance=dists[r])
+        )
+        np.testing.assert_array_equal(
+            vl, detect_valleys(w, min_prominence=proms[r], min_distance=dists[r])
+        )
+    # Crossings are sign-blind: the stack stack_extrema leaves behind
+    # (negated rows, +inf padding) gives the same rows as a fresh one.
+    for hyst in (0.0, 0.2, 0.7):
+        for source in (fresh.copy(), stack.copy()):
+            got = _rows_of(stack_crossings(source, lens, hyst), stride, count)
+            for w, g in zip(windows, got):
+                np.testing.assert_array_equal(g, crossing_indices(w, hyst))
 
 
 @settings(max_examples=25, deadline=None)
