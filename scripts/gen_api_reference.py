@@ -1,12 +1,18 @@
 """Regenerate docs/API.md from the live package.
 
-Usage:  python scripts/gen_api_reference.py
+Usage:  python scripts/gen_api_reference.py [--check]
+
+``--check`` writes nothing: it exits 1 when docs/API.md differs from
+what the live package renders, so a public name that moves without a
+regenerated reference fails the tier-1 suite.
 """
 
+import argparse
 import importlib
 import inspect
 import io
 import pathlib
+import sys
 
 MODULES = [
     "repro",
@@ -35,7 +41,11 @@ MODULES = [
 ]
 
 
-def main() -> None:
+TARGET = pathlib.Path(__file__).resolve().parents[1] / "docs" / "API.md"
+
+
+def render() -> str:
+    """The API reference of the live package, as Markdown."""
     out = io.StringIO()
     out.write("# API REFERENCE\n\n")
     out.write(
@@ -74,11 +84,31 @@ def main() -> None:
                 summary = docstring.strip().splitlines()[0]
             summary = summary.replace("|", "\\|")
             out.write(f"| `{name}` | {kind} | {summary} |\n")
+    return out.getvalue()
 
-    target = pathlib.Path(__file__).resolve().parents[1] / "docs" / "API.md"
-    target.write_text(out.getvalue())
-    print(f"wrote {target}")
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="exit 1 if docs/API.md is stale instead of writing it",
+    )
+    args = parser.parse_args(argv)
+    text = render()
+    if args.check:
+        if TARGET.read_text() != text:
+            print(
+                f"{TARGET} is stale; regenerate it with "
+                "`python scripts/gen_api_reference.py`"
+            )
+            return 1
+        print(f"{TARGET} is up to date")
+        return 0
+    TARGET.write_text(text)
+    print(f"wrote {TARGET}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

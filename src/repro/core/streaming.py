@@ -56,7 +56,7 @@ from repro.faults.policy import FaultPolicy
 from repro.sensing.imu import IMUTrace
 from repro.signal.filters import butter_lowpass
 from repro.signal.projection import anterior_direction, project_horizontal
-from repro.signal.segmentation import segment_gait_cycles
+from repro.signal.batched import WindowCycles, batched_segment_windows
 from repro.telemetry.registry import MetricsRegistry, get_registry
 from repro.types import CycleObservation, GaitType, StepEvent, StrideEstimate, UserProfile
 
@@ -65,6 +65,7 @@ __all__ = [
     "ensure_snapshot_kind",
     "StreamingOpStats",
     "StagedCycle",
+    "admit_cycles",
     "StreamingPTrack",
     "ReprocessingStreamingPTrack",
 ]
@@ -202,6 +203,53 @@ class StagedCycle:
     h_seg: np.ndarray
     needs_stepping: bool
     anterior_ok: bool = True
+
+
+def admit_cycles(
+    cycles: WindowCycles,
+    origins: Sequence[int],
+    settled_ends: Sequence[int],
+    last_peaks: Sequence[int],
+) -> List[List[Tuple[int, int, Tuple[int, ...]]]]:
+    """The admission rule of a pass, for every window of a round at once.
+
+    Window ``w`` of ``cycles`` is a session's retained buffer from
+    absolute index ``origins[w]``; ``settled_ends[w]`` and
+    ``last_peaks[w]`` come from the same :meth:`StreamingPTrack.begin_pass`.
+    A cycle is admitted when it has settled (``end <= settled_end``)
+    and its second peak is past the consumed-peak watermark; its first
+    peak counts only when it is past the watermark too. A cycle whose
+    peaks were all consumed in an earlier pass re-appears every pass
+    until the buffer trims it; a re-pairing after a trim may also
+    splice an old peak with a fresh one (hybrid cycle) — only the fresh
+    peaks count. Pairs are disjoint and increasing, so raising the
+    watermark after each admitted cycle changes no later decision and
+    one mask decides the round.
+
+    Returns:
+        Per window, its admitted cycles ``(abs_start, abs_end,
+        new_peaks)`` in time order, for
+        :meth:`StreamingPTrack.commit_cycles`.
+    """
+    owners = cycles.owners
+    lift = (np.asarray(origins) - cycles.window_starts)[owners]
+    watermark = np.asarray(last_peaks)[owners]
+    ends = cycles.ends + lift
+    p2 = cycles.p2 + lift
+    ok = (ends <= np.asarray(settled_ends)[owners]) & (p2 > watermark)
+    p1 = cycles.p1[ok] + lift[ok]
+    spans = [
+        (start, end, (first, second) if fresh else (second,))
+        for start, end, first, second, fresh in zip(
+            (cycles.starts[ok] + lift[ok]).tolist(),
+            ends[ok].tolist(),
+            p1.tolist(),
+            p2[ok].tolist(),
+            (p1 > watermark[ok]).tolist(),
+        )
+    ]
+    bounds = owners[ok].searchsorted(np.arange(len(origins) + 1)).tolist()
+    return [spans[bounds[w] : bounds[w + 1]] for w in range(len(origins))]
 
 
 class StreamingPTrack:
@@ -996,13 +1044,15 @@ class StreamingPTrack:
 
     def begin_pass(
         self, boundary: int, settle_margin: Optional[int] = None
-    ) -> Optional[Tuple[np.ndarray, int]]:
+    ) -> Optional[Tuple[np.ndarray, int, int, int]]:
         """Open a pass at ``boundary``: finalise filtering, expose the
         segmentation window.
 
-        Returns ``(vertical_window, settled_end)`` — the filtered
-        vertical-axis view the segmenter scans and the absolute index
-        before which cycles are settled — or ``None`` when the retained
+        Returns ``(vertical_window, origin, settled_end, last_peak)`` —
+        the filtered vertical-axis view the segmenter scans, the
+        absolute index of its first sample, the absolute index before
+        which cycles are settled and the consumed-peak watermark, the
+        inputs of :func:`admit_cycles` — or ``None`` when the retained
         window is too small to segment (the pass still counts; callers
         proceed straight to an empty resolve so the boundary's trim
         runs).
@@ -1015,52 +1065,36 @@ class StreamingPTrack:
         if window < 8 or settled_end <= self._buf_start:
             return None
         self._stats.segmentation_samples += window
-        return self._filt[:window, 2], settled_end
+        return (
+            self._filt[:window, 2], self._buf_start, settled_end,
+            self._last_peak,
+        )
 
-    def admit_cycles(
-        self,
-        settled_end: int,
-        segments: Sequence,
-    ) -> List[Tuple[int, int, Tuple[int, ...]]]:
-        """Filter segmented cycles to the newly settled, unconsumed ones.
+    def commit_cycles(
+        self, spans: Sequence[Tuple[int, int, Tuple[int, ...]]]
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Consume this pass's admitted cycles; copy their segments.
 
         Args:
-            settled_end: From :meth:`begin_pass`.
-            segments: Window-relative cycles from the segmenter.
+            spans: The session's :func:`admit_cycles` entry: per
+                admitted cycle ``(abs_start, abs_end, new_peaks)``, in
+                time order.
 
         Returns:
-            Per admitted cycle ``(abs_start, abs_end, new_peaks)``,
-            with peaks absolute and already recorded against the
-            consumed-peak watermark.
+            Per cycle, ``(v_seg, h_seg)`` copied out of the buffer. The
+            consumed-peak watermark moves to the last cycle's peak.
         """
-        admitted: List[Tuple[int, int, Tuple[int, ...]]] = []
-        for seg in segments:
-            abs_start = self._buf_start + seg.start
-            abs_end = self._buf_start + seg.end
-            if abs_end > settled_end:
-                continue
-            # A cycle whose peaks were all consumed in an earlier pass
-            # re-appears every pass until the buffer trims it; a
-            # re-pairing after a trim may also splice an old peak with
-            # a fresh one (hybrid cycle) — only the fresh peaks count.
-            new_peaks = tuple(
-                self._buf_start + int(p)
-                for p in seg.peak_indices
-                if self._buf_start + int(p) > self._last_peak
+        if spans:
+            self._last_peak = spans[-1][2][-1]
+        base = self._buf_start
+        filt = self._filt
+        return [
+            (
+                filt[start - base : end - base, 2].copy(),
+                filt[start - base : end - base, :2].copy(),
             )
-            if not new_peaks:
-                continue
-            self._last_peak = max(self._last_peak, new_peaks[-1])
-            admitted.append((abs_start, abs_end, new_peaks))
-        return admitted
-
-    def cycle_segments(
-        self, abs_start: int, abs_end: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Copy one admitted cycle's ``(v_seg, h_seg)`` out of the buffer."""
-        lo = abs_start - self._buf_start
-        hi = abs_end - self._buf_start
-        return self._filt[lo:hi, 2].copy(), self._filt[lo:hi, :2].copy()
+            for start, end, _peaks in spans
+        ]
 
     def make_staged(
         self,
@@ -1529,24 +1563,28 @@ class StreamingPTrack:
         parity match the batch pipeline. Already-consumed cycles are
         skipped through the ``_last_peak`` watermark; only cycles whose
         end has settled — i.e. no future sample can move their
-        boundaries — are staged, exactly once.
+        boundaries — are staged, exactly once. This is a fleet round of
+        one window: the same segmenter and admission rule.
         """
         opened = self.begin_pass(boundary, settle_margin)
         if opened is None:
             return []
-        vertical, settled_end = opened
+        vertical, origin, settled_end, last_peak = opened
         cfg = self._config
-        cycles = segment_gait_cycles(
-            vertical,
+        cycles = batched_segment_windows(
+            [vertical],
             self._rate,
             min_step_rate_hz=cfg.min_step_rate_hz,
             max_step_rate_hz=cfg.max_step_rate_hz,
             min_prominence=cfg.min_peak_prominence,
         )
+        if cycles.errors[0] is not None:
+            raise cycles.errors[0]
+        spans = admit_cycles(cycles, [origin], [settled_end], [last_peak])[0]
         return [
-            self._stage(abs_start, abs_end, peaks)
-            for abs_start, abs_end, peaks in self.admit_cycles(
-                settled_end, cycles
+            self._stage(abs_start, abs_end, peaks, v_seg, h_seg)
+            for (abs_start, abs_end, peaks), (v_seg, h_seg) in zip(
+                spans, self.commit_cycles(spans)
             )
         ]
 
@@ -1555,10 +1593,11 @@ class StreamingPTrack:
         abs_start: int,
         abs_end: int,
         peaks: Tuple[int, ...],
+        v_seg: np.ndarray,
+        h_seg: np.ndarray,
     ) -> StagedCycle:
-        """Copy a settled cycle out of the buffer and measure it."""
+        """Measure one committed cycle's segments and stage it."""
         cfg = self._config
-        v_seg, h_seg = self.cycle_segments(abs_start, abs_end)
         anterior_ok = True
         try:
             # Per-cycle anterior refinement: project this cycle's

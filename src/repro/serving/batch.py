@@ -10,10 +10,14 @@ runs **once for the whole fleet**:
 1. the pending filter blocks of every due session are column-stacked by
    length and low-passed in one filter call per length group;
 2. every session's segmentation window is packed into one concatenated
-   signal and scanned by a single peak/valley kernel dispatch
+   signal, checked finite once, scanned by one peak and one valley
+   kernel dispatch and paired into cycles on the packed signal's flat
+   indices, every window at once
    (:func:`repro.signal.batched.batched_segment_windows`);
-3. all admitted cycles, whatever their lengths, are measured in one
-   right-padded stack
+3. one admission mask picks every session's newly settled cycles
+   (:func:`repro.core.streaming.admit_cycles`), each session commits
+   its own, and all of them, whatever their lengths, are measured in
+   one right-padded stack
    (:func:`repro.core.batched.batched_stage_measurements`);
 4. the stepping tests run in the same fleet-wide batch the lockstep
    pool uses;
@@ -55,7 +59,7 @@ from repro.core.batched import (
     batched_stage_measurements,
 )
 from repro.core.config import PTrackConfig
-from repro.core.streaming import StagedCycle
+from repro.core.streaming import StagedCycle, admit_cycles
 from repro.faults.policy import FaultPolicy
 from repro.runtime.buffers import FleetBatchBuffer
 from repro.serving.pool import SessionPool
@@ -462,9 +466,8 @@ class BatchedSessionPool(SessionPool):
             lap = self._lap(0, lap)
 
         # -- Stage 2: fleet segmentation -------------------------------
-        opened: List[Optional[Tuple[np.ndarray, int]]] = [None] * n_due
+        opened: List[Optional[Tuple]] = [None] * n_due
         seg_ds: List[int] = []
-        windows: List[np.ndarray] = []
         for d in range(n_due):
             if not alive[d]:
                 continue
@@ -476,20 +479,17 @@ class BatchedSessionPool(SessionPool):
             opened[d] = win
             if win is not None:
                 seg_ds.append(d)
-                windows.append(win[0])
-        seg_results: List = []
-        if windows:
-            scratch = self._buffers.request(
+        windows = [opened[d][0] for d in seg_ds]
+        cycles = batched_segment_windows(
+            windows,
+            rate,
+            min_step_rate_hz=cfg.min_step_rate_hz,
+            max_step_rate_hz=cfg.max_step_rate_hz,
+            min_prominence=cfg.min_peak_prominence,
+            scratch=self._buffers.request(
                 "segment_pack", sum(w.size for w in windows) + len(windows)
-            )
-            seg_results = batched_segment_windows(
-                windows,
-                rate,
-                min_step_rate_hz=cfg.min_step_rate_hz,
-                max_step_rate_hz=cfg.max_step_rate_hz,
-                min_prominence=cfg.min_peak_prominence,
-                scratch=scratch,
-            )
+            ),
+        )
         if self._telemetry is not None:
             lap = self._lap(1, lap)
 
@@ -499,18 +499,18 @@ class BatchedSessionPool(SessionPool):
         flat_v: List[np.ndarray] = []
         flat_h: List[np.ndarray] = []
         flat_start: List[int] = [0] * n_due
-        for d, segments in zip(seg_ds, seg_results):
-            if isinstance(segments, Exception):
-                fail(d, segments)
+        spans_per = admit_cycles(
+            cycles,
+            [opened[d][1] for d in seg_ds],
+            [opened[d][2] for d in seg_ds],
+            [opened[d][3] for d in seg_ds],
+        )
+        for d, error, admitted in zip(seg_ds, cycles.errors, spans_per):
+            if error is not None:
+                fail(d, error)
                 continue
-            sess = due_sess[d]
-            settled_end = opened[d][1]
             try:
-                admitted = sess.admit_cycles(settled_end, segments)
-                pairs = [
-                    sess.cycle_segments(abs_start, abs_end)
-                    for abs_start, abs_end, _peaks in admitted
-                ]
+                pairs = due_sess[d].commit_cycles(admitted)
             except Exception as exc:  # noqa: BLE001
                 fail(d, exc)
                 continue

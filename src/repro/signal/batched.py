@@ -17,13 +17,16 @@ The separator trick preserves bit-identical semantics per window:
   peak, so an ``+inf`` wall bounds the scan to the window interior —
   the same sample set an isolated scan covers.
 
-Spacing enforcement and cycle pairing cannot cross separators either:
-they run per window through the exact helpers the scalar detectors use
-(:func:`repro.signal.peaks._enforce_min_distance`,
-:func:`repro.signal.segmentation._pair_cycles`), so every decision is
-shared code, not a re-implementation. One extrema core
+Spacing enforcement cannot cross separators either: it runs per
+crowded window through the helper the scalar detectors use
+(:func:`repro.signal.peaks._enforce_min_distance`). One extrema core
 (:func:`_kept_extrema`) returns the kept peaks as flat indices into the
-packed signal; segmentation splits them into per-window lists.
+packed signal with the window each belongs to, and
+:func:`batched_segment_windows` pairs them into cycles on those same
+flat indices, every window at once, through
+:func:`repro.signal.segmentation.pair_cycles` — the pairing rule the
+scalar segmenter calls with one window. No per-window list is built
+between the scan and the caller.
 
 A right-padded ``(rows, stride)`` stack is a packed signal too, with
 window ``r`` starting at ``r * stride``: :func:`stack_extrema` fills
@@ -38,73 +41,51 @@ indices.
 The differential tests assert window-for-window identity against
 :func:`repro.signal.peaks.detect_peaks`,
 :func:`repro.signal.peaks.detect_valleys`, :func:`crossing_indices` and
-:func:`repro.signal.segmentation.segment_gait_cycles`.
+a scalar pairing walk.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, SignalError
 from repro.signal.peaks import _enforce_min_distance, _local_maxima
 from repro.signal.peaks import peak_prominences as _peak_prominences
-from repro.signal.segmentation import Segment, _pair_cycles
+from repro.signal.segmentation import pair_cycles
 
 __all__ = [
     "pack_windows",
-    "multi_window_extrema",
-    "multi_window_extrema_pair",
+    "WindowCycles",
     "batched_segment_windows",
     "stack_extrema",
     "crossing_indices",
     "stack_crossings",
 ]
 
-Windows = Union[np.ndarray, Sequence[np.ndarray]]
-
-
 def pack_windows(
-    windows: Windows,
+    windows: Sequence[np.ndarray],
     negate: bool = False,
     out: Optional[np.ndarray] = None,
-    fill: float = np.inf,
 ) -> tuple:
-    """Concatenate windows with separator samples (``+inf`` by default).
+    """Concatenate 1-D windows with ``+inf`` separator samples.
 
     Args:
         windows: A sequence of 1-D float64 windows (ragged lengths
-            allowed), or a 2-D array treated as equal-length rows.
+            allowed).
         negate: Pack the negated samples (for valley detection);
-            separators keep their ``fill`` value.
+            separators stay ``+inf``.
         out: Optional preallocated 1-D scratch of at least the packed
             size (e.g. from a
             :class:`repro.serving.batch.FleetBatchBuffer`); a fresh
             array is allocated when absent or too small.
-        fill: Separator sample value. ``+inf`` isolates extremum and
-            prominence scans; ``0.0`` isolates hysteresis crossing
-            scans (a zero sample is never armed).
 
     Returns:
         Tuple ``(concat, starts, lens)``: the packed signal (one
         separator after every window, including the last), each
         window's start offset, and each window's length.
     """
-    if isinstance(windows, np.ndarray) and windows.ndim == 2:
-        g, n = windows.shape
-        total = g * (n + 1)
-        if out is not None and out.size >= total:
-            packed = out[:total].reshape(g, n + 1)
-        else:
-            packed = np.empty((g, n + 1))
-        np.multiply(windows, -1.0, out=packed[:, :n]) if negate else np.copyto(
-            packed[:, :n], windows
-        )
-        packed[:, n] = fill
-        lens = np.full(g, n, dtype=np.intp)
-        starts = np.arange(g, dtype=np.intp) * (n + 1)
-        return packed.reshape(total), starts, lens
     lens = np.asarray([w.size for w in windows], dtype=np.intp)
     starts = np.zeros(lens.size, dtype=np.intp)
     if lens.size:
@@ -119,8 +100,7 @@ def pack_windows(
     # negated variant negates the whole packed signal, then restores
     # the separators (negation of a copy is bitwise-exact).
     if lens.size:
-        sep = np.empty(1)
-        sep[0] = fill
+        sep = np.full(1, np.inf)
         parts: list = []
         for w in windows:
             parts.append(w)
@@ -128,81 +108,8 @@ def pack_windows(
         np.concatenate(parts, out=concat)
         if negate:
             np.negative(concat, out=concat)
-            concat[starts + lens] = fill
+            concat[starts + lens] = np.inf
     return concat, starts, lens
-
-
-def multi_window_extrema(
-    windows: Windows,
-    min_prominences: Union[float, Sequence[float]],
-    min_distances: Union[int, Sequence[int]],
-    negate: bool = False,
-    scratch: Optional[np.ndarray] = None,
-) -> List[np.ndarray]:
-    """Per-window peak (or valley) detection in one kernel dispatch.
-
-    Semantically ``[detect_peaks(w, p, d) for w, p, d in zip(...)]``
-    (or ``detect_valleys`` with ``negate=True``), evaluated with a
-    single local-maxima scan and a single prominence scan over the
-    packed signal. Windows must already be finite 1-D float64 — the
-    callers own validation, mirroring where the scalar detectors
-    validate.
-
-    Args:
-        windows: Windows to scan (sequence of 1-D arrays or 2-D rows).
-        min_prominences: Prominence floor, scalar or one per window.
-        min_distances: Spacing gate, scalar or one per window.
-        negate: Detect valleys instead of peaks.
-        scratch: Optional packing scratch (see :func:`pack_windows`).
-
-    Returns:
-        One sorted window-local index array per window.
-    """
-    concat, starts, lens = pack_windows(windows, negate=negate, out=scratch)
-    return _extrema_from_packed(
-        concat, starts, lens, min_prominences, min_distances
-    )
-
-
-def multi_window_extrema_pair(
-    windows: Windows,
-    peak_prominences: Union[float, Sequence[float]],
-    valley_prominences: Union[float, Sequence[float]],
-    min_distances: Union[int, Sequence[int]],
-    scratch: Optional[np.ndarray] = None,
-) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Peaks *and* valleys of the same windows from one packing.
-
-    Semantically the ``multi_window_extrema(...)`` /
-    ``multi_window_extrema(..., negate=True)`` pair, but the windows
-    are packed once: the valley pass negates the packed signal in
-    place and restores the ``+inf`` separators, which is bitwise
-    identical to packing the negated windows (float64 negation is
-    exact), then reuses the same buffer.
-
-    Args:
-        windows: Windows to scan (sequence of 1-D arrays or 2-D rows).
-        peak_prominences: Peak-prominence floor, scalar or per window.
-        valley_prominences: Valley-prominence floor, scalar or per
-            window.
-        min_distances: Spacing gate, scalar or one per window.
-        scratch: Optional packing scratch (see :func:`pack_windows`).
-
-    Returns:
-        Tuple ``(peaks_per, valleys_per)`` of per-window sorted
-        window-local index arrays.
-    """
-    concat, starts, lens = pack_windows(windows, out=scratch)
-    peaks_per = _extrema_from_packed(
-        concat, starts, lens, peak_prominences, min_distances
-    )
-    if lens.size:
-        np.negative(concat, out=concat)
-        concat[starts + lens] = np.inf
-    valleys_per = _extrema_from_packed(
-        concat, starts, lens, valley_prominences, min_distances
-    )
-    return peaks_per, valleys_per
 
 
 def _finite_extrema(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -282,30 +189,6 @@ def _kept_extrema(
     return candidates[keep], owners[keep]
 
 
-def _extrema_from_packed(
-    concat: np.ndarray,
-    starts: np.ndarray,
-    lens: np.ndarray,
-    min_prominences: Union[float, Sequence[float]],
-    min_distances: Union[int, Sequence[int]],
-) -> List[np.ndarray]:
-    """:func:`_kept_extrema`, split into window-local index lists."""
-    n_windows = lens.size
-    results: List[np.ndarray] = [np.empty(0, dtype=int)] * n_windows
-    if n_windows == 0:
-        return results
-    kept, owners = _kept_extrema(
-        concat, starts, lens, min_prominences, min_distances
-    )
-    local = kept - starts[owners]
-    # Kept peaks arrive in ascending packed order, so searchsorted cuts
-    # recover each window's (still sorted) slice without np.split.
-    bounds = owners.searchsorted(np.arange(n_windows + 1)).tolist()
-    for w in np.unique(owners).tolist():
-        results[w] = local[bounds[w] : bounds[w + 1]]
-    return results
-
-
 def _stack_padding(stack: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Mask of the columns past each row's length in a padded stack."""
     return np.arange(stack.shape[1]) >= np.asarray(lens)[:, None]
@@ -347,6 +230,30 @@ def stack_extrema(
     return peaks, valleys
 
 
+class WindowCycles(NamedTuple):
+    """Every window's gait-cycle candidates, on the packed scan's flat indices.
+
+    Window ``w`` starts at flat index ``window_starts[w]``, so a flat
+    index ``i`` of its cycles is ``i - window_starts[w]`` in the window.
+    Cycle ``c`` belongs to window ``owners[c]``, spans
+    ``[starts[c], ends[c])`` and pairs the step peaks ``p1[c] < p2[c]``;
+    cycles are in window order, then time order. ``errors[w]`` is the
+    exception the scalar segmenter raises on window ``w`` (which then
+    has no cycles), else ``None``.
+    """
+
+    window_starts: np.ndarray
+    owners: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
+    errors: List[Optional[Exception]]
+
+
+_NO_SAMPLES = np.empty(0)
+
+
 def batched_segment_windows(
     windows: Sequence[np.ndarray],
     sample_rate_hz: float,
@@ -354,13 +261,15 @@ def batched_segment_windows(
     max_step_rate_hz: float = 3.2,
     min_prominence: float = 0.6,
     scratch: Optional[np.ndarray] = None,
-) -> List[Union[List[Segment], Exception]]:
+) -> WindowCycles:
     """Gait-cycle segmentation of many windows per kernel dispatch.
 
-    Semantically ``[segment_gait_cycles(w, ...) for w in windows]``
-    with the peak/valley scans batched across all windows. A window
-    that the scalar segmenter would reject (non-finite samples) yields
-    its exception *in place* instead of raising, so one poisoned
+    Per window, the cycles of ``segment_gait_cycles(w, ...)``: the
+    windows are packed once, checked finite once, scanned for peaks
+    and valleys by one kernel call each and paired together by
+    :func:`repro.signal.segmentation.pair_cycles`. A window that the
+    scalar segmenter would reject (non-finite samples, not 1-D) gets
+    its exception in ``errors`` instead of raising, so one poisoned
     session cannot take down a fleet round — the caller decides the
     isolation policy.
 
@@ -373,8 +282,7 @@ def batched_segment_windows(
         scratch: Optional packing scratch.
 
     Returns:
-        Per window, either the cycle list or the exception the scalar
-        segmenter would have raised.
+        The cycles of every window, flat (see :class:`WindowCycles`).
 
     Raises:
         ConfigurationError: On an invalid rate band (a caller mistake,
@@ -389,41 +297,42 @@ def batched_segment_windows(
             f"need 0 < min_step_rate_hz < max_step_rate_hz, got "
             f"({min_step_rate_hz}, {max_step_rate_hz})"
         )
-    n_windows = len(windows)
-    results: List[Union[List[Segment], Exception]] = [[] for _ in range(n_windows)]
-    if n_windows == 0:
-        return results
     min_gap = max(1, int(round(sample_rate_hz / max_step_rate_hz)))
     max_gap = int(round(sample_rate_hz / min_step_rate_hz))
-    live = []
+    errors: List[Optional[Exception]] = [None] * len(windows)
+    packable = list(windows)
     for i, w in enumerate(windows):
         if w.ndim != 1:
-            results[i] = SignalError(
+            errors[i] = SignalError(
                 f"vertical must be 1-D, got shape {w.shape}"
             )
-        elif w.size == 0:
-            results[i] = []
-        elif not np.isfinite(w).all():
-            results[i] = SignalError("vertical contains non-finite values")
-        else:
-            live.append(i)
-    if not live:
-        return results
-    live_windows = [windows[i] for i in live]
-    peaks_per, valleys_per = multi_window_extrema_pair(
-        live_windows,
-        min_prominence,
-        min_prominence * 0.5,
-        min_gap,
-        scratch=scratch,
+            packable[i] = _NO_SAMPLES
+    concat, starts, lens = pack_windows(packable, out=scratch)
+    # One finiteness check for the round: the separators are the only
+    # non-finite samples a clean packing holds. A failing window is
+    # packed again as an empty one, so it yields no cycles.
+    finite = np.isfinite(concat)
+    if np.count_nonzero(finite) != concat.size - lens.size:
+        bad = np.flatnonzero(~finite)
+        owner = np.searchsorted(starts, bad, side="right") - 1
+        owner = owner[bad != starts[owner] + lens[owner]]
+        for w in np.unique(owner).tolist():
+            errors[w] = SignalError("vertical contains non-finite values")
+            packable[w] = _NO_SAMPLES
+        concat, starts, lens = pack_windows(packable, out=scratch)
+    peaks, owners = _kept_extrema(concat, starts, lens, min_prominence, min_gap)
+    # The valley pass reads the negated packing: negate in place and
+    # restore the separators (float64 negation is exact).
+    np.negative(concat, out=concat)
+    concat[starts + lens] = np.inf
+    valleys, _ = _kept_extrema(
+        concat, starts, lens, min_prominence * 0.5, min_gap
     )
-    for i, peaks, valleys in zip(live, peaks_per, valleys_per):
-        if peaks.size < 2:
-            continue
-        results[i] = _pair_cycles(
-            windows[i].size, peaks, valleys, min_gap, max_gap
-        )
-    return results
+    return WindowCycles(
+        starts,
+        *pair_cycles(peaks, owners, valleys, starts, lens, min_gap, max_gap),
+        errors,
+    )
 
 
 def crossing_indices(x: np.ndarray, hysteresis: float) -> np.ndarray:

@@ -10,7 +10,6 @@ of the mean-removal integration used later by the stride estimator.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
@@ -19,7 +18,13 @@ import numpy as np
 from repro.exceptions import ConfigurationError, SignalError
 from repro.signal.peaks import detect_peaks, detect_valleys
 
-__all__ = ["Segment", "segment_gait_cycles", "segment_by_valleys", "sliding_windows"]
+__all__ = [
+    "Segment",
+    "segment_gait_cycles",
+    "pair_cycles",
+    "segment_by_valleys",
+    "sliding_windows",
+]
 
 
 @dataclass(frozen=True)
@@ -136,54 +141,81 @@ def segment_gait_cycles(
     if peaks.size < 2:
         return []
     valleys = detect_valleys(v, min_prominence=min_prominence * 0.5, min_distance=min_gap)
-    return _pair_cycles(v.size, peaks, valleys, min_gap, max_gap)
+    _, start, end, p1, p2 = pair_cycles(
+        peaks,
+        np.zeros(peaks.size, dtype=np.intp),
+        valleys,
+        np.zeros(1, dtype=np.intp),
+        np.full(1, v.size, dtype=np.intp),
+        min_gap,
+        max_gap,
+    )
+    return [
+        Segment(s, e, (a, b))
+        for s, e, a, b in zip(start.tolist(), end.tolist(), p1.tolist(), p2.tolist())
+    ]
 
 
-def _pair_cycles(
-    n: int,
+def pair_cycles(
     peaks: np.ndarray,
+    owners: np.ndarray,
     valleys: np.ndarray,
+    starts: np.ndarray,
+    lens: np.ndarray,
     min_gap: int,
     max_gap: int,
-) -> List[Segment]:
-    """Pair consecutive step peaks into cycle segments.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pair consecutive step peaks into cycles, every window at once.
 
-    The pairing walk of :func:`segment_gait_cycles`, shared with the
-    fleet-batched segmenter (:mod:`repro.signal.batched`) so both paths
-    make bit-identical pairing decisions from the same peak/valley sets.
+    The one pairing rule of :func:`segment_gait_cycles` and of the
+    fleet-batched segmenter (:mod:`repro.signal.batched`). Indices are
+    flat: window ``w`` holds ``lens[w]`` samples from ``starts[w]``,
+    windows do not overlap, and ``peaks`` (with their windows
+    ``owners``) and ``valleys`` are sorted. A single window is
+    ``starts=[0]``, ``lens=[n]``.
+
+    Within a window, peaks form *runs* broken after every gap longer
+    than ``max_gap`` (too long for two consecutive steps). Walking a
+    run from its first peak pairs ranks ``(0, 1), (2, 3), ...``; an odd
+    last peak stays unpaired. A cycle reaches from the last valley
+    before its first peak to the first valley after its second; where
+    the window holds no such valley, the bound sits ``min_gap`` samples
+    beyond the peak, clamped to the window. A cycle is kept when it
+    spans at least 4 samples.
+
+    Returns:
+        ``(owners, start, end, p1, p2)`` per cycle, flat, in window
+        then time order: the half-open span ``[start, end)`` and its
+        two step peaks.
     """
-    cycles: List[Segment] = []
-    # Pure-integer walk over Python lists: the valleys are sorted, so
-    # the nearest-valley lookups are bisections rather than boolean
-    # masks — this runs once per window fleet-wide and the array form
-    # was a measurable share of the serving profile. Segments are
-    # built via __new__/__setattr__ — the walk already guarantees
-    # 0 <= start < end, so the validating constructor (which pays the
-    # frozen-dataclass __init__ on every cycle fleet-wide) is skipped.
-    seg_new = object.__new__
-    seg_set = object.__setattr__
-    plist = peaks.tolist()
-    vlist = valleys.tolist()
-    nv = len(vlist)
-    i = 0
-    while i + 1 < len(plist):
-        p1, p2 = plist[i], plist[i + 1]
-        if p2 - p1 > max_gap:
-            # Gap too long to be two consecutive steps; slide forward.
-            i += 1
-            continue
-        li = bisect.bisect_left(vlist, p1)
-        ri = bisect.bisect_right(vlist, p2)
-        start = vlist[li - 1] if li else max(0, p1 - min_gap)
-        end = vlist[ri] + 1 if ri < nv else min(n, p2 + min_gap + 1)
-        if end - start >= 4:
-            seg = seg_new(Segment)
-            seg_set(seg, "start", start)
-            seg_set(seg, "end", end)
-            seg_set(seg, "peak_indices", (p1, p2))
-            cycles.append(seg)
-        i += 2
-    return cycles
+    if peaks.size < 2:
+        none = np.empty(0, dtype=np.intp)
+        return none, none, none, none, none
+    # A run breaks after a long gap and at every window boundary; a
+    # peak's parity is its rank counted from its run's first peak.
+    breaks = (np.diff(peaks) > max_gap) | (owners[1:] != owners[:-1])
+    index = np.arange(peaks.size)
+    head = np.zeros(peaks.size, dtype=np.intp)
+    head[1:] = np.where(breaks, index[1:], 0)
+    np.maximum.accumulate(head, out=head)
+    first = np.flatnonzero(~breaks & ((index[:-1] - head[:-1]) % 2 == 0))
+    p1 = peaks[first]
+    p2 = peaks[first + 1]
+    owner = owners[first]
+    lo = starts[owner]
+    hi = lo + lens[owner]
+    start = np.maximum(lo, p1 - min_gap)
+    end = np.minimum(hi, p2 + min_gap + 1)
+    if valleys.size:
+        # The nearest valley on each side counts only inside the window.
+        left = np.searchsorted(valleys, p1) - 1
+        before = valleys[np.maximum(left, 0)]
+        start = np.where((left >= 0) & (before >= lo), before, start)
+        right = np.searchsorted(valleys, p2, side="right")
+        after = valleys[np.minimum(right, valleys.size - 1)]
+        end = np.where((right < valleys.size) & (after < hi), after + 1, end)
+    keep = end - start >= 4
+    return owner[keep], start[keep], end[keep], p1[keep], p2[keep]
 
 
 def sliding_windows(

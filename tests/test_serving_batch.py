@@ -33,9 +33,9 @@ from repro.serving import (
     synthesize_workload,
 )
 from repro.signal.batched import (
+    _kept_extrema,
     batched_segment_windows,
     crossing_indices,
-    multi_window_extrema,
     pack_windows,
     stack_crossings,
     stack_extrema,
@@ -44,6 +44,7 @@ from repro.signal.peaks import detect_peaks, detect_valleys
 from repro.signal.projection import anterior_direction, project_horizontal
 from repro.signal.segmentation import segment_gait_cycles
 from repro.types import GaitType, UserProfile
+from scalar_segmentation import pair_cycles_walk, window_segments
 
 RATE = 100.0
 
@@ -68,24 +69,30 @@ ragged_windows = st.lists(
 )
 
 
+def _packed_extrema(windows, proms, dists, negate=False):
+    """Kept extrema of the packed windows, split into window-local lists."""
+    concat, starts, lens = pack_windows(windows, negate=negate)
+    kept, owners = _kept_extrema(concat, starts, lens, proms, dists)
+    return [kept[owners == w] - starts[w] for w in range(len(windows))]
+
+
 @settings(max_examples=40, deadline=None)
 @given(ragged_windows, st.floats(0.05, 1.0), st.integers(1, 12))
-def test_multi_window_extrema_matches_scalar(specs, prom, dist):
+def test_packed_extrema_matches_scalar(specs, prom, dist):
     windows = [_walky(n, seed) for n, seed in specs]
     for negate, scalar in ((False, detect_peaks), (True, detect_valleys)):
-        got = multi_window_extrema(windows, prom, dist, negate=negate)
-        assert len(got) == len(windows)
+        got = _packed_extrema(windows, prom, dist, negate=negate)
         for w, g in zip(windows, got):
             np.testing.assert_array_equal(
                 g, scalar(w, min_prominence=prom, min_distance=dist)
             )
 
 
-def test_multi_window_extrema_per_window_params():
+def test_packed_extrema_per_window_params():
     windows = [_walky(120, 3), _walky(80, 4), _walky(50, 5)]
     proms = [0.2, 0.5, 0.9]
     dists = [1, 5, 9]
-    got = multi_window_extrema(windows, proms, dists)
+    got = _packed_extrema(windows, proms, dists)
     for w, p, d, g in zip(windows, proms, dists, got):
         np.testing.assert_array_equal(
             g, detect_peaks(w, min_prominence=p, min_distance=d)
@@ -180,17 +187,36 @@ def test_stack_extrema_and_crossings_match_scalar_row_by_row(monkeypatch):
 def test_batched_segment_windows_matches_scalar(specs):
     windows = [_walky(max(n, 0), seed) for n, seed in specs]
     got = batched_segment_windows(windows, RATE)
-    for w, g in zip(windows, got):
-        assert g == segment_gait_cycles(w, RATE)
+    assert got.errors == [None] * len(windows)
+    # The scalar walk over the scalar detectors, not the flat pairing
+    # every segmenter now shares.
+    min_gap, max_gap = round(RATE / 3.2), round(RATE / 1.2)
+    for w, window in enumerate(windows):
+        peaks = detect_peaks(window, min_prominence=0.6, min_distance=min_gap)
+        valleys = detect_valleys(
+            window, min_prominence=0.3, min_distance=min_gap
+        )
+        ref = pair_cycles_walk(window.size, peaks, valleys, min_gap, max_gap)
+        assert window_segments(got, w) == ref
+        assert ref == segment_gait_cycles(window, RATE)
 
 
 def test_batched_segment_windows_poisoned_window_in_place():
     good = _walky(200, 7)
     bad = good.copy()
     bad[50] = np.nan
-    results = batched_segment_windows([good, bad, good], RATE)
-    assert results[0] == segment_gait_cycles(good, RATE) == results[2]
-    assert isinstance(results[1], SignalError)
+    wide = good.reshape(-1, 1)
+    results = batched_segment_windows([good, bad, good, wide, good], RATE)
+    ref = segment_gait_cycles(good, RATE)
+    assert ref
+    for w in (0, 2, 4):
+        assert results.errors[w] is None
+        assert window_segments(results, w) == ref
+    for w in (1, 3):
+        assert isinstance(results.errors[w], SignalError)
+        assert window_segments(results, w) == []
+    assert "non-finite" in str(results.errors[1])
+    assert "1-D" in str(results.errors[3])
 
 
 def test_pack_windows_separators_and_negation():
@@ -200,11 +226,11 @@ def test_pack_windows_separators_and_negation():
     for s, n, w in zip(starts, lens, windows):
         np.testing.assert_array_equal(concat[s : s + n], w)
         assert concat[s + n] == np.inf
-    neg, starts2, _ = pack_windows(windows, negate=True, fill=0.0)
+    neg, starts2, _ = pack_windows(windows, negate=True)
     np.testing.assert_array_equal(starts, starts2)
     for s, n, w in zip(starts2, lens, windows):
         np.testing.assert_array_equal(neg[s : s + n], -w)
-        assert neg[s + n] == 0.0
+        assert neg[s + n] == np.inf
 
 
 def _scalar_stage(v_seg, h_seg, cfg):
@@ -474,6 +500,41 @@ def test_batched_pool_failed_session_excluded_from_pack():
         got = [e.index for e in acc[sid][0]]
         ref = [e.index for e in steps]
         assert got == ref[len(ref) - len(got) :]
+
+
+def test_batched_pool_isolates_a_segmentation_failure():
+    # A finite upload near the float64 limit passes strict ingest, but
+    # the low-pass filter overflows it, so the session's segmentation
+    # window turns non-finite inside a packed round.
+    workloads = synthesize_workload(4, 16.0, seed=26)
+    pool = BatchedSessionPool(RATE, small_fleet_cutoff=0)
+    sids = pool.add_sessions([w.profile for w in workloads])
+    batch = 100
+    acc = {sid: ([], []) for sid in sids}
+    n = workloads[0].samples.shape[0]
+    for off in range(0, n, batch):
+        data = [w.samples[off : off + batch] for w in workloads]
+        if off == 6 * batch:
+            data[2] = np.full_like(data[2], 1e308)
+            assert np.isfinite(data[2]).all()
+        for sid, (st_, sr) in zip(sids, pool.append(sids, data)):
+            acc[sid][0].extend(st_)
+            acc[sid][1].extend(sr)
+    for sid, (st_, sr) in zip(sids, pool.flush(sids)):
+        acc[sid][0].extend(st_)
+        acc[sid][1].extend(sr)
+    assert list(pool.failed_sessions) == [sids[2]]
+    assert pool.failed_sessions[sids[2]] == (
+        "SignalError: vertical contains non-finite values"
+    )
+    survivors = [0, 1, 3]
+    serial = _serve_serially([workloads[k] for k in survivors], batch=batch)
+    got = [
+        (*acc[sids[k]], pool.session(sids[k]).op_stats.as_dict())
+        for k in survivors
+    ]
+    _assert_credits_identical(got, serial)
+    assert all(steps for steps, _, _ in got)
 
 
 def test_batched_pool_chunk_invariant_credits():
