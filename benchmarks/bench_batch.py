@@ -5,23 +5,25 @@ Three sections, written into the ``fleet_batch`` block of
 
 * **identity** — the serving equivalence oracle, asserted *before any
   timing*: per-session credits (step index/time/gait and bitwise
-  stride times/lengths) must satisfy
-  ``serial == pooled == sharded == batched`` on the same workload.
-  A fleet driver that diverges from the reference is benchmarking
-  noise, so every other section refuses to run until this passes.
-* **batched_vs_lockstep** — the headline: amortized steady-state
-  ingest cost (µs/sample) of :class:`repro.serving.BatchedSessionPool`
-  against the lockstep :class:`repro.serving.SessionPool` on the same
-  1000-session workload, best of several interleaved replicates. The
-  tracked target is a >= 5x reduction.
-* **occupancy** — batched-pool throughput swept across fleet sizes
+  stride times/lengths) must satisfy ``serial == pooled == sharded``
+  on the same workload. A fleet driver that diverges from the
+  reference is benchmarking noise, so every other section refuses to
+  run until this passes.
+* **pool_vs_serial** — the headline: amortized steady-state ingest
+  cost (µs/sample) of :class:`repro.serving.SessionPool` against the
+  serial-session baseline (one
+  :meth:`~repro.core.streaming.StreamingPTrack.append` per session per
+  tick) on the same 1000-session workload, best of several
+  interleaved replicates. The tracked target is a >= 5x reduction.
+  (``BENCH_PR6.json`` records the retired lockstep pool as its
+  baseline, under ``batched_vs_lockstep``.)
+* **occupancy** — pool throughput swept across fleet sizes
   (10 / 100 / 1000 / 10000 sessions): µs/sample, samples/s and the
   real-time factor as round occupancy grows.
 
 Timing methodology: sessions are created and the final ``flush()``
-runs *outside* the timed window — both drivers share the identical
-scalar flush path, so including it would only blur the steady-state
-ingest cost the batched round restructures.
+runs *outside* the timed window, so the rows read the steady-state
+ingest cost the fleet round restructures.
 """
 
 from __future__ import annotations
@@ -32,12 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.streaming import StreamingPTrack
-from repro.serving import (
-    BatchedSessionPool,
-    SessionPool,
-    serve_fleet,
-    synthesize_workload,
-)
+from repro.serving import SessionPool, serve_fleet, synthesize_workload
 
 SAMPLE_RATE_HZ = 100.0
 #: Samples per append in every timed loop — a 2.56 s upload burst, the
@@ -71,8 +68,8 @@ def _run_serial(workloads) -> List[Tuple[tuple, tuple]]:
     return out
 
 
-def _run_pool(pool_cls, workloads, **kwargs) -> List[Tuple[tuple, tuple]]:
-    pool = pool_cls(SAMPLE_RATE_HZ, **kwargs)
+def _run_pool(workloads) -> List[Tuple[tuple, tuple]]:
+    pool = SessionPool(SAMPLE_RATE_HZ)
     sids = pool.add_sessions([w.profile for w in workloads])
     acc: List[Tuple[list, list]] = [([], []) for _ in sids]
     n = max(w.samples.shape[0] for w in workloads)
@@ -94,11 +91,10 @@ def assert_batched_identity(
     duration_s: float = 20.0,
     seed: int = 11,
 ) -> Dict[str, Any]:
-    """The crediting oracle: serial == pooled == sharded == batched."""
+    """The crediting oracle: serial == pooled == sharded."""
     workloads = synthesize_workload(n_sessions, duration_s, seed=seed)
     serial = _run_serial(workloads)
-    pooled = _run_pool(SessionPool, workloads)
-    batched = _run_pool(BatchedSessionPool, workloads)
+    pooled = _run_pool(workloads)
     report = serve_fleet(
         [w.samples for w in workloads],
         SAMPLE_RATE_HZ,
@@ -110,11 +106,10 @@ def assert_batched_identity(
     sharded = [
         _credit_signature(s.steps, s.strides) for s in report.sessions
     ]
-    assert serial == pooled, "lockstep pool diverged from serial sessions"
+    assert serial == pooled, "pool diverged from serial sessions"
     assert serial == sharded, "sharded fleet diverged from serial sessions"
-    assert serial == batched, "batched pool diverged from serial sessions"
     return {
-        "oracle": "serial == pooled == sharded == batched",
+        "oracle": "serial == pooled == sharded",
         "n_sessions": n_sessions,
         "duration_s": duration_s,
         "compared_steps": sum(len(s[0]) for s in serial),
@@ -136,38 +131,65 @@ def _timed_ingest(pool, workloads, sids) -> Tuple[float, int]:
     return wall, total
 
 
-def bench_batched_vs_lockstep(
+def timed_serial(workloads) -> Tuple[float, int, int]:
+    """The serial-session baseline: one ``StreamingPTrack.append`` per
+    session per tick; returns (wall seconds, samples fed, steps).
+
+    Sessions are built and flushed outside the timed window, as the
+    pool rows are.
+    """
+    sessions = [
+        StreamingPTrack(SAMPLE_RATE_HZ, profile=w.profile) for w in workloads
+    ]
+    total = 0
+    n = max(w.samples.shape[0] for w in workloads)
+    t0 = time.perf_counter()
+    for i in range(0, n, BATCH_SAMPLES):
+        for sess, w in zip(sessions, workloads):
+            batch = w.samples[i : i + BATCH_SAMPLES]
+            total += batch.shape[0]
+            sess.append(batch)
+    wall = time.perf_counter() - t0
+    for sess in sessions:
+        sess.flush()
+    return wall, total, sum(sess.step_count for sess in sessions)
+
+
+def _timed_pool(workloads) -> Tuple[float, int, int]:
+    """One fresh pool's steady-state ingest; (wall, samples, steps)."""
+    pool = SessionPool(SAMPLE_RATE_HZ)
+    sids = pool.add_sessions([w.profile for w in workloads])
+    wall, total = _timed_ingest(pool, workloads, sids)
+    pool.flush(sids)
+    return wall, total, pool.total_steps
+
+
+def bench_pool_vs_serial(
     n_sessions: int = 1000,
     duration_s: float = 30.0,
     reps: int = 3,
     seed: int = 12,
 ) -> Dict[str, Any]:
-    """Headline: amortized µs/sample, batched vs lockstep, same fleet."""
+    """Headline: amortized µs/sample, pool vs serial sessions."""
     workloads = synthesize_workload(n_sessions, duration_s, seed=seed)
     rows: List[Dict[str, Any]] = []
     best: Dict[str, float] = {}
     steps: Dict[str, int] = {}
-    drivers = (("batched", BatchedSessionPool), ("lockstep", SessionPool))
+    drivers = (("pool", _timed_pool), ("serial", timed_serial))
     # Untimed warmup on a slice of the fleet: page in the workload,
     # prime scipy/numpy caches (filter design, ufunc loops) before
     # the first timed replicate — otherwise rep 0
     # of whichever driver runs first absorbs the one-time costs.
-    for _name, cls in drivers:
-        pool = cls(SAMPLE_RATE_HZ)
-        warm = workloads[: max(1, n_sessions // 16)]
-        sids = pool.add_sessions([w.profile for w in warm])
-        _timed_ingest(pool, warm, sids)
-        pool.flush(sids)
+    warm = workloads[: max(1, n_sessions // 16)]
+    for _name, run in drivers:
+        run(warm)
     for rep in range(reps):
         # Interleaved replicates so machine drift hits both drivers,
         # with the order alternating per replicate so neither driver
         # systematically inherits the other's cache residue.
         order = drivers if rep % 2 == 0 else drivers[::-1]
-        for name, cls in order:
-            pool = cls(SAMPLE_RATE_HZ)
-            sids = pool.add_sessions([w.profile for w in workloads])
-            wall, total = _timed_ingest(pool, workloads, sids)
-            pool.flush(sids)
+        for name, run in order:
+            wall, total, steps[name] = run(workloads)
             us = 1e6 * wall / total
             rows.append(
                 {
@@ -179,21 +201,20 @@ def bench_batched_vs_lockstep(
                 }
             )
             best[name] = min(best.get(name, float("inf")), us)
-            steps[name] = pool.total_steps
-    assert steps["batched"] == steps["lockstep"]
-    speedup = best["lockstep"] / best["batched"]
+    assert steps["pool"] == steps["serial"]
+    speedup = best["serial"] / best["pool"]
     return {
         "n_sessions": n_sessions,
         "duration_s": duration_s,
         "batch_samples": BATCH_SAMPLES,
         "reps": reps,
         "rows": rows,
-        "batched_us_per_sample": best["batched"],
-        "lockstep_us_per_sample": best["lockstep"],
+        "pool_us_per_sample": best["pool"],
+        "serial_us_per_sample": best["serial"],
         "speedup": speedup,
         "target_speedup": TARGET_SPEEDUP,
         "speedup_ok": bool(speedup >= TARGET_SPEEDUP),
-        "total_steps": steps["batched"],
+        "total_steps": steps["pool"],
     }
 
 
@@ -202,7 +223,7 @@ def bench_occupancy(
     durations_s: Optional[Dict[int, float]] = None,
     seed: int = 13,
 ) -> Dict[str, Any]:
-    """Batched-pool throughput as round occupancy grows."""
+    """Pool throughput as round occupancy grows."""
     if durations_s is None:
         # Bigger fleets get shorter traces: the sweep measures
         # occupancy scaling, not wall-clock endurance.
@@ -211,7 +232,7 @@ def bench_occupancy(
     for count in session_counts:
         duration = durations_s.get(count, 30.0)
         workloads = synthesize_workload(count, duration, seed=seed)
-        pool = BatchedSessionPool(SAMPLE_RATE_HZ)
+        pool = SessionPool(SAMPLE_RATE_HZ)
         sids = pool.add_sessions([w.profile for w in workloads])
         wall, total = _timed_ingest(pool, workloads, sids)
         pool.flush(sids)
@@ -236,7 +257,7 @@ def run_fleet_batch(check: bool = False) -> Dict[str, Any]:
     """The full fleet-batch suite; ``check`` shrinks every workload."""
     if check:
         identity = assert_batched_identity(n_sessions=4, duration_s=12.0)
-        headline = bench_batched_vs_lockstep(
+        headline = bench_pool_vs_serial(
             n_sessions=32, duration_s=8.0, reps=1
         )
         occupancy = bench_occupancy(
@@ -244,11 +265,11 @@ def run_fleet_batch(check: bool = False) -> Dict[str, Any]:
         )
     else:
         identity = assert_batched_identity()
-        headline = bench_batched_vs_lockstep()
+        headline = bench_pool_vs_serial()
         occupancy = bench_occupancy()
     return {
         "check_mode": check,
         "identity": identity,
-        "batched_vs_lockstep": headline,
+        "pool_vs_serial": headline,
         "occupancy": occupancy,
     }

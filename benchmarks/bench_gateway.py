@@ -6,17 +6,18 @@ Three sections, written into the ``ragged_ingest`` block of
 * **identity** — the gateway equivalence oracle, asserted *before any
   timing*: on a seeded ragged arrival schedule (bursts, quiet gaps,
   bounded reordering, staggered joins, disconnects), per-session
-  credits from the gateway — over the lockstep *and* the fleet-batched
-  backing pool — must be bitwise identical to a serial replay of
-  exactly the delivered batches in sequence order. A gateway that
-  diverges is benchmarking noise, so the other sections refuse to run
-  until this passes.
-* **ragged_vs_lockstep** — the headline: sustained ingest throughput
+  credits from the gateway must be bitwise identical to a serial
+  replay of exactly the delivered batches in sequence order. A gateway
+  that diverges is benchmarking noise, so the other sections refuse to
+  run until this passes.
+* **ragged_vs_serial** — the headline: sustained ingest throughput
   (samples/s) of the gateway driving a fleet under ragged arrivals,
-  with the lockstep pool on the same workload (idealized synchronized
-  arrivals, no mailboxes) as the baseline. The tracked target is that
-  mailbox + coalescing overhead keeps the gateway within 2x of the
-  lockstep µs/sample — the price of arrival-order independence.
+  with serial sessions on the same workload (idealized synchronized
+  arrivals, one ``StreamingPTrack.append`` per session per tick, no
+  mailboxes) as the baseline. The tracked target is that mailbox +
+  coalescing overhead keeps the gateway within 2x of the serial
+  µs/sample. (``BENCH_PR7.json`` records the retired lockstep pool as
+  its baseline, under ``ragged_vs_lockstep``.)
 * **shedding** — the backpressure row: the same schedule re-timed by a
   :class:`repro.faults.MailboxFlood` against deliberately small
   mailboxes. Records the shed fraction, the exactly-once accounting
@@ -25,8 +26,7 @@ Three sections, written into the ``ragged_ingest`` block of
   load-dependent).
 
 Timing methodology: session creation and the final ``flush()`` run
-*outside* the timed window — every driver shares the identical scalar
-flush path, so including it would only blur the steady-state ingest
+*outside* the timed window, so the rows read the steady-state ingest
 cost the gateway restructures. Ticks with no arrivals are part of the
 timed loop: an idle scheduler round is real gateway work.
 """
@@ -36,12 +36,11 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Tuple
 
+from bench_batch import timed_serial
 from repro.core.streaming import StreamingPTrack
 from repro.faults import MailboxFlood, inject_schedule_faults
 from repro.serving import (
-    BatchedSessionPool,
     IngestGateway,
-    SessionPool,
     serve_schedule,
     synthesize_arrival_schedule,
     synthesize_workload,
@@ -52,7 +51,7 @@ SAMPLE_RATE_HZ = 100.0
 #: matching the fleet-batch scoreboard's append size.
 BATCH_SAMPLES = 256
 #: Tracked bound: gateway µs/sample under ragged arrivals may cost at
-#: most this multiple of the lockstep pool's synchronized-arrival cost.
+#: most this multiple of serial sessions' synchronized-arrival cost.
 TARGET_OVERHEAD_X = 2.0
 
 _SCHEDULE_KNOBS = dict(
@@ -93,7 +92,7 @@ def _serial_replay(workloads, schedule) -> Dict[int, Tuple[tuple, tuple]]:
 
 
 def _run_gateway(
-    workloads, schedule, pool=None, capacity_s: float = 120.0
+    workloads, schedule, capacity_s: float = 120.0
 ) -> Tuple[IngestGateway, int, float]:
     """Serve a schedule; returns (gateway, timed samples, timed wall).
 
@@ -103,7 +102,6 @@ def _run_gateway(
     """
     gw = IngestGateway(
         SAMPLE_RATE_HZ,
-        pool=pool,
         capacity_s=capacity_s,
         reorder_window=max(8, schedule.max_seq_skew),
     )
@@ -126,7 +124,7 @@ def assert_gateway_identity(
     duration_s: float = 20.0,
     seed: int = 21,
 ) -> Dict[str, Any]:
-    """The crediting oracle: serial replay == gateway (both backends)."""
+    """The crediting oracle: serial replay == gateway."""
     workloads = synthesize_workload(n_sessions, duration_s, seed=seed)
     schedule = synthesize_arrival_schedule(
         [w.samples.shape[0] for w in workloads],
@@ -139,30 +137,20 @@ def assert_gateway_identity(
         for i, sig in _serial_replay(workloads, schedule).items()
         if sig != ((), ())
     }
-    compared = {}
-    for name, pool in (
-        ("lockstep", SessionPool(SAMPLE_RATE_HZ)),
-        ("batched", BatchedSessionPool(SAMPLE_RATE_HZ)),
-    ):
-        gw = IngestGateway(
-            SAMPLE_RATE_HZ,
-            pool=pool,
-            reorder_window=max(8, schedule.max_seq_skew),
-        )
-        credits = serve_schedule(
-            gw,
-            schedule,
-            [w.samples for w in workloads],
-            profiles=[w.profile for w in workloads],
-        )
-        got = {i: _credit_signature(*c) for i, c in credits.items()}
-        assert gw.stats.samples_shed == 0, f"{name} gateway shed samples"
-        assert got == oracle, (
-            f"{name}-backed gateway diverged from serial replay"
-        )
-        compared[name] = True
+    gw = IngestGateway(
+        SAMPLE_RATE_HZ, reorder_window=max(8, schedule.max_seq_skew)
+    )
+    credits = serve_schedule(
+        gw,
+        schedule,
+        [w.samples for w in workloads],
+        profiles=[w.profile for w in workloads],
+    )
+    got = {i: _credit_signature(*c) for i, c in credits.items()}
+    assert gw.stats.samples_shed == 0, "gateway shed samples"
+    assert got == oracle, "gateway diverged from serial replay"
     return {
-        "oracle": "serial replay == gateway(lockstep) == gateway(batched)",
+        "oracle": "serial replay == gateway",
         "n_sessions": n_sessions,
         "duration_s": duration_s,
         "n_ticks": schedule.n_ticks,
@@ -175,22 +163,7 @@ def assert_gateway_identity(
     }
 
 
-def _timed_lockstep(pool, workloads) -> Tuple[float, int]:
-    """The baseline: synchronized arrivals straight into the pool."""
-    sids = pool.add_sessions([w.profile for w in workloads])
-    total = 0
-    n = max(w.samples.shape[0] for w in workloads)
-    t0 = time.perf_counter()
-    for i in range(0, n, BATCH_SAMPLES):
-        batches = [w.samples[i : i + BATCH_SAMPLES] for w in workloads]
-        total += sum(b.shape[0] for b in batches)
-        pool.append(sids, batches)
-    wall = time.perf_counter() - t0
-    pool.flush(sids)
-    return wall, total
-
-
-def bench_ragged_vs_lockstep(
+def bench_ragged_vs_serial(
     n_sessions: int = 200,
     duration_s: float = 30.0,
     reps: int = 3,
@@ -206,21 +179,12 @@ def bench_ragged_vs_lockstep(
     rows: List[Dict[str, Any]] = []
     best: Dict[str, float] = {}
     for rep in range(reps):
-        # Interleaved replicates so machine drift hits every driver.
-        for name in ("gateway", "gateway_batched", "lockstep"):
-            if name == "lockstep":
-                wall, total = _timed_lockstep(
-                    SessionPool(SAMPLE_RATE_HZ), workloads
-                )
+        # Interleaved replicates so machine drift hits both drivers.
+        for name in ("gateway", "serial"):
+            if name == "serial":
+                wall, total, _steps = timed_serial(workloads)
             else:
-                pool = (
-                    BatchedSessionPool(SAMPLE_RATE_HZ)
-                    if name == "gateway_batched"
-                    else None
-                )
-                gw, total, wall = _run_gateway(
-                    workloads, schedule, pool=pool
-                )
+                gw, total, wall = _run_gateway(workloads, schedule)
                 assert gw.stats.samples_shed == 0
             us = 1e6 * wall / total
             rows.append(
@@ -234,7 +198,7 @@ def bench_ragged_vs_lockstep(
                 }
             )
             best[name] = min(best.get(name, float("inf")), us)
-    overhead = best["gateway"] / best["lockstep"]
+    overhead = best["gateway"] / best["serial"]
     return {
         "n_sessions": n_sessions,
         "duration_s": duration_s,
@@ -244,10 +208,9 @@ def bench_ragged_vs_lockstep(
         "reps": reps,
         "rows": rows,
         "gateway_us_per_sample": best["gateway"],
-        "gateway_batched_us_per_sample": best["gateway_batched"],
-        "lockstep_us_per_sample": best["lockstep"],
+        "serial_us_per_sample": best["serial"],
         "gateway_samples_per_s": 1e6 / best["gateway"],
-        "lockstep_samples_per_s": 1e6 / best["lockstep"],
+        "serial_samples_per_s": 1e6 / best["serial"],
         "overhead_x": overhead,
         "target_overhead_x": TARGET_OVERHEAD_X,
         "overhead_ok": bool(overhead <= TARGET_OVERHEAD_X),
@@ -303,7 +266,7 @@ def run_ragged_ingest(check: bool = False) -> Dict[str, Any]:
     """The full ragged-ingest suite; ``check`` shrinks every workload."""
     if check:
         identity = assert_gateway_identity(n_sessions=4, duration_s=12.0)
-        headline = bench_ragged_vs_lockstep(
+        headline = bench_ragged_vs_serial(
             n_sessions=16, duration_s=8.0, reps=1
         )
         shedding = bench_shedding(
@@ -311,11 +274,11 @@ def run_ragged_ingest(check: bool = False) -> Dict[str, Any]:
         )
     else:
         identity = assert_gateway_identity()
-        headline = bench_ragged_vs_lockstep()
+        headline = bench_ragged_vs_serial()
         shedding = bench_shedding()
     return {
         "check_mode": check,
         "identity": identity,
-        "ragged_vs_lockstep": headline,
+        "ragged_vs_serial": headline,
         "shedding": shedding,
     }

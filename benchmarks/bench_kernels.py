@@ -4,8 +4,8 @@ Four sections, written into the ``fleet_kernels`` block of
 ``BENCH_PR8.json``:
 
 * **identity** — asserted *before any timing*: (a) the serving
-  crediting oracle ``serial == pooled == sharded == batched`` on the
-  packed round (reused from the PR-6 suite), and (b) a differential
+  crediting oracle ``serial == pooled == sharded`` on the packed round
+  (reused from the PR-6 suite), and (b) a differential
   sweep of the batched bounce solver
   (:func:`repro.core.bounce.solve_bounce_block`) against the scalar
   :func:`~repro.core.bounce.solve_bounce` on randomized physical
@@ -13,27 +13,24 @@ Four sections, written into the ``fleet_kernels`` block of
   to scipy's ``brentq`` result, and every geometry the scalar path
   rejects must come back ``valid=False``.
 * **headline** — amortized steady-state ingest cost (µs/sample) of the
-  batched pool at 1000 sessions, measured against
+  pool at 1000 sessions, measured against
   the *tracked PR-6 batched baseline* read from ``BENCH_PR6.json``.
   The tracked targets: >= 1.5x improvement over that baseline and an
   absolute cost <= 1.2 µs/sample.
-* **small_fleet** — the 10-session row: the packed round (default)
-  against the scalar-round escape hatch (``small_fleet_cutoff``), plus
-  the improvement over the PR-6 10-session occupancy row. This is the
-  measurement behind ``BatchedSessionPool.SMALL_FLEET_CUTOFF = 0``:
-  with every stage batched the packed round wins even at tiny
-  occupancy.
+* **small_fleet** — the 10-session row: the pool's packed round
+  against serial sessions (one ``StreamingPTrack.append`` per session
+  per tick), plus the improvement over the PR-6 10-session occupancy
+  row.
 * **bounce_kernel** — the solver microbenchmark: one
   ``solve_bounce_block`` call against the equivalent scalar loop at a
   fleet-scale row count.
 
-In full runs the suite additionally records ``check_reference`` — the
-check-scale headline measured on the same machine — so CI smoke runs
-(``--check``) can gate on a *ratio* (batched-vs-lockstep speedup at
-check scale) instead of absolute µs, which would be runner-dependent:
-check mode fails when the current speedup — the median ratio over
-interleaved batched/lockstep pairs — drops below 80% of the tracked
-one (a >20% regression).
+Every run also records ``check_reference`` — the check-scale speedup
+of the pool over serial sessions — so CI smoke runs (``--check``) can
+gate on a *ratio* instead of absolute µs, which would be
+runner-dependent: check mode fails when the current speedup — the
+median ratio over interleaved pool/serial pairs — drops below
+:data:`CHECK_SPEEDUP_FLOOR`.
 """
 
 from __future__ import annotations
@@ -51,20 +48,25 @@ from bench_batch import (
     SAMPLE_RATE_HZ,
     _timed_ingest,
     assert_batched_identity,
+    timed_serial,
 )
 from repro.core.bounce import GeometryError, solve_bounce, solve_bounce_block
-from repro.serving import BatchedSessionPool, SessionPool, synthesize_workload
+from repro.serving import SessionPool, synthesize_workload
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Tracked targets for the 1000-session headline.
 TARGET_IMPROVEMENT = 1.5
 TARGET_US_PER_SAMPLE = 1.2
-#: Check-mode regression gate: fail below this fraction of the tracked
-#: check-scale speedup.
-CHECK_REGRESSION_FLOOR = 0.8
-#: Interleaved batched/lockstep pairs behind the check-scale ratio.
+#: Interleaved pool/serial pairs behind the check-scale ratio.
 CHECK_REFERENCE_PAIRS = 7
+#: Check-mode regression gate: the check-scale serial/pool speedup
+#: must reach this. It is 0.8 x the median of 15 readings of
+#: :func:`measure_check_reference` (each the median of
+#: :data:`CHECK_REFERENCE_PAIRS` pairs) on a shared 2-vCPU host, which
+#: spread 5.16-6.05x around a median of 5.39x; it may not drop below
+#: 3.0, the floor the gate had against the lockstep pool.
+CHECK_SPEEDUP_FLOOR = 4.32
 
 #: PR-6 fallbacks, used only when ``BENCH_PR6.json`` is unreadable
 #: (the tracked file is the source of truth).
@@ -99,17 +101,6 @@ def load_pr6_baseline() -> Dict[str, Any]:
             "batched_us_per_sample": _PR6_BATCHED_US_FALLBACK,
             "occupancy_10_us_per_sample": _PR6_OCCUPANCY_10_US_FALLBACK,
         }
-
-
-def load_tracked_check_reference() -> Optional[Dict[str, Any]]:
-    """``check_reference`` from the tracked PR-8 scoreboard, if any."""
-    path = REPO_ROOT / "BENCH_PR8.json"
-    try:
-        ref = json.loads(path.read_text())["fleet_kernels"]["check_reference"]
-        float(ref["speedup"])  # shape check
-        return ref
-    except (OSError, KeyError, TypeError, ValueError):
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -179,9 +170,9 @@ def assert_bounce_differential(
 # ----------------------------------------------------------------------
 
 
-def _pool_us(workloads, pool_cls=BatchedSessionPool, **pool_kw) -> float:
+def _pool_us(workloads) -> float:
     """Steady-state ingest µs/sample of one fresh pool (flush untimed)."""
-    pool = pool_cls(SAMPLE_RATE_HZ, **pool_kw)
+    pool = SessionPool(SAMPLE_RATE_HZ)
     sids = pool.add_sessions([w.profile for w in workloads])
     # Start every timed run from a collected heap, so a full collection
     # of the earlier runs' garbage never lands inside this one.
@@ -191,17 +182,22 @@ def _pool_us(workloads, pool_cls=BatchedSessionPool, **pool_kw) -> float:
     return 1e6 * wall / total
 
 
-def _best_pool_us(
-    workloads, reps: int, pool_cls=BatchedSessionPool, **pool_kw
-) -> float:
+def _serial_us(workloads) -> float:
+    """Steady-state ingest µs/sample of fresh serial sessions."""
+    gc.collect()
+    wall, total, _steps = timed_serial(workloads)
+    return 1e6 * wall / total
+
+
+def _best_pool_us(workloads, reps: int) -> float:
     """Best-of-``reps`` steady-state µs/sample, fresh pool per rep."""
-    return min(_pool_us(workloads, pool_cls, **pool_kw) for _ in range(reps))
+    return min(_pool_us(workloads) for _ in range(reps))
 
 
 def _warmup(workloads) -> None:
     """Untimed pass priming filter design and ufunc loops."""
     warm = workloads[: max(1, len(workloads) // 16)]
-    pool = BatchedSessionPool(SAMPLE_RATE_HZ)
+    pool = SessionPool(SAMPLE_RATE_HZ)
     sids = pool.add_sessions([w.profile for w in warm])
     _timed_ingest(pool, warm, sids)
     pool.flush(sids)
@@ -250,27 +246,24 @@ def bench_small_fleet(
     seed: int = 83,
     baseline: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """The 10-session row: packed round vs the scalar escape hatch."""
+    """The 10-session row: the packed round vs serial sessions."""
     if baseline is None:
         baseline = load_pr6_baseline()
     workloads = synthesize_workload(n_sessions, duration_s, seed=seed)
     _warmup(workloads)
-    packed_us = _best_pool_us(workloads, reps, small_fleet_cutoff=0)
-    scalar_us = _best_pool_us(
-        workloads, reps, small_fleet_cutoff=10**9
-    )
+    packed_us = _best_pool_us(workloads, reps)
+    serial_us = min(_serial_us(workloads) for _ in range(reps))
     base_us = baseline["occupancy_10_us_per_sample"]
     return {
         "n_sessions": n_sessions,
         "duration_s": duration_s,
         "reps": reps,
         "packed_us_per_sample": packed_us,
-        "scalar_round_us_per_sample": scalar_us,
-        "packed_beats_scalar": bool(packed_us <= scalar_us),
+        "serial_us_per_sample": serial_us,
+        "packed_beats_serial": bool(packed_us <= serial_us),
         "baseline_us_per_sample": base_us,
         "baseline_source": baseline["source"],
         "improvement_x": base_us / packed_us,
-        "default_small_fleet_cutoff": BatchedSessionPool.SMALL_FLEET_CUTOFF,
     }
 
 
@@ -315,27 +308,27 @@ def _timeit(fn) -> float:
 
 
 def measure_check_reference(seed: int = 86) -> Dict[str, Any]:
-    """The check-scale batched-vs-lockstep speedup (the CI gate ratio).
+    """The check-scale pool-over-serial speedup (the CI gate ratio).
 
     The median over :data:`CHECK_REFERENCE_PAIRS` interleaved
-    batched/lockstep runs of each pair's ratio: host-speed drift on a
+    pool/serial runs of each pair's ratio: host-speed drift on a
     shared machine hits both runs of a pair alike, and the median rides
     out a stalled run.
     """
     workloads = synthesize_workload(32, 8.0, seed=seed)
     _warmup(workloads)
-    batched: List[float] = []
-    lockstep: List[float] = []
+    pooled: List[float] = []
+    serial: List[float] = []
     for _pair in range(CHECK_REFERENCE_PAIRS):
-        batched.append(_pool_us(workloads))
-        lockstep.append(_pool_us(workloads, SessionPool))
-    ratios = [lock / bat for bat, lock in zip(batched, lockstep)]
+        pooled.append(_pool_us(workloads))
+        serial.append(_serial_us(workloads))
+    ratios = [ser / poo for poo, ser in zip(pooled, serial)]
     return {
         "n_sessions": 32,
         "duration_s": 8.0,
         "pairs": CHECK_REFERENCE_PAIRS,
-        "batched_us_per_sample": float(np.median(batched)),
-        "lockstep_us_per_sample": float(np.median(lockstep)),
+        "pool_us_per_sample": float(np.median(pooled)),
+        "serial_us_per_sample": float(np.median(serial)),
         "speedup": float(np.median(ratios)),
         "speedup_min": min(ratios),
         "speedup_max": max(ratios),
@@ -350,9 +343,9 @@ def measure_check_reference(seed: int = 86) -> Dict[str, Any]:
 def run_fleet_kernels(check: bool = False) -> Dict[str, Any]:
     """The full PR-8 kernel suite; ``check`` shrinks every workload.
 
-    Check mode additionally gates on the tracked ``check_reference``:
-    the current check-scale batched-vs-lockstep speedup must stay above
-    :data:`CHECK_REGRESSION_FLOOR` of the recorded one.
+    Check mode additionally gates on ``check_reference``: the
+    check-scale pool-over-serial speedup must reach
+    :data:`CHECK_SPEEDUP_FLOOR`.
     """
     baseline = load_pr6_baseline()
     if check:
@@ -366,21 +359,14 @@ def run_fleet_kernels(check: bool = False) -> Dict[str, Any]:
             n_sessions=4, duration_s=8.0, reps=1, baseline=baseline
         )
         bounce_kernel = bench_bounce_kernel(n_rows=512, reps=2)
-        tracked = load_tracked_check_reference()
-        if tracked is None:
-            regression = {
-                "status": "no_tracked_reference",
-                "regression_ok": True,
-            }
-        else:
-            floor = CHECK_REGRESSION_FLOOR * float(tracked["speedup"])
-            regression = {
-                "status": "compared",
-                "tracked_speedup": float(tracked["speedup"]),
-                "current_speedup": reference["speedup"],
-                "floor_speedup": floor,
-                "regression_ok": bool(reference["speedup"] >= floor),
-            }
+        regression = {
+            "status": "compared",
+            "current_speedup": reference["speedup"],
+            "floor_speedup": CHECK_SPEEDUP_FLOOR,
+            "regression_ok": bool(
+                reference["speedup"] >= CHECK_SPEEDUP_FLOOR
+            ),
+        }
         result: Dict[str, Any] = {
             "check_mode": True,
             "identity": identity,

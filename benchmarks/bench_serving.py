@@ -1,13 +1,9 @@
 """Tracked serving benchmarks: streaming core + multi-session fleet.
 
-Three sections, all written into the ``serving`` block of the JSON
-scoreboard (``BENCH_PR3.json``):
+Two sections, both written into the ``serving`` block of the JSON
+scoreboard (``BENCH_PR3.json``; its ``single_session`` rows measured a
+reprocessing driver that no longer ships):
 
-* **single_session** — the incremental :class:`StreamingPTrack`
-  against the retained :class:`ReprocessingStreamingPTrack` (the
-  pre-incremental driver that re-runs the batch pipeline over its
-  rolling buffer every append) on one long trace, swept across upload
-  cadences. The headline row is the 0.5 s wearable cadence.
 * **amortized_append** — the O(1) evidence: the incremental core's
   wall time and op-counter ratios as the same stream is sliced into
   8x more append calls. Flat cost and identical work counters mean
@@ -26,70 +22,11 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.core.streaming import ReprocessingStreamingPTrack, StreamingPTrack
+from repro.core.streaming import StreamingPTrack
 from repro.serving import SessionPool, serve_fleet, synthesize_workload
 
 SAMPLE_RATE_HZ = 100.0
 HEADLINE_CADENCE = 50  # samples per append: the 0.5 s upload interval
-
-
-def _drive(streamer, data: np.ndarray, batch: int) -> None:
-    for i in range(0, data.shape[0], batch):
-        streamer.append(data[i : i + batch])
-    streamer.flush()
-
-
-def bench_single_session(
-    duration_s: float = 600.0,
-    cadences: Sequence[int] = (25, 50, 100, 200),
-    seed: int = 1,
-) -> Dict[str, Any]:
-    """Incremental vs reprocessing driver on one trace, per cadence."""
-    (workload,) = synthesize_workload(1, duration_s, seed=seed)
-    data = workload.samples
-    rows: List[Dict[str, Any]] = []
-    for batch in cadences:
-        fast = StreamingPTrack(SAMPLE_RATE_HZ, profile=workload.profile)
-        t0 = time.perf_counter()
-        _drive(fast, data, batch)
-        fast_s = time.perf_counter() - t0
-
-        slow = ReprocessingStreamingPTrack(
-            SAMPLE_RATE_HZ, profile=workload.profile
-        )
-        t0 = time.perf_counter()
-        _drive(slow, data, batch)
-        slow_s = time.perf_counter() - t0
-
-        # Integrity: both drivers track the simulated walk; the two
-        # implementations may differ by a cycle at trace edges.
-        assert abs(fast.step_count - workload.true_steps) <= 6
-        assert abs(fast.step_count - slow.step_count) <= 4
-        rows.append(
-            {
-                "batch_samples": batch,
-                "cadence_s": batch / SAMPLE_RATE_HZ,
-                "incremental_s": fast_s,
-                "reprocessing_s": slow_s,
-                "speedup": slow_s / fast_s,
-                "samples_per_s": data.shape[0] / fast_s,
-                "real_time_factor": duration_s / fast_s,
-                "steps_incremental": fast.step_count,
-                "steps_reprocessing": slow.step_count,
-            }
-        )
-    headline = next(
-        (r for r in rows if r["batch_samples"] == HEADLINE_CADENCE), rows[0]
-    )
-    return {
-        "duration_s": duration_s,
-        "n_samples": int(data.shape[0]),
-        "cadences": rows,
-        "headline_cadence_s": headline["cadence_s"],
-        "headline_speedup": headline["speedup"],
-    }
 
 
 def bench_amortized_append(
@@ -228,9 +165,6 @@ def run_serving(check: bool = False) -> Dict[str, Any]:
     """The full serving section of the scoreboard."""
     if check:
         return {
-            "single_session": bench_single_session(
-                duration_s=30.0, cadences=(50, 200)
-            ),
             "amortized_append": bench_amortized_append(
                 duration_s=30.0, cadences=(25, 200)
             ),
@@ -241,7 +175,6 @@ def run_serving(check: bool = False) -> Dict[str, Any]:
             ),
         }
     return {
-        "single_session": bench_single_session(),
         "amortized_append": bench_amortized_append(),
         "fleet_scaling": bench_fleet_scaling(),
     }

@@ -6,12 +6,11 @@ them three ways and shows the results are identical:
 
 1. **Serially** — one :class:`StreamingPTrack` per user, driven alone.
 2. **Pooled** — all sessions behind one
-   :class:`repro.serving.SessionPool`, whose vectorized ingest batches
-   the per-cycle stepping kernels across the whole fleet.
+   :class:`repro.serving.SessionPool`, whose rounds run every kernel
+   once for the whole fleet.
 3. **Sharded** — :func:`repro.serving.serve_fleet` partitions the
    fleet across worker processes via ``repro.runtime.parallel_map``;
-   each shard runs the fleet-batched
-   :class:`repro.serving.BatchedSessionPool`.
+   each shard runs its own :class:`repro.serving.SessionPool`.
 
 It then makes profiles durable: a :class:`repro.profiles.ProfileStore`
 round-trips the same fleet — serving by ``user_id`` warm-loads the

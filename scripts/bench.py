@@ -13,9 +13,9 @@ Suites:
 * ``runtime`` — kernel scalar-vs-vectorised speedups, trace-cache
   cold/warm behaviour, and the macro replicate-study timings
   (the PR-1 scoreboard, ``BENCH_PR1.json``).
-* ``serving`` — incremental streaming vs the reprocessing baseline,
-  the amortised-append cost curve, and SessionPool fleet scaling
-  (the PR-3 scoreboard, ``BENCH_PR3.json``).
+* ``serving`` — the amortised-append cost curve of the incremental
+  streaming core and SessionPool fleet scaling (the PR-3 scoreboard,
+  ``BENCH_PR3.json``).
 * ``faulted-serving`` — degraded-mode ingest overhead on clean traces
   (tracked <5% budget, bit-identical credits) and self-healing fleet
   throughput over fault-injected workloads (the PR-4 scoreboard,
@@ -24,13 +24,13 @@ Suites:
   path (tracked <5% budget, bit-identical credits) and shard/worker
   invariance of the merged fleet registry (the PR-5 scoreboard,
   ``BENCH_PR5.json``).
-* ``fleet_batch`` — the fleet-batched pool against the lockstep pool
+* ``fleet-batch`` — the fleet-batched pool against serial sessions
   (tracked >= 5x amortized µs/sample reduction at 1000 sessions),
-  and the occupancy sweep — both gated
-  on the ``serial == pooled == sharded == batched`` crediting oracle
-  (the PR-6 scoreboard, ``BENCH_PR6.json``).
+  and the occupancy sweep — both gated on the
+  ``serial == pooled == sharded`` crediting oracle (the PR-6
+  scoreboard, ``BENCH_PR6.json``).
 * ``ragged-ingest`` — the async ingest gateway under seeded ragged
-  arrival schedules: sustained samples/s with the lockstep pool as
+  arrival schedules: sustained samples/s with serial sessions as
   the synchronized-arrival baseline (tracked <= 2x overhead), and the
   deterministic-shedding row under a mailbox flood — gated on the
   ``serial replay == gateway`` crediting oracle (the PR-7 scoreboard,
@@ -38,7 +38,8 @@ Suites:
 * ``fleet-kernels`` — the batched round kernels: 1000-session
   batched µs/sample against the tracked PR-6 batched baseline
   (tracked >= 1.5x improvement, <= 1.2 µs/sample), the 10-session
-  small-fleet row, and the batched bounce solver —
+  small-fleet row against serial sessions, the check-scale
+  pool-over-serial speedup gate, and the batched bounce solver —
   gated on the crediting oracle *and* a bitwise
   ``solve_bounce_block == solve_bounce`` differential sweep (the PR-8
   scoreboard, ``BENCH_PR8.json``).
@@ -134,12 +135,6 @@ def _print_runtime(results) -> bool:
 
 
 def _print_serving(serving) -> bool:
-    single = serving["single_session"]
-    print(
-        f"  single session ({single['duration_s']:.0f}s trace): "
-        f"{single['headline_speedup']:.1f}x over reprocessing at "
-        f"{single['headline_cadence_s']:.1f}s cadence"
-    )
     amort = serving["amortized_append"]
     print(
         f"  amortised append: wall spread {amort['wall_spread']:.2f}x "
@@ -223,11 +218,11 @@ def _print_fleet_batch(fleet_batch) -> bool:
         f"{identity['compared_steps']} steps): {identity['oracle']}: "
         f"{identity['ok']}"
     )
-    headline = fleet_batch["batched_vs_lockstep"]
+    headline = fleet_batch["pool_vs_serial"]
     print(
-        f"  batched vs lockstep ({headline['n_sessions']} sessions): "
-        f"{headline['batched_us_per_sample']:.2f} vs "
-        f"{headline['lockstep_us_per_sample']:.2f} us/sample "
+        f"  pool vs serial ({headline['n_sessions']} sessions): "
+        f"{headline['pool_us_per_sample']:.2f} vs "
+        f"{headline['serial_us_per_sample']:.2f} us/sample "
         f"({headline['speedup']:.2f}x, target "
         f"{headline['target_speedup']:.1f}x)"
     )
@@ -243,7 +238,7 @@ def _print_fleet_batch(fleet_batch) -> bool:
         print("ERROR: batched serving diverged from the crediting oracle")
         ok = False
     if not fleet_batch["check_mode"] and not headline["speedup_ok"]:
-        print("ERROR: batched fleet driver missed the tracked 5x target")
+        print("ERROR: fleet pool missed the tracked 5x target")
         ok = False
     return ok
 
@@ -273,8 +268,8 @@ def _print_fleet_kernels(fleet_kernels) -> bool:
     small = fleet_kernels["small_fleet"]
     print(
         f"  small fleet ({small['n_sessions']} sessions): packed "
-        f"{small['packed_us_per_sample']:.3f} vs scalar round "
-        f"{small['scalar_round_us_per_sample']:.3f} us/sample "
+        f"{small['packed_us_per_sample']:.3f} vs serial "
+        f"{small['serial_us_per_sample']:.3f} us/sample "
         f"({small['improvement_x']:.2f}x over tracked "
         f"{small['baseline_us_per_sample']:.3f})"
     )
@@ -310,8 +305,8 @@ def _print_fleet_kernels(fleet_kernels) -> bool:
             ok = False
     elif not regression["regression_ok"]:
         print(
-            "ERROR: check-scale batched speedup regressed >20% below "
-            "the tracked reference"
+            "ERROR: check-scale pool-over-serial speedup fell below "
+            "its floor"
         )
         ok = False
     return ok
@@ -325,12 +320,12 @@ def _print_ragged_ingest(ragged) -> bool:
         f"ticks, skew {identity['max_seq_skew']}): {identity['oracle']}: "
         f"{identity['ok']}"
     )
-    headline = ragged["ragged_vs_lockstep"]
+    headline = ragged["ragged_vs_serial"]
     print(
-        f"  ragged vs lockstep ({headline['n_sessions']} sessions): "
+        f"  ragged vs serial ({headline['n_sessions']} sessions): "
         f"gateway {headline['gateway_samples_per_s']:,.0f} samples/s "
         f"({headline['gateway_us_per_sample']:.2f} us/sample) vs "
-        f"lockstep {headline['lockstep_samples_per_s']:,.0f} samples/s "
+        f"serial {headline['serial_samples_per_s']:,.0f} samples/s "
         f"({headline['overhead_x']:.2f}x overhead, target <= "
         f"{headline['target_overhead_x']:.1f}x)"
     )

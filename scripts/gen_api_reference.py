@@ -27,7 +27,6 @@ MODULES = [
     "repro.runtime.clock",
     "repro.faults",
     "repro.serving",
-    "repro.serving.batch",
     "repro.serving.checkpoint",
     "repro.serving.gateway",
     "repro.serving.rebalance",

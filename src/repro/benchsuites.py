@@ -53,7 +53,7 @@ SUITES: Tuple[BenchSuite, ...] = (
     BenchSuite(
         "serving",
         "BENCH_PR3.json",
-        "incremental streaming vs reprocessing and SessionPool scaling",
+        "amortised streaming append and SessionPool scaling",
     ),
     BenchSuite(
         "faulted-serving",
@@ -68,7 +68,7 @@ SUITES: Tuple[BenchSuite, ...] = (
     BenchSuite(
         "fleet-batch",
         "BENCH_PR6.json",
-        "fleet-batched pool vs lockstep pool, serial-replay oracle",
+        "fleet-batched pool vs serial sessions, serial-replay oracle",
     ),
     BenchSuite(
         "ragged-ingest",

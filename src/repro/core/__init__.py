@@ -29,11 +29,7 @@ from repro.core.offset import cycle_offset
 from repro.core.pipeline import PTrack
 from repro.core.selftrain import CalibrationWalk, SelfTrainer, train_arm_length, train_leg_length
 from repro.core.step_counter import PTrackStepCounter
-from repro.core.streaming import (
-    ReprocessingStreamingPTrack,
-    StreamingOpStats,
-    StreamingPTrack,
-)
+from repro.core.streaming import StreamingOpStats, StreamingPTrack
 from repro.core.stepping import has_fixed_phase_difference, stepping_correlation
 from repro.core.stride import (
     PTrackStrideEstimator,
@@ -56,7 +52,6 @@ __all__ = [
     "direct_bounce",
     "extract_cycle_moments",
     "has_fixed_phase_difference",
-    "ReprocessingStreamingPTrack",
     "StreamingOpStats",
     "StreamingPTrack",
     "otsu_threshold",

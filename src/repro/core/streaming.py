@@ -25,11 +25,6 @@ Work is performed only when the head crosses fixed *hop* boundaries,
 which makes results independent of how the stream is chunked (one
 giant append and 60 000 single-sample appends produce bit-identical
 credits) and makes the amortised per-sample cost O(1).
-
-:class:`ReprocessingStreamingPTrack` keeps the previous implementation
-— re-running the whole batch pipeline over the rolling buffer on every
-append — as the behavioural reference for equivalence tests and the
-baseline for the serving benchmarks.
 """
 
 from __future__ import annotations
@@ -44,16 +39,11 @@ import numpy as np
 from repro.core.bounce import direct_bounce, extract_cycle_moments
 from repro.core.config import PTrackConfig
 from repro.core.offset import cycle_offset
-from repro.core.step_counter import (
-    CycleCandidate,
-    Fig4Streak,
-    PTrackStepCounter,
-)
+from repro.core.step_counter import CycleCandidate, Fig4Streak
 from repro.core.stepping import batch_stepping_tests
 from repro.core.stride import PTrackStrideEstimator
 from repro.exceptions import ConfigurationError, GeometryError, SignalError
 from repro.faults.policy import FaultPolicy
-from repro.sensing.imu import IMUTrace
 from repro.signal.filters import butter_lowpass
 from repro.signal.projection import anterior_direction, project_horizontal
 from repro.signal.batched import WindowCycles, batched_segment_windows
@@ -66,8 +56,8 @@ __all__ = [
     "StreamingOpStats",
     "StagedCycle",
     "admit_cycles",
+    "stepping_values",
     "StreamingPTrack",
-    "ReprocessingStreamingPTrack",
 ]
 
 #: Version tag of the durable session state format (mirrors the
@@ -175,13 +165,12 @@ class StreamingOpStats:
 class StagedCycle:
     """A settled candidate cycle awaiting its stepping-test results.
 
-    Produced by :meth:`StreamingPTrack.collect`; the cheap per-cycle
-    measurements (motion gate, offset) are already filled in, while the
-    stepping admission tests — the batchable hot kernel — may be
-    evaluated by the session itself or, for fleet serving, stacked
-    across many sessions into one
-    :func:`repro.core.stepping.batch_stepping_tests` call by a
-    :class:`repro.serving.SessionPool`.
+    Produced by :meth:`StreamingPTrack.make_staged`; the cheap
+    per-cycle measurements (motion gate, offset) are already filled in,
+    while the stepping admission tests — the batchable hot kernel — run
+    afterwards in one :func:`stepping_values` call, over the session's
+    own cycles on the solo path or over every session's in a
+    :class:`repro.serving.SessionPool` round.
 
     Attributes:
         candidate: The Fig.-4 candidate (absolute sample indices).
@@ -250,6 +239,44 @@ def admit_cycles(
     ]
     bounds = owners[ok].searchsorted(np.arange(len(origins) + 1)).tolist()
     return [spans[bounds[w] : bounds[w + 1]] for w in range(len(origins))]
+
+
+def stepping_values(
+    staged_lists: Sequence[Sequence[StagedCycle]],
+    config: PTrackConfig,
+) -> List[List[Optional[Tuple[float, float, bool]]]]:
+    """The stepping admission tests of a round, for every session at once.
+
+    Every staged cycle that needs the tests, whichever session staged
+    it, goes into one :func:`repro.core.stepping.batch_stepping_tests`
+    call. The kernels are row-wise over length-grouped stacks, so a
+    session's values do not depend on which other sessions share the
+    call: the solo drain passes its own cycles alone and a pool round
+    passes the whole fleet's.
+
+    Returns:
+        Per session, one ``(corr, corr_v, phase_ok)`` triple per staged
+        cycle, ``None`` where ``needs_stepping`` is false — the
+        ``stepping`` argument of :meth:`StreamingPTrack.classify`.
+    """
+    values: List[List[Optional[Tuple[float, float, bool]]]] = [
+        [None] * len(staged) for staged in staged_lists
+    ]
+    flat = [
+        (si, ci, cyc)
+        for si, staged in enumerate(staged_lists)
+        for ci, cyc in enumerate(staged)
+        if cyc.needs_stepping
+    ]
+    if flat:
+        triples = batch_stepping_tests(
+            [cyc.v_seg for _, _, cyc in flat],
+            [cyc.a_seg for _, _, cyc in flat],
+            config,
+        )
+        for (si, ci, _), triple in zip(flat, triples):
+            values[si][ci] = triple
+    return values
 
 
 class StreamingPTrack:
@@ -751,16 +778,12 @@ class StreamingPTrack:
                     cfg.lowpass_order,
                 )
                 self.apply_final_block(lo, hi, final, block)
-            staged = self._pass(head, settle_margin=0)
-            self.finish_collect(head)
-            st, sr = self.resolve(staged, self.stepping_values(staged))
-            steps.extend(st)
-            strides.extend(sr)
+            self._settle_pass(head, 0, steps, strides)
         self.end_flush()
         return steps, strides
 
     # ------------------------------------------------------------------
-    # Split-phase API (used by repro.serving.SessionPool)
+    # Ingest and delivery (used by repro.serving.SessionPool)
     # ------------------------------------------------------------------
     def ingest(self, samples: np.ndarray) -> int:
         """Buffer a batch without processing it; return samples taken.
@@ -855,79 +878,17 @@ class StreamingPTrack:
         self._pending_observations = []
         return observations
 
-    def collect(self) -> Optional[List[StagedCycle]]:
-        """Run ONE due processing pass; return its settled cycles.
-
-        Returns ``None`` when the head has not crossed the next hop
-        boundary (nothing to do); otherwise a (possibly empty) list of
-        newly staged cycles whose results MUST be fed back through
-        :meth:`resolve` before the next ``collect`` — resolution and
-        the post-resolve trim are part of the boundary's pass, and
-        every stage is keyed to the absolute boundary index so that
-        per-boundary state (and therefore every credit) is identical
-        no matter how the stream was chunked into appends. Callers
-        loop: ``append`` drains all due boundaries for one session; a
-        :class:`repro.serving.SessionPool` drains them in fleet-wide
-        lockstep rounds to batch the stepping kernels.
-        """
-        boundary = self.peek_boundary()
-        if boundary is None:
-            return None
-        staged = self._pass(boundary, self._settle_margin)
-        self.finish_collect(boundary)
-        return staged
-
-    def stepping_values(
-        self,
-        staged: Sequence[StagedCycle],
-    ) -> List[Optional[Tuple[float, float, bool]]]:
-        """Stepping admission tests for the staged cycles that need them.
-
-        One length-grouped batch call; a :class:`SessionPool` replaces
-        this per-session call with a single fleet-wide batch.
-        """
-        indices = [i for i, s in enumerate(staged) if s.needs_stepping]
-        out: List[Optional[Tuple[float, float, bool]]] = [None] * len(staged)
-        if indices:
-            triples = batch_stepping_tests(
-                [staged[i].v_seg for i in indices],
-                [staged[i].a_seg for i in indices],
-                self._config,
-            )
-            for i, triple in zip(indices, triples):
-                out[i] = triple
-        return out
-
-    def resolve(
-        self,
-        staged: Sequence[StagedCycle],
-        stepping: Sequence[Optional[Tuple[float, float, bool]]],
-    ) -> Tuple[List[StepEvent], List[StrideEstimate]]:
-        """Feed staged cycles through the Fig.-4 streak; credit results.
-
-        Args:
-            staged: Cycles from :meth:`collect`, in time order.
-            stepping: Per-cycle admission-test triples aligned with
-                ``staged`` (``None`` where ``needs_stepping`` is
-                false), from :meth:`stepping_values` or a pool batch.
-
-        Returns:
-            Newly credited (steps, strides) in absolute stream time.
-        """
-        credited = self.classify(staged, stepping)
-        return self.credit_resolved(credited, self.stride_solutions(credited))
-
     # ------------------------------------------------------------------
-    # Fleet-batching seams (used by repro.serving.batch)
+    # Fleet-batching seams (used by repro.serving.SessionPool)
     #
-    # Each method is one phase of what collect/resolve/flush do for a
-    # single session, exposed so a BatchedSessionPool can run the
-    # phase's numeric kernel across a whole fleet between the
-    # per-session state transitions. Every op-stat bump lives inside the
-    # phase that does the work, so the counters stay driver-invariant;
-    # and the solo paths (_advance_filter/_pass/resolve/flush) are
-    # themselves built from these seams, so there is exactly one
-    # implementation of each phase.
+    # Each method is one phase of what a pass at a hop boundary (or the
+    # end-of-stream flush) does for a single session, exposed so a
+    # pool round can run the phase's numeric kernel across a whole
+    # fleet between the per-session state transitions. Every op-stat
+    # bump lives inside the phase that does the work, so the counters
+    # stay driver-invariant; and the solo paths (_advance_filter, _pass,
+    # _settle_pass, flush) are themselves built from these seams, so
+    # there is exactly one implementation of each phase.
     # ------------------------------------------------------------------
     def begin_flush(
         self,
@@ -942,7 +903,7 @@ class StreamingPTrack:
         :meth:`end_flush`). Otherwise the caller drains the due hop
         boundaries, finalises the filter (:meth:`final_filter_plan`),
         runs one zero-settle pass at ``head`` closed by
-        :meth:`finish_collect`, resolves it, then calls
+        :meth:`finish_collect`, credits it, then calls
         :meth:`end_flush`.
         """
         if self._pending_invalid:
@@ -971,8 +932,8 @@ class StreamingPTrack:
 
     def finish_collect(self, boundary: int) -> None:
         """Close a pass at ``boundary``: schedule the next boundary and
-        arm the post-resolve trim (the bookkeeping tail of
-        :meth:`collect`)."""
+        arm the trim :meth:`credit_resolved` runs once the pass's cycles
+        are credited."""
         self._next_boundary = boundary + self._hop
         self._trim_boundary = boundary
 
@@ -1054,7 +1015,7 @@ class StreamingPTrack:
         which cycles are settled and the consumed-peak watermark, the
         inputs of :func:`admit_cycles` — or ``None`` when the retained
         window is too small to segment (the pass still counts; callers
-        proceed straight to an empty resolve so the boundary's trim
+        proceed straight to an empty credit so the boundary's trim
         runs).
         """
         margin = self._settle_margin if settle_margin is None else settle_margin
@@ -1151,8 +1112,9 @@ class StreamingPTrack:
     ) -> List[Tuple[CycleCandidate, object, Optional[Tuple]]]:
         """Feed staged cycles through the Fig.-4 streak.
 
-        The state half of :meth:`resolve`: applies the stepping-test
-        results, advances the confirmation streak, and returns the
+        The state half of a pass's crediting: applies the stepping-test
+        results (from :func:`stepping_values`), advances the
+        confirmation streak, and returns the
         cycles it credited as ``(candidate, gait_type, segments)``
         triples (``segments`` is the stored ``(v_seg, h_seg, a_seg)``
         or ``None`` when already retired).
@@ -1203,7 +1165,7 @@ class StreamingPTrack:
             items.append((v_seg, h_seg, a_seg, gait, self._profile))
         return indices, items
 
-    def stride_solutions(
+    def _stride_solutions(
         self,
         credited: Sequence[Tuple[CycleCandidate, object, Optional[Tuple]]],
     ) -> List[Optional[Tuple[float, float]]]:
@@ -1230,7 +1192,7 @@ class StreamingPTrack:
     ) -> Tuple[List[StepEvent], List[StrideEstimate]]:
         """Emit credits for classified cycles; close the pass.
 
-        The crediting tail of :meth:`resolve`: step/stride emission
+        The crediting tail of a pass: step/stride emission
         (with the sequential median-imputation fallback), totals, the
         credited-frontier advance, the boundary trim, and telemetry.
         """
@@ -1326,8 +1288,8 @@ class StreamingPTrack:
         ``ptrack_<field>_total`` per field), published as deltas so
         the registry totals stay monotonic across :meth:`reset` and
         session reuse. Publishing happens at credit boundaries —
-        ``resolve``, ``flush``, and ``reset`` — which every driver
-        (solo ``append``, pooled split-phase, sharded fleet) flows
+        :meth:`credit_resolved`, ``flush``, and ``reset`` — which every
+        driver (solo ``append``, pool round, sharded fleet) flows
         through, so fleet counter totals are identical across serving
         modes; between boundaries the registry may lag ``op_stats``
         by at most one settle horizon.
@@ -1474,7 +1436,7 @@ class StreamingPTrack:
         """Emit one credited cycle's step events and stride estimates.
 
         ``solved`` is the cycle's pre-computed ``(stride, bounce)`` from
-        :meth:`stride_solutions` (or a fleet batch); it is consulted
+        :meth:`_stride_solutions` (or a fleet batch); it is consulted
         only when the cycle qualifies for a solve, and the median
         imputation below stays sequential so a failed solve sees
         exactly the strides credited before it in this round.
@@ -1547,12 +1509,35 @@ class StreamingPTrack:
     ) -> None:
         """Run every due hop boundary's pass, extending the credits."""
         while True:
-            staged = self.collect()
-            if staged is None:
+            boundary = self.peek_boundary()
+            if boundary is None:
                 return
-            st, sr = self.resolve(staged, self.stepping_values(staged))
-            steps.extend(st)
-            strides.extend(sr)
+            self._settle_pass(boundary, self._settle_margin, steps, strides)
+
+    def _settle_pass(
+        self,
+        boundary: int,
+        settle_margin: int,
+        steps: List[StepEvent],
+        strides: List[StrideEstimate],
+    ) -> None:
+        """One pass at ``boundary``, credited: the solo round of one.
+
+        Stages the settled cycles, closes the pass, runs their stepping
+        tests, feeds them through the streak and credits them — each
+        step the same seam a pool round calls, with one scalar stride
+        solve per credited cycle in place of the padded stack.
+        """
+        staged = self._pass(boundary, settle_margin)
+        self.finish_collect(boundary)
+        credited = self.classify(
+            staged, stepping_values([staged], self._config)[0]
+        )
+        st, sr = self.credit_resolved(
+            credited, self._stride_solutions(credited)
+        )
+        steps.extend(st)
+        strides.extend(sr)
 
     def _pass(self, boundary: int, settle_margin: int) -> List[StagedCycle]:
         """One processing pass at an absolute hop boundary.
@@ -1652,175 +1637,3 @@ class StreamingPTrack:
         self._size = kept
         self._buf_start = keep_abs
 
-
-class ReprocessingStreamingPTrack:
-    """The pre-incremental online driver (kept as a reference).
-
-    Re-runs the entire batch pipeline — filtering, segmentation,
-    offset/stepping tests, stride extraction — over the whole rolling
-    buffer on every ``append``, making per-sample cost O(buffer). It is
-    retained as the behavioural reference the incremental
-    :class:`StreamingPTrack` is tested against and as the baseline the
-    serving benchmarks (``benchmarks/bench_serving.py``) measure the
-    incremental core's speedup over.
-
-    Args:
-        sample_rate_hz: Sampling rate of the incoming stream.
-        profile: Optional user profile; without it only steps are
-            produced.
-        config: PTrack configuration.
-        settle_s: Settle horizon before a cycle is classified.
-        max_buffer_s: Rolling buffer length.
-    """
-
-    def __init__(
-        self,
-        sample_rate_hz: float,
-        profile: Optional[UserProfile] = None,
-        config: Optional[PTrackConfig] = None,
-        settle_s: float = 2.5,
-        max_buffer_s: float = 30.0,
-    ) -> None:
-        if sample_rate_hz <= 0:
-            raise ConfigurationError("sample_rate_hz must be positive")
-        self._config = config if config is not None else PTrackConfig()
-        min_cycle_s = 2.0 / self._config.min_step_rate_hz
-        if settle_s < min_cycle_s:
-            raise ConfigurationError(
-                f"settle_s must cover one maximal gait cycle "
-                f"({min_cycle_s:.1f} s), got {settle_s}"
-            )
-        if max_buffer_s < 4 * settle_s:
-            raise ConfigurationError("max_buffer_s must be >= 4 * settle_s")
-        self._rate = sample_rate_hz
-        self._profile = profile
-        self._settle = settle_s
-        self._max_buffer = int(max_buffer_s * sample_rate_hz)
-        self._counter = PTrackStepCounter(self._config)
-        self._estimator = (
-            PTrackStrideEstimator(profile, self._config)
-            if profile is not None
-            else None
-        )
-        self._data = np.empty((max(256, self._max_buffer // 8), 3))
-        self._size = 0
-        self._consumed_index = 0  # absolute index of the buffer start
-        self._credited_until = 0  # absolute sample index already settled
-        self._total_steps = 0
-        self._total_distance = 0.0
-
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-    @property
-    def step_count(self) -> int:
-        """Steps credited so far."""
-        return self._total_steps
-
-    @property
-    def distance_m(self) -> float:
-        """Distance credited so far (0 without a profile)."""
-        return self._total_distance
-
-    @property
-    def latency_s(self) -> float:
-        """Worst-case crediting latency (the settle window)."""
-        return self._settle
-
-    def append(
-        self,
-        samples: np.ndarray,
-    ) -> Tuple[List[StepEvent], List[StrideEstimate]]:
-        """Feed a batch of samples; return newly settled steps/strides."""
-        arr = np.asarray(samples, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise SignalError(f"samples must have shape (n, 3), got {arr.shape}")
-        if arr.shape[0] == 0:
-            return [], []
-        if not np.all(np.isfinite(arr)):
-            raise SignalError("samples contain non-finite values")
-        needed = self._size + arr.shape[0]
-        if needed > self._data.shape[0]:
-            capacity = self._data.shape[0]
-            while capacity < needed:
-                capacity *= 2
-            grown = np.empty((capacity, 3))
-            grown[: self._size] = self._data[: self._size]
-            self._data = grown
-        self._data[self._size : needed] = arr
-        self._size = needed
-        return self._drain(settle_margin=int(self._settle * self._rate))
-
-    def flush(self) -> Tuple[List[StepEvent], List[StrideEstimate]]:
-        """Settle everything remaining in the buffer (end of stream)."""
-        return self._drain(settle_margin=0)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _drain(
-        self,
-        settle_margin: int,
-    ) -> Tuple[List[StepEvent], List[StrideEstimate]]:
-        n = self._size
-        if n < 16:
-            return [], []
-        trace = IMUTrace(
-            self._data[:n],
-            self._rate,
-            start_time=self._consumed_index / self._rate,
-        )
-        steps, classifications = self._counter.process(trace)
-        if self._estimator is not None:
-            strides = self._estimator.estimate(trace, classifications)
-        else:
-            strides = []
-
-        settled_end = n - settle_margin
-        # A cycle is settled when it ends before the settle horizon.
-        settled_cycles = {
-            c.cycle_id for c in classifications if c.end_index <= settled_end
-        }
-        credited_after = self._credited_until - self._consumed_index
-
-        new_steps = [
-            s
-            for s in steps
-            if s.cycle_id in settled_cycles and s.index >= credited_after
-        ]
-        # Strides are credited in lockstep with steps, one per newly
-        # credited step of the cycle.  After a buffer trim the
-        # segmenter may re-pair an already-credited peak with a fresh
-        # one into a hybrid cycle; crediting that cycle's full stride
-        # pair would double-count distance even though the step dedup
-        # holds, so each cycle contributes exactly as many strides as
-        # it contributed new steps (the latest ones).
-        new_steps_per_cycle: dict = {}
-        for s in new_steps:
-            new_steps_per_cycle[s.cycle_id] = new_steps_per_cycle.get(s.cycle_id, 0) + 1
-        new_strides = []
-        for cycle_id, count in new_steps_per_cycle.items():
-            cycle_strides = [s for s in strides if s.cycle_id == cycle_id]
-            new_strides.extend(cycle_strides[-count:])
-        if new_steps:
-            last_index = max(s.index for s in new_steps)
-            self._credited_until = self._consumed_index + last_index + 1
-        self._total_steps += len(new_steps)
-        self._total_distance += float(sum(s.length_m for s in new_strides))
-
-        # Trim the buffer, keeping the unsettled tail plus one settle
-        # window of context for the segmenter.
-        keep_from = max(0, settled_end - settle_margin)
-        keep_from = min(keep_from, max(0, self._credited_until - self._consumed_index))
-        if n > self._max_buffer:
-            overflow = n - self._max_buffer
-            keep_from = max(keep_from, overflow)
-        if keep_from > 0:
-            kept = n - keep_from
-            # In-place tail copy: the regions overlap left-to-right, so
-            # a single bounded copy keeps the active prefix compact
-            # without allocating a fresh buffer.
-            self._data[:kept] = self._data[keep_from:n].copy()
-            self._size = kept
-            self._consumed_index += keep_from
-        return new_steps, new_strides

@@ -7,10 +7,10 @@ fresh each round churns the allocator at exactly the call rate batching
 is meant to amortise; :class:`FleetBatchBuffer` hands out views over
 per-key backing arrays that only ever grow.
 
-Historically this lived in :mod:`repro.serving.batch`; it moved here so
-the kernel layers (:mod:`repro.core.batched`,
-:mod:`repro.signal.batched`) can accept scratch without importing the
-serving layer. The old import path still re-exports it.
+It lives in the runtime layer so the kernel layers
+(:mod:`repro.core.batched`, :mod:`repro.signal.batched`) can accept
+scratch without importing the serving layer; :mod:`repro.serving`
+re-exports it.
 """
 
 from __future__ import annotations

@@ -5,11 +5,10 @@ makes one session cheap; this package makes *many* sessions cheap
 together:
 
 * :class:`SessionPool` — N independent sessions behind one vectorized
-  ingest call, batching the per-cycle stepping kernels fleet-wide.
-* :class:`BatchedSessionPool` — the fleet-batched pool: every round's
-  filter / segmentation / measurement / stride kernels run once for
-  the whole fleet as float64 batched kernels, bit-identical to the
-  lockstep pool.
+  ingest call: every round's filter / segmentation / measurement /
+  stepping / stride kernels run once for the whole fleet as float64
+  batched kernels, bit-identical to serial sessions.
+  ``BatchedSessionPool`` is the same class under its former name.
 * :class:`IngestGateway` — the async ingest front end: per-session
   bounded mailboxes absorb ragged arrivals (bursts, stalls, bounded
   reordering, join/leave), a coalescing scheduler feeds whatever has
@@ -31,7 +30,6 @@ together:
   by ``derive_rng(seed, i)`` for benchmarks and equivalence tests.
 """
 
-from repro.serving.batch import BatchedSessionPool, FleetBatchBuffer
 from repro.serving.checkpoint import (
     CheckpointStore,
     make_checkpoint,
@@ -46,8 +44,9 @@ from repro.serving.gateway import (
     SessionMailbox,
     serve_schedule,
 )
-from repro.serving.pool import SessionPool
+from repro.serving.pool import BatchedSessionPool, SessionPool
 from repro.serving.rebalance import RebalancePolicy, ShardEpochStats
+from repro.runtime.buffers import FleetBatchBuffer
 from repro.serving.workload import (
     ArrivalEvent,
     ArrivalSchedule,

@@ -3,7 +3,7 @@
 :func:`serve_fleet` drives N finished traces through N streaming
 sessions at a fixed upload cadence. Sessions are partitioned into
 contiguous shards, each shard is served by its own
-:class:`~repro.serving.batch.BatchedSessionPool` inside a worker
+:class:`~repro.serving.pool.SessionPool` inside a worker
 process, and the per-session results are reassembled in fleet order.
 
 Because every session's pipeline state is independent and the
@@ -70,7 +70,7 @@ from repro.serving.checkpoint import (
     make_checkpoint,
     split_checkpoint,
 )
-from repro.serving.batch import BatchedSessionPool
+from repro.serving.pool import SessionPool
 from repro.serving.rebalance import RebalancePolicy, ShardEpochStats
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracing import trace_span
@@ -278,7 +278,7 @@ def _serve_shard_epoch(job: _EpochJob) -> Dict[str, Any]:
     t0 = time.perf_counter()
     registry = MetricsRegistry() if spec.telemetry else None
     if job.pool is None:
-        pool = BatchedSessionPool(
+        pool = SessionPool(
             spec.sample_rate_hz,
             config=spec.config,
             settle_s=spec.settle_s,
@@ -289,7 +289,7 @@ def _serve_shard_epoch(job: _EpochJob) -> Dict[str, Any]:
         )
         sids = pool.add_sessions(shard.profiles)
     else:
-        pool = BatchedSessionPool.from_snapshot(job.pool, telemetry=registry)
+        pool = SessionPool.from_snapshot(job.pool, telemetry=registry)
         sids = pool.session_ids
     steps: List[List[StepEvent]] = [[] for _ in sids]
     strides: List[List[StrideEstimate]] = [[] for _ in sids]

@@ -1,10 +1,10 @@
 """Async ingest gateway: ragged arrivals in, batched rounds out.
 
-The lockstep pools (:class:`~repro.serving.pool.SessionPool`,
-:class:`~repro.serving.batch.BatchedSessionPool`) advance every session
-by the same batch on every call — the right shape for benchmarks, the
-wrong one for production traffic, where devices burst, stall, reorder
-uploads and disconnect at independent cadences. One slow producer must
+A :class:`~repro.serving.pool.SessionPool` called directly advances
+every named session by its batch in one call — the right shape for
+benchmarks and finished traces, the wrong one for production traffic,
+where devices burst, stall, reorder uploads and disconnect at
+independent cadences. One slow producer must
 not gate the fleet, and one flooding producer must not eat the process.
 
 :class:`IngestGateway` decouples *arrival* from *ingest*:
@@ -34,8 +34,8 @@ sessions are independent, the gateway's credits are bit-identical to a
 serial replay of exactly the batches the mailbox delivered, in sequence
 order — for *any* arrival schedule (bursts, stalls, reorderings within
 the window, join/leave mid-stream). The arrival-order fuzzing suite
-asserts this against the lockstep drivers
-(``serial == pooled == sharded == batched == gateway``).
+asserts this against serial replay and the directly driven pool
+(``serial == pooled == sharded == gateway``).
 
 Failure isolation extends the pool's: a failed session's mailbox is
 drained (with ``failed_drops`` accounting) instead of backing up, so a
@@ -325,7 +325,7 @@ class _GatewaySession:
 
 
 class IngestGateway:
-    """Event-driven front end over a (lockstep) session pool.
+    """Event-driven front end over a session pool.
 
     Example::
 
@@ -339,12 +339,10 @@ class IngestGateway:
 
     Args:
         sample_rate_hz: Sampling rate shared by every session.
-        pool: The backing pool instance — a
-            :class:`~repro.serving.pool.SessionPool` or
-            :class:`~repro.serving.batch.BatchedSessionPool` (the
-            gateway adds every session itself; pass a freshly built
-            pool). ``None`` builds a lockstep ``SessionPool`` from the
-            remaining arguments.
+        pool: The backing :class:`~repro.serving.pool.SessionPool`
+            (the gateway adds every session itself; pass a freshly
+            built pool). ``None`` builds one from the remaining
+            arguments.
         config, settle_s, max_buffer_s, fault_policy: Forwarded to the
             default pool when ``pool`` is ``None``.
         capacity_s: Default mailbox bound, in seconds of signal

@@ -5,36 +5,73 @@ A production tracker does not serve one wrist — it serves a fleet.
 :class:`~repro.core.streaming.StreamingPTrack` sessions and exposes a
 single batched ingest call, ``pool.append(session_ids, batches)``.
 
-The pool exploits the split-phase session API: every session first
-buffers its batch and *collects* the cycles that settled
-(:meth:`StreamingPTrack.ingest` / :meth:`~StreamingPTrack.collect`),
-then the stepping admission tests of **all** sessions' cycles are
-evaluated in one :func:`repro.core.stepping.batch_stepping_tests`
-call, and finally each session *resolves* its own cycles against the
-shared results. The batch kernels are row-wise and length-grouped, so
-the pooled evaluation is bit-identical to per-session calls — the
-equivalence the serving tests assert (serial == pooled == sharded).
+Each ``append`` drains the due hop boundaries in fleet rounds, and each
+round runs its numeric kernels **once for the whole fleet**:
+
+1. the pending filter blocks of every due session are column-stacked by
+   length and low-passed in one filter call per length group;
+2. every session's segmentation window is packed into one concatenated
+   signal, checked finite once, scanned by one peak and one valley
+   kernel dispatch and paired into cycles on the packed signal's flat
+   indices, every window at once
+   (:func:`repro.signal.batched.batched_segment_windows`);
+3. one admission mask picks every session's newly settled cycles
+   (:func:`repro.core.streaming.admit_cycles`), each session commits
+   its own, and all of them, whatever their lengths, are measured in
+   one right-padded stack
+   (:func:`repro.core.batched.batched_stage_measurements`);
+4. the stepping tests of every session's cycles run in one call
+   (:func:`repro.core.streaming.stepping_values`);
+5. all credited cycles' stride integrations run in one right-padded
+   stack (:func:`repro.core.batched.batched_cycle_solutions`);
+6. each session is credited from its solved cycles.
+
+The end-of-stream flush runs the same stages once more as a final
+round: each session's boundary is its head, the filter stage commits
+the one tail block with no right context instead of the hop plan, and
+cycles settle with a zero margin — for chunks of at most
+:data:`FLUSH_STACK_SESSIONS` sessions at a time.
+
+Per-session *state* transitions (boundary bookkeeping, cycle admission,
+streak classification, crediting, trimming) run session by session
+through the seams :class:`~repro.core.streaming.StreamingPTrack`
+exposes — the numeric kernels between them are what gets batched. Every
+batched kernel is a float64 function bit-identical to its scalar
+reference, so each session's credits equal its own solo
+:class:`~repro.core.streaming.StreamingPTrack` replay — the equivalence
+the serving tests assert (serial == pooled == sharded). There is
+deliberately one set of kernels: PTrack's decisions sit on float64
+thresholds (the Eq. (1) offset against δ, the Eq. (3)-(5) Brent bounce
+root), and a reduced-precision variant moves exactly those decisions.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from repro.core.batched import (
+    batched_cycle_solutions,
+    batched_stage_measurements,
+)
 from repro.core.config import PTrackConfig
-from repro.core.stepping import batch_stepping_tests
 from repro.core.streaming import (
     SESSION_SNAPSHOT_SCHEMA,
     StagedCycle,
     StreamingPTrack,
+    admit_cycles,
     ensure_snapshot_kind,
+    stepping_values,
 )
 from repro.exceptions import ConfigurationError
 from repro.faults.policy import FaultPolicy
 from repro.profiles import ProfileRecord, ProfileStore
+from repro.runtime.buffers import FleetBatchBuffer
+from repro.signal.batched import batched_segment_windows
+from repro.signal.filters import butter_lowpass
 from repro.telemetry.registry import MetricsRegistry, get_registry
 from repro.types import (
     CycleObservation,
@@ -43,11 +80,43 @@ from repro.types import (
     UserProfile,
 )
 
-__all__ = ["SessionPool"]
+__all__ = ["SessionPool", "BatchedSessionPool"]
+
+#: Most pending filter blocks (one per session, three columns each) a
+#: fleet round low-passes in one column-stacked call. Filtering runs
+#: per column, so the cap cannot change a credit; it bounds the stack
+#: and the filter's temporaries, which otherwise grow with the fleet,
+#: and measured as fast as one uncapped stack.
+FILTER_STACK_BLOCKS = 64
+
+#: Most sessions one end-of-stream flush settles together: the pool
+#: flushes in chunks of this many sessions, each one begin → drain →
+#: final round → end sequence. The final round holds every chunk
+#: session's tail cycles (copied segments, measurement and stride
+#: stacks) at once, so a fleet-wide round's high-water mark grows with
+#: the fleet. Flushing 512 sessions of 12 s walks on a 2-vCPU host, a
+#: fleet-wide round peaked at 34 MB traced against 4.3 MB in chunks of
+#: 64 (2.1 MB for the per-session flush); the chunks cost 0.43 s of
+#: flush against 0.32 s fleet-wide (2.75 s per session).
+FLUSH_STACK_SESSIONS = 64
+
+#: Power-of-two bucket bounds of ``serving_batch_round_occupancy``
+#: (due sessions per fleet round).
+OCCUPANCY_BUCKETS = tuple(float(2**i) for i in range(13))
+
+#: The six stages of one fleet round, in order; each has a wall-time
+#: histogram ``serving_batch_stage_<name>_seconds``.
+ROUND_STAGES = ("filter", "segment", "measure", "stepping", "solve", "credit")
+
+#: The round identity every pool snapshot records: the float64 packed
+#: round. Restore refuses any other value, ``None`` included (what
+#: lockstep pools wrote), so a snapshot resumes only under the round
+#: that wrote it.
+SNAPSHOT_BACKEND = "numpy"
 
 
 class SessionPool:
-    """A pool of independent streaming sessions with batched ingest.
+    """A pool of independent streaming sessions with fleet-batched ingest.
 
     Example::
 
@@ -59,7 +128,11 @@ class SessionPool:
 
     All sessions share one configuration and sampling rate (one
     deployment = one device class); per-user state — profile, buffers,
-    classification streak, totals — is fully independent per session.
+    classification streak, totals — is fully independent per session,
+    and each session's credits and op-stats are bit-identical to its
+    own :class:`~repro.core.streaming.StreamingPTrack` replay. Every
+    ingest round, ``flush`` included, runs one kernel dispatch per
+    stage for the whole fleet (see the module docstring).
 
     The pool is *self-healing*: with ``isolate_failures`` (the
     default) an exception inside one session poisons only that
@@ -83,7 +156,9 @@ class SessionPool:
             session it creates; pool-level instruments (round latency,
             failed/revived sessions, live-session gauge) land next to
             the sessions' ``ptrack_*`` series, so the registry is the
-            shard's complete health ledger. ``None`` falls back to the
+            shard's complete health ledger. Each fleet round also
+            observes its occupancy and the wall time of each of its six
+            stages (:data:`ROUND_STAGES`). ``None`` falls back to the
             process gate at construction time (closed gate = fully
             uninstrumented).
         profile_store: Optional :class:`~repro.profiles.ProfileStore`
@@ -126,6 +201,7 @@ class SessionPool:
         self._errors: Dict[int, str] = {}
         self._profiles: Dict[int, Dict[str, Any]] = {}
         self._next_id = 0
+        self._buffers = FleetBatchBuffer()
         self._telemetry = (
             telemetry if telemetry is not None else get_registry()
         )
@@ -137,6 +213,13 @@ class SessionPool:
             self._m_failed = reg.counter("serving_sessions_failed_total")
             self._m_revived = reg.counter("serving_sessions_revived_total")
             self._m_live = reg.gauge("serving_pool_sessions")
+            self._m_occupancy = reg.histogram(
+                "serving_batch_round_occupancy", buckets=OCCUPANCY_BUCKETS
+            )
+            self._m_stages = [
+                reg.histogram(f"serving_batch_stage_{name}_seconds")
+                for name in ROUND_STAGES
+            ]
 
     # ------------------------------------------------------------------
     # Session management
@@ -356,16 +439,6 @@ class SessionPool:
     # ------------------------------------------------------------------
     # Durability: snapshot / restore / migration
     # ------------------------------------------------------------------
-    def _backend_identity(self) -> Optional[str]:
-        """The round identity echoed into pool snapshots.
-
-        ``None`` for the lockstep pool; the batched pool records
-        ``"numpy"`` (its float64 batched kernels). Restore refuses a
-        mismatch, so a snapshot resumes only under the pool kind that
-        wrote it.
-        """
-        return None
-
     def snapshot(self) -> Dict[str, Any]:
         """Capture the whole pool — membership plus per-session state —
         as one versioned, picklable dict.
@@ -385,7 +458,7 @@ class SessionPool:
             "max_buffer_s": self._max_buffer_s,
             "fault_policy": self._fault_policy,
             "isolate_failures": self._isolate,
-            "backend": self._backend_identity(),
+            "backend": SNAPSHOT_BACKEND,
             "collect_observations": self._collect_observations,
             "next_id": self._next_id,
             "errors": dict(self._errors),
@@ -478,10 +551,10 @@ class SessionPool:
             )
         if snapshot["fault_policy"] != self._fault_policy:
             mismatches.append("FaultPolicy differs")
-        if snapshot["backend"] != self._backend_identity():
+        if snapshot["backend"] != SNAPSHOT_BACKEND:
             mismatches.append(
                 f"compute backend {snapshot['backend']!r} != "
-                f"{self._backend_identity()!r}"
+                f"{SNAPSHOT_BACKEND!r}"
             )
         if (
             bool(snapshot.get("collect_observations", False))
@@ -505,12 +578,10 @@ class SessionPool:
         cls,
         snapshot: Dict[str, Any],
         telemetry: Optional[MetricsRegistry] = None,
-        **kwargs: Any,
     ) -> "SessionPool":
         """Build a pool resuming exactly where ``snapshot`` left off
         (constructed with the snapshot's own pipeline identity, then
-        :meth:`restore`). Extra keyword arguments pass through to the
-        subclass constructor (e.g. ``small_fleet_cutoff``)."""
+        :meth:`restore`)."""
         ensure_snapshot_kind(snapshot, "pool")
         pool = cls(
             sample_rate_hz=snapshot["sample_rate_hz"],
@@ -523,7 +594,6 @@ class SessionPool:
             collect_observations=bool(
                 snapshot.get("collect_observations", False)
             ),
-            **kwargs,
         )
         pool.restore(snapshot)
         return pool
@@ -644,6 +714,10 @@ class SessionPool:
     ) -> List[Tuple[List[StepEvent], List[StrideEstimate]]]:
         """Feed one batch to each named session; credit settled cycles.
 
+        Every session buffers its batch, then the due hop boundaries
+        drain in fleet rounds: each round advances every due session by
+        one boundary through the six batched stages.
+
         Args:
             session_ids: Target sessions (need not cover the pool; a
                 session may also appear only when its device uploaded).
@@ -684,38 +758,8 @@ class SessionPool:
             out[k][0].extend(steps)
             out[k][1].extend(strides)
             active.append(k)
-        # Drain due hop boundaries in fleet-wide lockstep rounds: each
-        # round advances every session by at most one boundary, batches
-        # all their staged cycles through one stepping call, and
-        # resolves before the next round — the same collect → resolve
-        # cadence each session's own ``append`` follows, so per-session
-        # results are bit-identical to solo operation.
         while active:
-            round_staged: List[Tuple[int, List[StagedCycle]]] = []
-            for k in active:
-                try:
-                    staged = sessions[k].collect()
-                except Exception as exc:  # noqa: BLE001
-                    self._mark_failed(session_ids[k], exc)
-                    continue
-                if staged is None:
-                    continue
-                round_staged.append((k, staged))
-            if not round_staged:
-                break
-            values = self._pooled_stepping(
-                [staged for _, staged in round_staged]
-            )
-            active = []
-            for (k, staged), vals in zip(round_staged, values):
-                try:
-                    steps, strides = sessions[k].resolve(staged, vals)
-                except Exception as exc:  # noqa: BLE001
-                    self._mark_failed(session_ids[k], exc)
-                    continue
-                out[k][0].extend(steps)
-                out[k][1].extend(strides)
-                active.append(k)
+            active = self._batched_round(session_ids, sessions, active, out)
         if self._telemetry is not None:
             # Count per-session batch appends (not rounds) so the total
             # is invariant to how the fleet is sharded across pools.
@@ -728,24 +772,399 @@ class SessionPool:
     ) -> List[Tuple[List[StepEvent], List[StrideEstimate]]]:
         """Settle the remaining tail of the named (default all) sessions.
 
-        Failed sessions yield empty credits instead of raising.
+        Each session's credits are exactly its own
+        :meth:`StreamingPTrack.flush`, and a session that raises
+        anywhere in its flush is marked failed and yields empty credits
+        (failed sessions yield them without raising). The tails run
+        fleet-batched, in chunks of at most
+        :data:`FLUSH_STACK_SESSIONS` sessions: open
+        every session's flush, drain due hop boundaries through ordinary
+        rounds, settle all tails in one final round, close.
         """
         t0 = time.perf_counter() if self._telemetry is not None else 0.0
         ids = self.session_ids if session_ids is None else list(session_ids)
-        out: List[Tuple[List[StepEvent], List[StrideEstimate]]] = []
-        for sid in ids:
-            sess = self._session(sid)
-            if sid in self._errors:
-                out.append(([], []))
-                continue
-            try:
-                out.append(sess.flush())
-            except Exception as exc:  # noqa: BLE001
-                self._mark_failed(sid, exc)
-                out.append(([], []))
+        sessions = [self._session(sid) for sid in ids]
+        out: List[Tuple[List[StepEvent], List[StrideEstimate]]] = [
+            ([], []) for _ in ids
+        ]
+        chunk: List[int] = []
+        members: Set[int] = set()
+        for k, sid in enumerate(ids):
+            # A repeated id flushes again only after its first flush
+            # completed, as the one-at-a-time flush would.
+            if len(chunk) == FLUSH_STACK_SESSIONS or sid in members:
+                self._flush_chunk(ids, sessions, chunk, out)
+                chunk, members = [], set()
+            chunk.append(k)
+            members.add(sid)
+        if chunk:
+            self._flush_chunk(ids, sessions, chunk, out)
         if self._telemetry is not None:
             self._m_flush_s.observe(time.perf_counter() - t0)
         return out
+
+    def _flush_chunk(
+        self,
+        session_ids: Sequence[int],
+        sessions: Sequence,
+        chunk: List[int],
+        out: List[Tuple[List[StepEvent], List[StrideEstimate]]],
+    ) -> None:
+        """Flush the sessions at positions ``chunk``, tails batched."""
+        opened: List[int] = []
+        heads: Dict[int, int] = {}
+        for k in chunk:
+            sid = session_ids[k]
+            if sid in self._errors:
+                continue
+            try:
+                head, steps, strides = sessions[k].begin_flush()
+            except Exception as exc:  # noqa: BLE001 — isolation boundary
+                self._mark_failed(sid, exc)
+                continue
+            out[k] = (steps, strides)
+            opened.append(k)
+            if head is not None:
+                heads[k] = head
+        active = list(heads)
+        while active:
+            active = self._batched_round(session_ids, sessions, active, out)
+        due_ks = [k for k in heads if session_ids[k] not in self._errors]
+        if due_ks:
+            if self._telemetry is not None:
+                self._m_occupancy.observe(len(due_ks))
+            self._run_stages(
+                session_ids,
+                sessions,
+                due_ks,
+                [heads[k] for k in due_ks],
+                out,
+                final=True,
+            )
+        for k in opened:
+            sid = session_ids[k]
+            if sid not in self._errors:
+                try:
+                    sessions[k].end_flush()
+                except Exception as exc:  # noqa: BLE001
+                    self._mark_failed(sid, exc)
+            if sid in self._errors:
+                # Failed mid-flush: drop what it had settled so far
+                # rather than half-deliver it.
+                out[k] = ([], [])
+
+    # ------------------------------------------------------------------
+    # One fleet round
+    # ------------------------------------------------------------------
+    def _batched_round(
+        self,
+        session_ids: Sequence[int],
+        sessions: Sequence,
+        active: List[int],
+        out: List[Tuple[List[StepEvent], List[StrideEstimate]]],
+    ) -> List[int]:
+        """Advance every due session by one hop boundary, batched.
+
+        Returns the positions still active for the next round. A
+        session that raises (or whose batched kernel surfaces its
+        exception in place) is marked failed and dropped mid-round —
+        the per-session state it mutated up to that point matches what
+        the solo path would have mutated before raising.
+        """
+        # Bookkeeping is kept in lists indexed by the session's position
+        # in the due order (``d``) rather than dicts keyed by pool
+        # position — at fleet scale the per-session dict churn is
+        # measurable against the batched kernels.
+        due_ks: List[int] = []
+        boundaries: List[int] = []
+        for k in active:
+            boundary = sessions[k].peek_boundary()
+            if boundary is not None:
+                due_ks.append(k)
+                boundaries.append(boundary)
+        if not due_ks:
+            return []
+        if self._telemetry is not None:
+            self._m_occupancy.observe(len(due_ks))
+        return self._run_stages(session_ids, sessions, due_ks, boundaries, out)
+
+    def _lap(self, stage: int, since: float) -> float:
+        """Observe stage ``stage``'s wall time since ``since``; return now."""
+        now = time.perf_counter()
+        self._m_stages[stage].observe(now - since)
+        return now
+
+    def _run_stages(
+        self,
+        session_ids: Sequence[int],
+        sessions: Sequence,
+        due_ks: List[int],
+        boundaries: List[int],
+        out: List[Tuple[List[StepEvent], List[StrideEstimate]]],
+        final: bool = False,
+    ) -> List[int]:
+        """The six batched stages of one round over the due sessions.
+
+        ``final`` selects the end-of-stream tail pass: each session's
+        boundary is its head, the filter stage commits the
+        :meth:`~StreamingPTrack.final_filter_plan` block instead of the
+        hop plan, and cycles settle with a zero margin — exactly what
+        :meth:`StreamingPTrack.flush` does after its last hop boundary.
+        Returns the positions that completed the round. With telemetry
+        on, each stage's wall time lands in its
+        ``serving_batch_stage_<name>_seconds`` histogram (see
+        :data:`ROUND_STAGES`); off, no clock is read.
+        """
+        lap = time.perf_counter() if self._telemetry is not None else 0.0
+        due_sess = [sessions[k] for k in due_ks]
+        n_due = len(due_ks)
+        alive = [True] * n_due
+
+        def fail(d: int, exc: BaseException) -> None:
+            self._mark_failed(session_ids[due_ks[d]], exc)
+            alive[d] = False
+
+        cfg = self._config
+        rate = self._rate
+
+        # -- Stage 1: fleet filter -------------------------------------
+        # Gather every due session's pending filter blocks, low-pass
+        # equal-length blocks in column-stacked filter calls of at most
+        # FILTER_STACK_BLOCKS blocks, then commit per session in plan
+        # order (the order apply_filtered_block requires).
+        plans: List[List[Tuple[int, int, int]]] = []
+        groups: Dict[int, List[Tuple[int, int, int, int]]] = {}
+        for d in range(n_due):
+            sess = due_sess[d]
+            plan = (
+                sess.final_filter_plan(boundaries[d])
+                if final
+                else sess.filter_plan(boundaries[d])
+            )
+            plans.append(plan)
+            for j, (lo, hi, _final) in enumerate(plan):
+                groups.setdefault(hi - lo, []).append((d, j, lo, hi))
+        blocks: List[List[Union[np.ndarray, Exception, None]]] = [
+            [None] * len(plan) for plan in plans
+        ]
+
+        def lowpass(block: np.ndarray) -> np.ndarray:
+            # The round copies hop-sized slices straight out of the
+            # result, so skip the final contiguous copy of the block.
+            return butter_lowpass(
+                block,
+                cfg.lowpass_cutoff_hz,
+                rate,
+                cfg.lowpass_order,
+                contiguous=False,
+            )
+
+        def lowpass_solo(d: int, j: int, lo: int, hi: int) -> None:
+            try:
+                blocks[d][j] = lowpass(due_sess[d].raw_block(lo, hi))
+            except Exception as exc:  # noqa: BLE001
+                blocks[d][j] = exc
+
+        for length, group in groups.items():
+            for at in range(0, len(group), FILTER_STACK_BLOCKS):
+                entries = group[at : at + FILTER_STACK_BLOCKS]
+                if len(entries) == 1:
+                    lowpass_solo(*entries[0])
+                    continue
+                stack = self._buffers.request(
+                    "filter", (length, 3 * len(entries))
+                )
+                for col, (d, _j, lo, hi) in enumerate(entries):
+                    np.copyto(
+                        stack[:, 3 * col : 3 * col + 3],
+                        due_sess[d].raw_block(lo, hi),
+                    )
+                try:
+                    filtered = lowpass(stack)
+                except Exception:  # noqa: BLE001 — retry solo to find the owner
+                    for entry in entries:
+                        lowpass_solo(*entry)
+                else:
+                    for col, (d, j, _lo, _hi) in enumerate(entries):
+                        blocks[d][j] = filtered[:, 3 * col : 3 * col + 3]
+        settle_margin = 0 if final else None
+        for d in range(n_due):
+            sess = due_sess[d]
+            apply = (
+                sess.apply_final_block if final else sess.apply_filtered_block
+            )
+            for j, (lo, hi, start) in enumerate(plans[d]):
+                block = blocks[d][j]
+                if isinstance(block, Exception):
+                    fail(d, block)
+                    break
+                apply(lo, hi, start, block)
+        if self._telemetry is not None:
+            lap = self._lap(0, lap)
+
+        # -- Stage 2: fleet segmentation -------------------------------
+        opened: List[Optional[Tuple]] = [None] * n_due
+        seg_ds: List[int] = []
+        for d in range(n_due):
+            if not alive[d]:
+                continue
+            try:
+                win = due_sess[d].begin_pass(boundaries[d], settle_margin)
+            except Exception as exc:  # noqa: BLE001
+                fail(d, exc)
+                continue
+            opened[d] = win
+            if win is not None:
+                seg_ds.append(d)
+        windows = [opened[d][0] for d in seg_ds]
+        cycles = batched_segment_windows(
+            windows,
+            rate,
+            min_step_rate_hz=cfg.min_step_rate_hz,
+            max_step_rate_hz=cfg.max_step_rate_hz,
+            min_prominence=cfg.min_peak_prominence,
+            scratch=self._buffers.request(
+                "segment_pack", sum(w.size for w in windows) + len(windows)
+            ),
+        )
+        if self._telemetry is not None:
+            lap = self._lap(1, lap)
+
+        # -- Stage 3: admit + measure all cycles fleet-wide ------------
+        admitted_by_d: List = [None] * n_due
+        cycle_pairs: List = [None] * n_due
+        flat_v: List[np.ndarray] = []
+        flat_h: List[np.ndarray] = []
+        flat_start: List[int] = [0] * n_due
+        spans_per = admit_cycles(
+            cycles,
+            [opened[d][1] for d in seg_ds],
+            [opened[d][2] for d in seg_ds],
+            [opened[d][3] for d in seg_ds],
+        )
+        for d, error, admitted in zip(seg_ds, cycles.errors, spans_per):
+            if error is not None:
+                fail(d, error)
+                continue
+            try:
+                pairs = due_sess[d].commit_cycles(admitted)
+            except Exception as exc:  # noqa: BLE001
+                fail(d, exc)
+                continue
+            admitted_by_d[d] = admitted
+            cycle_pairs[d] = pairs
+            flat_start[d] = len(flat_v)
+            for v_seg, h_seg in pairs:
+                flat_v.append(v_seg)
+                flat_h.append(h_seg)
+        measurements = (
+            batched_stage_measurements(flat_v, flat_h, cfg)
+            if flat_v
+            else []
+        )
+
+        # Build each session's staged cycles, in cycle order.
+        staged_by_d: List[Optional[List[StagedCycle]]] = [None] * n_due
+        for d in range(n_due):
+            if not alive[d]:
+                continue
+            if opened[d] is None or admitted_by_d[d] is None:
+                if opened[d] is None:
+                    # No segmentable window: the boundary still closes
+                    # and its trim still runs, via an empty credit.
+                    staged_by_d[d] = []
+                continue
+            sess = due_sess[d]
+            lo = flat_start[d]
+            staged: List[StagedCycle] = []
+            broken = False
+            for (abs_start, abs_end, peaks), (v_seg, h_seg), m in zip(
+                admitted_by_d[d],
+                cycle_pairs[d],
+                measurements[lo : lo + len(admitted_by_d[d])],
+            ):
+                if isinstance(m, Exception):
+                    # The solo path raises out of _stage here, after
+                    # having staged this session's earlier cycles.
+                    fail(d, m)
+                    broken = True
+                    break
+                a_seg, anterior_ok, motion_ok, offset = m
+                staged.append(
+                    sess.make_staged(
+                        abs_start, abs_end, peaks,
+                        v_seg, h_seg, a_seg, anterior_ok, motion_ok, offset,
+                    )
+                )
+            if broken:
+                continue
+            staged_by_d[d] = staged
+        for d in range(n_due):
+            if staged_by_d[d] is not None:
+                due_sess[d].finish_collect(boundaries[d])
+        if self._telemetry is not None:
+            lap = self._lap(2, lap)
+
+        # -- Stage 4: fleet stepping tests -----------------------------
+        resolve_ds = [d for d in range(n_due) if staged_by_d[d] is not None]
+        values = stepping_values([staged_by_d[d] for d in resolve_ds], cfg)
+        if self._telemetry is not None:
+            lap = self._lap(3, lap)
+
+        # -- Stage 5: classify, solve strides fleet-wide ---------------
+        credited_by_d: List = [None] * n_due
+        solve_idx: List = [None] * n_due
+        solve_start: List[int] = [0] * n_due
+        all_items: List[Tuple] = []
+        for d, vals in zip(resolve_ds, values):
+            sess = due_sess[d]
+            try:
+                credited = sess.classify(staged_by_d[d], vals)
+                indices, items = sess.stride_solve_items(credited)
+            except Exception as exc:  # noqa: BLE001
+                fail(d, exc)
+                continue
+            credited_by_d[d] = credited
+            solve_idx[d] = indices
+            solve_start[d] = len(all_items)
+            all_items.extend(items)
+        flat_solutions = (
+            batched_cycle_solutions(all_items, 1.0 / rate)
+            if all_items
+            else []
+        )
+        if self._telemetry is not None:
+            lap = self._lap(4, lap)
+
+        # -- Stage 6: credit -------------------------------------------
+        next_active: List[int] = []
+        for d in resolve_ds:
+            if not alive[d]:
+                continue
+            credited = credited_by_d[d]
+            indices = solve_idx[d]
+            lo = solve_start[d]
+            solutions: List[Optional[Tuple[float, float]]] = [None] * len(
+                credited
+            )
+            for i, solved in zip(
+                indices, flat_solutions[lo : lo + len(indices)]
+            ):
+                solutions[i] = solved
+            try:
+                steps, strides = due_sess[d].credit_resolved(
+                    credited, solutions
+                )
+            except Exception as exc:  # noqa: BLE001
+                fail(d, exc)
+                continue
+            k = due_ks[d]
+            out[k][0].extend(steps)
+            out[k][1].extend(strides)
+            next_active.append(k)
+        if self._telemetry is not None:
+            self._lap(5, lap)
+        return next_active
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -808,33 +1227,6 @@ class SessionPool:
                 "concatenate the batches upstream or split the call"
             )
 
-    def _pooled_stepping(
-        self,
-        staged_lists: Sequence[List[StagedCycle]],
-    ) -> List[List[Optional[Tuple[float, float, bool]]]]:
-        """One fleet-wide admission-test batch for all sessions' cycles.
 
-        The stepping kernels are evaluated row-wise over length-grouped
-        stacks, so stacking cycles from many sessions into one call
-        returns exactly the values each session would compute alone —
-        while paying the Python/numpy dispatch overhead once per
-        ``append`` instead of once per session.
-        """
-        flat: List[Tuple[int, int, StagedCycle]] = [
-            (si, ci, cyc)
-            for si, staged in enumerate(staged_lists)
-            for ci, cyc in enumerate(staged)
-            if cyc.needs_stepping
-        ]
-        values: List[List[Optional[Tuple[float, float, bool]]]] = [
-            [None] * len(staged) for staged in staged_lists
-        ]
-        if flat:
-            triples = batch_stepping_tests(
-                [cyc.v_seg for _, _, cyc in flat],
-                [cyc.a_seg for _, _, cyc in flat],
-                self._config,
-            )
-            for (si, ci, _), triple in zip(flat, triples):
-                values[si][ci] = triple
-        return values
+#: The pool's former name, kept for callers that still import it.
+BatchedSessionPool = SessionPool

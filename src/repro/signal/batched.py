@@ -78,7 +78,7 @@ def pack_windows(
             separators stay ``+inf``.
         out: Optional preallocated 1-D scratch of at least the packed
             size (e.g. from a
-            :class:`repro.serving.batch.FleetBatchBuffer`); a fresh
+            :class:`repro.runtime.buffers.FleetBatchBuffer`); a fresh
             array is allocated when absent or too small.
 
     Returns:

@@ -105,14 +105,7 @@ def test_revision_and_schema_stamped(check_results):
 
 def test_serving_sections_complete(check_suite):
     serving = check_suite("serving")["serving"]
-    assert set(serving) == {
-        "single_session",
-        "amortized_append",
-        "fleet_scaling",
-    }
-    single = serving["single_session"]
-    assert single["headline_speedup"] > 0
-    assert all(r["speedup"] > 0 for r in single["cadences"])
+    assert set(serving) == {"amortized_append", "fleet_scaling"}
     amort = serving["amortized_append"]
     assert amort["work_counters_cadence_invariant"] is True
     fleet = serving["fleet_scaling"]
@@ -171,13 +164,13 @@ def test_fleet_batch_sections_complete(check_suite):
     assert set(fleet_batch) == {
         "check_mode",
         "identity",
-        "batched_vs_lockstep",
+        "pool_vs_serial",
         "occupancy",
     }
     assert fleet_batch["identity"]["ok"] is True
-    headline = fleet_batch["batched_vs_lockstep"]
-    assert headline["batched_us_per_sample"] > 0
-    assert headline["lockstep_us_per_sample"] > 0
+    headline = fleet_batch["pool_vs_serial"]
+    assert headline["pool_us_per_sample"] > 0
+    assert headline["serial_us_per_sample"] > 0
     assert all(r["samples_per_s"] > 0 for r in fleet_batch["occupancy"]["rows"])
 
 
@@ -205,13 +198,13 @@ def test_ragged_ingest_sections_complete(check_suite):
     assert set(ragged) == {
         "check_mode",
         "identity",
-        "ragged_vs_lockstep",
+        "ragged_vs_serial",
         "shedding",
     }
     assert ragged["identity"]["ok"] is True
-    headline = ragged["ragged_vs_lockstep"]
+    headline = ragged["ragged_vs_serial"]
     assert headline["gateway_us_per_sample"] > 0
-    assert headline["lockstep_us_per_sample"] > 0
+    assert headline["serial_us_per_sample"] > 0
     assert headline["gateway_samples_per_s"] > 0
     shed = ragged["shedding"]
     assert shed["accounting_exact"] is True
@@ -261,8 +254,10 @@ def test_fleet_kernels_sections_complete(check_suite):
     assert diff["solved_rows"] + diff["rejected_rows"] == diff["rows"]
     assert kernels["headline"]["us_per_sample"] > 0
     assert kernels["small_fleet"]["packed_us_per_sample"] > 0
+    assert kernels["small_fleet"]["serial_us_per_sample"] > 0
     assert kernels["bounce_kernel"]["block_us_per_row"] > 0
     assert kernels["check_reference"]["speedup"] > 0
+    assert kernels["regression"]["floor_speedup"] >= 3.0
     assert kernels["regression"]["regression_ok"] is True
 
 

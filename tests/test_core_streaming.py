@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pipeline import PTrack
-from repro.core.streaming import ReprocessingStreamingPTrack, StreamingPTrack
+from repro.core.streaming import StreamingPTrack
 from repro.exceptions import ConfigurationError, SignalError
 from repro.simulation.walker import simulate_walk
 
@@ -288,20 +288,3 @@ class TestBoundedPerAppendWork:
             "offset_evaluations", "stepping_tests",
             "samples_repaired", "samples_rejected", "gaps_reset",
         }
-
-
-class TestReprocessingReference:
-    """The pre-PR rolling-buffer driver stays as the behaviour oracle."""
-
-    def test_incremental_matches_reprocessing(self, user):
-        trace, _ = simulate_walk(user, 40.0, rng=np.random.default_rng(51))
-        data = trace.linear_acceleration
-        fast = StreamingPTrack(100.0, profile=user.profile)
-        slow = ReprocessingStreamingPTrack(100.0, profile=user.profile)
-        for i in range(0, data.shape[0], 100):
-            fast.append(data[i : i + 100])
-            slow.append(data[i : i + 100])
-        fast.flush()
-        slow.flush()
-        assert abs(fast.step_count - slow.step_count) <= 2
-        assert fast.distance_m == pytest.approx(slow.distance_m, rel=0.05)

@@ -7,8 +7,8 @@ Hypothesis drives the schedule space (burst sizes, quiet gaps,
 reorderings within a session's window, disconnects, staggered joins)
 and every example is checked against the serial oracle; the
 differential profiles additionally pin the whole driver stack to one
-answer: ``serial == pooled == batched == gateway`` (and ``== sharded``
-in the slow profile). The pool-kill profile extends the contract to
+answer: ``serial == pooled == gateway`` (and ``== sharded`` in the
+slow profile). The pool-kill profile extends the contract to
 durability: killing the backing pool mid-schedule and adopting one
 restored from its ``ptrack-session-v1`` snapshot must leave the
 credits equal to the uninterrupted serial replay.
@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.core.streaming import StreamingPTrack
 from repro.serving import (
-    BatchedSessionPool,
     IngestGateway,
     SessionPool,
     serve_fleet,
@@ -112,8 +111,8 @@ def _gateway(schedule, pool=None):
     return gw, {i: _signature(*c) for i, c in credits.items()}
 
 
-def _lockstep(slices_by_session, pool):
-    """The delivered streams through a lockstep pool, slice per tick."""
+def _pooled(slices_by_session, pool):
+    """The delivered streams through a pool, slice per tick."""
     items = sorted(slices_by_session.items())
     sids = {
         i: pool.add_session(_PROFILES[i]) for i, _ in items if _
@@ -198,20 +197,18 @@ class TestArrivalOrderInvariance:
     @fuzz
     @given(schedule=schedules)
     def test_differential_serial_pooled_batched_gateway(self, schedule):
-        """serial == pooled == batched == gateway on one schedule."""
+        """serial == pooled == gateway on one schedule."""
         delivered = {
             i: s for i, s in schedule.delivered_slices().items() if s
         }
         oracle = _serial(delivered)
-        pooled = _lockstep(delivered, SessionPool(RATE))
-        batched = _lockstep(delivered, BatchedSessionPool(RATE))
+        pooled = _pooled(delivered, SessionPool(RATE))
         assert pooled == oracle
-        assert batched == oracle
         _, gw_credits = _gateway(schedule)
         nonempty = {i: s for i, s in oracle.items() if s != ([], [])}
         assert gw_credits == nonempty
-        _, gw_batched = _gateway(schedule, pool=BatchedSessionPool(RATE))
-        assert gw_batched == nonempty
+        _, gw_given = _gateway(schedule, pool=SessionPool(RATE))
+        assert gw_given == nonempty
 
     @fuzz
     @given(
@@ -327,8 +324,7 @@ class TestFullStackDifferential:
             i: s for i, s in schedule.delivered_slices().items() if s
         }
         oracle = _serial(delivered)
-        pooled = _lockstep(delivered, SessionPool(RATE))
-        batched = _lockstep(delivered, BatchedSessionPool(RATE))
+        pooled = _pooled(delivered, SessionPool(RATE))
         # Sharded: serve_fleet over the delivered streams (contiguous
         # concatenation — chunk-invariance makes the upload cadence
         # irrelevant).
@@ -352,6 +348,5 @@ class TestFullStackDifferential:
         _, gateway = _gateway(schedule)
         nonempty = {i: s for i, s in oracle.items() if s != ([], [])}
         assert pooled == oracle
-        assert batched == oracle
         assert sharded == oracle
         assert gateway == nonempty

@@ -5,9 +5,9 @@ Three layers:
 * kernel differentials — every batched signal/measurement kernel
   against its scalar reference, bit for bit, on ragged inputs
   (hypothesis-driven where the input space is wide);
-* pool equivalence — :class:`BatchedSessionPool` against serial
-  sessions and the lockstep pool: credits, op-stats, chunk invariance,
-  sessions joining/leaving mid-stream, failed-session exclusion;
+* pool equivalence — :class:`SessionPool` against serial sessions:
+  credits, op-stats, chunk invariance, sessions joining/leaving
+  mid-stream, failed-session exclusion, the batched flush;
 * scratch-buffer mechanics — :class:`FleetBatchBuffer` growth/reuse.
 """
 
@@ -32,6 +32,7 @@ from repro.serving import (
     SessionPool,
     synthesize_workload,
 )
+from repro.serving import pool as pool_module
 from repro.signal.batched import (
     _kept_extrema,
     batched_segment_windows,
@@ -339,12 +340,8 @@ def _serve_serially(workloads, batch):
     return results
 
 
-def _serve_batched(workloads, batch, pool_cls=BatchedSessionPool, **kw):
-    if pool_cls is BatchedSessionPool:
-        # Test fleets are small; force the packed path unless a test
-        # opts into the small-fleet scalar fast path explicitly.
-        kw.setdefault("small_fleet_cutoff", 0)
-    pool = pool_cls(RATE, **kw)
+def _serve_batched(workloads, batch, **kw):
+    pool = SessionPool(RATE, **kw)
     sids = pool.add_sessions([w.profile for w in workloads])
     results = [([], []) for _ in sids]
     longest = max(w.samples.shape[0] for w in workloads)
@@ -379,12 +376,12 @@ def _assert_credits_identical(got, ref):
 
 
 def test_batched_pool_bit_identical_to_serial_and_lockstep():
+    # The former ``BatchedSessionPool`` name reaches the same pool.
+    assert BatchedSessionPool is SessionPool
     workloads = synthesize_workload(6, 16.0, seed=21)
     serial = _serve_serially(workloads, batch=64)
     batched, _ = _serve_batched(workloads, batch=64)
-    lockstep, _ = _serve_batched(workloads, batch=64, pool_cls=SessionPool)
     _assert_credits_identical(batched, serial)
-    _assert_credits_identical(lockstep, serial)
 
 
 def test_batched_pool_ragged_session_lengths():
@@ -420,7 +417,7 @@ def test_batched_pool_scratch_keys_are_length_free():
 def test_batched_pool_session_joins_mid_round():
     workloads = synthesize_workload(3, 14.0, seed=23)
     late = workloads[2]
-    pool = BatchedSessionPool(RATE, small_fleet_cutoff=0)
+    pool = SessionPool(RATE)
     sids = pool.add_sessions([w.profile for w in workloads[:2]])
     acc = {sid: ([], []) for sid in sids}
     batch = 128
@@ -468,7 +465,7 @@ def test_batched_pool_session_joins_mid_round():
 
 def test_batched_pool_failed_session_excluded_from_pack():
     workloads = synthesize_workload(4, 12.0, seed=24)
-    pool = BatchedSessionPool(RATE, small_fleet_cutoff=0)
+    pool = SessionPool(RATE)
     sids = pool.add_sessions([w.profile for w in workloads])
     batch = 128
     # Poison session 1 on the second append with a wrong-dtype batch.
@@ -507,7 +504,7 @@ def test_batched_pool_isolates_a_segmentation_failure():
     # the low-pass filter overflows it, so the session's segmentation
     # window turns non-finite inside a packed round.
     workloads = synthesize_workload(4, 16.0, seed=26)
-    pool = BatchedSessionPool(RATE, small_fleet_cutoff=0)
+    pool = SessionPool(RATE)
     sids = pool.add_sessions([w.profile for w in workloads])
     batch = 100
     acc = {sid: ([], []) for sid in sids}
@@ -548,27 +545,13 @@ def test_batched_pool_chunk_invariant_credits():
         ]
 
 
-def test_batched_pool_small_fleet_fast_path_bit_identical():
-    # With the cutoff raised above the fleet size every round takes the
-    # scalar lockstep fast path; credits must stay bit-identical to
-    # serial and to the packed path.
-    workloads = synthesize_workload(4, 14.0, seed=28)
-    serial = _serve_serially(workloads, batch=128)
-    fast, _ = _serve_batched(workloads, batch=128, small_fleet_cutoff=16)
-    packed, _ = _serve_batched(workloads, batch=128, small_fleet_cutoff=0)
-    _assert_credits_identical(fast, serial)
-    _assert_credits_identical(packed, serial)
-
-
 def test_batched_pool_filter_stack_cap_keeps_credits(monkeypatch):
     # A cap below the fleet size splits every filter length group into
     # several column-stacked calls (plus a one-block remainder call);
     # filtering is per column, so credits must not move.
-    from repro.serving import batch
-
     workloads = synthesize_workload(5, 14.0, seed=29)
     serial = _serve_serially(workloads, batch=64)
-    monkeypatch.setattr(batch, "FILTER_STACK_BLOCKS", 2)
+    monkeypatch.setattr(pool_module, "FILTER_STACK_BLOCKS", 2)
     capped, _ = _serve_batched(workloads, batch=64)
     _assert_credits_identical(capped, serial)
 
@@ -578,14 +561,14 @@ def test_batched_pool_telemetry_instruments():
 
     reg = MetricsRegistry()
     workloads = synthesize_workload(3, 10.0, seed=27)
-    pool = BatchedSessionPool(RATE, telemetry=reg)
+    pool = SessionPool(RATE, telemetry=reg)
     sids = pool.add_sessions([w.profile for w in workloads])
     for off in range(0, workloads[0].samples.shape[0], 256):
         pool.append(sids, [w.samples[off : off + 256] for w in workloads])
     pool.flush(sids)
     snap = reg.snapshot()
-    # The batched pool publishes the pool series every driver shares,
-    # plus one occupancy distribution of its fleet rounds.
+    # The pool publishes its pool series plus one occupancy
+    # distribution of its fleet rounds.
     assert snap["counters"]["serving_pool_appends_total"] > 0
     occupancy = snap["histograms"]["serving_batch_round_occupancy"]
     assert occupancy["count"] > 0
@@ -601,7 +584,6 @@ def test_batched_pool_stage_histograms_count_rounds(monkeypatch):
     # it is not read at all.
     import dataclasses
 
-    from repro.serving import batch
     from repro.telemetry.registry import MetricsRegistry
 
     workloads = [
@@ -616,13 +598,13 @@ def test_batched_pool_stage_histograms_count_rounds(monkeypatch):
         def perf_counter():
             raise AssertionError("clock read with telemetry off")
 
-    monkeypatch.setattr(batch, "time", _NoClock)
+    monkeypatch.setattr(pool_module, "time", _NoClock)
     untimed, _ = _serve_batched(workloads, batch=80)
     _assert_credits_identical(timed, untimed)
     hists = reg.snapshot()["histograms"]
     rounds = hists["serving_batch_round_occupancy"]["count"]
     assert rounds > 0
-    for name in batch.ROUND_STAGES:
+    for name in pool_module.ROUND_STAGES:
         stage = hists[f"serving_batch_stage_{name}_seconds"]
         assert stage["count"] == rounds
         assert stage["sum"] >= 0.0
@@ -635,16 +617,14 @@ def test_batched_pool_stage_histograms_count_rounds(monkeypatch):
 
 def _spy_lowpass(monkeypatch):
     """Record the shape of every low-pass call of the batched round."""
-    from repro.serving import batch
-
     shapes = []
-    lowpass = batch.butter_lowpass
+    lowpass = pool_module.butter_lowpass
 
     def spy(block, *args, **kwargs):
         shapes.append(block.shape)
         return lowpass(block, *args, **kwargs)
 
-    monkeypatch.setattr(batch, "butter_lowpass", spy)
+    monkeypatch.setattr(pool_module, "butter_lowpass", spy)
     return shapes
 
 
@@ -669,8 +649,7 @@ def _ragged_traces(n, duration_s, seed, cut):
     return traces, [w.profile for w in workloads]
 
 
-def _flush_pool(traces, profiles, batch, pool_cls, flush_at=None,
-                extra=None, **kw):
+def _flush_pool(traces, profiles, batch, flush_at=None, extra=None, **kw):
     """Feed ``traces`` lock-step through a pool, then flush.
 
     ``flush_at`` picks (and orders) the positions flushed; ``extra``
@@ -679,9 +658,7 @@ def _flush_pool(traces, profiles, batch, pool_cls, flush_at=None,
     credits are the flush's to deliver). Returns the pool, its ids and
     the flush output.
     """
-    if pool_cls is BatchedSessionPool:
-        kw.setdefault("small_fleet_cutoff", 0)
-    pool = pool_cls(RATE, **kw)
+    pool = SessionPool(RATE, **kw)
     sids = pool.add_sessions(profiles)
     longest = max(t.shape[0] for t in traces)
     for off in range(0, longest, batch):
@@ -711,27 +688,20 @@ def _flush_serial(traces, profiles, batch, flush_at=None, extra=None,
 
 def _assert_flush_identical(traces, profiles, batch, flush_at=None,
                             extra=None, **kw):
-    """BatchedSessionPool.flush == SessionPool.flush == per-session
-    flush, in credits and op-stats; returns the batched pool."""
+    """SessionPool.flush == per-session flush, in credits and op-stats;
+    returns the pool."""
     sessions, ref = _flush_serial(
-        traces, profiles, batch, flush_at=flush_at, extra=extra,
-        **{k: v for k, v in kw.items() if k in ("fault_policy",
-                                                "collect_observations")},
+        traces, profiles, batch, flush_at=flush_at, extra=extra, **kw
     )
-    lockstep_kw = {k: v for k, v in kw.items() if k != "small_fleet_cutoff"}
-    runs = [
-        _flush_pool(traces, profiles, batch, SessionPool,
-                    flush_at=flush_at, extra=extra, **lockstep_kw),
-        _flush_pool(traces, profiles, batch, BatchedSessionPool,
-                    flush_at=flush_at, extra=extra, **kw),
+    pool, sids, got = _flush_pool(
+        traces, profiles, batch, flush_at=flush_at, extra=extra, **kw
+    )
+    assert not pool.failed_sessions
+    assert [_credit_key(c) for c in got] == [_credit_key(c) for c in ref]
+    assert [pool.session(sid).op_stats.as_dict() for sid in sids] == [
+        s.op_stats.as_dict() for s in sessions
     ]
-    for pool, sids, got in runs:
-        assert not pool.failed_sessions
-        assert [_credit_key(c) for c in got] == [_credit_key(c) for c in ref]
-        assert [pool.session(sid).op_stats.as_dict() for sid in sids] == [
-            s.op_stats.as_dict() for s in sessions
-        ]
-    return runs[1]
+    return pool, sids, got
 
 
 def test_batched_flush_ragged_tails_bit_identical(monkeypatch):
@@ -748,8 +718,7 @@ def test_batched_flush_ragged_tails_bit_identical(monkeypatch):
     # The tail round's own filter calls: equal-length tails stack into
     # one call per length group, several groups.
     shapes = _spy_lowpass(monkeypatch)
-    pool, sids, _ = _flush_pool(traces, profiles, 96, BatchedSessionPool,
-                                flush_at=[])
+    pool, sids, _ = _flush_pool(traces, profiles, 96, flush_at=[])
     shapes.clear()
     pool.flush(sids)
     tail_rows = [rows for rows, _cols in shapes]
@@ -786,23 +755,11 @@ def test_batched_flush_subset_and_repeated_ids():
 
 
 def test_batched_flush_chunked_sessions(monkeypatch):
-    from repro.serving import batch
-
-    monkeypatch.setattr(batch, "FLUSH_STACK_SESSIONS", 2)
+    monkeypatch.setattr(pool_module, "FLUSH_STACK_SESSIONS", 2)
     traces, profiles = _ragged_traces(
         5, 12.0, seed=44, cut=lambda k: 1000 + 29 * k
     )
     _assert_flush_identical(traces, profiles, batch=128)
-
-
-def test_batched_flush_never_takes_small_fleet_fast_path():
-    # Every append round takes the scalar escape hatch; the tail round
-    # must still settle the tail (a settle-margin pass would not).
-    traces, profiles = _ragged_traces(
-        4, 12.0, seed=45, cut=lambda k: 1000 + 43 * k
-    )
-    _assert_flush_identical(traces, profiles, batch=128,
-                            small_fleet_cutoff=10**6)
 
 
 def test_batched_flush_collects_same_observations():
@@ -826,16 +783,14 @@ TAIL_SENTINEL = 77.25  # finite and under FaultPolicy's saturation rail
 def _fail_lowpass_on_sentinel(monkeypatch):
     """Make the batched round's low-pass raise on every block holding
     :data:`TAIL_SENTINEL`."""
-    from repro.serving import batch
-
-    lowpass = batch.butter_lowpass
+    lowpass = pool_module.butter_lowpass
 
     def failing(block, *args, **kwargs):
         if (block == TAIL_SENTINEL).any():
             raise FloatingPointError("tail filter blew up")
         return lowpass(block, *args, **kwargs)
 
-    monkeypatch.setattr(batch, "butter_lowpass", failing)
+    monkeypatch.setattr(pool_module, "butter_lowpass", failing)
 
 
 def test_batched_flush_isolates_failing_tail(monkeypatch):
@@ -854,8 +809,7 @@ def test_batched_flush_isolates_failing_tail(monkeypatch):
     extra = {2: np.vstack([np.full((60, 3), np.nan), post_gap])}
     _fail_lowpass_on_sentinel(monkeypatch)
     pool, sids, got = _flush_pool(
-        traces, profiles, 128, BatchedSessionPool, extra=extra,
-        fault_policy=policy,
+        traces, profiles, 128, extra=extra, fault_policy=policy
     )
     assert list(pool.failed_sessions) == [sids[2]]
     assert "tail filter blew up" in pool.failed_sessions[sids[2]]
@@ -870,8 +824,8 @@ def test_batched_flush_isolates_failing_tail(monkeypatch):
     # Fail-fast pools propagate the kernel's own exception.
     with pytest.raises(FloatingPointError, match="tail filter blew up"):
         _flush_pool(
-            traces, profiles, 128, BatchedSessionPool, extra=extra,
-            fault_policy=policy, isolate_failures=False,
+            traces, profiles, 128, extra=extra, fault_policy=policy,
+            isolate_failures=False,
         )
 
 

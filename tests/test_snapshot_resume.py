@@ -4,8 +4,8 @@ The durability contract, in the chunk-invariance style: a snapshot
 taken at *any* upload boundary and restored — in the same process or
 through a pickle round-trip, into a fresh session/pool — continues
 bit-identically to the uninterrupted run. Asserted here across every
-driver in the repo (serial session, lockstep pool, fleet-batched pool,
-sharded fleet, ingest gateway), on clean and degraded streams, plus
+driver in the repo (serial session, pool, sharded fleet, ingest
+gateway), on clean and degraded streams, plus
 the validation surface: a snapshot that cannot resume bit-identically
 (wrong rate, config, backend, schema) must raise
 :class:`ConfigurationError` naming the mismatch, never resume with
@@ -122,15 +122,15 @@ class TestSerialResume:
         assert _signature(*a.flush()) == _signature(*b.flush())
 
 
-def _drive_pool(pool_cls, cut=None, **kwargs):
+def _drive_pool(pool_cls, cut=None):
     """A pool fleet, optionally snapshot+restored at tick ``cut``."""
-    pool = pool_cls(RATE, **kwargs)
+    pool = pool_cls(RATE)
     sids = pool.add_sessions(_PROFILES)
     acc = {sid: ([], []) for sid in sids}
     n = max(t.shape[0] for t in _TRACES)
     for tick, off in enumerate(range(0, n, BATCH)):
         if cut is not None and tick == cut:
-            pool = pool_cls.from_snapshot(_roundtrip(pool.snapshot()), **kwargs)
+            pool = pool_cls.from_snapshot(_roundtrip(pool.snapshot()))
             sids = pool.session_ids
         out = pool.append(
             sids, [t[off : off + BATCH] for t in _TRACES]
@@ -145,12 +145,21 @@ def _drive_pool(pool_cls, cut=None, **kwargs):
 
 
 class TestPoolResume:
-    @pytest.mark.parametrize("pool_cls", [SessionPool, BatchedSessionPool])
+    # The one pool, under its name and its former alias.
+    @pytest.mark.parametrize(
+        "pool_cls",
+        [SessionPool, BatchedSessionPool],
+        ids=["SessionPool", "BatchedSessionPool"],
+    )
     @pytest.mark.parametrize("cut", _CUTS)
     def test_pool_resume_is_bit_identical(self, pool_cls, cut):
         base = _drive_pool(pool_cls)
         resumed = _drive_pool(pool_cls, cut=cut)
         assert resumed == base
+        assert base == {
+            sid: _drive_serial(trace, profile)[0]
+            for sid, (trace, profile) in enumerate(zip(_TRACES, _PROFILES))
+        }
 
     def test_restored_pool_allocates_fresh_ids(self):
         pool = SessionPool(RATE)
@@ -333,6 +342,18 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="backend"):
             BatchedSessionPool(RATE).restore(tampered)
 
+    def test_pool_refuses_lockstep_backend(self):
+        # Lockstep pools wrote ``"backend": None``; every pool now runs
+        # the packed round and restores only ``"numpy"`` blobs.
+        pool = SessionPool(RATE)
+        pool.add_sessions(_PROFILES)
+        blob = dict(pool.snapshot())
+        blob["backend"] = None
+        with pytest.raises(ConfigurationError, match="backend None"):
+            SessionPool(RATE).restore(blob)
+        with pytest.raises(ConfigurationError, match="backend None"):
+            SessionPool.from_snapshot(blob)
+
     def test_pool_error_lists_every_mismatch(self):
         pool = SessionPool(RATE)
         pool.add_sessions(_PROFILES)
@@ -373,36 +394,6 @@ class TestMigration:
         steps.extend(s)
         strides.extend(r)
         assert _signature(steps, strides) == base
-
-    def test_migration_across_pool_types(self):
-        # Lockstep -> batched migration goes through the session blob,
-        # which carries no backend identity; credits must not move.
-        base = _drive_pool(SessionPool)
-        src = SessionPool(RATE)
-        sids = src.add_sessions(_PROFILES)
-        acc = {sid: ([], []) for sid in sids}
-        n = max(t.shape[0] for t in _TRACES)
-        mid_tick = _N_TICKS // 2
-        for off in range(0, mid_tick * BATCH, BATCH):
-            out = src.append(sids, [t[off : off + BATCH] for t in _TRACES])
-            for sid, (s, r) in zip(sids, out):
-                acc[sid][0].extend(s)
-                acc[sid][1].extend(r)
-        dst = BatchedSessionPool(RATE)
-        moved = [
-            dst.import_session(_roundtrip(src.export_session(sid)), sid)
-            for sid in sids
-        ]
-        assert moved == sids
-        for off in range(mid_tick * BATCH, n, BATCH):
-            out = dst.append(sids, [t[off : off + BATCH] for t in _TRACES])
-            for sid, (s, r) in zip(sids, out):
-                acc[sid][0].extend(s)
-                acc[sid][1].extend(r)
-        for sid, (s, r) in zip(sids, dst.flush(sids)):
-            acc[sid][0].extend(s)
-            acc[sid][1].extend(r)
-        assert {sid: _signature(*c) for sid, c in acc.items()} == base
 
     def test_import_rejects_id_collision(self):
         pool = SessionPool(RATE)

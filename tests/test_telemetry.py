@@ -17,9 +17,9 @@ from repro.eval.reporting import fleet_health_table
 from repro.exceptions import ConfigurationError
 from repro.runtime.cache import TraceCache
 from repro.runtime.parallel import parallel_map, parallel_map_outcomes
+from repro.serving import BatchedSessionPool, IngestGateway
 from repro.serving.fleet import serve_fleet
-from repro.serving.batch import BatchedSessionPool
-from repro.serving.pool import SessionPool
+from repro.serving.pool import ROUND_STAGES, SessionPool
 from repro.serving.workload import synthesize_workload
 from repro.telemetry import (
     SNAPSHOT_SCHEMA,
@@ -389,7 +389,12 @@ class TestPoolInstrumentation:
         assert hist["count"] == 2
 
 
-    @pytest.mark.parametrize("pool_cls", [SessionPool, BatchedSessionPool])
+    # The one pool, under its name and its former alias.
+    @pytest.mark.parametrize(
+        "pool_cls",
+        [SessionPool, BatchedSessionPool],
+        ids=["SessionPool", "BatchedSessionPool"],
+    )
     def test_flush_histogram_leaves_append_series_alone(self, pool_cls):
         # Flush time gets its own histogram; the append-only series the
         # rebalancer and the traced split read must not move.
@@ -425,28 +430,67 @@ class TestPoolInstrumentation:
         assert {k: after["counters"][k] for k in totals} == totals
 
     def test_batched_flush_keeps_counter_totals(self):
-        # The batched tail round leaves every counter total — the
-        # shard-invariant ptrack/pool series — where the lockstep
-        # pool's one-session-at-a-time flush puts them.
+        # The batched tail round leaves every ptrack counter total — the
+        # shard-invariant series — where serial sessions' own flushes
+        # put them.
         workloads = synthesize_workload(4, 12.0, seed=9)
-        counters = []
-        for pool_cls in (SessionPool, BatchedSessionPool):
-            reg = MetricsRegistry()
-            pool = pool_cls(RATE_HZ, telemetry=reg)
-            sids = pool.add_sessions([w.profile for w in workloads])
-            n = max(w.samples.shape[0] for w in workloads)
-            for i in range(0, n, CADENCE):
-                pool.append(
-                    sids, [w.samples[i : i + CADENCE] for w in workloads]
-                )
-            pool.flush(sids)
-            counters.append(dict(reg.snapshot()["counters"]))
-        lockstep, batched = counters
-        dist = "ptrack_distance_m_total"
-        assert batched.pop(dist) == pytest.approx(
-            lockstep.pop(dist), rel=1e-12
+        serial_reg = MetricsRegistry()
+        for w in workloads:
+            _drive(
+                StreamingPTrack(
+                    RATE_HZ, profile=w.profile, telemetry=serial_reg
+                ),
+                w.samples,
+            )
+        reg = MetricsRegistry()
+        pool = SessionPool(RATE_HZ, telemetry=reg)
+        sids = pool.add_sessions([w.profile for w in workloads])
+        n = max(w.samples.shape[0] for w in workloads)
+        for i in range(0, n, CADENCE):
+            pool.append(
+                sids, [w.samples[i : i + CADENCE] for w in workloads]
+            )
+        pool.flush(sids)
+        serial, pooled = (
+            {
+                k: v
+                for k, v in r.snapshot()["counters"].items()
+                if k.startswith("ptrack_")
+            }
+            for r in (serial_reg, reg)
         )
-        assert batched == lockstep
+        dist = "ptrack_distance_m_total"
+        assert pooled.pop(dist) == pytest.approx(serial.pop(dist), rel=1e-12)
+        assert serial and pooled == serial
+
+    def test_every_pool_reports_its_stages(self):
+        # A plain pool and the pool a default gateway builds both run
+        # the packed round, so both publish its occupancy and the six
+        # stage histograms, one observation per round.
+        workloads = synthesize_workload(2, 8.0, seed=10)
+        pool_reg = MetricsRegistry()
+        pool = SessionPool(RATE_HZ, telemetry=pool_reg)
+        sids = pool.add_sessions([w.profile for w in workloads])
+        gw_reg = MetricsRegistry()
+        gw = IngestGateway(RATE_HZ, telemetry=gw_reg)
+        gw_sids = [gw.add_session(w.profile) for w in workloads]
+        n = max(w.samples.shape[0] for w in workloads)
+        for i in range(0, n, CADENCE):
+            batches = [w.samples[i : i + CADENCE] for w in workloads]
+            pool.append(sids, batches)
+            for sid, batch in zip(gw_sids, batches):
+                gw.offer(sid, batch)
+            gw.tick()
+        pool.flush()
+        gw.flush()
+        for reg in (pool_reg, gw_reg):
+            hists = reg.snapshot()["histograms"]
+            rounds = hists["serving_batch_round_occupancy"]["count"]
+            assert rounds > 0
+            for name in ROUND_STAGES:
+                assert hists[f"serving_batch_stage_{name}_seconds"][
+                    "count"
+                ] == rounds
 
 
 class TestFleetTelemetry:
@@ -634,8 +678,8 @@ class TestReportingAndCli:
         assert "no observations" in text
 
     def test_fleet_health_table_absent_histogram_series(self):
-        # Drivers emit different series mixes (the batched pool adds
-        # serving_batch_round_occupancy, the lockstep pool does not), so
+        # Drivers emit different series mixes (a pool adds
+        # serving_batch_round_occupancy, a solo session does not), so
         # merged or hand-assembled snapshots can list a histogram whose
         # series data is absent or partial; the table must render
         # regardless.
