@@ -45,7 +45,7 @@ bounce solve, the greedy spacing — stay scalar per cycle.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,21 +57,40 @@ from repro.signal.batched import stack_crossings, stack_extrema
 from repro.types import GaitType, UserProfile
 
 __all__ = [
-    "StageMeasurement",
+    "StageMeasurements",
+    "CycleSolutions",
     "batched_stage_measurements",
     "batched_cycle_solutions",
-    "integrate_block",
 ]
 
-#: ``(a_seg, anterior_ok, motion_ok, offset)`` — the measured half of
-#: one staged cycle, mirroring what ``StreamingPTrack._stage`` computes
-#: before it builds the candidate. An ``Exception`` instance takes the
-#: tuple's place when the scalar path would have raised for that cycle
-#: (degenerate lengths); callers decide the isolation policy.
-StageMeasurement = Union[
-    Tuple[np.ndarray, bool, bool, float],
-    Exception,
-]
+
+class StageMeasurements(NamedTuple):
+    """The measured half of a round's staged cycles, one entry per cycle.
+
+    Cycle ``i`` has the anterior projection ``a_segs[i]`` (zeros when
+    the direction fit failed), ``anterior_ok[i]``, the motion gate
+    ``motion_ok[i]`` and the Eq. (1) offset ``offsets[i]`` — what
+    ``StreamingPTrack._measure`` computes per cycle. ``errors`` maps a
+    cycle the scalar path raises on (degenerate lengths) to that
+    exception; callers decide the isolation policy.
+    """
+
+    a_segs: List[np.ndarray]
+    anterior_ok: List[bool]
+    motion_ok: List[bool]
+    offsets: List[float]
+    errors: Dict[int, Exception]
+
+
+class CycleSolutions(NamedTuple):
+    """Per-cycle stride solves, one entry per cycle: ``stride_m[i]`` and
+    ``bounce_m[i]`` where ``solved[i]``, NaN where the geometry admits
+    no solve."""
+
+    stride_m: List[float]
+    bounce_m: List[float]
+    solved: List[bool]
+
 
 #: NumPy's pairwise-summation block: a float64 sum of at most this many
 #: elements is one 8-lane unrolled loop; a longer one splits in two at
@@ -281,28 +300,6 @@ def _integrate_rows(
     return velocity, _rows_cumtrapz(stack, dt, np.empty_like(stack))
 
 
-def integrate_block(
-    rows: Sequence[np.ndarray], dt: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-wise mean-removal single **and** double integration.
-
-    For accelerations of any lengths (at least 2 samples each; a 2-D
-    array is a sequence of equal-length rows) this returns
-    ``(velocity, displacement)`` as two ``(rows, width)`` stacks, right
-    padded to the longest row. Row ``r``'s first ``len(rows[r])``
-    entries are the row-wise forms of
-    :func:`repro.signal.integration.integrate_mean_removal` and
-    :func:`repro.signal.integration.double_integrate_mean_removal`,
-    bit-identical to them; the padding past it carries no meaning.
-    The double integral's inner velocity *is* the returned velocity,
-    so callers needing both (the walking-cycle moment extraction) pay
-    one fused call instead of recomputing it.
-    """
-    lens = np.asarray([r.size for r in rows], dtype=np.intp)
-    stack = _stack_rows(rows, lens.tolist(), np.empty((lens.size, int(lens.max()))))
-    return _integrate_rows(stack, lens, dt)
-
-
 def _offsets_from_flat(
     v_points: np.ndarray,
     a_points: np.ndarray,
@@ -362,11 +359,11 @@ def batched_stage_measurements(
     v_segs: Sequence[np.ndarray],
     h_segs: Sequence[np.ndarray],
     config: PTrackConfig,
-) -> List[StageMeasurement]:
+) -> StageMeasurements:
     """Measure every staged cycle of a serving round in one padded stack.
 
     For each cycle ``i`` this computes exactly what the scalar
-    ``StreamingPTrack._stage`` computes from ``(v_segs[i], h_segs[i])``:
+    ``StreamingPTrack._measure`` computes from ``(v_segs[i], h_segs[i])``:
     the anterior projection (or zeros when the direction fit fails),
     the motion gate, and — for moving cycles — the Eq. (1)
     critical-point offset.
@@ -377,13 +374,13 @@ def batched_stage_measurements(
         config: PTrack configuration.
 
     Returns:
-        One :data:`StageMeasurement` per cycle, input order. Returned
-        projections own their memory.
+        The :class:`StageMeasurements` of the cycles, input order.
+        Returned projections own their memory.
     """
     count = len(v_segs)
-    results: List[StageMeasurement] = [None] * count  # type: ignore[list-item]
+    errors: Dict[int, Exception] = {}
     if count == 0:
-        return results
+        return StageMeasurements([], [], [], [], errors)
 
     lens = np.asarray([v.size for v in v_segs], dtype=np.intp)
     size_list = lens.tolist()
@@ -469,7 +466,7 @@ def batched_stage_measurements(
     for i in np.flatnonzero(motion_ok & (lens < 4)).tolist():
         # The scalar path raises out of critical_points_for_offset here;
         # surface the same failure per cycle instead of per round.
-        results[i] = SignalError(
+        errors[i] = SignalError(
             f"cycle axis must be 1-D with >= 4 samples, got ({size_list[i]},)"
         )
     need = np.flatnonzero(motion_ok & (lens >= 4))
@@ -512,20 +509,18 @@ def batched_stage_measurements(
             vertical_points, anterior_points, eligible, need_lens, stride, config
         )
 
-    for i, measured in enumerate(
-        zip(a_segs, anterior_ok.tolist(), motion_ok.tolist(), offsets.tolist())
-    ):
-        if results[i] is None:
-            results[i] = measured
-    return results
+    return StageMeasurements(
+        a_segs, anterior_ok.tolist(), motion_ok.tolist(), offsets.tolist(), errors
+    )
 
 
 def batched_cycle_solutions(
-    items: Sequence[
-        Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], GaitType, UserProfile]
-    ],
+    v_segs: Sequence[np.ndarray],
+    a_segs: Sequence[Optional[np.ndarray]],
+    gaits: Sequence[GaitType],
+    profiles: Sequence[UserProfile],
     dt: float,
-) -> List[Optional[Tuple[float, float]]]:
+) -> CycleSolutions:
     """Per-cycle ``(stride_m, bounce_m)`` solves in one padded stack.
 
     The batched form of
@@ -535,7 +530,7 @@ def batched_cycle_solutions(
 
     * the walking anterior rows, walking vertical rows and stepping
       vertical rows of every length share **one** padded
-      :func:`integrate_block` pass (the double integral's inner
+      :func:`_integrate_rows` pass (the double integral's inner
       velocity is reused instead of recomputed, and row-wise kernels
       are independent across rows, so mixing populations in one stack
       changes nothing);
@@ -549,36 +544,44 @@ def batched_cycle_solutions(
       bit-identical to the per-cycle reference.
 
     Args:
-        items: Per credited cycle: vertical segment, horizontal segment,
-            anterior segment (``None`` when the direction fit failed at
-            staging — those cycles yield ``None``, as the scalar
-            re-derivation would fail identically), gait type, and the
-            owning session's user profile.
+        v_segs: Per credited cycle, its vertical segment.
+        a_segs: Its anterior segment, ``None`` when the direction fit
+            failed at staging (those cycles are not solved, as the
+            scalar re-derivation would fail identically).
+        gaits: Its gait type.
+        profiles: The owning session's user profile.
         dt: Shared sample period in seconds.
 
     Returns:
-        Per cycle, ``(stride_m, bounce_m)`` or ``None`` when the
+        The :class:`CycleSolutions`; a cycle is unsolved when its
         geometry admits no solve (non-finite segments included, which
         the scalar integrator rejects).
     """
-    count = len(items)
-    results: List[Optional[Tuple[float, float]]] = [None] * count
+    count = len(v_segs)
+    stride_out = np.full(count, np.nan)
+    bounce_out = np.full(count, np.nan)
+    solved_out = np.zeros(count, dtype=bool)
     walking: List[int] = []
     stepping: List[int] = []
-    for i, (v_seg, _h_seg, a_seg, gait, _profile) in enumerate(items):
-        if gait is GaitType.STEPPING:
+    for i in range(count):
+        v_seg = v_segs[i]
+        if gaits[i] is GaitType.STEPPING:
             if v_seg.size >= 2:
                 stepping.append(i)
-        elif a_seg is not None and a_seg.size == v_seg.size >= 16:
-            walking.append(i)
+        else:
+            a_seg = a_segs[i]
+            if a_seg is not None and a_seg.size == v_seg.size >= 16:
+                walking.append(i)
     nw = len(walking)
     segs = (
-        [items[i][2] for i in walking]
-        + [items[i][0] for i in walking]
-        + [items[i][0] for i in stepping]
+        [a_segs[i] for i in walking]
+        + [v_segs[i] for i in walking]
+        + [v_segs[i] for i in stepping]
     )
     if not segs:
-        return results
+        return CycleSolutions(
+            stride_out.tolist(), bounce_out.tolist(), solved_out.tolist()
+        )
     lens = np.asarray([s.size for s in segs], dtype=np.intp)
     width = int(lens.max())
     stack = _stack_rows(segs, lens.tolist(), np.empty((lens.size, width)))
@@ -597,12 +600,15 @@ def batched_cycle_solutions(
     step_max = disp[2 * nw :].max(axis=1)
 
     if stepping:
+        rows = np.asarray(stepping, dtype=np.intp)
         bounces = step_max - step_min
-        legs = np.asarray([items[i][4].leg_length_m for i in stepping])
-        ks = np.asarray([items[i][4].calibration_k for i in stepping])
+        legs = np.asarray([profiles[i].leg_length_m for i in stepping])
+        ks = np.asarray([profiles[i].calibration_k for i in stepping])
         strides = stride_rows_from_bounce(bounces, legs, ks)
-        for row in np.flatnonzero(finite[2 * nw :]).tolist():
-            results[stepping[row]] = (float(strides[row]), float(bounces[row]))
+        ok = finite[2 * nw :]
+        stride_out[rows[ok]] = strides[ok]
+        bounce_out[rows[ok]] = bounces[ok]
+        solved_out[rows[ok]] = True
 
     sol_idx: List[int] = []
     if nw:
@@ -638,7 +644,7 @@ def batched_cycle_solutions(
             sol_idx = [walking[s] for s in sel.tolist()]
 
     if sol_idx:
-        arms = np.asarray([items[i][4].arm_length_m for i in sol_idx])
+        arms = np.asarray([profiles[i].arm_length_m for i in sol_idx])
         bounce, solved = solve_bounce_block(h1_all, h2_all, d_all, arms)
         for r in np.flatnonzero(~solved):
             # The block solver leaves a row unresolved when the scalar
@@ -653,10 +659,13 @@ def batched_cycle_solutions(
                 solved[r] = True
             except GeometryError:
                 pass
-        legs = np.asarray([items[i][4].leg_length_m for i in sol_idx])
-        ks = np.asarray([items[i][4].calibration_k for i in sol_idx])
+        legs = np.asarray([profiles[i].leg_length_m for i in sol_idx])
+        ks = np.asarray([profiles[i].calibration_k for i in sol_idx])
         strides = stride_rows_from_bounce(bounce, legs, ks)
-        for r, i in enumerate(sol_idx):
-            if solved[r]:
-                results[i] = (float(strides[r]), float(bounce[r]))
-    return results
+        rows = np.asarray(sol_idx, dtype=np.intp)[solved]
+        stride_out[rows] = strides[solved]
+        bounce_out[rows] = bounce[solved]
+        solved_out[rows] = True
+    return CycleSolutions(
+        stride_out.tolist(), bounce_out.tolist(), solved_out.tolist()
+    )

@@ -183,41 +183,51 @@ class Fig4Streak:
             for cand, off, corr, phase in state["pending"]
         ]
 
-    def _flush_interference(self) -> List[ResolvedCycle]:
-        resolved = [
-            _resolved(cand, GaitType.INTERFERENCE, off, corr, phase)
-            for cand, off, corr, phase in self._pending
-        ]
+    def _flush_interference(
+        self, out: List[ResolvedCycle]
+    ) -> List[ResolvedCycle]:
+        for cand, off, corr, phase in self._pending:
+            out.append(_resolved(cand, GaitType.INTERFERENCE, off, corr, phase))
         self._pending.clear()
         self._streak = 0
-        return resolved
+        return out
 
-    def feed(self, cand: CycleCandidate) -> List[ResolvedCycle]:
+    def feed(
+        self,
+        cand: CycleCandidate,
+        out: Optional[List[ResolvedCycle]] = None,
+    ) -> List[ResolvedCycle]:
         """Advance the machine by one candidate cycle.
 
         Args:
             cand: The next candidate in time order, with its per-cycle
                 measurements filled in.
+            out: List the resolutions are appended to (a new one by
+                default), so a caller feeding many cycles can collect
+                them in one list.
 
         Returns:
-            Candidates whose decisions became final, in resolution
-            order (matching the batch decision flow).
+            ``out``, extended by the candidates whose decisions became
+            final, in resolution order (matching the batch decision
+            flow).
         """
         cfg = self._cfg
+        if out is None:
+            out = []
         if not cand.motion_ok:
             # Residual micro-motion (tremor, postural sway): the
             # paper's candidate stage already rejects activities
             # "without significant vertical motions".
             self._pending.append((cand, 0.0, 0.0, False))
-            return self._flush_interference()
+            return self._flush_interference(out)
 
         if cand.offset > cfg.offset_threshold:
             # Walking: superposed arm + body sources.
-            resolved = self._flush_interference()
-            resolved.append(
+            self._flush_interference(out)
+            out.append(
                 _resolved(cand, GaitType.WALKING, cand.offset, None, None)
             )
-            return resolved
+            return out
 
         if (
             cand.corr > cfg.min_half_cycle_correlation
@@ -229,25 +239,22 @@ class Fig4Streak:
             if self._streak >= cfg.stepping_consecutive:
                 # Confirmation reached: credit every buffered cycle
                 # (the paper's "+6" event is exactly 3 cycles x 2).
-                resolved = [
-                    _resolved(c, GaitType.STEPPING, off, corr, phase)
-                    for c, off, corr, phase in self._pending
-                ]
+                for c, off, corr, phase in self._pending:
+                    out.append(_resolved(c, GaitType.STEPPING, off, corr, phase))
                 self._pending.clear()
                 # Streak stays "confirmed": subsequent cycles credit
                 # immediately until a test fails.
                 self._streak = cfg.stepping_consecutive
-                return resolved
-            return []
+            return out
 
         self._pending.append(
             (cand, cand.offset, cand.corr, bool(cand.phase_ok))
         )
-        return self._flush_interference()
+        return self._flush_interference(out)
 
     def flush(self) -> List[ResolvedCycle]:
         """End of stream: the pending buffer resolves as interference."""
-        return self._flush_interference()
+        return self._flush_interference([])
 
 
 class PTrackStepCounter:
@@ -329,10 +336,12 @@ class PTrackStepCounter:
         stepping_values = dict(
             zip(
                 stepping_candidates,
-                batch_stepping_tests(
-                    [v_segs[i] for i in stepping_candidates],
-                    [a_segs[i] for i in stepping_candidates],
-                    cfg,
+                zip(
+                    *batch_stepping_tests(
+                        [v_segs[i] for i in stepping_candidates],
+                        [a_segs[i] for i in stepping_candidates],
+                        cfg,
+                    )
                 ),
             )
         )

@@ -110,7 +110,7 @@ def batch_stepping_tests(
     verticals: Sequence[np.ndarray],
     anteriors: Sequence[np.ndarray],
     config: Optional[PTrackConfig] = None,
-) -> List[Tuple[float, float, bool]]:
+) -> Tuple[List[float], List[float], List[bool]]:
     """Both stepping admission tests over many candidate cycles at once.
 
     Evaluates the half-cycle auto-correlation on each axis
@@ -127,7 +127,8 @@ def batch_stepping_tests(
         config: PTrack configuration (phase target and tolerance).
 
     Returns:
-        One ``(anterior_C, vertical_C, phase_ok)`` triple per cycle.
+        ``(anterior_C, vertical_C, phase_ok)``: three lists of Python
+        scalars, one entry per cycle.
     """
     cfg = config if config is not None else PTrackConfig()
     if len(verticals) != len(anteriors):
@@ -137,10 +138,13 @@ def batch_stepping_tests(
     corr_a = batch_half_cycle_correlation(anteriors)
     corr_v = batch_half_cycle_correlation(verticals)
     fracs = batch_phase_difference_fraction(list(zip(verticals, anteriors)))
-    results: List[Tuple[float, float, bool]] = []
-    for c_a, c_v, frac in zip(corr_a, corr_v, fracs):
-        if not np.isfinite(frac):
-            results.append((0.0, 0.0, False))
-        else:
-            results.append((float(c_a), float(c_v), _phase_matches(float(frac), cfg)))
-    return results
+    finite = np.isfinite(fracs)
+    phase_ok = [
+        ok and _phase_matches(frac, cfg)
+        for ok, frac in zip(finite.tolist(), fracs.tolist())
+    ]
+    return (
+        np.where(finite, corr_a, 0.0).tolist(),
+        np.where(finite, corr_v, 0.0).tolist(),
+        phase_ok,
+    )

@@ -29,6 +29,7 @@ credits) and makes the amortised per-sample cost O(1).
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import deque
 from dataclasses import dataclass, replace
@@ -39,7 +40,7 @@ import numpy as np
 from repro.core.bounce import direct_bounce, extract_cycle_moments
 from repro.core.config import PTrackConfig
 from repro.core.offset import cycle_offset
-from repro.core.step_counter import CycleCandidate, Fig4Streak
+from repro.core.step_counter import CycleCandidate, Fig4Streak, ResolvedCycle
 from repro.core.stepping import batch_stepping_tests
 from repro.core.stride import PTrackStrideEstimator
 from repro.exceptions import ConfigurationError, GeometryError, SignalError
@@ -54,7 +55,7 @@ __all__ = [
     "SESSION_SNAPSHOT_SCHEMA",
     "ensure_snapshot_kind",
     "StreamingOpStats",
-    "StagedCycle",
+    "RoundCycles",
     "admit_cycles",
     "stepping_values",
     "StreamingPTrack",
@@ -161,37 +162,91 @@ class StreamingOpStats:
         }
 
 
-@dataclass
-class StagedCycle:
-    """A settled candidate cycle awaiting its stepping-test results.
+class RoundCycles:
+    """One round's cycles, in flat lists indexed by cycle.
 
-    Produced by :meth:`StreamingPTrack.make_staged`; the cheap
-    per-cycle measurements (motion gate, offset) are already filled in,
-    while the stepping admission tests — the batchable hot kernel — run
-    afterwards in one :func:`stepping_values` call, over the session's
-    own cycles on the solo path or over every session's in a
-    :class:`repro.serving.SessionPool` round.
+    A round is one pass at a hop boundary for each of its sessions:
+    every due session of a :class:`repro.serving.SessionPool` round, or
+    the lone session of the solo drain. Its bookkeeping is these lists,
+    a fixed number of them however many sessions and cycles the round
+    holds; each session owns one contiguous range of the staged lists
+    and one of the credited lists.
 
-    Attributes:
-        candidate: The Fig.-4 candidate (absolute sample indices).
-        v_seg: Filtered vertical acceleration of the cycle (copy).
-        a_seg: Per-cycle refined anterior acceleration (copy); zeros
-            when the projection was degenerate.
-        h_seg: Filtered horizontal acceleration, shape (n, 2) (copy).
-        needs_stepping: Whether the admission tests must be evaluated
-            (the cycle passed the motion gate and the offset kept it
-            in play).
-        anterior_ok: Whether the anterior projection succeeded; a
-            degenerate projection must be re-derived (and re-fail) in
-            the stride solve exactly as the batch estimator does.
+    Staged cycle ``i`` (window order, then time order):
+
+    * :func:`admit_cycles` fills ``starts[i]``, ``ends[i]`` (absolute
+      indices) and ``peaks[i]``, its new step peaks; window ``w``'s
+      cycles are ``bounds[w]:bounds[w + 1]``;
+    * :meth:`StreamingPTrack.commit_cycles` appends the copied
+      segments ``v_segs[i]`` and ``h_segs[i]``;
+    * the measurement stage fills ``a_segs[i]``, ``anterior_ok[i]``,
+      ``motion_ok[i]`` and ``offsets[i]``, and ``errors`` maps a cycle
+      the scalar measurement raises on to its exception (the other
+      lists then hold placeholders there);
+    * :meth:`StreamingPTrack.stage_cycles` sets ``cands[i]``, and
+      :func:`stepping_values` writes the stepping tests into it.
+
+    Each record is released as soon as it is spent —
+    :meth:`StreamingPTrack.classify` clears ``cands[i]`` once the streak
+    holds the candidate, :meth:`StreamingPTrack.credit_resolved`
+    clears ``resolved[j]`` once it is credited — so a round's per-cycle
+    objects die while it still runs instead of all at its end.
+
+    Credited cycle ``j`` (credit order), appended by
+    :meth:`StreamingPTrack.classify`: ``resolved[j]`` is the streak's
+    :class:`~repro.core.step_counter.ResolvedCycle`, ``cr_v[j]``,
+    ``cr_h[j]`` and ``cr_a[j]`` its stored segments (``cr_v[j]`` is
+    ``None`` when they were retired, ``cr_a[j]`` when the projection
+    was degenerate), and ``stride_m[j]``/``bounce_m[j]`` its stride
+    solve (``None`` where none ran or it admitted no solution).
     """
 
-    candidate: CycleCandidate
-    v_seg: np.ndarray
-    a_seg: np.ndarray
-    h_seg: np.ndarray
-    needs_stepping: bool
-    anterior_ok: bool = True
+    __slots__ = (
+        "bounds", "starts", "ends", "peaks", "v_segs", "h_segs",
+        "a_segs", "anterior_ok", "motion_ok", "offsets", "errors",
+        "cands", "resolved", "cr_v", "cr_h", "cr_a", "stride_m",
+        "bounce_m",
+    )
+
+    def __init__(
+        self,
+        bounds: List[int],
+        starts: List[int],
+        ends: List[int],
+        peaks: List[Tuple[int, ...]],
+    ) -> None:
+        self.bounds = bounds
+        self.starts = starts
+        self.ends = ends
+        self.peaks = peaks
+        self.v_segs: List[np.ndarray] = []
+        self.h_segs: List[np.ndarray] = []
+        self.a_segs: List[np.ndarray] = []
+        self.anterior_ok: List[bool] = []
+        self.motion_ok: List[bool] = []
+        self.offsets: List[float] = []
+        self.errors: Dict[int, Exception] = {}
+        self.cands: List[Optional[CycleCandidate]] = [None] * len(starts)
+        self.resolved: List[ResolvedCycle] = []
+        self.cr_v: List[Optional[np.ndarray]] = []
+        self.cr_h: List[Optional[np.ndarray]] = []
+        self.cr_a: List[Optional[np.ndarray]] = []
+        self.stride_m: List[Optional[float]] = []
+        self.bounce_m: List[Optional[float]] = []
+
+    def drop_credits(self, start: int) -> None:
+        """Forget credited cycles ``start:`` (a session that failed
+        while classifying them)."""
+        del self.resolved[start:]
+        del self.cr_v[start:]
+        del self.cr_h[start:]
+        del self.cr_a[start:]
+
+    def reset_solves(self) -> None:
+        """Size the stride-solve lists to the credited cycles, unsolved."""
+        n = len(self.resolved)
+        self.stride_m = [None] * n
+        self.bounce_m = [None] * n
 
 
 def admit_cycles(
@@ -199,7 +254,7 @@ def admit_cycles(
     origins: Sequence[int],
     settled_ends: Sequence[int],
     last_peaks: Sequence[int],
-) -> List[List[Tuple[int, int, Tuple[int, ...]]]]:
+) -> RoundCycles:
     """The admission rule of a pass, for every window of a round at once.
 
     Window ``w`` of ``cycles`` is a session's retained buffer from
@@ -216,8 +271,9 @@ def admit_cycles(
     one mask decides the round.
 
     Returns:
-        Per window, its admitted cycles ``(abs_start, abs_end,
-        new_peaks)`` in time order, for
+        The round's :class:`RoundCycles`, holding every window's
+        admitted cycles ``starts``/``ends``/``peaks`` (absolute indices,
+        time order) and each window's range of them in ``bounds``, for
         :meth:`StreamingPTrack.commit_cycles`.
     """
     owners = cycles.owners
@@ -227,56 +283,56 @@ def admit_cycles(
     p2 = cycles.p2 + lift
     ok = (ends <= np.asarray(settled_ends)[owners]) & (p2 > watermark)
     p1 = cycles.p1[ok] + lift[ok]
-    spans = [
-        (start, end, (first, second) if fresh else (second,))
-        for start, end, first, second, fresh in zip(
-            (cycles.starts[ok] + lift[ok]).tolist(),
-            ends[ok].tolist(),
-            p1.tolist(),
-            p2[ok].tolist(),
-            (p1 > watermark[ok]).tolist(),
-        )
-    ]
-    bounds = owners[ok].searchsorted(np.arange(len(origins) + 1)).tolist()
-    return [spans[bounds[w] : bounds[w + 1]] for w in range(len(origins))]
+    return RoundCycles(
+        owners[ok].searchsorted(np.arange(len(origins) + 1)).tolist(),
+        (cycles.starts[ok] + lift[ok]).tolist(),
+        ends[ok].tolist(),
+        [
+            (first, second) if fresh else (second,)
+            for first, second, fresh in zip(
+                p1.tolist(), p2[ok].tolist(), (p1 > watermark[ok]).tolist()
+            )
+        ],
+    )
 
 
-def stepping_values(
-    staged_lists: Sequence[Sequence[StagedCycle]],
-    config: PTrackConfig,
-) -> List[List[Optional[Tuple[float, float, bool]]]]:
+def stepping_values(rc: RoundCycles, config: PTrackConfig) -> None:
     """The stepping admission tests of a round, for every session at once.
 
-    Every staged cycle that needs the tests, whichever session staged
-    it, goes into one :func:`repro.core.stepping.batch_stepping_tests`
-    call. The kernels are row-wise over length-grouped stacks, so a
-    session's values do not depend on which other sessions share the
-    call: the solo drain passes its own cycles alone and a pool round
-    passes the whole fleet's.
-
-    Returns:
-        Per session, one ``(corr, corr_v, phase_ok)`` triple per staged
-        cycle, ``None`` where ``needs_stepping`` is false — the
-        ``stepping`` argument of :meth:`StreamingPTrack.classify`.
+    Every staged cycle of ``rc`` that needs the tests (it passed the
+    motion gate and the offset kept it in play), whichever session
+    staged it, goes into one
+    :func:`repro.core.stepping.batch_stepping_tests` call, and the
+    results land in its candidate's ``corr``/``corr_v``/``phase_ok``.
+    The kernels are row-wise over length-grouped stacks, so a session's
+    values do not depend on which other sessions share the call: the
+    solo drain passes its own cycles alone and a pool round passes the
+    whole fleet's.
     """
-    values: List[List[Optional[Tuple[float, float, bool]]]] = [
-        [None] * len(staged) for staged in staged_lists
+    threshold = config.offset_threshold
+    need = [
+        i
+        for i, cand in enumerate(rc.cands)
+        if cand is not None and cand.motion_ok and cand.offset <= threshold
     ]
-    flat = [
-        (si, ci, cyc)
-        for si, staged in enumerate(staged_lists)
-        for ci, cyc in enumerate(staged)
-        if cyc.needs_stepping
-    ]
-    if flat:
-        triples = batch_stepping_tests(
-            [cyc.v_seg for _, _, cyc in flat],
-            [cyc.a_seg for _, _, cyc in flat],
-            config,
-        )
-        for (si, ci, _), triple in zip(flat, triples):
-            values[si][ci] = triple
-    return values
+    if not need:
+        return
+    corr, corr_v, phase_ok = batch_stepping_tests(
+        [rc.v_segs[i] for i in need], [rc.a_segs[i] for i in need], config
+    )
+    cands = rc.cands
+    for i, c_a, c_v, ok in zip(need, corr, corr_v, phase_ok):
+        cand = cands[i]
+        cand.corr = c_a
+        cand.corr_v = c_v
+        cand.phase_ok = ok
+
+
+@functools.lru_cache(maxsize=None)
+def _stride_fractions(per_cycle: int) -> Tuple[float, ...]:
+    """Where in its cycle each of a cycle's ``per_cycle`` strides is
+    stamped, as a fraction of the cycle."""
+    return tuple((k + 0.5) / per_cycle for k in range(per_cycle))
 
 
 class StreamingPTrack:
@@ -400,7 +456,6 @@ class StreamingPTrack:
         self._filt = np.empty_like(self._data)
         self._machine = Fig4Streak(self._config)
         self._recent_strides: deque = deque(maxlen=32)
-        self._stride_fracs: List[float] = []
         self._stats = StreamingOpStats()
         self._telemetry = (
             telemetry if telemetry is not None else get_registry()
@@ -427,9 +482,12 @@ class StreamingPTrack:
         self._credited_until = 0  # absolute index after last credited step
         self._last_peak = -1  # absolute index of last consumed step peak
         self._cycle_counter = 0
-        self._seg_store: Dict[
-            int, Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
-        ] = {}
+        # Segments of the cycles fed to the streak and not yet
+        # resolved, by cycle id: three dicts rather than one of
+        # per-cycle tuples (the snapshot's ``seg_store`` pairs them up).
+        self._seg_v: Dict[int, np.ndarray] = {}
+        self._seg_h: Dict[int, np.ndarray] = {}
+        self._seg_a: Dict[int, Optional[np.ndarray]] = {}
         self._total_steps = 0
         self._total_distance = 0.0
         self._trim_boundary: Optional[int] = None
@@ -446,8 +504,11 @@ class StreamingPTrack:
         # Self-training observation buffer (collect_observations=True):
         # profile-free per-cycle measurements awaiting a drain by
         # take_pending_observations(). Bounded drop-oldest so an
-        # undrained session can never grow without limit.
-        self._pending_observations: List[CycleObservation] = []
+        # undrained session can never grow without limit. A session
+        # without the tap holds the empty tuple: no buffer to allocate.
+        self._pending_observations: Sequence[CycleObservation] = (
+            [] if self._collect_observations else ()
+        )
         self._observations_dropped = 0
 
     # ------------------------------------------------------------------
@@ -568,8 +629,12 @@ class StreamingPTrack:
             "data": self._data[: self._size].copy(),
             "filt": self._filt[:n_filt].copy(),
             "seg_store": {
-                cid: (v.copy(), h.copy(), None if a is None else a.copy())
-                for cid, (v, h, a) in self._seg_store.items()
+                cid: (
+                    v.copy(),
+                    self._seg_h[cid].copy(),
+                    None if self._seg_a[cid] is None else self._seg_a[cid].copy(),
+                )
+                for cid, v in self._seg_v.items()
             },
             "machine": self._machine.state_dict(),
             "recent_strides": list(self._recent_strides),
@@ -637,14 +702,20 @@ class StreamingPTrack:
         )
         # Copy the staged segments so two sessions restored from the
         # same snapshot never alias each other's staging store.
-        self._seg_store = {
-            cid: (v.copy(), h.copy(), None if a is None else a.copy())
-            for cid, (v, h, a) in st["seg_store"].items()
-        }
+        self._seg_v.clear()
+        self._seg_h.clear()
+        self._seg_a.clear()
+        for cid, (v, h, a) in st["seg_store"].items():
+            self._seg_v[cid] = v.copy()
+            self._seg_h[cid] = h.copy()
+            self._seg_a[cid] = None if a is None else a.copy()
         self._machine.load_state(st["machine"])
         self._recent_strides = deque(st["recent_strides"], maxlen=32)
-        self._stride_fracs = []
-        self._pending_observations = list(st.get("pending_observations", []))
+        self._pending_observations = (
+            list(st.get("pending_observations", []))
+            if self._collect_observations
+            else ()
+        )
         self._observations_dropped = int(st.get("observations_dropped", 0))
         self._stats = StreamingOpStats(**st["stats"])
         if self._telemetry is not None:
@@ -756,7 +827,8 @@ class StreamingPTrack:
         """
         t0 = time.perf_counter() if self._telemetry is not None else 0.0
         self.ingest(samples)
-        steps, strides = self.take_pending_credits()
+        parked = self.take_pending_credits()
+        steps, strides = ([], []) if parked is None else parked
         self._drain(steps, strides)
         if self._telemetry is not None:
             self._m_append_s.observe(time.perf_counter() - t0)
@@ -764,20 +836,14 @@ class StreamingPTrack:
 
     def flush(self) -> Tuple[List[StepEvent], List[StrideEstimate]]:
         """Settle everything remaining in the buffer (end of stream)."""
-        head, steps, strides = self.begin_flush()
+        head = self.begin_flush()
+        parked = self.take_pending_credits()
+        steps, strides = ([], []) if parked is None else parked
         if head is not None:
             self._drain(steps, strides)
             # Finalise the filter through the head and classify the tail
             # with a zero settle horizon.
-            cfg = self._config
-            for lo, hi, final in self.final_filter_plan(head):
-                block = butter_lowpass(
-                    self.raw_block(lo, hi),
-                    cfg.lowpass_cutoff_hz,
-                    self._rate,
-                    cfg.lowpass_order,
-                )
-                self.apply_final_block(lo, hi, final, block)
+            self._advance_filter(head, final=True)
             self._settle_pass(head, 0, steps, strides)
         self.end_flush()
         return steps, strides
@@ -836,7 +902,7 @@ class StreamingPTrack:
 
     def take_pending_credits(
         self,
-    ) -> Tuple[List[StepEvent], List[StrideEstimate]]:
+    ) -> Optional[Tuple[List[StepEvent], List[StrideEstimate]]]:
         """Credits settled by a degraded-mode gap reset, delivered once.
 
         An unrecoverable gap settles the pre-gap tail *during*
@@ -844,10 +910,11 @@ class StreamingPTrack:
         parked here and handed to the next caller — ``append`` and
         ``flush`` drain this automatically, and a
         :class:`repro.serving.SessionPool` drains it right after each
-        pooled ingest.
+        pooled ingest. Returns the parked ``(steps, strides)`` lists,
+        now the caller's, or ``None`` when nothing is parked.
         """
         if self._pending_credits is None:
-            return [], []
+            return None
         steps, strides = self._pending_credits
         self._pending_credits = None
         return steps, strides
@@ -890,19 +957,18 @@ class StreamingPTrack:
     # _settle_pass, flush) are themselves built from these seams, so
     # there is exactly one implementation of each phase.
     # ------------------------------------------------------------------
-    def begin_flush(
-        self,
-    ) -> Tuple[Optional[int], List[StepEvent], List[StrideEstimate]]:
-        """Open the end-of-stream flush; return ``(head, steps, strides)``.
+    def begin_flush(self) -> Optional[int]:
+        """Open the end-of-stream flush; return the head.
 
         Quarantines a trailing invalid run (it has no right-hand good
-        sample to repair against), leaves any gap, and takes the
-        credits a gap reset parked. ``head`` is the absolute index the
-        tail settles through, or ``None`` for a stream that never
+        sample to repair against) and leaves any gap; the credits a gap
+        reset parked are then the caller's to take
+        (:meth:`take_pending_credits`). The head is the absolute index
+        the tail settles through, or ``None`` for a stream that never
         buffered a sample (nothing to settle; go straight to
         :meth:`end_flush`). Otherwise the caller drains the due hop
         boundaries, finalises the filter (:meth:`final_filter_plan`),
-        runs one zero-settle pass at ``head`` closed by
+        runs one zero-settle pass at the head closed by
         :meth:`finish_collect`, credits it, then calls
         :meth:`end_flush`.
         """
@@ -910,15 +976,14 @@ class StreamingPTrack:
             self._stats.samples_rejected += self._pending_invalid
             self._pending_invalid = 0
         self._in_gap = False
-        steps, strides = self.take_pending_credits()
         head = self._buf_start + self._size
-        return (head if head else None), steps, strides
+        return head if head else None
 
     def end_flush(self) -> None:
         """Close the flush: trailing pending cycles can never confirm
         (interference), and the op-stat deltas are published."""
         for res in self._machine.flush():
-            self._seg_store.pop(res.candidate.cycle_id, None)
+            self._pop_segments(res.candidate.cycle_id)
         if self._telemetry is not None:
             self._publish_ops()
 
@@ -937,23 +1002,34 @@ class StreamingPTrack:
         self._next_boundary = boundary + self._hop
         self._trim_boundary = boundary
 
-    def filter_plan(self, limit_abs: int) -> List[Tuple[int, int, int]]:
-        """Pending filter blocks up to ``limit_abs``; no state changes.
+    def filter_plan(
+        self,
+        limit_abs: int,
+        los: List[int],
+        his: List[int],
+        finals: List[int],
+    ) -> int:
+        """Append the pending filter blocks up to ``limit_abs``; return
+        how many. No state changes.
 
-        Each entry ``(lo, hi, final)`` is one hop-sized finalisation:
-        filter raw rows ``[lo, hi)`` and keep the output rows starting
-        at absolute index ``final`` (exactly what
+        Each block is one hop-sized finalisation: filter raw rows
+        ``[los[e], his[e])`` and keep the output rows starting at
+        absolute index ``finals[e]`` (exactly what
         :meth:`apply_filtered_block` consumes). A batched pool collects
-        the plans of every due session, stacks equal-length raw blocks
-        column-wise and runs one filter call per length group.
+        the plans of every due session into the same three lists,
+        stacks equal-length raw blocks column-wise and runs one filter
+        call per length group.
         """
-        plan: List[Tuple[int, int, int]] = []
         final = self._filt_final
-        while final + self._hop + self._pad <= limit_abs:
-            lo = max(self._buf_start, final - self._pad)
-            plan.append((lo, final + self._hop + self._pad, final))
-            final += self._hop
-        return plan
+        hop, pad = self._hop, self._pad
+        count = 0
+        while final + hop + pad <= limit_abs:
+            los.append(max(self._buf_start, final - pad))
+            his.append(final + hop + pad)
+            finals.append(final)
+            final += hop
+            count += 1
+        return count
 
     def raw_block(self, lo: int, hi: int) -> np.ndarray:
         """Raw buffer rows ``[lo, hi)`` by absolute index (a view)."""
@@ -975,22 +1051,30 @@ class StreamingPTrack:
         self._filt_final = final + self._hop
         self._stats.samples_filtered += hi - lo
 
-    def final_filter_plan(self, head: int) -> List[Tuple[int, int, int]]:
-        """The end-of-stream filter block through ``head``; no state
-        changes.
+    def final_filter_plan(
+        self,
+        head: int,
+        los: List[int],
+        his: List[int],
+        finals: List[int],
+    ) -> int:
+        """Append the end-of-stream filter block through ``head``;
+        return how many (0 or 1). No state changes.
 
-        At most one entry ``(lo, head, final)``: no right context
+        At most one block ``(lo, head, final)``: no right context
         remains, so the whole unfinalised tail ``[final, head)`` is
         filtered at once from raw rows ``[lo, head)``, with up to
         ``pad`` rows of left context (what :meth:`apply_final_block`
-        consumes). Empty when the filter already reaches ``head``. A
+        consumes). None when the filter already reaches ``head``. A
         batched pool stacks equal-length tail blocks exactly as it
         stacks :meth:`filter_plan` blocks.
         """
         if head <= self._filt_final:
-            return []
-        lo = max(self._buf_start, self._filt_final - self._pad)
-        return [(lo, head, self._filt_final)]
+            return 0
+        los.append(max(self._buf_start, self._filt_final - self._pad))
+        his.append(head)
+        finals.append(self._filt_final)
+        return 1
 
     def apply_final_block(
         self, lo: int, hi: int, final: int, block: np.ndarray
@@ -1004,19 +1088,25 @@ class StreamingPTrack:
         self._filt_final = hi
 
     def begin_pass(
-        self, boundary: int, settle_margin: Optional[int] = None
-    ) -> Optional[Tuple[np.ndarray, int, int, int]]:
+        self,
+        boundary: int,
+        settle_margin: Optional[int],
+        origins: List[int],
+        settled_ends: List[int],
+        last_peaks: List[int],
+    ) -> Optional[np.ndarray]:
         """Open a pass at ``boundary``: finalise filtering, expose the
         segmentation window.
 
-        Returns ``(vertical_window, origin, settled_end, last_peak)`` —
-        the filtered vertical-axis view the segmenter scans, the
-        absolute index of its first sample, the absolute index before
-        which cycles are settled and the consumed-peak watermark, the
-        inputs of :func:`admit_cycles` — or ``None`` when the retained
-        window is too small to segment (the pass still counts; callers
-        proceed straight to an empty credit so the boundary's trim
-        runs).
+        Returns the filtered vertical-axis view the segmenter scans and
+        appends the window's :func:`admit_cycles` inputs — the absolute
+        index of its first sample, the absolute index before which
+        cycles are settled and the consumed-peak watermark — to
+        ``origins``, ``settled_ends`` and ``last_peaks``. Returns
+        ``None`` (appending nothing) when the retained window is too
+        small to segment: the pass still counts, and callers proceed
+        straight to an empty credit so the boundary's trim runs.
+        ``settle_margin`` ``None`` is the session's settle horizon.
         """
         margin = self._settle_margin if settle_margin is None else settle_margin
         self._stats.passes += 1
@@ -1026,186 +1116,187 @@ class StreamingPTrack:
         if window < 8 or settled_end <= self._buf_start:
             return None
         self._stats.segmentation_samples += window
-        return (
-            self._filt[:window, 2], self._buf_start, settled_end,
-            self._last_peak,
-        )
+        origins.append(self._buf_start)
+        settled_ends.append(settled_end)
+        last_peaks.append(self._last_peak)
+        return self._filt[:window, 2]
 
-    def commit_cycles(
-        self, spans: Sequence[Tuple[int, int, Tuple[int, ...]]]
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Consume this pass's admitted cycles; copy their segments.
+    def commit_cycles(self, rc: RoundCycles, lo: int, hi: int) -> None:
+        """Consume this pass's admitted cycles ``lo:hi`` of ``rc``.
 
-        Args:
-            spans: The session's :func:`admit_cycles` entry: per
-                admitted cycle ``(abs_start, abs_end, new_peaks)``, in
-                time order.
-
-        Returns:
-            Per cycle, ``(v_seg, h_seg)`` copied out of the buffer. The
-            consumed-peak watermark moves to the last cycle's peak.
+        Appends each cycle's vertical and horizontal segments, copied
+        out of the buffer, to ``rc.v_segs`` and ``rc.h_segs`` (sessions
+        commit in window order, so the segments line up with the
+        admission lists), and moves the consumed-peak watermark to the
+        last cycle's peak.
         """
-        if spans:
-            self._last_peak = spans[-1][2][-1]
+        if hi > lo:
+            self._last_peak = rc.peaks[hi - 1][-1]
         base = self._buf_start
         filt = self._filt
-        return [
-            (
-                filt[start - base : end - base, 2].copy(),
-                filt[start - base : end - base, :2].copy(),
-            )
-            for start, end, _peaks in spans
-        ]
+        v_segs, h_segs = rc.v_segs, rc.h_segs
+        starts, ends = rc.starts, rc.ends
+        for i in range(lo, hi):
+            start = starts[i] - base
+            end = ends[i] - base
+            v_segs.append(filt[start:end, 2].copy())
+            h_segs.append(filt[start:end, :2].copy())
 
-    def make_staged(
-        self,
-        abs_start: int,
-        abs_end: int,
-        peaks: Tuple[int, ...],
-        v_seg: np.ndarray,
-        h_seg: np.ndarray,
-        a_seg: np.ndarray,
-        anterior_ok: bool,
-        motion_ok: bool,
-        offset: float,
-    ) -> StagedCycle:
-        """Build the staged cycle from externally computed measurements.
+    def stage_cycles(self, rc: RoundCycles, lo: int, hi: int) -> None:
+        """Stage measured cycles ``lo:hi`` of ``rc``: build their
+        candidates into ``rc.cands``.
 
-        The state half of ``_stage``: assigns the cycle id and bumps
-        the staging counters, leaving the measurements (anterior
+        The state half of staging: assigns the cycle ids and bumps the
+        staging counters, leaving the measurements (anterior
         projection, motion gate, offset) to the caller — the solo path
         computes them per cycle, a batched pool stacks them fleet-wide
         through :func:`repro.core.batched.batched_stage_measurements`.
+        A cycle whose measurement raised re-raises here, after the
+        cycles before it were staged, as the per-cycle path would.
         """
-        if motion_ok:
-            self._stats.offset_evaluations += 1
-        # Built via __new__ + attribute sets: one candidate and one
-        # staged record per admitted cycle fleet-wide, and the
-        # dataclass constructors are ~2x the cost of plain sets.
-        cand = object.__new__(CycleCandidate)
-        cand.cycle_id = self._cycle_counter
-        cand.start = abs_start
-        cand.end = abs_end
-        cand.peaks = peaks
-        cand.motion_ok = motion_ok
-        cand.offset = offset
-        cand.corr = 0.0
-        cand.corr_v = 0.0
-        cand.phase_ok = False
-        self._cycle_counter += 1
-        self._stats.cycles_staged += 1
-        staged = object.__new__(StagedCycle)
-        staged.candidate = cand
-        staged.v_seg = v_seg
-        staged.a_seg = a_seg
-        staged.h_seg = h_seg
-        staged.needs_stepping = (
-            motion_ok and offset <= self._config.offset_threshold
-        )
-        staged.anterior_ok = anterior_ok
-        return staged
+        errors = rc.errors
+        cands = rc.cands
+        motion, offsets = rc.motion_ok, rc.offsets
+        stats = self._stats
+        for i in range(lo, hi):
+            if errors and i in errors:
+                raise errors[i]
+            motion_ok = motion[i]
+            if motion_ok:
+                stats.offset_evaluations += 1
+            # Built via __new__ + attribute sets: one candidate per
+            # admitted cycle fleet-wide, and the dataclass constructor
+            # is ~2x the cost of plain sets.
+            cand = object.__new__(CycleCandidate)
+            cand.cycle_id = self._cycle_counter
+            cand.start = rc.starts[i]
+            cand.end = rc.ends[i]
+            cand.peaks = rc.peaks[i]
+            cand.motion_ok = motion_ok
+            cand.offset = offsets[i]
+            cand.corr = 0.0
+            cand.corr_v = 0.0
+            cand.phase_ok = False
+            self._cycle_counter += 1
+            stats.cycles_staged += 1
+            cands[i] = cand
 
-    def classify(
-        self,
-        staged: Sequence[StagedCycle],
-        stepping: Sequence[Optional[Tuple[float, float, bool]]],
-    ) -> List[Tuple[CycleCandidate, object, Optional[Tuple]]]:
-        """Feed staged cycles through the Fig.-4 streak.
+    def classify(self, rc: RoundCycles, lo: int, hi: int) -> None:
+        """Feed staged cycles ``lo:hi`` of ``rc`` through the Fig.-4 streak.
 
-        The state half of a pass's crediting: applies the stepping-test
-        results (from :func:`stepping_values`), advances the
-        confirmation streak, and returns the
-        cycles it credited as ``(candidate, gait_type, segments)``
-        triples (``segments`` is the stored ``(v_seg, h_seg, a_seg)``
-        or ``None`` when already retired).
+        The state half of a pass's crediting: counts the stepping tests
+        :func:`stepping_values` ran, stores each cycle's segments until
+        the streak resolves it, advances the confirmation streak, and
+        appends the cycles it credits to ``rc``'s credited lists
+        (``resolved``, ``cr_v``, ``cr_h``, ``cr_a``).
         """
-        credited: List[Tuple[CycleCandidate, object, Optional[Tuple]]] = []
-        for cycle, triple in zip(staged, stepping):
-            cand = cycle.candidate
-            if triple is not None:
-                cand.corr, cand.corr_v, cand.phase_ok = (
-                    float(triple[0]),
-                    float(triple[1]),
-                    bool(triple[2]),
-                )
+        threshold = self._config.offset_threshold
+        seg_v, seg_h, seg_a = self._seg_v, self._seg_h, self._seg_a
+        resolved = rc.resolved
+        machine = self._machine
+        for i in range(lo, hi):
+            cand = rc.cands[i]
+            if cand.motion_ok and cand.offset <= threshold:
                 self._stats.stepping_tests += 1
-            self._seg_store[cand.cycle_id] = (
-                cycle.v_seg,
-                cycle.h_seg,
-                cycle.a_seg if cycle.anterior_ok else None,
-            )
-            for res in self._machine.feed(cand):
-                segs = self._seg_store.pop(res.candidate.cycle_id, None)
-                if not res.credited:
+            cid = cand.cycle_id
+            seg_v[cid] = rc.v_segs[i]
+            seg_h[cid] = rc.h_segs[i]
+            seg_a[cid] = rc.a_segs[i] if rc.anterior_ok[i] else None
+            # The streak appends this cycle's resolutions to the round's
+            # credited list; interference is compacted away in place.
+            keep = len(resolved)
+            machine.feed(cand, resolved)
+            rc.cands[i] = None
+            for n in range(keep, len(resolved)):
+                res = resolved[n]
+                rid = res.candidate.cycle_id
+                v = seg_v.pop(rid, None)
+                h = seg_h.pop(rid, None)
+                a = seg_a.pop(rid, None)
+                if res.gait_type is GaitType.INTERFERENCE:
                     continue
-                credited.append((res.candidate, res.gait_type, segs))
-        return credited
+                resolved[keep] = res
+                rc.cr_v.append(v)
+                rc.cr_h.append(h)
+                rc.cr_a.append(a)
+                keep += 1
+            del resolved[keep:]
 
-    def stride_solve_items(
+    def stride_rows(
         self,
-        credited: Sequence[Tuple[CycleCandidate, object, Optional[Tuple]]],
-    ) -> Tuple[List[int], List[Tuple]]:
-        """Which credited cycles need a stride solve, and their inputs.
+        rc: RoundCycles,
+        lo: int,
+        hi: int,
+        rows: List[int],
+        profiles: List[UserProfile],
+    ) -> None:
+        """Which credited cycles ``lo:hi`` of ``rc`` need a stride solve.
 
-        Returns ``(indices, items)`` where each item is
-        ``(v_seg, h_seg, a_seg, gait_type, profile)`` — the argument
-        tuple of :func:`repro.core.batched.batched_cycle_solutions`.
-        Cycles absent from ``indices`` never consult a solution (no
-        estimator, retired segments, or no new peaks).
+        Appends each one's index to ``rows`` and this session's profile
+        to ``profiles``: the rows a round passes to
+        :func:`repro.core.batched.batched_cycle_solutions`. Cycles left
+        out never consult a solution (no estimator, retired segments,
+        or no new peaks).
         """
-        indices: List[int] = []
-        items: List[Tuple] = []
         if self._estimator is None:
-            return indices, items
-        for i, (cand, gait, segs) in enumerate(credited):
-            if segs is None or not cand.peaks:
+            return
+        cr_v, resolved, profile = rc.cr_v, rc.resolved, self._profile
+        for j in range(lo, hi):
+            if cr_v[j] is None or not resolved[j].candidate.peaks:
                 continue
-            v_seg, h_seg, a_seg = segs
-            indices.append(i)
-            items.append((v_seg, h_seg, a_seg, gait, self._profile))
-        return indices, items
+            rows.append(j)
+            profiles.append(profile)
 
-    def _stride_solutions(
-        self,
-        credited: Sequence[Tuple[CycleCandidate, object, Optional[Tuple]]],
-    ) -> List[Optional[Tuple[float, float]]]:
-        """Per-cycle ``(stride, bounce)`` solves for credited cycles.
+    def _stride_solutions(self, rc: RoundCycles) -> None:
+        """Per-cycle stride solves of the credited cycles of ``rc``.
 
         The solo path: one scalar estimator call per cycle needing a
         solve. A batched pool computes the same values fleet-wide with
         :func:`repro.core.batched.batched_cycle_solutions` over the
-        :meth:`stride_solve_items` of every session in the round.
+        :meth:`stride_rows` of every session in the round.
         """
-        solutions: List[Optional[Tuple[float, float]]] = [None] * len(credited)
-        indices, items = self.stride_solve_items(credited)
+        rc.reset_solves()
+        rows: List[int] = []
+        self.stride_rows(rc, 0, len(rc.resolved), rows, [])
         dt = 1.0 / self._rate
-        for i, (v_seg, h_seg, a_seg, gait, _profile) in zip(indices, items):
-            solutions[i] = self._estimator.cycle_stride(
-                v_seg, h_seg, dt, gait, a_seg
+        for j in rows:
+            solved = self._estimator.cycle_stride(
+                rc.cr_v[j], rc.cr_h[j], dt, rc.resolved[j].gait_type, rc.cr_a[j]
             )
-        return solutions
+            if solved is not None:
+                rc.stride_m[j], rc.bounce_m[j] = solved
 
     def credit_resolved(
         self,
-        credited: Sequence[Tuple[CycleCandidate, object, Optional[Tuple]]],
-        solutions: Sequence[Optional[Tuple[float, float]]],
-    ) -> Tuple[List[StepEvent], List[StrideEstimate]]:
-        """Emit credits for classified cycles; close the pass.
+        rc: RoundCycles,
+        lo: int,
+        hi: int,
+        steps: List[StepEvent],
+        strides: List[StrideEstimate],
+    ) -> None:
+        """Emit credits for classified cycles ``lo:hi`` of ``rc``; close
+        the pass.
 
-        The crediting tail of a pass: step/stride emission
-        (with the sequential median-imputation fallback), totals, the
+        The crediting tail of a pass: step/stride emission, appended to
+        ``steps`` and ``strides`` (untouched when ``lo == hi``), with
+        the sequential median-imputation fallback, totals, the
         credited-frontier advance, the boundary trim, and telemetry.
         """
-        steps: List[StepEvent] = []
-        strides: List[StrideEstimate] = []
-        for (cand, gait, segs), solved in zip(credited, solutions):
-            self._credit(cand, gait, segs, solved, steps, strides)
-        if self._collect_observations and credited:
-            self._observe_credited(credited)
-        self._total_steps += len(steps)
-        distance = float(sum(s.length_m for s in strides))
+        n_steps = len(steps)
+        n_strides = len(strides)
+        for j in range(lo, hi):
+            self._credit(rc, j, steps, strides)
+        if self._collect_observations and hi > lo:
+            self._observe_credited(rc, lo, hi)
+        for j in range(lo, hi):
+            rc.resolved[j] = None
+        new_steps = len(steps) - n_steps
+        self._total_steps += new_steps
+        distance = float(
+            sum(strides[n].length_m for n in range(n_strides, len(strides)))
+        )
         self._total_distance += distance
-        if steps:
+        if new_steps:
             self._credited_until = max(
                 self._credited_until, steps[-1].index + 1
             )
@@ -1214,21 +1305,23 @@ class StreamingPTrack:
             self._trim_boundary = None
             self._trim(boundary)
         if self._telemetry is not None:
-            if steps:
-                self._m_steps.inc(len(steps))
-            if strides:
-                self._m_strides.inc(len(strides))
+            if new_steps:
+                self._m_steps.inc(new_steps)
+            if len(strides) > n_strides:
+                self._m_strides.inc(len(strides) - n_strides)
                 self._m_distance.inc(distance)
             self._publish_ops()
-        return steps, strides
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _observe_credited(
-        self,
-        credited: Sequence[Tuple[CycleCandidate, object, Optional[Tuple]]],
-    ) -> None:
+    def _pop_segments(self, cycle_id: int) -> None:
+        """Drop a resolved cycle's stored segments."""
+        self._seg_v.pop(cycle_id, None)
+        self._seg_h.pop(cycle_id, None)
+        self._seg_a.pop(cycle_id, None)
+
+    def _observe_credited(self, rc: RoundCycles, lo: int, hi: int) -> None:
         """Deposit self-training observations for credited cycles.
 
         A read-only tap: the same cycles the stride path prices (live
@@ -1245,19 +1338,22 @@ class StreamingPTrack:
         """
         dt = 1.0 / self._rate
         out = self._pending_observations
-        for cand, gait, segs in credited:
-            if segs is None or not cand.peaks:
+        for j in range(lo, hi):
+            v_seg = rc.cr_v[j]
+            res = rc.resolved[j]
+            gait = res.gait_type
+            if v_seg is None or not res.candidate.peaks:
                 continue
             if gait is GaitType.STEPPING:
                 try:
-                    bounce = direct_bounce(segs[0], dt)
+                    bounce = direct_bounce(v_seg, dt)
                 except SignalError:
                     continue
                 out.append(
                     CycleObservation(gait_type=GaitType.STEPPING, bounce_m=bounce)
                 )
             elif gait is GaitType.WALKING:
-                v_seg, h_seg, a_seg = segs
+                h_seg, a_seg = rc.cr_h[j], rc.cr_a[j]
                 try:
                     if a_seg is None:
                         # Degenerate staged projection: re-derive (and
@@ -1406,7 +1502,9 @@ class StreamingPTrack:
             self._pending_credits = (steps, strides)
         new_start = self._buf_start + self._size + skipped
         self._machine.reset()
-        self._seg_store.clear()
+        self._seg_v.clear()
+        self._seg_h.clear()
+        self._seg_a.clear()
         self._size = 0
         self._buf_start = new_start
         self._filt_final = new_start
@@ -1426,21 +1524,23 @@ class StreamingPTrack:
 
     def _credit(
         self,
-        cand: CycleCandidate,
-        gait,
-        segs: Optional[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]],
-        solved: Optional[Tuple[float, float]],
+        rc: RoundCycles,
+        j: int,
         steps: List[StepEvent],
         strides: List[StrideEstimate],
     ) -> None:
-        """Emit one credited cycle's step events and stride estimates.
+        """Emit credited cycle ``j`` of ``rc``: its step events and
+        stride estimates.
 
-        ``solved`` is the cycle's pre-computed ``(stride, bounce)`` from
-        :meth:`_stride_solutions` (or a fleet batch); it is consulted
-        only when the cycle qualifies for a solve, and the median
-        imputation below stays sequential so a failed solve sees
-        exactly the strides credited before it in this round.
+        The cycle's stride solve (``rc.stride_m[j]``, from
+        :meth:`_stride_solutions` or a fleet batch) is consulted only
+        when the cycle qualifies for a solve, and the median imputation
+        below stays sequential so a failed solve sees exactly the
+        strides credited before it in this round.
         """
+        res = rc.resolved[j]
+        cand = res.candidate
+        gait = res.gait_type
         dt = 1.0 / self._rate
         # Step/stride records are built via __new__/__setattr__: the
         # frozen-dataclass constructor costs ~2x per instance and this
@@ -1455,10 +1555,11 @@ class StreamingPTrack:
             _set(ev, "gait_type", gait)
             _set(ev, "cycle_id", cand.cycle_id)
             steps.append(ev)
-        if self._estimator is None or segs is None or not cand.peaks:
+        if self._estimator is None or rc.cr_v[j] is None or not cand.peaks:
             return
-        if solved is not None:
-            stride, bounce = solved
+        stride = rc.stride_m[j]
+        if stride is not None:
+            bounce = rc.bounce_m[j]
             self._recent_strides.append(stride)
         elif self._recent_strides:
             # A credited cycle whose geometry did not admit a solve
@@ -1470,14 +1571,12 @@ class StreamingPTrack:
             return
         n_seg = cand.end - cand.start
         per_cycle = self._config.steps_per_cycle
-        fracs = self._stride_fracs
-        if len(fracs) != per_cycle:
-            fracs = [(k + 0.5) / per_cycle for k in range(per_cycle)]
-            self._stride_fracs = fracs
+        fracs = _stride_fractions(per_cycle)
         # A cycle whose earlier peaks were already consumed by a
         # previous (overlapping) cycle contributes only as many strides
         # as it contributes new steps — the latest positions.
-        for frac in fracs[-len(cand.peaks):]:
+        for k in range(max(0, per_cycle - len(cand.peaks)), per_cycle):
+            frac = fracs[k]
             est = _new(StrideEstimate)
             _set(est, "time", (cand.start + frac * n_seg) * dt)
             _set(est, "length_m", stride)
@@ -1486,8 +1585,9 @@ class StreamingPTrack:
             _set(est, "gait_type", gait)
             strides.append(est)
 
-    def _advance_filter(self, limit_abs: int) -> None:
-        """Finalise hop-sized filter blocks up to ``limit_abs``.
+    def _advance_filter(self, limit_abs: int, final: bool = False) -> None:
+        """Finalise hop-sized filter blocks up to ``limit_abs`` (with
+        ``final``, the one end-of-stream block through it).
 
         Each block is filtered with exactly ``pad`` samples of context
         on both sides (where the stream provides them), so a block's
@@ -1495,14 +1595,27 @@ class StreamingPTrack:
         append chunking — and every sample is filtered a bounded
         number of times.
         """
-        for lo, hi, final in self.filter_plan(limit_abs):
+        if not final and self._filt_final + self._hop + self._pad > limit_abs:
+            return
+        los: List[int] = []
+        his: List[int] = []
+        starts: List[int] = []
+        if final:
+            self.final_filter_plan(limit_abs, los, his, starts)
+        else:
+            self.filter_plan(limit_abs, los, his, starts)
+        cfg = self._config
+        for lo, hi, start in zip(los, his, starts):
             block = butter_lowpass(
                 self.raw_block(lo, hi),
-                self._config.lowpass_cutoff_hz,
+                cfg.lowpass_cutoff_hz,
                 self._rate,
-                self._config.lowpass_order,
+                cfg.lowpass_order,
             )
-            self.apply_filtered_block(lo, hi, final, block)
+            if final:
+                self.apply_final_block(lo, hi, start, block)
+            else:
+                self.apply_filtered_block(lo, hi, start, block)
 
     def _drain(
         self, steps: List[StepEvent], strides: List[StrideEstimate]
@@ -1525,21 +1638,19 @@ class StreamingPTrack:
 
         Stages the settled cycles, closes the pass, runs their stepping
         tests, feeds them through the streak and credits them — each
-        step the same seam a pool round calls, with one scalar stride
-        solve per credited cycle in place of the padded stack.
+        step the same seam a pool round calls, with scalar measurements
+        and one scalar stride solve per credited cycle in place of the
+        padded stacks.
         """
-        staged = self._pass(boundary, settle_margin)
+        rc = self._pass(boundary, settle_margin)
         self.finish_collect(boundary)
-        credited = self.classify(
-            staged, stepping_values([staged], self._config)[0]
-        )
-        st, sr = self.credit_resolved(
-            credited, self._stride_solutions(credited)
-        )
-        steps.extend(st)
-        strides.extend(sr)
+        stepping_values(rc, self._config)
+        n = len(rc.starts)
+        self.classify(rc, 0, n)
+        self._stride_solutions(rc)
+        self.credit_resolved(rc, 0, len(rc.resolved), steps, strides)
 
-    def _pass(self, boundary: int, settle_margin: int) -> List[StagedCycle]:
+    def _pass(self, boundary: int, settle_margin: int) -> RoundCycles:
         """One processing pass at an absolute hop boundary.
 
         Segmentation runs over the whole retained filtered buffer (the
@@ -1551,10 +1662,14 @@ class StreamingPTrack:
         boundaries — are staged, exactly once. This is a fleet round of
         one window: the same segmenter and admission rule.
         """
-        opened = self.begin_pass(boundary, settle_margin)
-        if opened is None:
-            return []
-        vertical, origin, settled_end, last_peak = opened
+        origins: List[int] = []
+        settled_ends: List[int] = []
+        last_peaks: List[int] = []
+        vertical = self.begin_pass(
+            boundary, settle_margin, origins, settled_ends, last_peaks
+        )
+        if vertical is None:
+            return RoundCycles([0], [], [], [])
         cfg = self._config
         cycles = batched_segment_windows(
             [vertical],
@@ -1565,24 +1680,23 @@ class StreamingPTrack:
         )
         if cycles.errors[0] is not None:
             raise cycles.errors[0]
-        spans = admit_cycles(cycles, [origin], [settled_end], [last_peak])[0]
-        return [
-            self._stage(abs_start, abs_end, peaks, v_seg, h_seg)
-            for (abs_start, abs_end, peaks), (v_seg, h_seg) in zip(
-                spans, self.commit_cycles(spans)
-            )
-        ]
+        rc = admit_cycles(cycles, origins, settled_ends, last_peaks)
+        n = len(rc.starts)
+        self.commit_cycles(rc, 0, n)
+        for i in range(n):
+            try:
+                self._measure(rc, i)
+            except Exception as exc:  # noqa: BLE001 — raised by stage_cycles
+                rc.errors[i] = exc
+                break
+        self.stage_cycles(rc, 0, n)
+        return rc
 
-    def _stage(
-        self,
-        abs_start: int,
-        abs_end: int,
-        peaks: Tuple[int, ...],
-        v_seg: np.ndarray,
-        h_seg: np.ndarray,
-    ) -> StagedCycle:
-        """Measure one committed cycle's segments and stage it."""
+    def _measure(self, rc: RoundCycles, i: int) -> None:
+        """Measure committed cycle ``i`` of ``rc`` (the scalar form of
+        :func:`repro.core.batched.batched_stage_measurements`)."""
         cfg = self._config
+        v_seg, h_seg = rc.v_segs[i], rc.h_segs[i]
         anterior_ok = True
         try:
             # Per-cycle anterior refinement: project this cycle's
@@ -1594,11 +1708,10 @@ class StreamingPTrack:
             a_seg = np.zeros_like(v_seg)
             anterior_ok = False
         motion_ok = float(np.std(v_seg - v_seg.mean())) >= cfg.min_vertical_std
-        offset = cycle_offset(v_seg, a_seg, cfg) if motion_ok else 0.0
-        return self.make_staged(
-            abs_start, abs_end, peaks,
-            v_seg, h_seg, a_seg, anterior_ok, motion_ok, offset,
-        )
+        rc.a_segs.append(a_seg)
+        rc.anterior_ok.append(anterior_ok)
+        rc.motion_ok.append(motion_ok)
+        rc.offsets.append(cycle_offset(v_seg, a_seg, cfg) if motion_ok else 0.0)
 
     def _trim(self, boundary: int) -> None:
         """Drop buffer rows no stage can read again (bounded memory).

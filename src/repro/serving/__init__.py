@@ -44,7 +44,7 @@ from repro.serving.gateway import (
     SessionMailbox,
     serve_schedule,
 )
-from repro.serving.pool import BatchedSessionPool, SessionPool
+from repro.serving.pool import NO_CREDITS, BatchedSessionPool, SessionPool
 from repro.serving.rebalance import RebalancePolicy, ShardEpochStats
 from repro.runtime.buffers import FleetBatchBuffer
 from repro.serving.workload import (
@@ -64,6 +64,7 @@ __all__ = [
     "FleetReport",
     "GatewayStats",
     "IngestGateway",
+    "NO_CREDITS",
     "OfferResult",
     "RebalancePolicy",
     "SessionMailbox",

@@ -722,9 +722,11 @@ class IngestGateway:
             self._m_ingested.inc(ingested)
             for n_batches in coalesced:
                 self._m_coalesce.observe(n_batches)
-        for sid, (steps, strides) in zip(ids, results):
-            if steps or strides:
-                out[sid] = (list(steps), list(strides))
+        # The pool hands each crediting session two lists of its own
+        # and every other session the shared empty pair: pass them on.
+        for sid, credits in zip(ids, results):
+            if credits[0] or credits[1]:
+                out[sid] = credits
         return out
 
     def _publish_depth(self) -> None:

@@ -35,7 +35,11 @@ cycles settle with a zero margin — for chunks of at most
 Per-session *state* transitions (boundary bookkeeping, cycle admission,
 streak classification, crediting, trimming) run session by session
 through the seams :class:`~repro.core.streaming.StreamingPTrack`
-exposes — the numeric kernels between them are what gets batched. Every
+exposes — the numeric kernels between them are what gets batched. The
+round's bookkeeping is a fixed number of flat lists (one
+:class:`~repro.core.streaming.RoundCycles` holds its cycles), never a
+container per session or per cycle, and a session that settles nothing
+gets the shared :data:`NO_CREDITS`. Every
 batched kernel is a float64 function bit-identical to its scalar
 reference, so each session's credits equal its own solo
 :class:`~repro.core.streaming.StreamingPTrack` replay — the equivalence
@@ -60,7 +64,6 @@ from repro.core.batched import (
 from repro.core.config import PTrackConfig
 from repro.core.streaming import (
     SESSION_SNAPSHOT_SCHEMA,
-    StagedCycle,
     StreamingPTrack,
     admit_cycles,
     ensure_snapshot_kind,
@@ -80,7 +83,15 @@ from repro.types import (
     UserProfile,
 )
 
-__all__ = ["SessionPool", "BatchedSessionPool"]
+__all__ = ["SessionPool", "BatchedSessionPool", "NO_CREDITS"]
+
+#: One session's ``(steps, strides)`` credits from a pool call.
+Credits = Tuple[Sequence[StepEvent], Sequence[StrideEstimate]]
+
+#: The result of every session that settled nothing in a pool call:
+#: one shared, immutable empty pair, so an idle session costs the call
+#: no allocation.
+NO_CREDITS: Credits = ((), ())
 
 #: Most pending filter blocks (one per session, three columns each) a
 #: fleet round low-passes in one column-stacked call. Filtering runs
@@ -566,11 +577,21 @@ class SessionPool:
                 f"{self._collect_observations}"
             )
         if mismatches:
+            if snapshot["backend"] != SNAPSHOT_BACKEND:
+                # from_snapshot refuses such a blob the same way.
+                advice = (
+                    "A snapshot written by a retired lockstep pool cannot "
+                    "resume under any pool; re-serve the shard from its "
+                    "trace."
+                )
+            else:
+                advice = (
+                    "Construct the pool with the snapshot's own parameters "
+                    "(SessionPool.from_snapshot does this)."
+                )
             raise ConfigurationError(
                 "pool snapshot cannot resume here — credits would not be "
-                "bit-identical: " + "; ".join(mismatches) + ". Construct "
-                "the pool with the snapshot's own parameters "
-                "(SessionPool.from_snapshot does this)."
+                "bit-identical: " + "; ".join(mismatches) + ". " + advice
             )
 
     @classmethod
@@ -711,7 +732,7 @@ class SessionPool:
         self,
         session_ids: Sequence[int],
         batches: Sequence[np.ndarray],
-    ) -> List[Tuple[List[StepEvent], List[StrideEstimate]]]:
+    ) -> List[Credits]:
         """Feed one batch to each named session; credit settled cycles.
 
         Every session buffers its batch, then the due hop boundaries
@@ -725,10 +746,13 @@ class SessionPool:
                 with ``session_ids``.
 
         Returns:
-            Per-session ``(steps, strides)`` tuples aligned with
+            Per-session ``(steps, strides)`` pairs aligned with
             ``session_ids`` — exactly what each session's own
-            ``append`` would have returned. A failed session yields
-            empty credits (see :attr:`failed_sessions`).
+            ``append`` would have returned. A session that credited
+            something gets two new lists, its own; every other session
+            (one that settled nothing, or a failed one, see
+            :attr:`failed_sessions`) gets the one shared, immutable
+            empty pair :data:`NO_CREDITS`, ``((), ())``.
 
         Raises:
             ConfigurationError: On unknown ids, duplicate ids, or a
@@ -740,23 +764,22 @@ class SessionPool:
         t0 = time.perf_counter() if self._telemetry is not None else 0.0
         self._validate_append(session_ids, batches)
         sessions = [self._sessions[sid] for sid in session_ids]
-        out: List[Tuple[List[StepEvent], List[StrideEstimate]]] = [
-            ([], []) for _ in sessions
-        ]
+        out: List[Credits] = [NO_CREDITS] * len(sessions)
         active: List[int] = []
-        for k, (sid, sess, batch) in enumerate(
-            zip(session_ids, sessions, batches)
-        ):
-            if sid in self._errors:
+        errors = self._errors
+        for k in range(len(sessions)):
+            sid = session_ids[k]
+            if sid in errors:
                 continue
+            sess = sessions[k]
             try:
-                sess.ingest(batch)
-                steps, strides = sess.take_pending_credits()
+                sess.ingest(batches[k])
+                parked = sess.take_pending_credits()
             except Exception as exc:  # noqa: BLE001 — isolation boundary
                 self._mark_failed(sid, exc)
                 continue
-            out[k][0].extend(steps)
-            out[k][1].extend(strides)
+            if parked is not None:
+                out[k] = parked
             active.append(k)
         while active:
             active = self._batched_round(session_ids, sessions, active, out)
@@ -769,24 +792,23 @@ class SessionPool:
 
     def flush(
         self, session_ids: Optional[Sequence[int]] = None
-    ) -> List[Tuple[List[StepEvent], List[StrideEstimate]]]:
+    ) -> List[Credits]:
         """Settle the remaining tail of the named (default all) sessions.
 
         Each session's credits are exactly its own
         :meth:`StreamingPTrack.flush`, and a session that raises
         anywhere in its flush is marked failed and yields empty credits
-        (failed sessions yield them without raising). The tails run
-        fleet-batched, in chunks of at most
-        :data:`FLUSH_STACK_SESSIONS` sessions: open
+        (failed sessions yield them without raising); as in
+        :meth:`append`, a session with nothing to deliver gets the
+        shared :data:`NO_CREDITS`. The tails run fleet-batched, in
+        chunks of at most :data:`FLUSH_STACK_SESSIONS` sessions: open
         every session's flush, drain due hop boundaries through ordinary
         rounds, settle all tails in one final round, close.
         """
         t0 = time.perf_counter() if self._telemetry is not None else 0.0
         ids = self.session_ids if session_ids is None else list(session_ids)
         sessions = [self._session(sid) for sid in ids]
-        out: List[Tuple[List[StepEvent], List[StrideEstimate]]] = [
-            ([], []) for _ in ids
-        ]
+        out: List[Credits] = [NO_CREDITS] * len(ids)
         chunk: List[int] = []
         members: Set[int] = set()
         for k, sid in enumerate(ids):
@@ -808,38 +830,42 @@ class SessionPool:
         session_ids: Sequence[int],
         sessions: Sequence,
         chunk: List[int],
-        out: List[Tuple[List[StepEvent], List[StrideEstimate]]],
+        out: List[Credits],
     ) -> None:
         """Flush the sessions at positions ``chunk``, tails batched."""
         opened: List[int] = []
-        heads: Dict[int, int] = {}
+        due_ks: List[int] = []
+        heads: List[int] = []
         for k in chunk:
             sid = session_ids[k]
             if sid in self._errors:
                 continue
             try:
-                head, steps, strides = sessions[k].begin_flush()
+                head = sessions[k].begin_flush()
+                parked = sessions[k].take_pending_credits()
             except Exception as exc:  # noqa: BLE001 — isolation boundary
                 self._mark_failed(sid, exc)
                 continue
-            out[k] = (steps, strides)
+            if parked is not None:
+                out[k] = parked
             opened.append(k)
             if head is not None:
-                heads[k] = head
-        active = list(heads)
+                due_ks.append(k)
+                heads.append(head)
+        active = due_ks
         while active:
             active = self._batched_round(session_ids, sessions, active, out)
-        due_ks = [k for k in heads if session_ids[k] not in self._errors]
-        if due_ks:
+        final_ks: List[int] = []
+        final_heads: List[int] = []
+        for k, head in zip(due_ks, heads):
+            if session_ids[k] not in self._errors:
+                final_ks.append(k)
+                final_heads.append(head)
+        if final_ks:
             if self._telemetry is not None:
-                self._m_occupancy.observe(len(due_ks))
+                self._m_occupancy.observe(len(final_ks))
             self._run_stages(
-                session_ids,
-                sessions,
-                due_ks,
-                [heads[k] for k in due_ks],
-                out,
-                final=True,
+                session_ids, sessions, final_ks, final_heads, out, final=True
             )
         for k in opened:
             sid = session_ids[k]
@@ -851,7 +877,7 @@ class SessionPool:
             if sid in self._errors:
                 # Failed mid-flush: drop what it had settled so far
                 # rather than half-deliver it.
-                out[k] = ([], [])
+                out[k] = NO_CREDITS
 
     # ------------------------------------------------------------------
     # One fleet round
@@ -861,7 +887,7 @@ class SessionPool:
         session_ids: Sequence[int],
         sessions: Sequence,
         active: List[int],
-        out: List[Tuple[List[StepEvent], List[StrideEstimate]]],
+        out: List[Credits],
     ) -> List[int]:
         """Advance every due session by one hop boundary, batched.
 
@@ -871,10 +897,6 @@ class SessionPool:
         the per-session state it mutated up to that point matches what
         the solo path would have mutated before raising.
         """
-        # Bookkeeping is kept in lists indexed by the session's position
-        # in the due order (``d``) rather than dicts keyed by pool
-        # position — at fleet scale the per-session dict churn is
-        # measurable against the batched kernels.
         due_ks: List[int] = []
         boundaries: List[int] = []
         for k in active:
@@ -900,7 +922,7 @@ class SessionPool:
         sessions: Sequence,
         due_ks: List[int],
         boundaries: List[int],
-        out: List[Tuple[List[StepEvent], List[StrideEstimate]]],
+        out: List[Credits],
         final: bool = False,
     ) -> List[int]:
         """The six batched stages of one round over the due sessions.
@@ -914,6 +936,13 @@ class SessionPool:
         on, each stage's wall time lands in its
         ``serving_batch_stage_<name>_seconds`` histogram (see
         :data:`ROUND_STAGES`); off, no clock is read.
+
+        The round's bookkeeping is a fixed number of flat lists, indexed
+        by the session's position ``d`` in the due order, by filter
+        block, or by cycle (a :class:`~repro.core.streaming.RoundCycles`),
+        never a container per session or per cycle, so the objects a
+        round keeps alive — what the garbage collector walks and
+        promotes — stay few per cycle, whatever the fleet size.
         """
         lap = time.perf_counter() if self._telemetry is not None else 0.0
         due_sess = [sessions[k] for k in due_ks]
@@ -928,25 +957,32 @@ class SessionPool:
         rate = self._rate
 
         # -- Stage 1: fleet filter -------------------------------------
-        # Gather every due session's pending filter blocks, low-pass
-        # equal-length blocks in column-stacked filter calls of at most
+        # Gather every due session's pending filter blocks (block ``e``
+        # belongs to session ``owners[e]``), low-pass equal-length
+        # blocks in column-stacked filter calls of at most
         # FILTER_STACK_BLOCKS blocks, then commit per session in plan
         # order (the order apply_filtered_block requires).
-        plans: List[List[Tuple[int, int, int]]] = []
-        groups: Dict[int, List[Tuple[int, int, int, int]]] = {}
+        owners: List[int] = []
+        los: List[int] = []
+        his: List[int] = []
+        finals: List[int] = []
         for d in range(n_due):
-            sess = due_sess[d]
-            plan = (
-                sess.final_filter_plan(boundaries[d])
-                if final
-                else sess.filter_plan(boundaries[d])
-            )
-            plans.append(plan)
-            for j, (lo, hi, _final) in enumerate(plan):
-                groups.setdefault(hi - lo, []).append((d, j, lo, hi))
-        blocks: List[List[Union[np.ndarray, Exception, None]]] = [
-            [None] * len(plan) for plan in plans
-        ]
+            if final:
+                count = due_sess[d].final_filter_plan(
+                    boundaries[d], los, his, finals
+                )
+            else:
+                count = due_sess[d].filter_plan(boundaries[d], los, his, finals)
+            for _ in range(count):
+                owners.append(d)
+        groups: Dict[int, List[int]] = {}
+        for e in range(len(los)):
+            length = his[e] - los[e]
+            group = groups.get(length)
+            if group is None:
+                group = groups[length] = []
+            group.append(e)
+        blocks: List[Union[np.ndarray, Exception, None]] = [None] * len(los)
 
         def lowpass(block: np.ndarray) -> np.ndarray:
             # The round copies hop-sized slices straight out of the
@@ -959,64 +995,69 @@ class SessionPool:
                 contiguous=False,
             )
 
-        def lowpass_solo(d: int, j: int, lo: int, hi: int) -> None:
+        def lowpass_solo(e: int) -> None:
             try:
-                blocks[d][j] = lowpass(due_sess[d].raw_block(lo, hi))
+                blocks[e] = lowpass(due_sess[owners[e]].raw_block(los[e], his[e]))
             except Exception as exc:  # noqa: BLE001
-                blocks[d][j] = exc
+                blocks[e] = exc
 
         for length, group in groups.items():
             for at in range(0, len(group), FILTER_STACK_BLOCKS):
                 entries = group[at : at + FILTER_STACK_BLOCKS]
                 if len(entries) == 1:
-                    lowpass_solo(*entries[0])
+                    lowpass_solo(entries[0])
                     continue
                 stack = self._buffers.request(
                     "filter", (length, 3 * len(entries))
                 )
-                for col, (d, _j, lo, hi) in enumerate(entries):
+                for col, e in enumerate(entries):
                     np.copyto(
                         stack[:, 3 * col : 3 * col + 3],
-                        due_sess[d].raw_block(lo, hi),
+                        due_sess[owners[e]].raw_block(los[e], his[e]),
                     )
                 try:
                     filtered = lowpass(stack)
                 except Exception:  # noqa: BLE001 — retry solo to find the owner
-                    for entry in entries:
-                        lowpass_solo(*entry)
+                    for e in entries:
+                        lowpass_solo(e)
                 else:
-                    for col, (d, j, _lo, _hi) in enumerate(entries):
-                        blocks[d][j] = filtered[:, 3 * col : 3 * col + 3]
-        settle_margin = 0 if final else None
-        for d in range(n_due):
-            sess = due_sess[d]
-            apply = (
-                sess.apply_final_block if final else sess.apply_filtered_block
-            )
-            for j, (lo, hi, start) in enumerate(plans[d]):
-                block = blocks[d][j]
-                if isinstance(block, Exception):
-                    fail(d, block)
-                    break
-                apply(lo, hi, start, block)
+                    for col, e in enumerate(entries):
+                        blocks[e] = filtered[:, 3 * col : 3 * col + 3]
+        for e in range(len(los)):
+            d = owners[e]
+            if not alive[d]:
+                continue
+            block = blocks[e]
+            if isinstance(block, Exception):
+                fail(d, block)
+            elif final:
+                due_sess[d].apply_final_block(los[e], his[e], finals[e], block)
+            else:
+                due_sess[d].apply_filtered_block(los[e], his[e], finals[e], block)
         if self._telemetry is not None:
             lap = self._lap(0, lap)
 
         # -- Stage 2: fleet segmentation -------------------------------
-        opened: List[Optional[Tuple]] = [None] * n_due
+        settle_margin = 0 if final else None
         seg_ds: List[int] = []
+        windows: List[np.ndarray] = []
+        origins: List[int] = []
+        settled_ends: List[int] = []
+        last_peaks: List[int] = []
         for d in range(n_due):
             if not alive[d]:
                 continue
             try:
-                win = due_sess[d].begin_pass(boundaries[d], settle_margin)
+                window = due_sess[d].begin_pass(
+                    boundaries[d], settle_margin, origins, settled_ends,
+                    last_peaks,
+                )
             except Exception as exc:  # noqa: BLE001
                 fail(d, exc)
                 continue
-            opened[d] = win
-            if win is not None:
+            if window is not None:
                 seg_ds.append(d)
-        windows = [opened[d][0] for d in seg_ds]
+                windows.append(window)
         cycles = batched_segment_windows(
             windows,
             rate,
@@ -1031,136 +1072,110 @@ class SessionPool:
             lap = self._lap(1, lap)
 
         # -- Stage 3: admit + measure all cycles fleet-wide ------------
-        admitted_by_d: List = [None] * n_due
-        cycle_pairs: List = [None] * n_due
-        flat_v: List[np.ndarray] = []
-        flat_h: List[np.ndarray] = []
-        flat_start: List[int] = [0] * n_due
-        spans_per = admit_cycles(
-            cycles,
-            [opened[d][1] for d in seg_ds],
-            [opened[d][2] for d in seg_ds],
-            [opened[d][3] for d in seg_ds],
-        )
-        for d, error, admitted in zip(seg_ds, cycles.errors, spans_per):
+        # Session ``d`` owns cycles ``cyc_lo[d]:cyc_hi[d]`` of the round
+        # (none when it opened no window: its boundary still closes and
+        # its trim still runs, via an empty credit).
+        rc = admit_cycles(cycles, origins, settled_ends, last_peaks)
+        cyc_lo = [0] * n_due
+        cyc_hi = [0] * n_due
+        for w, d in enumerate(seg_ds):
+            error = cycles.errors[w]
             if error is not None:
+                # Such a window has no cycles, so the ones committed
+                # after it still line up with the admission lists.
                 fail(d, error)
                 continue
-            try:
-                pairs = due_sess[d].commit_cycles(admitted)
-            except Exception as exc:  # noqa: BLE001
-                fail(d, exc)
-                continue
-            admitted_by_d[d] = admitted
-            cycle_pairs[d] = pairs
-            flat_start[d] = len(flat_v)
-            for v_seg, h_seg in pairs:
-                flat_v.append(v_seg)
-                flat_h.append(h_seg)
-        measurements = (
-            batched_stage_measurements(flat_v, flat_h, cfg)
-            if flat_v
-            else []
-        )
-
-        # Build each session's staged cycles, in cycle order.
-        staged_by_d: List[Optional[List[StagedCycle]]] = [None] * n_due
+            lo, hi = rc.bounds[w], rc.bounds[w + 1]
+            due_sess[d].commit_cycles(rc, lo, hi)
+            cyc_lo[d] = lo
+            cyc_hi[d] = hi
+        if rc.v_segs:
+            (
+                rc.a_segs, rc.anterior_ok, rc.motion_ok, rc.offsets, rc.errors
+            ) = batched_stage_measurements(rc.v_segs, rc.h_segs, cfg)
         for d in range(n_due):
             if not alive[d]:
                 continue
-            if opened[d] is None or admitted_by_d[d] is None:
-                if opened[d] is None:
-                    # No segmentable window: the boundary still closes
-                    # and its trim still runs, via an empty credit.
-                    staged_by_d[d] = []
-                continue
-            sess = due_sess[d]
-            lo = flat_start[d]
-            staged: List[StagedCycle] = []
-            broken = False
-            for (abs_start, abs_end, peaks), (v_seg, h_seg), m in zip(
-                admitted_by_d[d],
-                cycle_pairs[d],
-                measurements[lo : lo + len(admitted_by_d[d])],
-            ):
-                if isinstance(m, Exception):
-                    # The solo path raises out of _stage here, after
+            if cyc_hi[d] > cyc_lo[d]:
+                try:
+                    due_sess[d].stage_cycles(rc, cyc_lo[d], cyc_hi[d])
+                except Exception as exc:  # noqa: BLE001
+                    # The solo path raises out of staging here, after
                     # having staged this session's earlier cycles.
-                    fail(d, m)
-                    broken = True
-                    break
-                a_seg, anterior_ok, motion_ok, offset = m
-                staged.append(
-                    sess.make_staged(
-                        abs_start, abs_end, peaks,
-                        v_seg, h_seg, a_seg, anterior_ok, motion_ok, offset,
-                    )
-                )
-            if broken:
-                continue
-            staged_by_d[d] = staged
-        for d in range(n_due):
-            if staged_by_d[d] is not None:
-                due_sess[d].finish_collect(boundaries[d])
+                    fail(d, exc)
+                    continue
+            due_sess[d].finish_collect(boundaries[d])
         if self._telemetry is not None:
             lap = self._lap(2, lap)
 
         # -- Stage 4: fleet stepping tests -----------------------------
-        resolve_ds = [d for d in range(n_due) if staged_by_d[d] is not None]
-        values = stepping_values([staged_by_d[d] for d in resolve_ds], cfg)
+        # A session that failed staging leaves its earlier candidates
+        # behind; the row-wise kernels test them harmlessly.
+        stepping_values(rc, cfg)
         if self._telemetry is not None:
             lap = self._lap(3, lap)
 
         # -- Stage 5: classify, solve strides fleet-wide ---------------
-        credited_by_d: List = [None] * n_due
-        solve_idx: List = [None] * n_due
-        solve_start: List[int] = [0] * n_due
-        all_items: List[Tuple] = []
-        for d, vals in zip(resolve_ds, values):
-            sess = due_sess[d]
+        # Session ``d`` owns credited cycles ``cr_lo[d]:cr_hi[d]``.
+        cr_lo = [0] * n_due
+        cr_hi = [0] * n_due
+        rows: List[int] = []
+        profiles: List[UserProfile] = []
+        for d in range(n_due):
+            if not alive[d]:
+                continue
+            start = len(rc.resolved)
+            n_rows = len(rows)
             try:
-                credited = sess.classify(staged_by_d[d], vals)
-                indices, items = sess.stride_solve_items(credited)
+                due_sess[d].classify(rc, cyc_lo[d], cyc_hi[d])
+                due_sess[d].stride_rows(
+                    rc, start, len(rc.resolved), rows, profiles
+                )
             except Exception as exc:  # noqa: BLE001
+                rc.drop_credits(start)
+                del rows[n_rows:]
+                del profiles[n_rows:]
                 fail(d, exc)
                 continue
-            credited_by_d[d] = credited
-            solve_idx[d] = indices
-            solve_start[d] = len(all_items)
-            all_items.extend(items)
-        flat_solutions = (
-            batched_cycle_solutions(all_items, 1.0 / rate)
-            if all_items
-            else []
-        )
+            cr_lo[d] = start
+            cr_hi[d] = len(rc.resolved)
+        rc.reset_solves()
+        if rows:
+            solutions = batched_cycle_solutions(
+                [rc.cr_v[j] for j in rows],
+                [rc.cr_a[j] for j in rows],
+                [rc.resolved[j].gait_type for j in rows],
+                profiles,
+                1.0 / rate,
+            )
+            for j, stride, bounce, solved in zip(rows, *solutions):
+                if solved:
+                    rc.stride_m[j] = stride
+                    rc.bounce_m[j] = bounce
         if self._telemetry is not None:
             lap = self._lap(4, lap)
 
         # -- Stage 6: credit -------------------------------------------
         next_active: List[int] = []
-        for d in resolve_ds:
+        for d in range(n_due):
             if not alive[d]:
                 continue
-            credited = credited_by_d[d]
-            indices = solve_idx[d]
-            lo = solve_start[d]
-            solutions: List[Optional[Tuple[float, float]]] = [None] * len(
-                credited
-            )
-            for i, solved in zip(
-                indices, flat_solutions[lo : lo + len(indices)]
-            ):
-                solutions[i] = solved
+            k = due_ks[d]
+            credits = out[k]
+            if cr_hi[d] > cr_lo[d] and credits is NO_CREDITS:
+                credits = out[k] = ([], [])
+            steps, strides = credits
+            n_steps, n_strides = len(steps), len(strides)
             try:
-                steps, strides = due_sess[d].credit_resolved(
-                    credited, solutions
+                due_sess[d].credit_resolved(
+                    rc, cr_lo[d], cr_hi[d], steps, strides
                 )
             except Exception as exc:  # noqa: BLE001
+                if cr_hi[d] > cr_lo[d]:
+                    del steps[n_steps:]
+                    del strides[n_strides:]
                 fail(d, exc)
                 continue
-            k = due_ks[d]
-            out[k][0].extend(steps)
-            out[k][1].extend(strides)
             next_active.append(k)
         if self._telemetry is not None:
             self._lap(5, lap)

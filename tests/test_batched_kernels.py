@@ -14,7 +14,7 @@ Two layers:
   stride solve and the bounce solve, each bit-identical to the scalar
   code it replaces: per-window ``scipy.signal.find_peaks`` +
   prominences, NumPy's ``sum``, the scalar mean-removal integrals, the
-  per-cycle projection/gate/offset of ``StreamingPTrack._stage``,
+  per-cycle projection/gate/offset of ``StreamingPTrack._measure``,
   ``PTrackStrideEstimator.cycle_stride`` and ``solve_bounce``.
 """
 
@@ -32,10 +32,11 @@ from repro.core.bounce import (
 )
 from repro.core.batched import (
     _SumPlan,
+    _integrate_rows,
     _row_sums,
+    _stack_rows,
     batched_cycle_solutions,
     batched_stage_measurements,
-    integrate_block,
 )
 from repro.core.config import PTrackConfig
 from repro.core.offset import cycle_offset
@@ -202,8 +203,27 @@ def test_stride_rows_bit_identical_to_scalar_model(seed):
 # ----------------------------------------------------------------------
 
 
+def _per_cycle(measured):
+    """A :class:`StageMeasurements` as one ``(a_seg, anterior_ok,
+    motion_ok, offset)`` tuple per cycle, or the cycle's exception."""
+    rows = zip(
+        measured.a_segs, measured.anterior_ok, measured.motion_ok, measured.offsets
+    )
+    return [measured.errors.get(i, row) for i, row in enumerate(rows)]
+
+
+def _solves(v_segs, a_segs, gaits, profiles, dt):
+    """``batched_cycle_solutions`` as one ``(stride_m, bounce_m)`` pair
+    per cycle, ``None`` where unsolved (the scalar estimator's form)."""
+    sol = batched_cycle_solutions(v_segs, a_segs, gaits, profiles, dt)
+    return [
+        (stride, bounce) if ok else None
+        for stride, bounce, ok in zip(sol.stride_m, sol.bounce_m, sol.solved)
+    ]
+
+
 def _scalar_stage_measurement(v_seg, h_seg, cfg):
-    """Per cycle, what ``StreamingPTrack._stage`` measures."""
+    """Per cycle, what ``StreamingPTrack._measure`` measures."""
     anterior_ok = True
     try:
         a_seg = project_horizontal(h_seg, anterior_direction(h_seg))
@@ -300,10 +320,17 @@ def test_sum_plan_serves_every_stack_of_its_lengths():
         _assert_bitwise(plan(stack), want)  # a plan is reusable
 
 
+def _integrate(rows, dt):
+    """Right-pad ``rows`` into one stack and integrate it."""
+    lens = np.asarray([r.size for r in rows], dtype=np.intp)
+    stack = np.empty((lens.size, int(lens.max())))
+    return _integrate_rows(_stack_rows(rows, lens.tolist(), stack), lens, dt)
+
+
 def test_integrate_block_parity():
     rows = np.stack([_walky(80, s) for s in range(6)])
     dt = 0.01
-    vel, disp = integrate_block(rows, dt)
+    vel, disp = _integrate(rows, dt)
     for r in range(rows.shape[0]):
         np.testing.assert_array_equal(vel[r], integrate_mean_removal(rows[r], dt))
         np.testing.assert_array_equal(
@@ -312,7 +339,7 @@ def test_integrate_block_parity():
     # Mixed lengths in one call: each row's prefix of the padded
     # outputs is its own scalar integral.
     mixed = [_walky(n, n) for n in (2, 7, 80, 129, 300, 80, 16)]
-    vel, disp = integrate_block(mixed, dt)
+    vel, disp = _integrate(mixed, dt)
     assert vel.shape == disp.shape == (len(mixed), 300)
     for r, row in enumerate(mixed):
         _assert_bitwise(vel[r, : row.size], integrate_mean_removal(row, dt))
@@ -333,7 +360,7 @@ def test_measurement_block_parity():
     h_segs.append(np.column_stack([_walky(50, 30), _walky(50, 31)]))
     v_segs.append(_walky(50, 32))
     h_segs.append(np.zeros((50, 2)))
-    got = batched_stage_measurements(v_segs, h_segs, cfg)
+    got = _per_cycle(batched_stage_measurements(v_segs, h_segs, cfg))
     assert len(got) == len(v_segs)
     for (v_seg, h_seg), (g_a, g_ant, g_mot, g_off) in zip(
         zip(v_segs, h_segs), got
@@ -397,7 +424,9 @@ def _realistic_round(repeats=12, seed=5):
 def test_measurement_realistic_round_matches_scalar_bitwise():
     cfg = PTrackConfig()
     cycles, _walks = _realistic_round()
-    got = batched_stage_measurements([v for v, _ in cycles], [h for _, h in cycles], cfg)
+    got = _per_cycle(
+        batched_stage_measurements([v for v, _ in cycles], [h for _, h in cycles], cfg)
+    )
     assert len(got) == len(cycles)
     outcomes = set()
     for (v_seg, h_seg), g in zip(cycles, got):
@@ -426,8 +455,8 @@ def test_measurement_projections_own_their_memory():
     # round's stack.
     cfg = PTrackConfig()
     cycles, _walks = _realistic_round(repeats=1)
-    got = batched_stage_measurements(
-        [v for v, _ in cycles], [h for _, h in cycles], cfg
+    got = _per_cycle(
+        batched_stage_measurements([v for v, _ in cycles], [h for _, h in cycles], cfg)
     )
     projections = [m[0] for m in got if not isinstance(m, Exception)]
     assert projections and all(a.flags.owndata for a in projections)
@@ -444,7 +473,7 @@ def test_stride_solutions_realistic_round_match_scalar_bitwise():
             a_seg = None  # staging's direction fit failed
         gait = GaitType.STEPPING if k % 3 == 0 else GaitType.WALKING
         items.append((v_seg, h_seg, a_seg, gait, walks[k % 2].profile))
-    got = batched_cycle_solutions(items, dt)
+    got = _solves(*zip(*[(v, a, g, p) for v, _h, a, g, p in items]), dt)
     solved = {GaitType.STEPPING: 0, GaitType.WALKING: 0}
     for (v_seg, h_seg, a_seg, gait, profile), g in zip(items, got):
         want = PTrackStrideEstimator(profile).cycle_stride(

@@ -61,13 +61,17 @@ def _check_round(windows: Sequence[Window], min_gap: int, max_gap: int):
     """Assert flat pairing and admission equal the scalar references;
     return the reference segments and admitted spans per window."""
     cycles = _flat_round(windows, min_gap, max_gap)
-    admitted = admit_cycles(
+    rc = admit_cycles(
         cycles,
         [w.origin for w in windows],
         [w.settled_end for w in windows],
         [w.last_peak for w in windows],
     )
-    assert len(admitted) == len(windows)
+    assert len(rc.bounds) == len(windows) + 1
+    admitted = [
+        list(zip(rc.starts[lo:hi], rc.ends[lo:hi], rc.peaks[lo:hi]))
+        for lo, hi in zip(rc.bounds, rc.bounds[1:])
+    ]
     refs, spans = [], []
     for i, w in enumerate(windows):
         ref = pair_cycles_walk(w.n, w.peaks, w.valleys, min_gap, max_gap)

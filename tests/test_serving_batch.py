@@ -27,6 +27,7 @@ from repro.core.stride import PTrackStrideEstimator
 from repro.exceptions import SignalError
 from repro.faults.policy import FaultPolicy
 from repro.serving import (
+    NO_CREDITS,
     BatchedSessionPool,
     FleetBatchBuffer,
     SessionPool,
@@ -234,8 +235,27 @@ def test_pack_windows_separators_and_negation():
         assert neg[s + n] == np.inf
 
 
+def _per_cycle(measured):
+    """A :class:`StageMeasurements` as one ``(a_seg, anterior_ok,
+    motion_ok, offset)`` tuple per cycle, or the cycle's exception."""
+    rows = zip(
+        measured.a_segs, measured.anterior_ok, measured.motion_ok, measured.offsets
+    )
+    return [measured.errors.get(i, row) for i, row in enumerate(rows)]
+
+
+def _solves(v_segs, a_segs, gaits, profiles, dt):
+    """``batched_cycle_solutions`` as one ``(stride_m, bounce_m)`` pair
+    per cycle, ``None`` where unsolved (the scalar estimator's form)."""
+    sol = batched_cycle_solutions(v_segs, a_segs, gaits, profiles, dt)
+    return [
+        (stride, bounce) if ok else None
+        for stride, bounce, ok in zip(sol.stride_m, sol.bounce_m, sol.solved)
+    ]
+
+
 def _scalar_stage(v_seg, h_seg, cfg):
-    """The measurement half of StreamingPTrack._stage, verbatim."""
+    """The measurement half of StreamingPTrack._measure, verbatim."""
     anterior_ok = True
     try:
         direction = anterior_direction(h_seg)
@@ -266,7 +286,7 @@ def test_batched_stage_measurements_matches_scalar(specs):
         np.column_stack([_walky(n, seed + 1), _walky(n, seed + 2, freq=0.9)])
         for n, seed in specs
     ]
-    got = batched_stage_measurements(v_segs, h_segs, cfg)
+    got = _per_cycle(batched_stage_measurements(v_segs, h_segs, cfg))
     assert len(got) == len(specs)
     for v, h, m in zip(v_segs, h_segs, got):
         a_ref, ant_ref, mot_ref, off_ref = _scalar_stage(v, h, cfg)
@@ -285,7 +305,7 @@ def test_batched_stage_measurements_short_moving_cycle_errors_in_place():
     h = np.column_stack([v, v * 0.5])
     ok_v = _walky(80, 1)
     ok_h = np.column_stack([_walky(80, 2), _walky(80, 3)])
-    got = batched_stage_measurements([ok_v, v], [ok_h, h], cfg)
+    got = _per_cycle(batched_stage_measurements([ok_v, v], [ok_h, h], cfg))
     assert isinstance(got[1], SignalError)
     a_ref, ant_ref, mot_ref, off_ref = _scalar_stage(ok_v, ok_h, cfg)
     assert got[0][1] == ant_ref and got[0][2] == mot_ref
@@ -304,7 +324,7 @@ def test_batched_cycle_solutions_matches_scalar(gait):
         h = np.column_stack([_walky(n, seed + 50), _walky(n, seed + 90)])
         a = _walky(n, seed + 130)
         items.append((v, h, a, gait, profile))
-    got = batched_cycle_solutions(items, dt)
+    got = _solves(*zip(*[(v, a, g, p) for v, _h, a, g, p in items]), dt)
     for (v, h, a, g, _p), solved in zip(items, got):
         assert solved == estimator.cycle_stride(v, h, dt, g, a)
 
@@ -313,9 +333,7 @@ def test_batched_cycle_solutions_skips_unsolvable():
     profile = UserProfile(arm_length_m=0.7, leg_length_m=0.9, calibration_k=2.0)
     v = _walky(8, 0)  # too short for a WALKING solve
     h = np.column_stack([v, v])
-    got = batched_cycle_solutions(
-        [(v, h, None, GaitType.WALKING, profile)], 1.0 / RATE
-    )
+    got = _solves([v], [None], [GaitType.WALKING], [profile], 1.0 / RATE)
     assert got == [None]
 
 
@@ -713,7 +731,7 @@ def test_batched_flush_ragged_tails_bit_identical(monkeypatch):
     traces.append(np.empty((0, 3)))
     profiles.append(profiles[0])
     pool, sids, got = _assert_flush_identical(traces, profiles, batch=96)
-    assert got[-1] == ([], [])
+    assert got[-1] is NO_CREDITS
     assert pool.session(sids[-1]).op_stats.passes == 0
     # The tail round's own filter calls: equal-length tails stack into
     # one call per length group, several groups.
@@ -814,7 +832,7 @@ def test_batched_flush_isolates_failing_tail(monkeypatch):
     assert list(pool.failed_sessions) == [sids[2]]
     assert "tail filter blew up" in pool.failed_sessions[sids[2]]
     # Parked and drained credits are dropped, not half-delivered.
-    assert got[2] == ([], [])
+    assert got[2] is NO_CREDITS
     for k in (0, 1, 3, 4):
         assert _credit_key(got[k]) == _credit_key(ref[k])
         assert (

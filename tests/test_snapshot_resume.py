@@ -351,8 +351,11 @@ class TestValidation:
         blob["backend"] = None
         with pytest.raises(ConfigurationError, match="backend None"):
             SessionPool(RATE).restore(blob)
-        with pytest.raises(ConfigurationError, match="backend None"):
+        with pytest.raises(ConfigurationError, match="backend None") as err:
             SessionPool.from_snapshot(blob)
+        # The advice is to re-serve, not the from_snapshot that refuses it.
+        assert "re-serve the shard from its trace" in str(err.value)
+        assert "from_snapshot does this" not in str(err.value)
 
     def test_pool_error_lists_every_mismatch(self):
         pool = SessionPool(RATE)
