@@ -17,7 +17,6 @@ Three cooperating components (Fig. 2 of the paper):
 
 from repro.core.bounce import (
     CycleMoments,
-    bounce_from_half_cycle,
     direct_bounce,
     extract_cycle_moments,
     solve_bounce,
@@ -47,7 +46,6 @@ __all__ = [
     "PTrackStepCounter",
     "PTrackStrideEstimator",
     "SelfTrainer",
-    "bounce_from_half_cycle",
     "cycle_offset",
     "direct_bounce",
     "extract_cycle_moments",

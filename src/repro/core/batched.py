@@ -16,10 +16,9 @@ Each padded expression reproduces the scalar one bit for bit on every
 row's valid prefix:
 
 * sums and means — NumPy reduces a float64 row by pairwise summation;
-  a :class:`_SumPlan`, built once per call from the row lengths,
-  replays that exact operand order on every row's prefix and serves
-  every sum over stacks of those lengths (the motion gate's three, the
-  integrator's two);
+  a ``where=`` reduction over each row's prefix mask runs that same
+  summation on every prefix at once (:func:`_row_sums`: the motion
+  gate's three, the integrator's two, the offsets' one);
 * the ``(n, 2)`` column means and the trapezoid integrals — sequential
   sums, read off a row-wise ``cumsum`` (exact on any prefix);
 * the 2x2 scatter, the direction norms and the projection — stacked
@@ -45,6 +44,7 @@ bounce solve, the greedy spacing — stay scalar per cycle.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,8 +69,9 @@ class StageMeasurements(NamedTuple):
 
     Cycle ``i`` has the anterior projection ``a_segs[i]`` (zeros when
     the direction fit failed), ``anterior_ok[i]``, the motion gate
-    ``motion_ok[i]`` and the Eq. (1) offset ``offsets[i]`` — what
-    ``StreamingPTrack._measure`` computes per cycle. ``errors`` maps a
+    ``motion_ok[i]`` and the Eq. (1) offset ``offsets[i]`` — what the
+    scalar per-cycle measurement computes (``scalar_measure`` in
+    ``tests/scalar_drain.py``). ``errors`` maps a
     cycle the scalar path raises on (degenerate lengths) to that
     exception; callers decide the isolation policy.
     """
@@ -92,11 +93,6 @@ class CycleSolutions(NamedTuple):
     solved: List[bool]
 
 
-#: NumPy's pairwise-summation block: a float64 sum of at most this many
-#: elements is one 8-lane unrolled loop; a longer one splits in two at
-#: a multiple of 8 near the middle and adds the halves.
-_PAIRWISE_BLOCK = 128
-
 #: Longest row whose 2x2 scatter comes from the stacked product. BLAS
 #: splits the inner dimension of a product longer than its block size
 #: (384 for OpenBLAS 0.3.31 on a Sapphire Rapids Xeon; other kernels
@@ -106,147 +102,21 @@ _PAIRWISE_BLOCK = 128
 _SCATTER_WIDTH = 256
 
 
-def _leaf_tables(
-    offset: np.ndarray, size: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lane mask and tail gather of pairwise-sum leaves.
+def _prefix_mask(lens: np.ndarray, width: int) -> np.ndarray:
+    """The ``(rows, width)`` mask of each row's first ``lens[r]`` columns."""
+    return np.arange(width) < lens[:, None]
 
-    A leaf of ``size`` elements starting at flat index ``offset`` holds
-    ``size // 8`` full lane blocks and ``size % 8`` tail elements.
-    Masked tail slots point at index 0 (any in-bounds index will do:
-    the mask replaces them).
+
+def _row_sums(stack: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """``stack[r, :lens[r]].sum()`` for every row, bit for bit.
+
+    ``valid`` is the rows' :func:`_prefix_mask`. A ``where=`` reduction
+    runs NumPy's float64 add loop once per run of unmasked elements,
+    from the identity ``0.0``; a prefix mask makes each row's prefix
+    one run, which the loop reduces by the same pairwise summation
+    ``sum`` applies to that prefix. Nothing past a prefix is read.
     """
-    blocks = size // 8
-    width = 8 * int(blocks.max()) if size.size else 0
-    lane_mask = np.arange(width) < 8 * blocks[:, None]
-    tail_keep = np.arange(7) < (size % 8)[:, None]
-    tail_idx = np.where(tail_keep, (offset + 8 * blocks)[:, None] + np.arange(7), 0)
-    return lane_mask, tail_idx, tail_keep
-
-
-def _leaf_sums(
-    lanes: np.ndarray,
-    lane_mask: np.ndarray,
-    flat: np.ndarray,
-    tail_idx: np.ndarray,
-    tail_keep: np.ndarray,
-) -> np.ndarray:
-    """NumPy's leaf ``pairwise_sum`` of many leaves at once.
-
-    NumPy sums a leaf in eight lanes, block by block (lane ``j`` starts
-    at element ``j``), combines them as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the 0-7 trailing
-    elements on sequentially; a leaf under 8 elements is all tail.
-    ``lanes`` holds each leaf's first ``lane_mask.shape[1]`` elements,
-    row per leaf. The masked blocks land block-major, so the block axis
-    is the outer one: ``np.add.reduce`` over it is a sequential sum per
-    lane (never a pairwise one), and its inner loop runs over every
-    leaf's eight lanes at once instead of eight elements at a time.
-    The lanes then combine in NumPy's order, and the tail adds on
-    through a sequential ``cumsum``.
-    """
-    count, width = lane_mask.shape
-    shape = (count, width // 8, 8)
-    blocks = np.full((width // 8, count, 8), -0.0)
-    np.copyto(
-        blocks.transpose(1, 0, 2),
-        lanes.reshape(shape),
-        where=lane_mask.reshape(shape),
-    )
-    acc = np.add.reduce(blocks, axis=0)
-    pairs = acc[:, 0::2] + acc[:, 1::2]
-    quads = pairs[:, 0::2] + pairs[:, 1::2]
-    seq = np.empty((count, 8))
-    np.add(quads[:, 0], quads[:, 1], out=seq[:, 0])
-    seq[:, 1:] = np.where(tail_keep, flat[tail_idx], -0.0)
-    return np.cumsum(seq, axis=1)[:, -1]
-
-
-class _SumPlan:
-    """``stack[r, :lens[r]].sum()`` for every row, bit for bit, planned once.
-
-    Built from the row lengths and the row stride of a C-contiguous
-    ``(rows, stride)`` stack, one plan serves every sum over stacks of
-    that shape and those lengths (the motion gate's three, the
-    integrator's two).
-
-    NumPy sums a float64 segment of at most 128 elements as one *leaf*
-    (:func:`_leaf_sums`); a longer segment splits at
-    ``n//2 - (n//2) % 8`` and sums as ``pw(left) + pw(right)``; and
-    ``sum`` reduces from ``+0.0``, so the result is
-    ``0.0 + pairwise_sum``. The plan cuts every row into its leaves
-    once. Each row's first leaf starts at column 0, so all of them read
-    one slice of the stack; only the later leaves of split rows (right
-    halves, and their halves) gather. The splits then combine level by
-    level, deepest first. Masked lanes and tail slots hold ``-0.0``,
-    the exact additive identity, so nothing past a segment is read.
-    """
-
-    def __init__(self, lens: np.ndarray, stride: int) -> None:
-        size = np.asarray(lens, dtype=np.intp)
-        count = size.size
-        self._count = count
-        self._levels: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        # Node ids: row r's whole sum is node r; every split adds two.
-        first_size = size.copy()
-        self._first_node = np.arange(count)
-        later = []
-        # Pending splits (row, start, size, node), level by level.
-        row = np.flatnonzero(size > _PAIRWISE_BLOCK)
-        start = np.zeros(row.size, dtype=np.intp)
-        seg = size[row]
-        node = row
-        n_nodes = count
-        while row.size:
-            half = seg // 2
-            left = half - half % 8
-            k = row.size
-            children = n_nodes + np.arange(2 * k)
-            n_nodes += 2 * k
-            self._levels.append((node, children[:k], children[k:]))
-            row = np.concatenate([row, row])
-            start = np.concatenate([start, start + left])
-            seg = np.concatenate([left, seg - left])
-            node = children
-            leaf = seg <= _PAIRWISE_BLOCK
-            lead = leaf & (start == 0)
-            first_size[row[lead]] = seg[lead]
-            self._first_node[row[lead]] = node[lead]
-            rest = leaf & (start > 0)
-            later.append((row[rest] * stride + start[rest], seg[rest], node[rest]))
-            row, start, seg, node = row[~leaf], start[~leaf], seg[~leaf], node[~leaf]
-        self._n_nodes = n_nodes
-        self._first = _leaf_tables(np.arange(count) * stride, first_size)
-        if later:
-            offset, seg, self._later_node = (np.concatenate(p) for p in zip(*later))
-            self._later = _leaf_tables(offset, seg)
-            self._later_lanes = np.minimum(
-                offset[:, None] + np.arange(self._later[0].shape[1]),
-                count * stride - 1,
-            )
-
-    def __call__(self, stack: np.ndarray) -> np.ndarray:
-        flat = stack.reshape(-1)
-        lane_mask, tail_idx, tail_keep = self._first
-        first = _leaf_sums(
-            stack[:, : lane_mask.shape[1]], lane_mask, flat, tail_idx, tail_keep
-        )
-        if not self._levels:
-            return 0.0 + first
-        vals = np.empty(self._n_nodes)
-        vals[self._first_node] = first
-        lane_mask, tail_idx, tail_keep = self._later
-        vals[self._later_node] = _leaf_sums(
-            flat[self._later_lanes], lane_mask, flat, tail_idx, tail_keep
-        )
-        for parent, left, right in reversed(self._levels):
-            vals[parent] = vals[left] + vals[right]
-        return 0.0 + vals[: self._count]
-
-
-def _row_sums(rows: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """``rows[r, :lens[r]].sum()`` for every row, bit for bit."""
-    return _SumPlan(lens, rows.shape[1])(rows)
+    return np.add.reduce(stack, axis=1, where=valid)
 
 
 def _stack_rows(
@@ -290,13 +160,14 @@ def _integrate_rows(
 
     Consumes ``stack``: it is the work buffer of both integrals.
     """
-    plan = _SumPlan(lens, stack.shape[1])
+    valid = _prefix_mask(lens, stack.shape[1])
     n = lens.astype(float)
     last = stack[np.arange(lens.size), lens - 1]
-    trapezoid_mean = (plan(stack) - 0.5 * (stack[:, 0] + last)) / (n - 1.0)
+    total = _row_sums(stack, valid)
+    trapezoid_mean = (total - 0.5 * (stack[:, 0] + last)) / (n - 1.0)
     stack -= trapezoid_mean[:, None]
     velocity = _rows_cumtrapz(stack, dt, np.empty_like(stack))
-    np.subtract(velocity, (plan(velocity) / n)[:, None], out=stack)
+    np.subtract(velocity, (_row_sums(velocity, valid) / n)[:, None], out=stack)
     return velocity, _rows_cumtrapz(stack, dt, np.empty_like(stack))
 
 
@@ -351,7 +222,8 @@ def _offsets_from_flat(
     starts = np.flatnonzero(first)
     counts = np.diff(np.append(starts, v.size))
     cols = np.minimum(starts[:, None] + np.arange(int(counts.max())), v.size - 1)
-    offsets[rows[starts]] = _row_sums(terms[cols], counts)
+    valid = _prefix_mask(counts, cols.shape[1])
+    offsets[rows[starts]] = _row_sums(terms[cols], valid)
     return offsets
 
 
@@ -363,7 +235,7 @@ def batched_stage_measurements(
     """Measure every staged cycle of a serving round in one padded stack.
 
     For each cycle ``i`` this computes exactly what the scalar
-    ``StreamingPTrack._measure`` computes from ``(v_segs[i], h_segs[i])``:
+    per-cycle measurement computes from ``(v_segs[i], h_segs[i])``:
     the anterior projection (or zeros when the direction fit fails),
     the motion gate, and — for moving cycles — the Eq. (1)
     critical-point offset.
@@ -448,15 +320,14 @@ def batched_stage_measurements(
     # Motion gate and centred axes (np.std(x - x.mean()) per row, and
     # critical_points_for_offset's centring): mean, centre, re-centre,
     # square, mean, sqrt — every sum in NumPy's pairwise order, all
-    # from one plan.
-    lens2 = np.concatenate([lens, lens])
+    # over one prefix mask.
     n2 = np.concatenate([n, n])
-    plan = _SumPlan(lens2, width)
-    dev = va - (plan(va) / n2)[:, None]
+    valid = _prefix_mask(np.concatenate([lens, lens]), width)
+    dev = va - (_row_sums(va, valid) / n2)[:, None]
     sq = va
-    np.subtract(dev, (plan(dev) / n2)[:, None], out=sq)
+    np.subtract(dev, (_row_sums(dev, valid) / n2)[:, None], out=sq)
     np.multiply(sq, sq, out=sq)
-    stds = np.sqrt(plan(sq) / n2)
+    stds = np.sqrt(_row_sums(sq, valid) / n2)
     v_std = stds[:count]
     a_std = stds[count:]
     motion_ok = v_std >= config.min_vertical_std
@@ -558,9 +429,9 @@ def batched_cycle_solutions(
         the scalar integrator rejects).
     """
     count = len(v_segs)
-    stride_out = np.full(count, np.nan)
-    bounce_out = np.full(count, np.nan)
-    solved_out = np.zeros(count, dtype=bool)
+    stride_out = [math.nan] * count
+    bounce_out = [math.nan] * count
+    solved_out = [False] * count
     walking: List[int] = []
     stepping: List[int] = []
     for i in range(count):
@@ -579,93 +450,95 @@ def batched_cycle_solutions(
         + [v_segs[i] for i in stepping]
     )
     if not segs:
-        return CycleSolutions(
-            stride_out.tolist(), bounce_out.tolist(), solved_out.tolist()
-        )
-    lens = np.asarray([s.size for s in segs], dtype=np.intp)
-    width = int(lens.max())
-    stack = _stack_rows(segs, lens.tolist(), np.empty((lens.size, width)))
+        return CycleSolutions(stride_out, bounce_out, solved_out)
+    size_list = [s.size for s in segs]
+    lens = np.asarray(size_list, dtype=np.intp)
+    width = max(size_list)
+    stack = _stack_rows(segs, size_list, np.empty((len(segs), width)))
     # The scalar integrator rejects non-finite segments outright.
     finite = np.isfinite(stack).all(axis=1)
     vel, disp = _integrate_rows(stack, lens, dt)
     # Extremes over each row's prefix: fill the padding with +inf for
     # the minima, then -inf for the maxima (first-extremum ties and
     # NaN propagation stay the scalar reductions').
-    padding = np.arange(width) >= lens[:, None]
+    cols = np.arange(width)
+    padding = cols >= lens[:, None]
     np.copyto(disp, np.inf, where=padding)
-    lows = np.argmin(disp[:nw], axis=1)
+    lows = disp[:nw].argmin(axis=1)
     step_min = disp[2 * nw :].min(axis=1)
     np.copyto(disp, -np.inf, where=padding)
-    highs = np.argmax(disp[:nw], axis=1)
+    highs = disp[:nw].argmax(axis=1)
     step_max = disp[2 * nw :].max(axis=1)
 
+    # The solved cycles: output positions and their bounces.
+    solved_rows: List[int] = []
+    bounces: List[np.ndarray] = []
     if stepping:
-        rows = np.asarray(stepping, dtype=np.intp)
-        bounces = step_max - step_min
-        legs = np.asarray([profiles[i].leg_length_m for i in stepping])
-        ks = np.asarray([profiles[i].calibration_k for i in stepping])
-        strides = stride_rows_from_bounce(bounces, legs, ks)
         ok = finite[2 * nw :]
-        stride_out[rows[ok]] = strides[ok]
-        bounce_out[rows[ok]] = bounces[ok]
-        solved_out[rows[ok]] = True
+        bounces.append((step_max - step_min)[ok])
+        solved_rows += [stepping[s] for s in ok.nonzero()[0].tolist()]
 
-    sol_idx: List[int] = []
     if nw:
         disp_a = disp[:nw]
         disp_v = disp[nw : 2 * nw]
         backmost = np.minimum(lows, highs)
         foremost = np.maximum(lows, highs)
         span = foremost - backmost
-        ok = finite[:nw] & finite[nw : 2 * nw] & (span >= lens[:nw] // 4)
         margin = np.maximum(1, span // 8)
         # First max of |vel_a| within [backmost+margin, foremost-margin]
         # per row — the masked form of the scalar slice argmax (the
         # -inf fill preserves first-max tie-breaking, and the window
         # is never empty: margin <= span // 2 by construction).
-        cols = np.arange(width)
         speed = np.abs(vel[:nw], out=vel[:nw])
         speed[
             (cols < (backmost + margin)[:, None])
             | (cols > (foremost - margin)[:, None])
         ] = -np.inf
-        vidx = np.argmax(speed, axis=1)
+        vidx = speed.argmax(axis=1)
         take = np.arange(nw)
-        ok &= speed[take, vidx] > 0.0
         d_total = np.abs(disp_a[take, foremost] - disp_a[take, backmost])
         # Scalar gate is `if d_total < 0.01: continue`; keep the
         # negated form so non-finite rows follow the scalar branch.
-        ok &= ~(d_total < 0.01)
-        sel = np.flatnonzero(ok)
+        ok = (
+            finite[:nw]
+            & finite[nw : 2 * nw]
+            & (span >= lens[:nw] // 4)
+            & (speed[take, vidx] > 0.0)
+            & ~(d_total < 0.01)
+        )
+        sel = ok.nonzero()[0]
         if sel.size:
-            h1_all = disp_v[sel, backmost[sel]] - disp_v[sel, vidx[sel]]
-            h2_all = disp_v[sel, foremost[sel]] - disp_v[sel, vidx[sel]]
+            at_v = disp_v[sel, vidx[sel]]
+            h1_all = disp_v[sel, backmost[sel]] - at_v
+            h2_all = disp_v[sel, foremost[sel]] - at_v
             d_all = d_total[sel]
             sol_idx = [walking[s] for s in sel.tolist()]
+            arms = np.asarray([profiles[i].arm_length_m for i in sol_idx])
+            bounce, solved = solve_bounce_block(h1_all, h2_all, d_all, arms)
+            for r in (~solved).nonzero()[0].tolist():
+                # The block solver leaves a row unresolved when the
+                # scalar path would raise (or, theoretically, on
+                # iteration exhaustion): re-run it scalar so error
+                # semantics — and any brentq non-convergence
+                # behaviour — stay exact.
+                try:
+                    bounce[r] = solve_bounce(
+                        float(h1_all[r]), float(h2_all[r]),
+                        float(d_all[r]), float(arms[r]),
+                    )
+                    solved[r] = True
+                except GeometryError:
+                    pass
+            bounces.append(bounce[solved])
+            solved_rows += [sol_idx[r] for r in solved.nonzero()[0].tolist()]
 
-    if sol_idx:
-        arms = np.asarray([profiles[i].arm_length_m for i in sol_idx])
-        bounce, solved = solve_bounce_block(h1_all, h2_all, d_all, arms)
-        for r in np.flatnonzero(~solved):
-            # The block solver leaves a row unresolved when the scalar
-            # path would raise (or, theoretically, on iteration
-            # exhaustion): re-run it scalar so error semantics — and
-            # any brentq non-convergence behaviour — stay exact.
-            try:
-                bounce[r] = solve_bounce(
-                    float(h1_all[r]), float(h2_all[r]),
-                    float(d_all[r]), float(arms[r]),
-                )
-                solved[r] = True
-            except GeometryError:
-                pass
-        legs = np.asarray([profiles[i].leg_length_m for i in sol_idx])
-        ks = np.asarray([profiles[i].calibration_k for i in sol_idx])
+    if solved_rows:
+        bounce = np.concatenate(bounces)
+        legs = np.asarray([profiles[i].leg_length_m for i in solved_rows])
+        ks = np.asarray([profiles[i].calibration_k for i in solved_rows])
         strides = stride_rows_from_bounce(bounce, legs, ks)
-        rows = np.asarray(sol_idx, dtype=np.intp)[solved]
-        stride_out[rows] = strides[solved]
-        bounce_out[rows] = bounce[solved]
-        solved_out[rows] = True
-    return CycleSolutions(
-        stride_out.tolist(), bounce_out.tolist(), solved_out.tolist()
-    )
+        for i, stride, b in zip(solved_rows, strides.tolist(), bounce.tolist()):
+            stride_out[i] = stride
+            bounce_out[i] = b
+            solved_out[i] = True
+    return CycleSolutions(stride_out, bounce_out, solved_out)

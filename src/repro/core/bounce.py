@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy import optimize
 
 from repro.exceptions import GeometryError, SignalError
 from repro.signal.integration import (
-    cumulative_trapezoid,
     double_integrate_mean_removal,
     integrate_mean_removal,
     peak_to_peak_displacement,
@@ -47,13 +46,10 @@ from repro.signal.integration import (
 
 __all__ = [
     "CycleMoments",
-    "body_phase_factors",
-    "bounce_from_half_cycle",
     "direct_bounce",
     "extract_cycle_moments",
     "solve_bounce",
     "solve_bounce_block",
-    "solve_bounce_lag_corrected",
 ]
 
 
@@ -429,18 +425,20 @@ def solve_bounce_block(
     h2 = np.ascontiguousarray(h2, dtype=float)
     d = np.ascontiguousarray(d, dtype=float)
     n = d.size
-    m = np.broadcast_to(np.asarray(arm_length_m, dtype=float), (n,))
+    m = np.asarray(arm_length_m, dtype=float)
+    if m.shape != d.shape:
+        m = np.broadcast_to(m, d.shape)
 
     bounce = np.full(n, np.nan)
     valid = np.zeros(n, dtype=bool)
     if n == 0:
         return bounce, valid
     if n <= _BLOCK_SCALAR_CUTOFF:
-        for i in range(n):
+        rows = zip(h1.tolist(), h2.tolist(), d.tolist(), m.tolist())
+        for i, (h1_i, h2_i, d_i, m_i) in enumerate(rows):
             try:
                 bounce[i] = solve_bounce(
-                    float(h1[i]), float(h2[i]), float(d[i]), float(m[i]),
-                    max_bounce_m=max_bounce_m,
+                    h1_i, h2_i, d_i, m_i, max_bounce_m=max_bounce_m
                 )
                 valid[i] = True
             except GeometryError:
@@ -472,157 +470,6 @@ def solve_bounce_block(
         bounce[s] = roots
         valid[s] = conv
     return bounce, valid
-
-
-def solve_bounce_lag_corrected(
-    h1: float,
-    h2: float,
-    d: float,
-    arm_length_m: float,
-    g1: float,
-    g2: float,
-    max_bounce_m: float = 0.30,
-) -> float:
-    """Eqs. (3)-(5) with measured body-phase factors (extension).
-
-    The paper's ``h = r - b`` assumes the arm's extremes coincide with
-    heel strikes, so the body traverses its *full* bounce between the
-    key moments. Human arm swing lags the gait by a few percent of the
-    cycle, making the traversed fraction ``g < 1``:
-
-        h1 = r1 - g1 * b,    h2 = r2 - g2 * b,
-
-    where ``g = [cos(4 pi phi_a) - cos(4 pi phi_b)] / 2`` follows from
-    the body's phase ``phi`` at the two moments — measurable per cycle
-    from the step peaks the segmenter already found. Substituting into
-    Eq. (5) keeps the root unique (the left side is still strictly
-    increasing in ``b`` for positive ``g``).
-
-    Exact on synthetic geometry (see tests), this refinement is *not*
-    wired into the pipeline: the phase reference a wrist can measure
-    (the combined-signal step peaks) is itself lag-shifted, and
-    empirically the plain solve is near-unbiased while this one
-    over-corrects. Kept as a documented analysis tool (DESIGN.md, and
-    docs/ALGORITHMS.md section 5).
-
-    Args:
-        h1: Signed device descent (i) -> (ii), metres.
-        h2: Signed device ascent (ii) -> (iii), metres.
-        d: Anterior arm travel (i) -> (iii), metres.
-        arm_length_m: User arm length ``m``.
-        g1: Body bounce fraction traversed from (i) to (ii).
-        g2: Body bounce fraction traversed from (ii) to (iii).
-        max_bounce_m: Physical upper bound of the search bracket.
-
-    Returns:
-        The bounce ``b`` in metres (clipped into the physical bracket
-        when measurement error pushes ``d`` outside the geometry).
-
-    Raises:
-        GeometryError: On impossible inputs or non-positive factors.
-    """
-    m = arm_length_m
-    if m <= 0:
-        raise GeometryError(f"arm length must be positive, got {m}")
-    if d < 0 or d > 2.0 * m:
-        raise GeometryError(f"anterior travel {d:.3f} m outside [0, 2m]")
-    if g1 <= 0 or g2 <= 0:
-        raise GeometryError(f"bounce fractions must be positive, got ({g1}, {g2})")
-
-    def travel(b: float) -> float:
-        r1 = h1 + g1 * b
-        r2 = h2 + g2 * b
-        t1 = m**2 - (m - r1) ** 2
-        t2 = m**2 - (m - r2) ** 2
-        return float(np.sqrt(max(t1, 0.0)) + np.sqrt(max(t2, 0.0)))
-
-    lo = max(0.0, -h1 / g1, -h2 / g2) + 1e-9
-    hi = min(max_bounce_m, (m - h1) / g1, (m - h2) / g2) - 1e-9
-    if hi <= lo:
-        raise GeometryError(
-            f"empty bounce bracket for h1={h1:.3f}, h2={h2:.3f}, m={m:.3f}"
-        )
-    if travel(lo) - d >= 0.0:
-        return lo
-    if travel(hi) - d <= 0.0:
-        return hi
-    return float(optimize.brentq(lambda b: travel(b) - d, lo, hi))
-
-
-def body_phase_factors(
-    moments: "CycleMoments",
-    step_peaks: Tuple[int, int],
-) -> Tuple[float, float]:
-    """Bounce fractions (g1, g2) from the cycle's own step peaks.
-
-    The body is lowest at heel strikes (the vertical-acceleration peaks
-    the segmenter paired) and oscillates twice per cycle, so its phase
-    at any sample interpolates linearly between the peaks:
-    ``phi(k) = (k - p1) / (2 * (p2 - p1))`` gait cycles.
-
-    Args:
-        moments: Measured cycle moments (indices of (i)/(ii)/(iii)).
-        step_peaks: The cycle's two step-peak indices (p1, p2), in the
-            same index frame as the moments.
-
-    Returns:
-        Tuple ``(g1, g2)``, each clipped into [0.05, 1.0].
-
-    Raises:
-        GeometryError: If the peaks coincide.
-    """
-    p1, p2 = step_peaks
-    if p2 <= p1:
-        raise GeometryError(f"step peaks must be ordered, got {step_peaks}")
-    period2 = 2.0 * (p2 - p1)  # samples per gait cycle
-
-    def phi(k: int) -> float:
-        return (k - p1) / period2
-
-    def cos4pi(k: int) -> float:
-        return float(np.cos(4.0 * np.pi * phi(k)))
-
-    g1 = (cos4pi(moments.backmost_index) - cos4pi(moments.vertical_index)) / 2.0
-    g2 = (cos4pi(moments.foremost_index) - cos4pi(moments.vertical_index)) / 2.0
-    return (
-        float(np.clip(g1, 0.05, 1.0)),
-        float(np.clip(g2, 0.05, 1.0)),
-    )
-
-
-def bounce_from_half_cycle(h: float, d_half: float, arm_length_m: float) -> float:
-    """Closed-form bounce from a single half cycle.
-
-    One half cycle gives one (h, d) pair and Eq. (5) reduces to
-
-        b = m - h - sqrt(m^2 - d_half^2).
-
-    The arm-length self-training keys on the *disagreement* of the two
-    half-cycle estimates under a wrong ``m``.
-
-    Args:
-        h: Signed device vertical change over the half cycle (descent
-            for the first half, ascent for the second).
-        d_half: Anterior travel of the half cycle.
-        arm_length_m: Candidate arm length ``m``.
-
-    Returns:
-        The implied bounce (may be negative for a wrong ``m`` — callers
-        use it as a consistency signal, not as a physical value).
-
-    Raises:
-        GeometryError: If ``d_half`` exceeds the candidate arm length.
-    """
-    m = arm_length_m
-    if m <= 0:
-        raise GeometryError(f"arm length must be positive, got {m}")
-    if d_half < 0:
-        raise GeometryError(f"anterior travel must be >= 0, got {d_half}")
-    if d_half >= m:
-        raise GeometryError(
-            f"half-cycle travel {d_half:.3f} m >= candidate arm length {m:.3f} m"
-        )
-    return float(m - h - np.sqrt(m**2 - d_half**2))
 
 
 def direct_bounce(vertical: np.ndarray, dt: float) -> float:

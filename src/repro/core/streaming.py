@@ -24,7 +24,9 @@ the unsettled tail of the stream is ever (re)computed:
 Work is performed only when the head crosses fixed *hop* boundaries,
 which makes results independent of how the stream is chunked (one
 giant append and 60 000 single-sample appends produce bit-identical
-credits) and makes the amortised per-sample cost O(1).
+credits) and makes the amortised per-sample cost O(1). Each pass runs
+as a round of one (:mod:`repro.core.rounds`), the round a
+:class:`repro.serving.SessionPool` runs over a whole fleet.
 """
 
 from __future__ import annotations
@@ -39,15 +41,12 @@ import numpy as np
 
 from repro.core.bounce import direct_bounce, extract_cycle_moments
 from repro.core.config import PTrackConfig
-from repro.core.offset import cycle_offset
-from repro.core.step_counter import CycleCandidate, Fig4Streak, ResolvedCycle
-from repro.core.stepping import batch_stepping_tests
+from repro.core.rounds import RoundCycles, drain_rounds, flush_sessions
+from repro.core.step_counter import CycleCandidate, Fig4Streak
 from repro.core.stride import PTrackStrideEstimator
 from repro.exceptions import ConfigurationError, GeometryError, SignalError
 from repro.faults.policy import FaultPolicy
-from repro.signal.filters import butter_lowpass
 from repro.signal.projection import anterior_direction, project_horizontal
-from repro.signal.batched import WindowCycles, batched_segment_windows
 from repro.telemetry.registry import MetricsRegistry, get_registry
 from repro.types import CycleObservation, GaitType, StepEvent, StrideEstimate, UserProfile
 
@@ -55,9 +54,6 @@ __all__ = [
     "SESSION_SNAPSHOT_SCHEMA",
     "ensure_snapshot_kind",
     "StreamingOpStats",
-    "RoundCycles",
-    "admit_cycles",
-    "stepping_values",
     "StreamingPTrack",
 ]
 
@@ -162,170 +158,9 @@ class StreamingOpStats:
         }
 
 
-class RoundCycles:
-    """One round's cycles, in flat lists indexed by cycle.
-
-    A round is one pass at a hop boundary for each of its sessions:
-    every due session of a :class:`repro.serving.SessionPool` round, or
-    the lone session of the solo drain. Its bookkeeping is these lists,
-    a fixed number of them however many sessions and cycles the round
-    holds; each session owns one contiguous range of the staged lists
-    and one of the credited lists.
-
-    Staged cycle ``i`` (window order, then time order):
-
-    * :func:`admit_cycles` fills ``starts[i]``, ``ends[i]`` (absolute
-      indices) and ``peaks[i]``, its new step peaks; window ``w``'s
-      cycles are ``bounds[w]:bounds[w + 1]``;
-    * :meth:`StreamingPTrack.commit_cycles` appends the copied
-      segments ``v_segs[i]`` and ``h_segs[i]``;
-    * the measurement stage fills ``a_segs[i]``, ``anterior_ok[i]``,
-      ``motion_ok[i]`` and ``offsets[i]``, and ``errors`` maps a cycle
-      the scalar measurement raises on to its exception (the other
-      lists then hold placeholders there);
-    * :meth:`StreamingPTrack.stage_cycles` sets ``cands[i]``, and
-      :func:`stepping_values` writes the stepping tests into it.
-
-    Each record is released as soon as it is spent —
-    :meth:`StreamingPTrack.classify` clears ``cands[i]`` once the streak
-    holds the candidate, :meth:`StreamingPTrack.credit_resolved`
-    clears ``resolved[j]`` once it is credited — so a round's per-cycle
-    objects die while it still runs instead of all at its end.
-
-    Credited cycle ``j`` (credit order), appended by
-    :meth:`StreamingPTrack.classify`: ``resolved[j]`` is the streak's
-    :class:`~repro.core.step_counter.ResolvedCycle`, ``cr_v[j]``,
-    ``cr_h[j]`` and ``cr_a[j]`` its stored segments (``cr_v[j]`` is
-    ``None`` when they were retired, ``cr_a[j]`` when the projection
-    was degenerate), and ``stride_m[j]``/``bounce_m[j]`` its stride
-    solve (``None`` where none ran or it admitted no solution).
-    """
-
-    __slots__ = (
-        "bounds", "starts", "ends", "peaks", "v_segs", "h_segs",
-        "a_segs", "anterior_ok", "motion_ok", "offsets", "errors",
-        "cands", "resolved", "cr_v", "cr_h", "cr_a", "stride_m",
-        "bounce_m",
-    )
-
-    def __init__(
-        self,
-        bounds: List[int],
-        starts: List[int],
-        ends: List[int],
-        peaks: List[Tuple[int, ...]],
-    ) -> None:
-        self.bounds = bounds
-        self.starts = starts
-        self.ends = ends
-        self.peaks = peaks
-        self.v_segs: List[np.ndarray] = []
-        self.h_segs: List[np.ndarray] = []
-        self.a_segs: List[np.ndarray] = []
-        self.anterior_ok: List[bool] = []
-        self.motion_ok: List[bool] = []
-        self.offsets: List[float] = []
-        self.errors: Dict[int, Exception] = {}
-        self.cands: List[Optional[CycleCandidate]] = [None] * len(starts)
-        self.resolved: List[ResolvedCycle] = []
-        self.cr_v: List[Optional[np.ndarray]] = []
-        self.cr_h: List[Optional[np.ndarray]] = []
-        self.cr_a: List[Optional[np.ndarray]] = []
-        self.stride_m: List[Optional[float]] = []
-        self.bounce_m: List[Optional[float]] = []
-
-    def drop_credits(self, start: int) -> None:
-        """Forget credited cycles ``start:`` (a session that failed
-        while classifying them)."""
-        del self.resolved[start:]
-        del self.cr_v[start:]
-        del self.cr_h[start:]
-        del self.cr_a[start:]
-
-    def reset_solves(self) -> None:
-        """Size the stride-solve lists to the credited cycles, unsolved."""
-        n = len(self.resolved)
-        self.stride_m = [None] * n
-        self.bounce_m = [None] * n
-
-
-def admit_cycles(
-    cycles: WindowCycles,
-    origins: Sequence[int],
-    settled_ends: Sequence[int],
-    last_peaks: Sequence[int],
-) -> RoundCycles:
-    """The admission rule of a pass, for every window of a round at once.
-
-    Window ``w`` of ``cycles`` is a session's retained buffer from
-    absolute index ``origins[w]``; ``settled_ends[w]`` and
-    ``last_peaks[w]`` come from the same :meth:`StreamingPTrack.begin_pass`.
-    A cycle is admitted when it has settled (``end <= settled_end``)
-    and its second peak is past the consumed-peak watermark; its first
-    peak counts only when it is past the watermark too. A cycle whose
-    peaks were all consumed in an earlier pass re-appears every pass
-    until the buffer trims it; a re-pairing after a trim may also
-    splice an old peak with a fresh one (hybrid cycle) — only the fresh
-    peaks count. Pairs are disjoint and increasing, so raising the
-    watermark after each admitted cycle changes no later decision and
-    one mask decides the round.
-
-    Returns:
-        The round's :class:`RoundCycles`, holding every window's
-        admitted cycles ``starts``/``ends``/``peaks`` (absolute indices,
-        time order) and each window's range of them in ``bounds``, for
-        :meth:`StreamingPTrack.commit_cycles`.
-    """
-    owners = cycles.owners
-    lift = (np.asarray(origins) - cycles.window_starts)[owners]
-    watermark = np.asarray(last_peaks)[owners]
-    ends = cycles.ends + lift
-    p2 = cycles.p2 + lift
-    ok = (ends <= np.asarray(settled_ends)[owners]) & (p2 > watermark)
-    p1 = cycles.p1[ok] + lift[ok]
-    return RoundCycles(
-        owners[ok].searchsorted(np.arange(len(origins) + 1)).tolist(),
-        (cycles.starts[ok] + lift[ok]).tolist(),
-        ends[ok].tolist(),
-        [
-            (first, second) if fresh else (second,)
-            for first, second, fresh in zip(
-                p1.tolist(), p2[ok].tolist(), (p1 > watermark[ok]).tolist()
-            )
-        ],
-    )
-
-
-def stepping_values(rc: RoundCycles, config: PTrackConfig) -> None:
-    """The stepping admission tests of a round, for every session at once.
-
-    Every staged cycle of ``rc`` that needs the tests (it passed the
-    motion gate and the offset kept it in play), whichever session
-    staged it, goes into one
-    :func:`repro.core.stepping.batch_stepping_tests` call, and the
-    results land in its candidate's ``corr``/``corr_v``/``phase_ok``.
-    The kernels are row-wise over length-grouped stacks, so a session's
-    values do not depend on which other sessions share the call: the
-    solo drain passes its own cycles alone and a pool round passes the
-    whole fleet's.
-    """
-    threshold = config.offset_threshold
-    need = [
-        i
-        for i, cand in enumerate(rc.cands)
-        if cand is not None and cand.motion_ok and cand.offset <= threshold
-    ]
-    if not need:
-        return
-    corr, corr_v, phase_ok = batch_stepping_tests(
-        [rc.v_segs[i] for i in need], [rc.a_segs[i] for i in need], config
-    )
-    cands = rc.cands
-    for i, c_a, c_v, ok in zip(need, corr, corr_v, phase_ok):
-        cand = cands[i]
-        cand.corr = c_a
-        cand.corr_v = c_v
-        cand.phase_ok = ok
+def _reraise(k: int, exc: BaseException) -> None:
+    """The failure callback of a lone session's round: fail fast."""
+    raise exc
 
 
 @functools.lru_cache(maxsize=None)
@@ -828,28 +663,20 @@ class StreamingPTrack:
         t0 = time.perf_counter() if self._telemetry is not None else 0.0
         self.ingest(samples)
         parked = self.take_pending_credits()
-        steps, strides = ([], []) if parked is None else parked
-        self._drain(steps, strides)
+        out = [([], []) if parked is None else parked]
+        drain_rounds([self], [0], out, _reraise)
         if self._telemetry is not None:
             self._m_append_s.observe(time.perf_counter() - t0)
-        return steps, strides
+        return out[0]
 
     def flush(self) -> Tuple[List[StepEvent], List[StrideEstimate]]:
         """Settle everything remaining in the buffer (end of stream)."""
-        head = self.begin_flush()
-        parked = self.take_pending_credits()
-        steps, strides = ([], []) if parked is None else parked
-        if head is not None:
-            self._drain(steps, strides)
-            # Finalise the filter through the head and classify the tail
-            # with a zero settle horizon.
-            self._advance_filter(head, final=True)
-            self._settle_pass(head, 0, steps, strides)
-        self.end_flush()
-        return steps, strides
+        out = [([], [])]
+        flush_sessions([self], [0], out, _reraise)
+        return out[0]
 
     # ------------------------------------------------------------------
-    # Ingest and delivery (used by repro.serving.SessionPool)
+    # Ingest and delivery
     # ------------------------------------------------------------------
     def ingest(self, samples: np.ndarray) -> int:
         """Buffer a batch without processing it; return samples taken.
@@ -946,16 +773,14 @@ class StreamingPTrack:
         return observations
 
     # ------------------------------------------------------------------
-    # Fleet-batching seams (used by repro.serving.SessionPool)
+    # Round seams
     #
     # Each method is one phase of what a pass at a hop boundary (or the
     # end-of-stream flush) does for a single session, exposed so a
-    # pool round can run the phase's numeric kernel across a whole
-    # fleet between the per-session state transitions. Every op-stat
-    # bump lives inside the phase that does the work, so the counters
-    # stay driver-invariant; and the solo paths (_advance_filter, _pass,
-    # _settle_pass, flush) are themselves built from these seams, so
-    # there is exactly one implementation of each phase.
+    # round (repro.core.rounds) can run the phase's numeric kernel
+    # across all of its sessions between the per-session state
+    # transitions. Every op-stat bump lives inside the phase that does
+    # the work, so the counters do not depend on who shares the round.
     # ------------------------------------------------------------------
     def begin_flush(self) -> Optional[int]:
         """Open the end-of-stream flush; return the head.
@@ -1095,8 +920,8 @@ class StreamingPTrack:
         settled_ends: List[int],
         last_peaks: List[int],
     ) -> Optional[np.ndarray]:
-        """Open a pass at ``boundary``: finalise filtering, expose the
-        segmentation window.
+        """Open a pass at ``boundary``, whose filter blocks the round
+        has applied: expose the segmentation window.
 
         Returns the filtered vertical-axis view the segmenter scans and
         appends the window's :func:`admit_cycles` inputs — the absolute
@@ -1110,7 +935,6 @@ class StreamingPTrack:
         """
         margin = self._settle_margin if settle_margin is None else settle_margin
         self._stats.passes += 1
-        self._advance_filter(boundary)
         settled_end = min(boundary - margin, self._filt_final)
         window = self._filt_final - self._buf_start
         if window < 8 or settled_end <= self._buf_start:
@@ -1148,11 +972,11 @@ class StreamingPTrack:
 
         The state half of staging: assigns the cycle ids and bumps the
         staging counters, leaving the measurements (anterior
-        projection, motion gate, offset) to the caller — the solo path
-        computes them per cycle, a batched pool stacks them fleet-wide
-        through :func:`repro.core.batched.batched_stage_measurements`.
-        A cycle whose measurement raised re-raises here, after the
-        cycles before it were staged, as the per-cycle path would.
+        projection, motion gate, offset) to the round, which stacks
+        them through
+        :func:`repro.core.batched.batched_stage_measurements`. A cycle
+        whose measurement raised re-raises here, after the cycles
+        before it were staged, as the per-cycle path would.
         """
         errors = rc.errors
         cands = rc.cands
@@ -1246,25 +1070,6 @@ class StreamingPTrack:
                 continue
             rows.append(j)
             profiles.append(profile)
-
-    def _stride_solutions(self, rc: RoundCycles) -> None:
-        """Per-cycle stride solves of the credited cycles of ``rc``.
-
-        The solo path: one scalar estimator call per cycle needing a
-        solve. A batched pool computes the same values fleet-wide with
-        :func:`repro.core.batched.batched_cycle_solutions` over the
-        :meth:`stride_rows` of every session in the round.
-        """
-        rc.reset_solves()
-        rows: List[int] = []
-        self.stride_rows(rc, 0, len(rc.resolved), rows, [])
-        dt = 1.0 / self._rate
-        for j in rows:
-            solved = self._estimator.cycle_stride(
-                rc.cr_v[j], rc.cr_h[j], dt, rc.resolved[j].gait_type, rc.cr_a[j]
-            )
-            if solved is not None:
-                rc.stride_m[j], rc.bounce_m[j] = solved
 
     def credit_resolved(
         self,
@@ -1385,7 +1190,7 @@ class StreamingPTrack:
         the registry totals stay monotonic across :meth:`reset` and
         session reuse. Publishing happens at credit boundaries —
         :meth:`credit_resolved`, ``flush``, and ``reset`` — which every
-        driver (solo ``append``, pool round, sharded fleet) flows
+        driver (``append``, pool round, sharded fleet) flows
         through, so fleet counter totals are identical across serving
         modes; between boundaries the registry may lag ``op_stats``
         by at most one settle horizon.
@@ -1532,8 +1337,8 @@ class StreamingPTrack:
         """Emit credited cycle ``j`` of ``rc``: its step events and
         stride estimates.
 
-        The cycle's stride solve (``rc.stride_m[j]``, from
-        :meth:`_stride_solutions` or a fleet batch) is consulted only
+        The cycle's stride solve (``rc.stride_m[j]``, from the round's
+        :func:`~repro.core.batched.batched_cycle_solutions`) is consulted only
         when the cycle qualifies for a solve, and the median imputation
         below stays sequential so a failed solve sees exactly the
         strides credited before it in this round.
@@ -1584,134 +1389,6 @@ class StreamingPTrack:
             _set(est, "cycle_id", cand.cycle_id)
             _set(est, "gait_type", gait)
             strides.append(est)
-
-    def _advance_filter(self, limit_abs: int, final: bool = False) -> None:
-        """Finalise hop-sized filter blocks up to ``limit_abs`` (with
-        ``final``, the one end-of-stream block through it).
-
-        Each block is filtered with exactly ``pad`` samples of context
-        on both sides (where the stream provides them), so a block's
-        final values depend only on its absolute position — never on
-        append chunking — and every sample is filtered a bounded
-        number of times.
-        """
-        if not final and self._filt_final + self._hop + self._pad > limit_abs:
-            return
-        los: List[int] = []
-        his: List[int] = []
-        starts: List[int] = []
-        if final:
-            self.final_filter_plan(limit_abs, los, his, starts)
-        else:
-            self.filter_plan(limit_abs, los, his, starts)
-        cfg = self._config
-        for lo, hi, start in zip(los, his, starts):
-            block = butter_lowpass(
-                self.raw_block(lo, hi),
-                cfg.lowpass_cutoff_hz,
-                self._rate,
-                cfg.lowpass_order,
-            )
-            if final:
-                self.apply_final_block(lo, hi, start, block)
-            else:
-                self.apply_filtered_block(lo, hi, start, block)
-
-    def _drain(
-        self, steps: List[StepEvent], strides: List[StrideEstimate]
-    ) -> None:
-        """Run every due hop boundary's pass, extending the credits."""
-        while True:
-            boundary = self.peek_boundary()
-            if boundary is None:
-                return
-            self._settle_pass(boundary, self._settle_margin, steps, strides)
-
-    def _settle_pass(
-        self,
-        boundary: int,
-        settle_margin: int,
-        steps: List[StepEvent],
-        strides: List[StrideEstimate],
-    ) -> None:
-        """One pass at ``boundary``, credited: the solo round of one.
-
-        Stages the settled cycles, closes the pass, runs their stepping
-        tests, feeds them through the streak and credits them — each
-        step the same seam a pool round calls, with scalar measurements
-        and one scalar stride solve per credited cycle in place of the
-        padded stacks.
-        """
-        rc = self._pass(boundary, settle_margin)
-        self.finish_collect(boundary)
-        stepping_values(rc, self._config)
-        n = len(rc.starts)
-        self.classify(rc, 0, n)
-        self._stride_solutions(rc)
-        self.credit_resolved(rc, 0, len(rc.resolved), steps, strides)
-
-    def _pass(self, boundary: int, settle_margin: int) -> RoundCycles:
-        """One processing pass at an absolute hop boundary.
-
-        Segmentation runs over the whole retained filtered buffer (the
-        window the batch segmenter would see, minus what :meth:`_trim`
-        has provably retired), so peak prominences and the peak-pairing
-        parity match the batch pipeline. Already-consumed cycles are
-        skipped through the ``_last_peak`` watermark; only cycles whose
-        end has settled — i.e. no future sample can move their
-        boundaries — are staged, exactly once. This is a fleet round of
-        one window: the same segmenter and admission rule.
-        """
-        origins: List[int] = []
-        settled_ends: List[int] = []
-        last_peaks: List[int] = []
-        vertical = self.begin_pass(
-            boundary, settle_margin, origins, settled_ends, last_peaks
-        )
-        if vertical is None:
-            return RoundCycles([0], [], [], [])
-        cfg = self._config
-        cycles = batched_segment_windows(
-            [vertical],
-            self._rate,
-            min_step_rate_hz=cfg.min_step_rate_hz,
-            max_step_rate_hz=cfg.max_step_rate_hz,
-            min_prominence=cfg.min_peak_prominence,
-        )
-        if cycles.errors[0] is not None:
-            raise cycles.errors[0]
-        rc = admit_cycles(cycles, origins, settled_ends, last_peaks)
-        n = len(rc.starts)
-        self.commit_cycles(rc, 0, n)
-        for i in range(n):
-            try:
-                self._measure(rc, i)
-            except Exception as exc:  # noqa: BLE001 — raised by stage_cycles
-                rc.errors[i] = exc
-                break
-        self.stage_cycles(rc, 0, n)
-        return rc
-
-    def _measure(self, rc: RoundCycles, i: int) -> None:
-        """Measure committed cycle ``i`` of ``rc`` (the scalar form of
-        :func:`repro.core.batched.batched_stage_measurements`)."""
-        cfg = self._config
-        v_seg, h_seg = rc.v_segs[i], rc.h_segs[i]
-        anterior_ok = True
-        try:
-            # Per-cycle anterior refinement: project this cycle's
-            # horizontal samples onto their own dominant direction so a
-            # turning walker does not smear the projection.
-            direction = anterior_direction(h_seg)
-            a_seg = project_horizontal(h_seg, direction)
-        except SignalError:
-            a_seg = np.zeros_like(v_seg)
-            anterior_ok = False
-        motion_ok = float(np.std(v_seg - v_seg.mean())) >= cfg.min_vertical_std
-        rc.a_segs.append(a_seg)
-        rc.anterior_ok.append(anterior_ok)
-        rc.motion_ok.append(motion_ok)
-        rc.offsets.append(cycle_offset(v_seg, a_seg, cfg) if motion_ok else 0.0)
 
     def _trim(self, boundary: int) -> None:
         """Drop buffer rows no stage can read again (bounded memory).

@@ -5,100 +5,55 @@ A production tracker does not serve one wrist — it serves a fleet.
 :class:`~repro.core.streaming.StreamingPTrack` sessions and exposes a
 single batched ingest call, ``pool.append(session_ids, batches)``.
 
-Each ``append`` drains the due hop boundaries in fleet rounds, and each
-round runs its numeric kernels **once for the whole fleet**:
+Each ``append`` drains the due hop boundaries in rounds
+(:mod:`repro.core.rounds`): each round advances every due session by
+one boundary and runs each of its six stages' numeric kernels **once
+for the whole fleet**. The end-of-stream flush runs the same rounds
+plus one final round over every tail, for chunks of at most
+:data:`FLUSH_STACK_SESSIONS` sessions at a time. A lone session runs
+the very same round as a round of one, so each pooled session's credits
+equal its own solo :class:`~repro.core.streaming.StreamingPTrack`
+replay — the equivalence the serving tests assert (serial == pooled ==
+sharded).
 
-1. the pending filter blocks of every due session are column-stacked by
-   length and low-passed in one filter call per length group;
-2. every session's segmentation window is packed into one concatenated
-   signal, checked finite once, scanned by one peak and one valley
-   kernel dispatch and paired into cycles on the packed signal's flat
-   indices, every window at once
-   (:func:`repro.signal.batched.batched_segment_windows`);
-3. one admission mask picks every session's newly settled cycles
-   (:func:`repro.core.streaming.admit_cycles`), each session commits
-   its own, and all of them, whatever their lengths, are measured in
-   one right-padded stack
-   (:func:`repro.core.batched.batched_stage_measurements`);
-4. the stepping tests of every session's cycles run in one call
-   (:func:`repro.core.streaming.stepping_values`);
-5. all credited cycles' stride integrations run in one right-padded
-   stack (:func:`repro.core.batched.batched_cycle_solutions`);
-6. each session is credited from its solved cycles.
-
-The end-of-stream flush runs the same stages once more as a final
-round: each session's boundary is its head, the filter stage commits
-the one tail block with no right context instead of the hop plan, and
-cycles settle with a zero margin — for chunks of at most
-:data:`FLUSH_STACK_SESSIONS` sessions at a time.
-
-Per-session *state* transitions (boundary bookkeeping, cycle admission,
-streak classification, crediting, trimming) run session by session
-through the seams :class:`~repro.core.streaming.StreamingPTrack`
-exposes — the numeric kernels between them are what gets batched. The
-round's bookkeeping is a fixed number of flat lists (one
-:class:`~repro.core.streaming.RoundCycles` holds its cycles), never a
-container per session or per cycle, and a session that settles nothing
-gets the shared :data:`NO_CREDITS`. Every
-batched kernel is a float64 function bit-identical to its scalar
-reference, so each session's credits equal its own solo
-:class:`~repro.core.streaming.StreamingPTrack` replay — the equivalence
-the serving tests assert (serial == pooled == sharded). There is
-deliberately one set of kernels: PTrack's decisions sit on float64
-thresholds (the Eq. (1) offset against δ, the Eq. (3)-(5) Brent bounce
-root), and a reduced-precision variant moves exactly those decisions.
+The pool adds what a fleet needs around the round: caller validation,
+failure isolation (a session that raises is marked failed and skipped
+from then on), flush chunking, profiles, snapshots and its telemetry
+(round occupancy and the six stage histograms). There is deliberately
+one set of kernels: PTrack's decisions sit on float64 thresholds (the
+Eq. (1) offset against δ, the Eq. (3)-(5) Brent bounce root), and a
+reduced-precision variant moves exactly those decisions.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.batched import (
-    batched_cycle_solutions,
-    batched_stage_measurements,
-)
 from repro.core.config import PTrackConfig
+from repro.core.rounds import (
+    NO_CREDITS,
+    ROUND_STAGES,
+    Credits,
+    drain_rounds,
+    flush_sessions,
+)
 from repro.core.streaming import (
     SESSION_SNAPSHOT_SCHEMA,
     StreamingPTrack,
-    admit_cycles,
     ensure_snapshot_kind,
-    stepping_values,
 )
 from repro.exceptions import ConfigurationError
 from repro.faults.policy import FaultPolicy
 from repro.profiles import ProfileRecord, ProfileStore
 from repro.runtime.buffers import FleetBatchBuffer
-from repro.signal.batched import batched_segment_windows
-from repro.signal.filters import butter_lowpass
-from repro.telemetry.registry import MetricsRegistry, get_registry
-from repro.types import (
-    CycleObservation,
-    StepEvent,
-    StrideEstimate,
-    UserProfile,
-)
+from repro.telemetry.registry import Histogram, MetricsRegistry, get_registry
+from repro.types import CycleObservation, UserProfile
 
 __all__ = ["SessionPool", "BatchedSessionPool", "NO_CREDITS"]
-
-#: One session's ``(steps, strides)`` credits from a pool call.
-Credits = Tuple[Sequence[StepEvent], Sequence[StrideEstimate]]
-
-#: The result of every session that settled nothing in a pool call:
-#: one shared, immutable empty pair, so an idle session costs the call
-#: no allocation.
-NO_CREDITS: Credits = ((), ())
-
-#: Most pending filter blocks (one per session, three columns each) a
-#: fleet round low-passes in one column-stacked call. Filtering runs
-#: per column, so the cap cannot change a credit; it bounds the stack
-#: and the filter's temporaries, which otherwise grow with the fleet,
-#: and measured as fast as one uncapped stack.
-FILTER_STACK_BLOCKS = 64
 
 #: Most sessions one end-of-stream flush settles together: the pool
 #: flushes in chunks of this many sessions, each one begin → drain →
@@ -114,10 +69,6 @@ FLUSH_STACK_SESSIONS = 64
 #: Power-of-two bucket bounds of ``serving_batch_round_occupancy``
 #: (due sessions per fleet round).
 OCCUPANCY_BUCKETS = tuple(float(2**i) for i in range(13))
-
-#: The six stages of one fleet round, in order; each has a wall-time
-#: histogram ``serving_batch_stage_<name>_seconds``.
-ROUND_STAGES = ("filter", "segment", "measure", "stepping", "solve", "credit")
 
 #: The round identity every pool snapshot records: the float64 packed
 #: round. Restore refuses any other value, ``None`` included (what
@@ -216,6 +167,9 @@ class SessionPool:
         self._telemetry = (
             telemetry if telemetry is not None else get_registry()
         )
+        # The round's instruments: none (no clock read) without telemetry.
+        self._m_occupancy: Optional[Histogram] = None
+        self._m_stages: Optional[List[Histogram]] = None
         if self._telemetry is not None:
             reg = self._telemetry
             self._m_round_s = reg.histogram("serving_pool_round_seconds")
@@ -781,8 +735,10 @@ class SessionPool:
             if parked is not None:
                 out[k] = parked
             active.append(k)
-        while active:
-            active = self._batched_round(session_ids, sessions, active, out)
+        drain_rounds(
+            sessions, active, out, self._fail_at(session_ids),
+            self._m_occupancy, self._m_stages, self._buffers,
+        )
         if self._telemetry is not None:
             # Count per-session batch appends (not rounds) so the total
             # is invariant to how the fleet is sharded across pools.
@@ -828,358 +784,28 @@ class SessionPool:
     def _flush_chunk(
         self,
         session_ids: Sequence[int],
-        sessions: Sequence,
+        sessions: Sequence[StreamingPTrack],
         chunk: List[int],
         out: List[Credits],
     ) -> None:
         """Flush the sessions at positions ``chunk``, tails batched."""
-        opened: List[int] = []
-        due_ks: List[int] = []
-        heads: List[int] = []
-        for k in chunk:
-            sid = session_ids[k]
-            if sid in self._errors:
-                continue
-            try:
-                head = sessions[k].begin_flush()
-                parked = sessions[k].take_pending_credits()
-            except Exception as exc:  # noqa: BLE001 — isolation boundary
-                self._mark_failed(sid, exc)
-                continue
-            if parked is not None:
-                out[k] = parked
-            opened.append(k)
-            if head is not None:
-                due_ks.append(k)
-                heads.append(head)
-        active = due_ks
-        while active:
-            active = self._batched_round(session_ids, sessions, active, out)
-        final_ks: List[int] = []
-        final_heads: List[int] = []
-        for k, head in zip(due_ks, heads):
-            if session_ids[k] not in self._errors:
-                final_ks.append(k)
-                final_heads.append(head)
-        if final_ks:
-            if self._telemetry is not None:
-                self._m_occupancy.observe(len(final_ks))
-            self._run_stages(
-                session_ids, sessions, final_ks, final_heads, out, final=True
-            )
-        for k in opened:
-            sid = session_ids[k]
-            if sid not in self._errors:
-                try:
-                    sessions[k].end_flush()
-                except Exception as exc:  # noqa: BLE001
-                    self._mark_failed(sid, exc)
-            if sid in self._errors:
-                # Failed mid-flush: drop what it had settled so far
-                # rather than half-deliver it.
-                out[k] = NO_CREDITS
-
-    # ------------------------------------------------------------------
-    # One fleet round
-    # ------------------------------------------------------------------
-    def _batched_round(
-        self,
-        session_ids: Sequence[int],
-        sessions: Sequence,
-        active: List[int],
-        out: List[Credits],
-    ) -> List[int]:
-        """Advance every due session by one hop boundary, batched.
-
-        Returns the positions still active for the next round. A
-        session that raises (or whose batched kernel surfaces its
-        exception in place) is marked failed and dropped mid-round —
-        the per-session state it mutated up to that point matches what
-        the solo path would have mutated before raising.
-        """
-        due_ks: List[int] = []
-        boundaries: List[int] = []
-        for k in active:
-            boundary = sessions[k].peek_boundary()
-            if boundary is not None:
-                due_ks.append(k)
-                boundaries.append(boundary)
-        if not due_ks:
-            return []
-        if self._telemetry is not None:
-            self._m_occupancy.observe(len(due_ks))
-        return self._run_stages(session_ids, sessions, due_ks, boundaries, out)
-
-    def _lap(self, stage: int, since: float) -> float:
-        """Observe stage ``stage``'s wall time since ``since``; return now."""
-        now = time.perf_counter()
-        self._m_stages[stage].observe(now - since)
-        return now
-
-    def _run_stages(
-        self,
-        session_ids: Sequence[int],
-        sessions: Sequence,
-        due_ks: List[int],
-        boundaries: List[int],
-        out: List[Credits],
-        final: bool = False,
-    ) -> List[int]:
-        """The six batched stages of one round over the due sessions.
-
-        ``final`` selects the end-of-stream tail pass: each session's
-        boundary is its head, the filter stage commits the
-        :meth:`~StreamingPTrack.final_filter_plan` block instead of the
-        hop plan, and cycles settle with a zero margin — exactly what
-        :meth:`StreamingPTrack.flush` does after its last hop boundary.
-        Returns the positions that completed the round. With telemetry
-        on, each stage's wall time lands in its
-        ``serving_batch_stage_<name>_seconds`` histogram (see
-        :data:`ROUND_STAGES`); off, no clock is read.
-
-        The round's bookkeeping is a fixed number of flat lists, indexed
-        by the session's position ``d`` in the due order, by filter
-        block, or by cycle (a :class:`~repro.core.streaming.RoundCycles`),
-        never a container per session or per cycle, so the objects a
-        round keeps alive — what the garbage collector walks and
-        promotes — stay few per cycle, whatever the fleet size.
-        """
-        lap = time.perf_counter() if self._telemetry is not None else 0.0
-        due_sess = [sessions[k] for k in due_ks]
-        n_due = len(due_ks)
-        alive = [True] * n_due
-
-        def fail(d: int, exc: BaseException) -> None:
-            self._mark_failed(session_ids[due_ks[d]], exc)
-            alive[d] = False
-
-        cfg = self._config
-        rate = self._rate
-
-        # -- Stage 1: fleet filter -------------------------------------
-        # Gather every due session's pending filter blocks (block ``e``
-        # belongs to session ``owners[e]``), low-pass equal-length
-        # blocks in column-stacked filter calls of at most
-        # FILTER_STACK_BLOCKS blocks, then commit per session in plan
-        # order (the order apply_filtered_block requires).
-        owners: List[int] = []
-        los: List[int] = []
-        his: List[int] = []
-        finals: List[int] = []
-        for d in range(n_due):
-            if final:
-                count = due_sess[d].final_filter_plan(
-                    boundaries[d], los, his, finals
-                )
-            else:
-                count = due_sess[d].filter_plan(boundaries[d], los, his, finals)
-            for _ in range(count):
-                owners.append(d)
-        groups: Dict[int, List[int]] = {}
-        for e in range(len(los)):
-            length = his[e] - los[e]
-            group = groups.get(length)
-            if group is None:
-                group = groups[length] = []
-            group.append(e)
-        blocks: List[Union[np.ndarray, Exception, None]] = [None] * len(los)
-
-        def lowpass(block: np.ndarray) -> np.ndarray:
-            # The round copies hop-sized slices straight out of the
-            # result, so skip the final contiguous copy of the block.
-            return butter_lowpass(
-                block,
-                cfg.lowpass_cutoff_hz,
-                rate,
-                cfg.lowpass_order,
-                contiguous=False,
-            )
-
-        def lowpass_solo(e: int) -> None:
-            try:
-                blocks[e] = lowpass(due_sess[owners[e]].raw_block(los[e], his[e]))
-            except Exception as exc:  # noqa: BLE001
-                blocks[e] = exc
-
-        for length, group in groups.items():
-            for at in range(0, len(group), FILTER_STACK_BLOCKS):
-                entries = group[at : at + FILTER_STACK_BLOCKS]
-                if len(entries) == 1:
-                    lowpass_solo(entries[0])
-                    continue
-                stack = self._buffers.request(
-                    "filter", (length, 3 * len(entries))
-                )
-                for col, e in enumerate(entries):
-                    np.copyto(
-                        stack[:, 3 * col : 3 * col + 3],
-                        due_sess[owners[e]].raw_block(los[e], his[e]),
-                    )
-                try:
-                    filtered = lowpass(stack)
-                except Exception:  # noqa: BLE001 — retry solo to find the owner
-                    for e in entries:
-                        lowpass_solo(e)
-                else:
-                    for col, e in enumerate(entries):
-                        blocks[e] = filtered[:, 3 * col : 3 * col + 3]
-        for e in range(len(los)):
-            d = owners[e]
-            if not alive[d]:
-                continue
-            block = blocks[e]
-            if isinstance(block, Exception):
-                fail(d, block)
-            elif final:
-                due_sess[d].apply_final_block(los[e], his[e], finals[e], block)
-            else:
-                due_sess[d].apply_filtered_block(los[e], his[e], finals[e], block)
-        if self._telemetry is not None:
-            lap = self._lap(0, lap)
-
-        # -- Stage 2: fleet segmentation -------------------------------
-        settle_margin = 0 if final else None
-        seg_ds: List[int] = []
-        windows: List[np.ndarray] = []
-        origins: List[int] = []
-        settled_ends: List[int] = []
-        last_peaks: List[int] = []
-        for d in range(n_due):
-            if not alive[d]:
-                continue
-            try:
-                window = due_sess[d].begin_pass(
-                    boundaries[d], settle_margin, origins, settled_ends,
-                    last_peaks,
-                )
-            except Exception as exc:  # noqa: BLE001
-                fail(d, exc)
-                continue
-            if window is not None:
-                seg_ds.append(d)
-                windows.append(window)
-        cycles = batched_segment_windows(
-            windows,
-            rate,
-            min_step_rate_hz=cfg.min_step_rate_hz,
-            max_step_rate_hz=cfg.max_step_rate_hz,
-            min_prominence=cfg.min_peak_prominence,
-            scratch=self._buffers.request(
-                "segment_pack", sum(w.size for w in windows) + len(windows)
-            ),
+        errors = self._errors
+        flush_sessions(
+            sessions,
+            [k for k in chunk if session_ids[k] not in errors],
+            out,
+            self._fail_at(session_ids),
+            self._m_occupancy,
+            self._m_stages,
+            self._buffers,
         )
-        if self._telemetry is not None:
-            lap = self._lap(1, lap)
 
-        # -- Stage 3: admit + measure all cycles fleet-wide ------------
-        # Session ``d`` owns cycles ``cyc_lo[d]:cyc_hi[d]`` of the round
-        # (none when it opened no window: its boundary still closes and
-        # its trim still runs, via an empty credit).
-        rc = admit_cycles(cycles, origins, settled_ends, last_peaks)
-        cyc_lo = [0] * n_due
-        cyc_hi = [0] * n_due
-        for w, d in enumerate(seg_ds):
-            error = cycles.errors[w]
-            if error is not None:
-                # Such a window has no cycles, so the ones committed
-                # after it still line up with the admission lists.
-                fail(d, error)
-                continue
-            lo, hi = rc.bounds[w], rc.bounds[w + 1]
-            due_sess[d].commit_cycles(rc, lo, hi)
-            cyc_lo[d] = lo
-            cyc_hi[d] = hi
-        if rc.v_segs:
-            (
-                rc.a_segs, rc.anterior_ok, rc.motion_ok, rc.offsets, rc.errors
-            ) = batched_stage_measurements(rc.v_segs, rc.h_segs, cfg)
-        for d in range(n_due):
-            if not alive[d]:
-                continue
-            if cyc_hi[d] > cyc_lo[d]:
-                try:
-                    due_sess[d].stage_cycles(rc, cyc_lo[d], cyc_hi[d])
-                except Exception as exc:  # noqa: BLE001
-                    # The solo path raises out of staging here, after
-                    # having staged this session's earlier cycles.
-                    fail(d, exc)
-                    continue
-            due_sess[d].finish_collect(boundaries[d])
-        if self._telemetry is not None:
-            lap = self._lap(2, lap)
-
-        # -- Stage 4: fleet stepping tests -----------------------------
-        # A session that failed staging leaves its earlier candidates
-        # behind; the row-wise kernels test them harmlessly.
-        stepping_values(rc, cfg)
-        if self._telemetry is not None:
-            lap = self._lap(3, lap)
-
-        # -- Stage 5: classify, solve strides fleet-wide ---------------
-        # Session ``d`` owns credited cycles ``cr_lo[d]:cr_hi[d]``.
-        cr_lo = [0] * n_due
-        cr_hi = [0] * n_due
-        rows: List[int] = []
-        profiles: List[UserProfile] = []
-        for d in range(n_due):
-            if not alive[d]:
-                continue
-            start = len(rc.resolved)
-            n_rows = len(rows)
-            try:
-                due_sess[d].classify(rc, cyc_lo[d], cyc_hi[d])
-                due_sess[d].stride_rows(
-                    rc, start, len(rc.resolved), rows, profiles
-                )
-            except Exception as exc:  # noqa: BLE001
-                rc.drop_credits(start)
-                del rows[n_rows:]
-                del profiles[n_rows:]
-                fail(d, exc)
-                continue
-            cr_lo[d] = start
-            cr_hi[d] = len(rc.resolved)
-        rc.reset_solves()
-        if rows:
-            solutions = batched_cycle_solutions(
-                [rc.cr_v[j] for j in rows],
-                [rc.cr_a[j] for j in rows],
-                [rc.resolved[j].gait_type for j in rows],
-                profiles,
-                1.0 / rate,
-            )
-            for j, stride, bounce, solved in zip(rows, *solutions):
-                if solved:
-                    rc.stride_m[j] = stride
-                    rc.bounce_m[j] = bounce
-        if self._telemetry is not None:
-            lap = self._lap(4, lap)
-
-        # -- Stage 6: credit -------------------------------------------
-        next_active: List[int] = []
-        for d in range(n_due):
-            if not alive[d]:
-                continue
-            k = due_ks[d]
-            credits = out[k]
-            if cr_hi[d] > cr_lo[d] and credits is NO_CREDITS:
-                credits = out[k] = ([], [])
-            steps, strides = credits
-            n_steps, n_strides = len(steps), len(strides)
-            try:
-                due_sess[d].credit_resolved(
-                    rc, cr_lo[d], cr_hi[d], steps, strides
-                )
-            except Exception as exc:  # noqa: BLE001
-                if cr_hi[d] > cr_lo[d]:
-                    del steps[n_steps:]
-                    del strides[n_strides:]
-                fail(d, exc)
-                continue
-            next_active.append(k)
-        if self._telemetry is not None:
-            self._lap(5, lap)
-        return next_active
+    def _fail_at(
+        self, session_ids: Sequence[int]
+    ) -> Callable[[int, BaseException], None]:
+        """The round's failure callback for the sessions named, by
+        position, in ``session_ids``."""
+        return lambda k, exc: self._mark_failed(session_ids[k], exc)
 
     # ------------------------------------------------------------------
     # Aggregates

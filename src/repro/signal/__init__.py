@@ -41,13 +41,11 @@ from repro.signal.peaks import detect_peaks, detect_valleys, peak_prominences
 from repro.signal.projection import (
     anterior_direction,
     project_horizontal,
-    split_vertical_horizontal,
 )
 from repro.signal.resample import resample_trace, split_on_gaps
 from repro.signal.segmentation import (
     Segment,
     segment_gait_cycles,
-    segment_by_valleys,
     sliding_windows,
 )
 
@@ -77,11 +75,9 @@ __all__ = [
     "peak_prominences",
     "anterior_direction",
     "project_horizontal",
-    "split_vertical_horizontal",
     "Segment",
     "resample_trace",
     "segment_gait_cycles",
     "split_on_gaps",
-    "segment_by_valleys",
     "sliding_windows",
 ]

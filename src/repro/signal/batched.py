@@ -66,7 +66,6 @@ __all__ = [
 
 def pack_windows(
     windows: Sequence[np.ndarray],
-    negate: bool = False,
     out: Optional[np.ndarray] = None,
 ) -> tuple:
     """Concatenate 1-D windows with ``+inf`` separator samples.
@@ -74,8 +73,6 @@ def pack_windows(
     Args:
         windows: A sequence of 1-D float64 windows (ragged lengths
             allowed).
-        negate: Pack the negated samples (for valley detection);
-            separators stay ``+inf``.
         out: Optional preallocated 1-D scratch of at least the packed
             size (e.g. from a
             :class:`repro.runtime.buffers.FleetBatchBuffer`); a fresh
@@ -96,9 +93,7 @@ def pack_windows(
     else:
         concat = np.empty(total)
     # One C-level concatenate (windows interleaved with a shared
-    # one-sample separator) beats a per-window Python copy loop. The
-    # negated variant negates the whole packed signal, then restores
-    # the separators (negation of a copy is bitwise-exact).
+    # one-sample separator) beats a per-window Python copy loop.
     if lens.size:
         sep = np.full(1, np.inf)
         parts: list = []
@@ -106,9 +101,6 @@ def pack_windows(
             parts.append(w)
             parts.append(sep)
         np.concatenate(parts, out=concat)
-        if negate:
-            np.negative(concat, out=concat)
-            concat[starts + lens] = np.inf
     return concat, starts, lens
 
 

@@ -15,8 +15,6 @@ requirement by construction (SIII-C1).
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.exceptions import IntegrationError, SignalError
@@ -124,33 +122,3 @@ def peak_to_peak_displacement(x: np.ndarray, dt: float) -> float:
     """
     disp = double_integrate_mean_removal(x, dt)
     return float(disp.max() - disp.min())
-
-
-def displacement_between(
-    x: np.ndarray,
-    dt: float,
-    start: int,
-    end: int,
-) -> Tuple[float, np.ndarray]:
-    """Displacement between two sample indices of a segment.
-
-    Args:
-        x: 1-D acceleration segment with zero velocity at both ends.
-        dt: Sample period in seconds.
-        start: Index of the first moment (inclusive).
-        end: Index of the second moment (inclusive).
-
-    Returns:
-        Tuple of (signed displacement from ``start`` to ``end``, the
-        full displacement curve for diagnostics).
-
-    Raises:
-        IntegrationError: If the indices fall outside the segment.
-    """
-    disp = double_integrate_mean_removal(x, dt)
-    n = disp.size
-    if not (0 <= start < n and 0 <= end < n):
-        raise IntegrationError(
-            f"moment indices ({start}, {end}) outside segment of {n} samples"
-        )
-    return float(disp[end] - disp[start]), disp

@@ -10,40 +10,11 @@ reveals.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.exceptions import SignalError
 
-__all__ = ["split_vertical_horizontal", "anterior_direction", "project_horizontal"]
-
-
-def split_vertical_horizontal(
-    acceleration: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Split an Nx3 world-frame acceleration into vertical and horizontal.
-
-    Args:
-        acceleration: Array of shape (N, 3) with columns (x, y, z) in a
-            gravity-aligned world frame (z up), as produced by attitude
-            APIs on Android/iOS [25] or by :mod:`repro.sensing`.
-
-    Returns:
-        Tuple ``(vertical, horizontal)`` where ``vertical`` has shape
-        (N,) — the z column — and ``horizontal`` has shape (N, 2).
-
-    Raises:
-        SignalError: On wrong shape or non-finite values.
-    """
-    arr = np.asarray(acceleration, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise SignalError(f"acceleration must have shape (N, 3), got {arr.shape}")
-    if arr.shape[0] == 0:
-        raise SignalError("acceleration must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise SignalError("acceleration contains non-finite values")
-    return arr[:, 2].copy(), arr[:, :2].copy()
+__all__ = ["anterior_direction", "project_horizontal"]
 
 
 def anterior_direction(horizontal: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ __all__ = [
     "Segment",
     "segment_gait_cycles",
     "pair_cycles",
-    "segment_by_valleys",
     "sliding_windows",
 ]
 
@@ -53,36 +52,6 @@ class Segment:
     def slice(self, x: np.ndarray) -> np.ndarray:
         """Extract this segment from an array (along axis 0)."""
         return np.asarray(x)[self.start : self.end]
-
-
-def segment_by_valleys(
-    vertical: np.ndarray,
-    peaks: np.ndarray,
-    valleys: np.ndarray,
-) -> List[Segment]:
-    """Cut a trace into per-step segments bounded by valleys around each peak.
-
-    Each returned segment covers exactly one step peak and extends to
-    the nearest valley on either side (or to the trace boundary).
-
-    Args:
-        vertical: The vertical acceleration the peaks were found on.
-        peaks: Sorted step-peak indices.
-        valleys: Sorted valley indices.
-
-    Returns:
-        One :class:`Segment` per peak, in time order.
-    """
-    v = np.asarray(vertical, dtype=float)
-    segs: List[Segment] = []
-    for p in np.asarray(peaks, dtype=int):
-        left_candidates = valleys[valleys < p]
-        right_candidates = valleys[valleys > p]
-        start = int(left_candidates[-1]) if left_candidates.size else 0
-        end = int(right_candidates[0]) + 1 if right_candidates.size else v.size
-        if end - start >= 3:
-            segs.append(Segment(start, end, (int(p),)))
-    return segs
 
 
 def segment_gait_cycles(

@@ -3,7 +3,7 @@
 ``pair_cycles_walk`` is the per-window pairing walk and
 ``admit_cycles_loop`` the per-session admission loop that
 :func:`repro.signal.segmentation.pair_cycles` and
-:func:`repro.core.streaming.admit_cycles` replace. They are kept here,
+:func:`repro.core.rounds.admit_cycles` replace. They are kept here,
 verbatim in behaviour, as the references the flat forms are checked
 against, and ``window_segments`` reads one window of a flat result
 back as the reference's ``Segment`` list.

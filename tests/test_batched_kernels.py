@@ -14,7 +14,7 @@ Two layers:
   stride solve and the bounce solve, each bit-identical to the scalar
   code it replaces: per-window ``scipy.signal.find_peaks`` +
   prominences, NumPy's ``sum``, the scalar mean-removal integrals, the
-  per-cycle projection/gate/offset of ``StreamingPTrack._measure``,
+  per-cycle projection/gate/offset of ``scalar_drain.scalar_measure``,
   ``PTrackStrideEstimator.cycle_stride`` and ``solve_bounce``.
 """
 
@@ -31,15 +31,14 @@ from repro.core.bounce import (
     solve_bounce_block,
 )
 from repro.core.batched import (
-    _SumPlan,
     _integrate_rows,
+    _prefix_mask,
     _row_sums,
     _stack_rows,
     batched_cycle_solutions,
     batched_stage_measurements,
 )
 from repro.core.config import PTrackConfig
-from repro.core.offset import cycle_offset
 from repro.core.stride import (
     PTrackStrideEstimator,
     stride_from_bounce_model,
@@ -57,6 +56,7 @@ from repro.signal.peaks import peak_prominences
 from repro.signal.projection import anterior_direction, project_horizontal
 from repro.signal.segmentation import segment_gait_cycles
 from repro.types import GaitType, UserProfile
+from scalar_drain import scalar_measure
 
 
 def _walky(n, seed, freq=1.8, noise=0.25):
@@ -222,19 +222,6 @@ def _solves(v_segs, a_segs, gaits, profiles, dt):
     ]
 
 
-def _scalar_stage_measurement(v_seg, h_seg, cfg):
-    """Per cycle, what ``StreamingPTrack._measure`` measures."""
-    anterior_ok = True
-    try:
-        a_seg = project_horizontal(h_seg, anterior_direction(h_seg))
-    except SignalError:
-        a_seg = np.zeros_like(v_seg)
-        anterior_ok = False
-    motion_ok = float(np.std(v_seg - v_seg.mean())) >= cfg.min_vertical_std
-    offset = cycle_offset(v_seg, a_seg, cfg) if motion_ok else 0.0
-    return a_seg, anterior_ok, motion_ok, offset
-
-
 @pytest.mark.parametrize("extrema", [_finite_extrema], ids=["numpy"])
 def test_extrema_block_parity(extrema):
     windows = [_walky(n, seed) for n, seed in ((120, 0), (40, 1), (7, 2), (400, 3))]
@@ -272,10 +259,10 @@ def _assert_bitwise(got, want):
 
 
 def test_row_sums_match_numpy_sum_bitwise():
-    # Every length from 1 to 600, through one sum plan: both sides of
-    # the 8-lane threshold, of the 128-sample block and of 256 (two
-    # leaves), the 249-255 band whose right half (129+) splits again,
-    # and rows over 512 whose halves split twice more.
+    # Every length from 1 to 600, through one prefix mask: both sides
+    # of NumPy's 8-lane threshold, of its 128-sample block and of 256
+    # (two leaves), the 249-255 band whose right half (129+) splits
+    # again, and rows over 512 whose halves split twice more.
     n_max = 600
     lens = np.arange(1, n_max + 1)
     assert set(range(249, 256)) <= set(lens.tolist())
@@ -290,24 +277,25 @@ def test_row_sums_match_numpy_sum_bitwise():
     neg_zero = np.full((n_max, n_max), -0.0)
     for rows in (noisy, infs, neg_zero):
         rows[padding] = np.nan  # never read
-        got = _row_sums(rows, lens)
+        got = _row_sums(rows, _prefix_mask(lens, n_max))
         want = np.asarray([rows[r, :n].sum() for r, n in enumerate(lens)])
         _assert_bitwise(got, want)
-    # A plan of one row (the Eq. (1) sums of a lone cycle) reduces in
+    # A stack of one row (the Eq. (1) sums of a lone cycle) reduces in
     # the same order.
     for n in (1, 7, 8, 100, 128, 129, 249, 255, 256, 300, 513, 600):
         _assert_bitwise(
-            _row_sums(noisy[n - 1 : n], lens[n - 1 : n]), [noisy[n - 1, :n].sum()]
+            _row_sums(noisy[n - 1 : n], _prefix_mask(lens[n - 1 : n], n_max)),
+            [noisy[n - 1, :n].sum()],
         )
 
 
 def test_sum_plan_serves_every_stack_of_its_lengths():
-    # The motion gate plans once and sums three stacks of the same
-    # lengths (the axes, the centred axes, their squares); a plan must
-    # read each stack afresh, whatever its padding holds.
+    # The motion gate builds one prefix mask and sums three stacks of
+    # the same lengths (the axes, the centred axes, their squares);
+    # each sum must read its stack afresh, whatever its padding holds.
     lens = np.asarray([3, 71, 128, 129, 138, 200, 252, 300, 520, 8, 16, 71])
     width = int(lens.max())
-    plan = _SumPlan(lens, width)
+    valid = _prefix_mask(lens, width)
     rng = np.random.default_rng(4)
     padding = np.arange(width)[None, :] >= lens[:, None]
     first = rng.standard_normal((lens.size, width))
@@ -316,8 +304,8 @@ def test_sum_plan_serves_every_stack_of_its_lengths():
     for stack, fill in ((first, np.nan), (centred, np.inf), (squares, -1e300)):
         stack[padding] = fill
         want = np.asarray([stack[r, :n].sum() for r, n in enumerate(lens)])
-        _assert_bitwise(plan(stack), want)
-        _assert_bitwise(plan(stack), want)  # a plan is reusable
+        _assert_bitwise(_row_sums(stack, valid), want)
+        _assert_bitwise(_row_sums(stack, valid), want)  # the mask is reusable
 
 
 def _integrate(rows, dt):
@@ -365,7 +353,7 @@ def test_measurement_block_parity():
     for (v_seg, h_seg), (g_a, g_ant, g_mot, g_off) in zip(
         zip(v_segs, h_segs), got
     ):
-        w_a, w_ant, w_mot, w_off = _scalar_stage_measurement(v_seg, h_seg, cfg)
+        w_a, w_ant, w_mot, w_off = scalar_measure(v_seg, h_seg, cfg)
         np.testing.assert_array_equal(g_a, w_a)
         assert (g_ant, g_mot) == (w_ant, w_mot)
         assert g_off == w_off  # bitwise
@@ -431,7 +419,7 @@ def test_measurement_realistic_round_matches_scalar_bitwise():
     outcomes = set()
     for (v_seg, h_seg), g in zip(cycles, got):
         try:
-            want = _scalar_stage_measurement(v_seg, h_seg, cfg)
+            want = scalar_measure(v_seg, h_seg, cfg)
         except SignalError as exc:
             assert isinstance(g, SignalError) and str(g) == str(exc)
             outcomes.add("short")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.bounce import (
-    bounce_from_half_cycle,
     direct_bounce,
     extract_cycle_moments,
     solve_bounce,
@@ -59,22 +58,6 @@ class TestSolveBounce:
     def test_rejects_empty_bracket(self):
         with pytest.raises(GeometryError):
             solve_bounce(0.65, 0.65, 0.5, 0.6)  # h >= m leaves no room
-
-
-class TestBounceFromHalfCycle:
-    def test_closed_form_inverse(self):
-        m, b, r = 0.6, 0.05, 0.09
-        h = r - b
-        d_half = np.sqrt(m**2 - (m - r) ** 2)
-        assert bounce_from_half_cycle(h, d_half, m) == pytest.approx(b)
-
-    def test_rejects_excess_travel(self):
-        with pytest.raises(GeometryError):
-            bounce_from_half_cycle(0.0, 0.7, 0.6)
-
-    def test_rejects_negative_travel(self):
-        with pytest.raises(GeometryError):
-            bounce_from_half_cycle(0.0, -0.1, 0.6)
 
 
 class TestDirectBounce:

@@ -9,6 +9,7 @@ from repro.core.pipeline import PTrack
 from repro.core.streaming import StreamingPTrack
 from repro.exceptions import ConfigurationError, SignalError
 from repro.simulation.walker import simulate_walk
+from repro.types import GaitType
 
 
 class TestConstruction:
@@ -40,6 +41,22 @@ class TestStreamingEquivalence:
             streamer.append(data[i : i + batch])
         streamer.flush()
         assert abs(streamer.step_count - expected.step_count) <= 2
+        assert streamer.distance_m == pytest.approx(expected.distance_m, rel=0.08)
+
+    def test_stepping_gait_matches_batch_pipeline(self, user, stepping_trace):
+        # A rigid arm credits through the Fig. 4 stepping tests and their
+        # confirmation streak, which no walking cycle reaches.
+        trace, _ = stepping_trace
+        expected = PTrack(profile=user.profile).track(trace)
+        streamer = StreamingPTrack(100.0, profile=user.profile)
+        data = trace.linear_acceleration
+        steps = []
+        for i in range(0, data.shape[0], 50):
+            steps.extend(streamer.append(data[i : i + 50])[0])
+        steps.extend(streamer.flush()[0])
+        assert expected.step_count > 0
+        assert abs(streamer.step_count - expected.step_count) <= 2
+        assert {e.gait_type for e in steps} == {GaitType.STEPPING}
         assert streamer.distance_m == pytest.approx(expected.distance_m, rel=0.08)
 
     def test_interference_stays_silent(self, eating_trace):

@@ -1,89 +1,10 @@
-"""Tests for the study protocol, extension experiments, the
-lag-corrected bounce primitives and stride imputation."""
+"""Tests for the study protocol, extension experiments and stride
+imputation."""
 
 import numpy as np
 import pytest
 
-from repro.core.bounce import (
-    body_phase_factors,
-    extract_cycle_moments,
-    solve_bounce_lag_corrected,
-)
-from repro.exceptions import GeometryError
 from repro.experiments import extensions, study
-
-
-class TestLagCorrectedPrimitives:
-    def _forward(self, b, r1, r2, m, g1, g2):
-        h1 = r1 - g1 * b
-        h2 = r2 - g2 * b
-        d = np.sqrt(m**2 - (m - r1) ** 2) + np.sqrt(m**2 - (m - r2) ** 2)
-        return h1, h2, d
-
-    @pytest.mark.parametrize("g", [(1.0, 1.0), (0.8, 0.9), (0.5, 0.6)])
-    def test_round_trip_with_known_factors(self, g):
-        g1, g2 = g
-        m, b = 0.6, 0.06
-        h1, h2, d = self._forward(b, 0.09, 0.12, m, g1, g2)
-        assert solve_bounce_lag_corrected(h1, h2, d, m, g1, g2) == pytest.approx(
-            b, abs=1e-6
-        )
-
-    def test_reduces_to_paper_solve_at_unity(self):
-        from repro.core.bounce import solve_bounce
-
-        m, b = 0.6, 0.05
-        h1, h2, d = self._forward(b, 0.08, 0.1, m, 1.0, 1.0)
-        assert solve_bounce_lag_corrected(
-            h1, h2, d, m, 1.0, 1.0
-        ) == pytest.approx(solve_bounce(h1, h2, d, m), abs=1e-9)
-
-    def test_rejects_nonpositive_factors(self):
-        with pytest.raises(GeometryError):
-            solve_bounce_lag_corrected(0.01, 0.01, 0.3, 0.6, 0.0, 1.0)
-
-    def test_body_phase_factors_aligned_case(self):
-        # Arm moments exactly at heel strike / mid-stance / heel strike
-        # -> full bounce traversed in both halves.
-        from repro.core.bounce import CycleMoments
-
-        moments = CycleMoments(
-            backmost_index=0,
-            vertical_index=25,
-            foremost_index=50,
-            h1_m=0.0,
-            h2_m=0.0,
-            d_m=0.3,
-            d1_m=0.15,
-            d2_m=0.15,
-        )
-        g1, g2 = body_phase_factors(moments, (0, 50))
-        assert g1 == pytest.approx(1.0)
-        assert g2 == pytest.approx(1.0)
-
-    def test_body_phase_factors_lagged_case(self):
-        from repro.core.bounce import CycleMoments
-
-        moments = CycleMoments(
-            backmost_index=5,
-            vertical_index=30,
-            foremost_index=55,
-            h1_m=0.0,
-            h2_m=0.0,
-            d_m=0.3,
-            d1_m=0.15,
-            d2_m=0.15,
-        )
-        g1, g2 = body_phase_factors(moments, (0, 50))
-        assert 0.05 <= g1 < 1.0
-        assert 0.05 <= g2 < 1.0
-
-    def test_body_phase_factors_rejects_bad_peaks(self):
-        from repro.core.bounce import CycleMoments
-
-        moments = CycleMoments(0, 10, 20, 0.0, 0.0, 0.3, 0.15, 0.15)
-        with pytest.raises(GeometryError):
-            body_phase_factors(moments, (10, 10))
 
 
 class TestStrideImputation:

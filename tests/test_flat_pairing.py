@@ -2,7 +2,7 @@
 
 :func:`repro.signal.segmentation.pair_cycles` pairs the step peaks of
 every window of a round at once, on flat indices, and
-:func:`repro.core.streaming.admit_cycles` admits a round's cycles with
+:func:`repro.core.rounds.admit_cycles` admits a round's cycles with
 one mask. The inputs here are synthetic peak/valley index sets, not
 signals, so the corner cases of the walk (run breaks at either parity,
 gaps of exactly ``max_gap``, missing valleys, clamped ends, short
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.streaming import admit_cycles
+from repro.core.rounds import admit_cycles
 from repro.signal.batched import WindowCycles
 from repro.signal.segmentation import Segment, pair_cycles
 from scalar_segmentation import (

@@ -22,9 +22,12 @@ outages into it; the walks' outages are long enough to force gap
 resets.
 
 Every driver must hit the same stored digest: a serial
-:class:`~repro.core.streaming.StreamingPTrack` per session, one
-:class:`~repro.serving.BatchedSessionPool` (append rounds plus its
-batched flush) and a durable in-process :func:`~repro.serving.serve_fleet`.
+:class:`~repro.core.streaming.StreamingPTrack` per session (a round of
+one), one :class:`~repro.serving.BatchedSessionPool` (append rounds
+plus its batched flush), a durable in-process
+:func:`~repro.serving.serve_fleet`, and the per-cycle scalar drain of
+``tests/scalar_drain.py``, which pins the round's padded-stack kernels
+to scalar measurement and one stride solve per cycle end to end.
 
 The digest hashes the exact integer fields of every credit (sample
 index, cycle id, gait type, step and stride counts) and the stride and
@@ -52,6 +55,7 @@ from repro.serving import BatchedSessionPool, serve_fleet, synthesize_workload
 from repro.signal.resample import resample_trace
 from repro.simulation.profiles import SimulatedUser
 from repro.simulation.walker import simulate_walk
+from scalar_drain import ScalarDrain
 
 GOLDEN_PATH = Path(__file__).with_name("golden_credits.json")
 BATCH = 50
@@ -141,6 +145,22 @@ def _serve_serial(rate, traces, profiles, policy):
             steps += s
             strides += st
         s, st = session.flush()
+        credits.append((steps + s, strides + st))
+    return credits
+
+
+def _serve_scalar_drain(rate, traces, profiles, policy):
+    credits = []
+    for trace, profile in zip(traces, profiles):
+        drain = ScalarDrain(
+            StreamingPTrack(rate, profile=profile, fault_policy=policy)
+        )
+        steps, strides = [], []
+        for at in range(0, trace.shape[0], BATCH):
+            s, st = drain.append(trace[at : at + BATCH])
+            steps += s
+            strides += st
+        s, st = drain.flush()
         credits.append((steps + s, strides + st))
     return credits
 
@@ -240,6 +260,13 @@ def test_batched_pool_matches_golden(golden, cases, case):
 @pytest.mark.parametrize("case", CASE_NAMES)
 def test_durable_fleet_matches_golden(golden, cases, case, tmp_path):
     credits = _serve_durable_fleet(*cases[case], tmp_path)
+    assert sum(len(s) for s, _ in credits) == golden[case]["steps"]
+    assert _digest(credits) == golden[case]["digest"]
+
+
+@pytest.mark.parametrize("case", CASE_NAMES)
+def test_scalar_drain_matches_golden(golden, cases, case):
+    credits = _serve_scalar_drain(*cases[case])
     assert sum(len(s) for s, _ in credits) == golden[case]["steps"]
     assert _digest(credits) == golden[case]["digest"]
 

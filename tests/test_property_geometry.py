@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounce import bounce_from_half_cycle, solve_bounce
+from repro.core.bounce import solve_bounce
 from repro.core.stride import stride_from_bounce_model
 from repro.simulation.gait import bounce_from_stride, stride_from_bounce
 from repro.types import UserProfile
@@ -47,16 +47,6 @@ def test_solve_bounce_round_trip(m, b, r1_extra, r2_extra):
     h1, h2 = r1 - b, r2 - b
     d = np.sqrt(m**2 - (m - r1) ** 2) + np.sqrt(m**2 - (m - r2) ** 2)
     assert solve_bounce(h1, h2, d, m) == pytest.approx(b, abs=1e-5)
-
-
-@settings(max_examples=100, deadline=None)
-@given(arms, bounces, st.floats(min_value=0.01, max_value=0.15))
-def test_half_cycle_closed_form_round_trip(m, b, r_extra):
-    r = b + r_extra
-    assume(r < 0.9 * m)
-    h = r - b
-    d_half = np.sqrt(m**2 - (m - r) ** 2)
-    assert bounce_from_half_cycle(h, d_half, m) == pytest.approx(b, abs=1e-9)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,5 +1,5 @@
-"""Direct tests for remaining public units: displacement_between, the
-exception hierarchy, the CLI parser, and small extension smokes."""
+"""Direct tests for remaining public units: the exception hierarchy,
+the CLI parser, and small extension smokes."""
 
 import numpy as np
 import pytest
@@ -15,29 +15,7 @@ from repro.exceptions import (
     SimulationError,
     TrainingError,
 )
-from repro.signal.integration import displacement_between
 from repro.types import CycleClassification, GaitType
-
-
-class TestDisplacementBetween:
-    def test_known_oscillation(self):
-        amp, freq = 0.05, 1.0
-        t = np.arange(101) / 100.0  # one full period inclusive
-        omega = 2 * np.pi * freq
-        accel = -amp * omega**2 * np.sin(omega * t)
-        # Peak-to-trough: displacement from t=0.25 (peak) to 0.75 (trough).
-        delta, curve = displacement_between(accel, 0.01, 25, 75)
-        assert delta == pytest.approx(-2 * amp, abs=0.01)
-        assert curve.shape == t.shape
-
-    def test_zero_for_same_index(self):
-        accel = np.sin(np.linspace(0, 2 * np.pi, 100))
-        delta, _ = displacement_between(accel, 0.01, 10, 10)
-        assert delta == 0.0
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(IntegrationError):
-            displacement_between(np.zeros(50), 0.01, 0, 50)
 
 
 class TestExceptionHierarchy:

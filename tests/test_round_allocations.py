@@ -1,12 +1,14 @@
-"""Allocation guard for the pool round.
+"""Allocation guard for the round.
 
-A pool round carries its bookkeeping in a fixed number of flat lists:
-an idle session costs an ``append`` no container, and a round allocates
+A round carries its bookkeeping in a fixed number of flat lists: an
+idle session costs an ``append`` no container, and a round allocates
 only a few objects per credited cycle (the candidate the streak keeps,
 its resolution, the step and stride records) beyond the credits it
 returns. Every container the round left behind per session or per
 cycle fed the garbage collector young collections that promoted the
-round's transients into full ones.
+round's transients into full ones. Pools and a solo
+:class:`~repro.core.streaming.StreamingPTrack` (a round of one) are
+held to the same bounds.
 
 Each check counts net tracked containers with ``gc.get_count()[0]``
 (allocations minus deallocations of collector-tracked objects) across
@@ -17,7 +19,9 @@ import gc
 
 import pytest
 
+from repro.core.streaming import StreamingPTrack
 from repro.serving import NO_CREDITS, SessionPool, synthesize_workload
+from repro.signal.filters import butter_lowpass
 
 RATE = 100.0
 #: Net containers an append may add whatever the fleet size: the
@@ -53,8 +57,17 @@ def _pool(n_sessions):
     return pool, sids, [w.samples for w in walks]
 
 
+def _solo():
+    """One solo session and its walk, as a one-session driver: the
+    ``append`` feeds ``batches[0]`` and returns the credits in a list,
+    like a pool's."""
+    walk = synthesize_workload(1, 12.0, seed=7)[0]
+    session = StreamingPTrack(RATE, profile=walk.profile)
+    return session, (lambda batches: [session.append(batches[0])]), [walk.samples]
+
+
 def _returned_containers(results):
-    """Tracked objects a pool call hands back: the result list, and
+    """Tracked objects a driver call hands back: the result list, and
     per crediting session its pair, two lists and every record."""
     count = 1
     for credits in results:
@@ -63,8 +76,20 @@ def _returned_containers(results):
     return count
 
 
-@pytest.mark.parametrize("n_sessions", [16, 256])
+@pytest.mark.parametrize("n_sessions", [16, 256, pytest.param(None, id="solo")])
 def test_idle_append_is_constant_in_fleet_size(n_sessions):
+    if n_sessions is None:
+        session, _append, (trace,) = _solo()
+        session.append(trace[:10])
+        batch = trace[10:20]
+        assert session.peek_boundary() is None
+        result, grown = _net_containers(lambda: session.append(batch))
+        # A solo append returns two fresh lists, even empty ones.
+        assert result == ([], [])
+        assert grown <= APPEND_CONSTANT, (
+            f"an idle solo append grew {grown} containers"
+        )
+        return
     pool, sids, traces = _pool(n_sessions)
     # The first hop boundary is 125 samples in: these appends cross none.
     pool.append(sids, [t[:10] for t in traces])
@@ -79,6 +104,37 @@ def test_idle_append_is_constant_in_fleet_size(n_sessions):
 
 def test_round_allocates_per_credited_cycle_only():
     pool, sids, traces = _pool(64)
+    credited = _check_crediting_append(
+        lambda batches: pool.append(sids, batches), traces
+    )
+    assert credited >= len(sids) // 2  # the round credited the fleet
+
+
+def test_solo_round_allocates_per_credited_cycle_only():
+    # A round of one pays its filter call alone, where a pool round
+    # shares one call among up to FILTER_STACK_BLOCKS blocks. scipy's
+    # sosfilt wrapper (two calls per filter) leaves tens of tuples on
+    # CPython's free lists, which this count reads as growth, so the
+    # solo round constant adds one such filter call, measured here.
+    session, append, traces = _solo()
+    cfg = session.config
+    block = traces[0][:325]  # one hop block: 125 samples, 100 of context a side
+    _, filter_call = _net_containers(
+        lambda: butter_lowpass(
+            block, cfg.lowpass_cutoff_hz, RATE, cfg.lowpass_order,
+            contiguous=False,
+        )
+    )
+    credited = _check_crediting_append(
+        append, traces, ROUND_CONSTANT + max(filter_call, 0)
+    )
+    assert credited >= 1
+
+
+def _check_crediting_append(append, traces, round_constant=ROUND_CONSTANT):
+    """Append 50-sample batches until one credits after a warm-up
+    crediting append; hold that append to the per-cycle budget and
+    return how many cycles it credited."""
     batch = 50
     offsets = iter(range(0, 1200, batch))
 
@@ -88,13 +144,13 @@ def test_round_allocates_per_credited_cycle_only():
 
     # Warm up through a crediting round, so session scratch (the stride
     # fractions, the pool's buffers) already exists.
-    while not any(steps for steps, _ in pool.append(sids, batches())):
+    while not any(steps for steps, _ in append(batches())):
         pass
     # Every append until the next crediting one runs at most one round.
     credited = 0
     while credited == 0:
         ingest = batches()
-        results, grown = _net_containers(lambda: pool.append(sids, ingest))
+        results, grown = _net_containers(lambda: append(ingest))
         cycles = {
             (k, ev.cycle_id)
             for k, (steps, _) in enumerate(results)
@@ -103,11 +159,11 @@ def test_round_allocates_per_credited_cycle_only():
         budget = (
             _returned_containers(results)
             + PER_CYCLE * len(cycles)
-            + ROUND_CONSTANT
+            + round_constant
         )
         assert grown <= budget, (
             f"an append crediting {len(cycles)} cycles grew {grown} "
             f"containers (budget {budget})"
         )
         credited = len(cycles)
-    assert credited >= len(sids) // 2  # the round credited the fleet
+    return credited

@@ -21,7 +21,6 @@ from repro.core.batched import (
     batched_stage_measurements,
 )
 from repro.core.config import PTrackConfig
-from repro.core.offset import cycle_offset
 from repro.core.streaming import StreamingPTrack
 from repro.core.stride import PTrackStrideEstimator
 from repro.exceptions import SignalError
@@ -33,6 +32,7 @@ from repro.serving import (
     SessionPool,
     synthesize_workload,
 )
+from repro.core import rounds as rounds_module
 from repro.serving import pool as pool_module
 from repro.signal.batched import (
     _kept_extrema,
@@ -43,9 +43,9 @@ from repro.signal.batched import (
     stack_extrema,
 )
 from repro.signal.peaks import detect_peaks, detect_valleys
-from repro.signal.projection import anterior_direction, project_horizontal
 from repro.signal.segmentation import segment_gait_cycles
 from repro.types import GaitType, UserProfile
+from scalar_drain import scalar_measure
 from scalar_segmentation import pair_cycles_walk, window_segments
 
 RATE = 100.0
@@ -72,8 +72,11 @@ ragged_windows = st.lists(
 
 
 def _packed_extrema(windows, proms, dists, negate=False):
-    """Kept extrema of the packed windows, split into window-local lists."""
-    concat, starts, lens = pack_windows(windows, negate=negate)
+    """Kept extrema of the packed windows (of the negated windows with
+    ``negate``: their valleys), split into window-local lists."""
+    if negate:
+        windows = [-w for w in windows]
+    concat, starts, lens = pack_windows(windows)
     kept, owners = _kept_extrema(concat, starts, lens, proms, dists)
     return [kept[owners == w] - starts[w] for w in range(len(windows))]
 
@@ -228,7 +231,7 @@ def test_pack_windows_separators_and_negation():
     for s, n, w in zip(starts, lens, windows):
         np.testing.assert_array_equal(concat[s : s + n], w)
         assert concat[s + n] == np.inf
-    neg, starts2, _ = pack_windows(windows, negate=True)
+    neg, starts2, _ = pack_windows([-w for w in windows])
     np.testing.assert_array_equal(starts, starts2)
     for s, n, w in zip(starts2, lens, windows):
         np.testing.assert_array_equal(neg[s : s + n], -w)
@@ -254,20 +257,6 @@ def _solves(v_segs, a_segs, gaits, profiles, dt):
     ]
 
 
-def _scalar_stage(v_seg, h_seg, cfg):
-    """The measurement half of StreamingPTrack._measure, verbatim."""
-    anterior_ok = True
-    try:
-        direction = anterior_direction(h_seg)
-        a_seg = project_horizontal(h_seg, direction)
-    except SignalError:
-        a_seg = np.zeros_like(v_seg)
-        anterior_ok = False
-    motion_ok = float(np.std(v_seg - v_seg.mean())) >= cfg.min_vertical_std
-    offset = cycle_offset(v_seg, a_seg, cfg) if motion_ok else 0.0
-    return a_seg, anterior_ok, motion_ok, offset
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(
@@ -289,7 +278,7 @@ def test_batched_stage_measurements_matches_scalar(specs):
     got = _per_cycle(batched_stage_measurements(v_segs, h_segs, cfg))
     assert len(got) == len(specs)
     for v, h, m in zip(v_segs, h_segs, got):
-        a_ref, ant_ref, mot_ref, off_ref = _scalar_stage(v, h, cfg)
+        a_ref, ant_ref, mot_ref, off_ref = scalar_measure(v, h, cfg)
         a_seg, anterior_ok, motion_ok, offset = m
         assert anterior_ok == ant_ref
         assert motion_ok == mot_ref
@@ -307,7 +296,7 @@ def test_batched_stage_measurements_short_moving_cycle_errors_in_place():
     ok_h = np.column_stack([_walky(80, 2), _walky(80, 3)])
     got = _per_cycle(batched_stage_measurements([ok_v, v], [ok_h, h], cfg))
     assert isinstance(got[1], SignalError)
-    a_ref, ant_ref, mot_ref, off_ref = _scalar_stage(ok_v, ok_h, cfg)
+    a_ref, ant_ref, mot_ref, off_ref = scalar_measure(ok_v, ok_h, cfg)
     assert got[0][1] == ant_ref and got[0][2] == mot_ref
     assert got[0][3] == off_ref
 
@@ -569,7 +558,7 @@ def test_batched_pool_filter_stack_cap_keeps_credits(monkeypatch):
     # filtering is per column, so credits must not move.
     workloads = synthesize_workload(5, 14.0, seed=29)
     serial = _serve_serially(workloads, batch=64)
-    monkeypatch.setattr(pool_module, "FILTER_STACK_BLOCKS", 2)
+    monkeypatch.setattr(rounds_module, "FILTER_STACK_BLOCKS", 2)
     capped, _ = _serve_batched(workloads, batch=64)
     _assert_credits_identical(capped, serial)
 
@@ -617,12 +606,13 @@ def test_batched_pool_stage_histograms_count_rounds(monkeypatch):
             raise AssertionError("clock read with telemetry off")
 
     monkeypatch.setattr(pool_module, "time", _NoClock)
+    monkeypatch.setattr(rounds_module, "time", _NoClock)
     untimed, _ = _serve_batched(workloads, batch=80)
     _assert_credits_identical(timed, untimed)
     hists = reg.snapshot()["histograms"]
     rounds = hists["serving_batch_round_occupancy"]["count"]
     assert rounds > 0
-    for name in pool_module.ROUND_STAGES:
+    for name in rounds_module.ROUND_STAGES:
         stage = hists[f"serving_batch_stage_{name}_seconds"]
         assert stage["count"] == rounds
         assert stage["sum"] >= 0.0
@@ -636,13 +626,13 @@ def test_batched_pool_stage_histograms_count_rounds(monkeypatch):
 def _spy_lowpass(monkeypatch):
     """Record the shape of every low-pass call of the batched round."""
     shapes = []
-    lowpass = pool_module.butter_lowpass
+    lowpass = rounds_module.butter_lowpass
 
     def spy(block, *args, **kwargs):
         shapes.append(block.shape)
         return lowpass(block, *args, **kwargs)
 
-    monkeypatch.setattr(pool_module, "butter_lowpass", spy)
+    monkeypatch.setattr(rounds_module, "butter_lowpass", spy)
     return shapes
 
 
@@ -801,14 +791,14 @@ TAIL_SENTINEL = 77.25  # finite and under FaultPolicy's saturation rail
 def _fail_lowpass_on_sentinel(monkeypatch):
     """Make the batched round's low-pass raise on every block holding
     :data:`TAIL_SENTINEL`."""
-    lowpass = pool_module.butter_lowpass
+    lowpass = rounds_module.butter_lowpass
 
     def failing(block, *args, **kwargs):
         if (block == TAIL_SENTINEL).any():
             raise FloatingPointError("tail filter blew up")
         return lowpass(block, *args, **kwargs)
 
-    monkeypatch.setattr(pool_module, "butter_lowpass", failing)
+    monkeypatch.setattr(rounds_module, "butter_lowpass", failing)
 
 
 def test_batched_flush_isolates_failing_tail(monkeypatch):

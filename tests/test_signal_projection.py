@@ -4,39 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SignalError
-from repro.signal.projection import (
-    anterior_direction,
-    project_horizontal,
-    split_vertical_horizontal,
-)
-
-
-class TestSplit:
-    def test_columns(self):
-        acc = np.arange(12.0).reshape(4, 3)
-        vert, horiz = split_vertical_horizontal(acc)
-        assert np.array_equal(vert, acc[:, 2])
-        assert np.array_equal(horiz, acc[:, :2])
-
-    def test_copies_not_views(self):
-        acc = np.zeros((4, 3))
-        vert, horiz = split_vertical_horizontal(acc)
-        vert[0] = 9.0
-        assert acc[0, 2] == 0.0
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(SignalError):
-            split_vertical_horizontal(np.zeros((4, 2)))
-
-    def test_rejects_empty(self):
-        with pytest.raises(SignalError):
-            split_vertical_horizontal(np.zeros((0, 3)))
-
-    def test_rejects_nan(self):
-        acc = np.zeros((4, 3))
-        acc[1, 1] = np.nan
-        with pytest.raises(SignalError):
-            split_vertical_horizontal(acc)
+from repro.signal.projection import anterior_direction, project_horizontal
 
 
 class TestAnteriorDirection:

@@ -6,7 +6,6 @@ import pytest
 from repro.exceptions import ConfigurationError, SignalError
 from repro.signal.segmentation import (
     Segment,
-    segment_by_valleys,
     segment_gait_cycles,
     sliding_windows,
 )
@@ -97,19 +96,6 @@ class TestSegmentGaitCycles:
 
     def test_empty_signal(self):
         assert segment_gait_cycles(np.empty(0), 100.0) == []
-
-
-class TestSegmentByValleys:
-    def test_one_segment_per_peak(self):
-        v = _gait_like(duration=5.0)
-        from repro.signal.peaks import detect_peaks, detect_valleys
-
-        peaks = detect_peaks(v, min_prominence=1.0, min_distance=20)
-        valleys = detect_valleys(v, min_prominence=1.0, min_distance=20)
-        segs = segment_by_valleys(v, peaks, valleys)
-        assert len(segs) == len(peaks)
-        for seg in segs:
-            assert seg.start <= seg.peak_indices[0] < seg.end
 
 
 class TestSlidingWindows:
