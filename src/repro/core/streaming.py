@@ -292,6 +292,15 @@ class StreamingPTrack:
         self._machine = Fig4Streak(self._config)
         self._recent_strides: deque = deque(maxlen=32)
         self._stats = StreamingOpStats()
+        self._bind_telemetry(telemetry)
+        self._reset_positions()
+
+    def _bind_telemetry(self, telemetry: Optional[MetricsRegistry]) -> None:
+        """Publish to ``telemetry`` from here on (``None``: the process
+        gate). Work done before the bind belongs to the registry it ran
+        under, so the delta ledger restarts at the current counters:
+        a fleet rebinds a live session to each epoch's fresh registry
+        right after the epoch's snapshot has published everything."""
         self._telemetry = (
             telemetry if telemetry is not None else get_registry()
         )
@@ -305,8 +314,7 @@ class StreamingPTrack:
                 field: reg.counter(f"ptrack_{field}_total")
                 for field in StreamingOpStats().as_dict()
             }
-            self._published: Dict[str, int] = {}
-        self._reset_positions()
+            self._published: Dict[str, int] = self._stats.as_dict()
 
     def _reset_positions(self) -> None:
         """Zero all stream positions (construction and :meth:`reset`)."""
@@ -714,17 +722,26 @@ class StreamingPTrack:
                 "copy on every append; convert once upstream with "
                 "samples.astype(np.float64)"
             )
+        if self._policy is None and not np.isfinite(samples).all():
+            # A refused batch still counts as offered.
+            self._stats.samples_in += samples.shape[0]
+            self._stats.appends += 1
+            raise SignalError("samples contain non-finite values")
+        return self._accept(samples)
+
+    def _accept(self, samples: np.ndarray) -> int:
+        """Count and buffer one checked batch: the step :meth:`ingest`
+        ends in. A pool that has checked a round's strict batches
+        together hands each one straight to this step."""
         n = samples.shape[0]
         if n == 0:
             return 0
         self._stats.samples_in += n
         self._stats.appends += 1
         if self._policy is None:
-            if not np.isfinite(samples).all():
-                raise SignalError("samples contain non-finite values")
             self._write(samples)
-            return n
-        self._ingest_degraded(samples)
+        else:
+            self._ingest_degraded(samples)
         return n
 
     def take_pending_credits(

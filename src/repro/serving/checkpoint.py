@@ -2,9 +2,13 @@
 
 A rolling-restartable fleet needs somewhere to put the state that must
 outlive a worker process. :class:`CheckpointStore` is that somewhere: a
-directory of atomically written, pickled ``ptrack-session-v1`` blobs of
-``kind="checkpoint"`` — each one a shard's pool snapshot plus the
-credits already settled and the stream offset to resume from.
+directory of atomically written, pickled :data:`CHECKPOINT_SCHEMA`
+blobs of ``kind="checkpoint"`` — each one a shard's pool snapshot
+(``ptrack-session-v1``), how many steps and strides each session had
+settled, and the stream offset to resume from. The credits themselves
+stay with the fleet driver, which owns them; a checkpoint's size
+depends on its sessions and their buffers, not on how long they have
+streamed.
 
 The store is deliberately paranoid on the read side. A checkpoint is
 only useful if restoring it is *safer* than re-ingesting, so a torn or
@@ -23,7 +27,8 @@ not silently re-serve.
 :func:`make_checkpoint` / :func:`split_checkpoint` build and split the
 payloads; splitting is what lets the rebalancer halve a live shard
 without losing a credit — each half carries its sessions' pool state
-and its slice of the settled credits.
+and their credit counts, and the driver splits its credit lists at the
+same cut.
 """
 
 from __future__ import annotations
@@ -34,23 +39,31 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.streaming import SESSION_SNAPSHOT_SCHEMA, ensure_snapshot_kind
+from repro.core.streaming import ensure_snapshot_kind
 from repro.exceptions import ConfigurationError
 from repro.telemetry.registry import MetricsRegistry, get_registry
 
 __all__ = [
+    "CHECKPOINT_SCHEMA",
     "CheckpointStore",
     "make_checkpoint",
     "split_checkpoint",
     "split_pool_snapshot",
 ]
 
+#: Version tag of the checkpoint envelope. v1 checkpoints (tagged with
+#: the session schema) carried every credit settled so far; v2 carries
+#: per-session credit counts. A checkpoint never outlives the
+#: ``serve_fleet`` call that wrote it, so an older one is refused, not
+#: migrated.
+CHECKPOINT_SCHEMA = "ptrack-checkpoint-v2"
+
 
 def make_checkpoint(
     pool_snapshot: Dict[str, Any],
     next_offset: int,
-    steps: Sequence[List],
-    strides: Sequence[List],
+    step_counts: Sequence[int],
+    stride_counts: Sequence[int],
     epoch: int,
 ) -> Dict[str, Any]:
     """Assemble one shard's resumable state into a checkpoint blob.
@@ -58,18 +71,20 @@ def make_checkpoint(
     Args:
         pool_snapshot: The shard pool's ``kind="pool"`` snapshot.
         next_offset: Absolute sample offset the next epoch starts at.
-        steps: Per-session credited step events so far (shard order).
-        strides: Per-session credited stride estimates so far.
+        step_counts: Steps each session had settled (shard order); the
+            caller keeps the step events and, on restore, drops any
+            past these counts.
+        stride_counts: Strides each session had settled.
         epoch: Number of epochs already completed.
     """
     return {
-        "schema": SESSION_SNAPSHOT_SCHEMA,
+        "schema": CHECKPOINT_SCHEMA,
         "kind": "checkpoint",
         "next_offset": int(next_offset),
         "epoch": int(epoch),
         "pool": pool_snapshot,
-        "steps": [list(s) for s in steps],
-        "strides": [list(s) for s in strides],
+        "step_counts": [int(n) for n in step_counts],
+        "stride_counts": [int(n) for n in stride_counts],
     }
 
 
@@ -109,25 +124,20 @@ def split_checkpoint(
 ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Split a shard checkpoint into two resumable halves at ``mid``.
 
-    The pool snapshot, the settled credit lists, the epoch counter and
-    the resume offset all partition consistently, so serving the two
-    halves forward yields exactly the credits the unsplit shard would
-    have produced — the migration-without-credit-loss invariant the
+    The pool snapshot and the credit counts partition at ``mid``, and
+    both halves keep the epoch counter and the resume offset. With the
+    caller's credit lists split at the same cut, serving the two halves
+    forward yields exactly the credits the unsplit shard would have
+    produced — the migration-without-credit-loss invariant the
     durable-fleet tests assert.
     """
-    ensure_snapshot_kind(payload, "checkpoint")
+    ensure_snapshot_kind(payload, "checkpoint", CHECKPOINT_SCHEMA)
     left_pool, right_pool = split_pool_snapshot(payload["pool"], mid)
     left = dict(payload)
     right = dict(payload)
     left["pool"], right["pool"] = left_pool, right_pool
-    left["steps"], right["steps"] = (
-        [list(s) for s in payload["steps"][:mid]],
-        [list(s) for s in payload["steps"][mid:]],
-    )
-    left["strides"], right["strides"] = (
-        [list(s) for s in payload["strides"][:mid]],
-        [list(s) for s in payload["strides"][mid:]],
-    )
+    for key in ("step_counts", "stride_counts"):
+        left[key], right[key] = payload[key][:mid], payload[key][mid:]
     return left, right
 
 
@@ -202,7 +212,7 @@ class CheckpointStore:
 
     def save(self, name: str, payload: Dict[str, Any]) -> Path:
         """Persist one checkpoint atomically; return its path."""
-        ensure_snapshot_kind(payload, "checkpoint")
+        ensure_snapshot_kind(payload, "checkpoint", CHECKPOINT_SCHEMA)
         path = self._path(name)
         # Pickle straight into the temp file: a fleet shard's payload
         # runs to megabytes, and building it as ``bytes`` first doubles
@@ -261,7 +271,7 @@ class CheckpointStore:
         except Exception:
             self._quarantine(path)
             return None
-        ensure_snapshot_kind(payload, "checkpoint")
+        ensure_snapshot_kind(payload, "checkpoint", CHECKPOINT_SCHEMA)
         self._loads += 1
         if self._telemetry is not None:
             self._m_loads.inc()

@@ -15,10 +15,12 @@ identity against serially-driven :class:`StreamingPTrack` instances.
 Every fleet is served by one loop that runs in *epochs* of upload
 ticks. With ``checkpoint_every_s`` set, an epoch lasts that many
 stream-seconds and every shard's pool is snapshotted
-(``ptrack-session-v1``) together with the credits settled so far, in
-memory or — with ``checkpoint_dir`` — in an atomic
+(``ptrack-session-v1``) together with how many credits each session
+has settled, in memory or — with ``checkpoint_dir`` — in an atomic
 :class:`~repro.serving.checkpoint.CheckpointStore`; without it, one
-epoch covers the longest trace and no checkpoint is taken.
+epoch covers the longest trace and no checkpoint is taken. The driver
+owns the settled credits themselves. Served in-process, a shard's next
+epoch continues its live pool; a worker process resumes the snapshot.
 
 Fault tolerance is layered on three levels:
 
@@ -50,7 +52,7 @@ import math
 import os
 import signal
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -240,11 +242,16 @@ class _EpochJob:
     Attributes:
         shard: The sessions to serve.
         spec: The fleet's serving settings.
-        pool: Pool snapshot to resume from; ``None`` builds the pool
-            fresh (the shard's first epoch).
+        pool: Pool snapshot to resume from when there is no ``live``
+            pool; ``None`` builds the pool fresh (the shard's first
+            epoch).
         start: Absolute sample offset the epoch starts at.
         epoch_ticks: Upload-tick budget of the epoch.
         crash: Injected crash directive ``(mode, position)``.
+        live: The shard's pool as the previous epoch left it, to go
+            on serving (in-process only; never pickled).
+        keep_live: Return the pool with the result for the next
+            epoch to continue (in-process only).
     """
 
     shard: _ShardData
@@ -253,19 +260,22 @@ class _EpochJob:
     start: int
     epoch_ticks: int
     crash: Optional[Tuple[str, float]]
+    live: Optional[SessionPool] = None
+    keep_live: bool = False
 
 
 def _serve_shard_epoch(job: _EpochJob) -> Dict[str, Any]:
     """Serve one shard for one epoch (the worker entry point).
 
-    Module-level so it pickles for the process map. Resumes the shard's
-    pool from its snapshot (or builds it fresh on the first epoch),
-    serves at most ``epoch_ticks`` upload ticks, and returns the new
-    pool snapshot plus the credits settled *this epoch* — the driver
-    owns accumulation, so a crashed attempt's partial work is simply
-    never returned and the replay after restore cannot double-count.
-    On the final epoch (the shard's traces are exhausted) the pool is
-    flushed and per-session health travels home instead of a snapshot.
+    Module-level so it pickles for the process map. Continues the
+    shard's live pool in-process, or resumes it from its snapshot (or
+    builds it fresh on the first epoch), serves at most
+    ``epoch_ticks`` upload ticks, and returns the new pool snapshot
+    plus the credits settled *this epoch* — the driver owns
+    accumulation, so a crashed attempt's partial work is simply never
+    returned and the replay after restore cannot double-count. On the
+    final epoch (the shard's traces are exhausted) the pool is flushed
+    and per-session health travels home instead of a snapshot.
 
     Per-session failures are contained by the pool and surface as
     ``status="failed"`` health; only shard-level disasters (worker
@@ -277,7 +287,13 @@ def _serve_shard_epoch(job: _EpochJob) -> Dict[str, Any]:
     shard, spec = job.shard, job.spec
     t0 = time.perf_counter()
     registry = MetricsRegistry() if spec.telemetry else None
-    if job.pool is None:
+    if job.live is not None:
+        # The epoch reports only its own work, as a pool rebuilt under
+        # this registry would.
+        pool = job.live
+        pool._bind_telemetry(registry)
+        sids = pool.session_ids
+    elif job.pool is None:
         pool = SessionPool(
             spec.sample_rate_hz,
             config=spec.config,
@@ -365,6 +381,7 @@ def _serve_shard_epoch(job: _EpochJob) -> Dict[str, Any]:
         "done": done,
         "next_offset": end,
         "pool": blob,
+        "live": pool if job.keep_live and not done else None,
         "steps": steps,
         "strides": strides,
         "health": health,
@@ -539,11 +556,35 @@ class _FleetShard:
     #: :class:`~repro.faults.ShardCrash` directives, since bisection is
     #: the fallback that must terminate.
     bisected: bool = False
+    #: Credits settled so far, per session in shard order: extended in
+    #: place every epoch, cut back to the checkpoint's counts on a
+    #: restore. One empty list per session by default.
+    steps: List[List[StepEvent]] = field(default_factory=list)
+    strides: List[List[StrideEstimate]] = field(default_factory=list)
+    #: The pool a completed in-process epoch left, which the next epoch
+    #: continues instead of rebuilding it from the checkpoint.
+    pool: Optional[SessionPool] = None
+
+    def __post_init__(self) -> None:
+        if not self.steps:
+            self.clear_credits()
 
     @property
     def name(self) -> str:
         """Stable checkpoint key."""
         return f"shard-{self.sid}"
+
+    def clear_credits(self) -> None:
+        """Start the credit lists over (serving from the trace)."""
+        self.steps = [[] for _ in self.shard.indices]
+        self.strides = [[] for _ in self.shard.indices]
+
+    def truncate_credits(self, checkpoint: Dict[str, Any]) -> None:
+        """Drop the credits settled after ``checkpoint``."""
+        for acc, n in zip(self.steps, checkpoint["step_counts"]):
+            del acc[n:]
+        for acc, n in zip(self.strides, checkpoint["stride_counts"]):
+            del acc[n:]
 
 
 def _serve_fleet(
@@ -618,6 +659,8 @@ def _serve_fleet(
                     start=st.ckpt["next_offset"] if st.ckpt is not None else 0,
                     epoch_ticks=epoch_ticks,
                     crash=crash,
+                    live=st.pool,
+                    keep_live=n_workers == 1,
                 )
             )
         with trace_span("serve_fleet.epoch"):
@@ -643,22 +686,16 @@ def _serve_fleet(
                 )
 
         survivors: List[_FleetShard] = []
-        served: List[Tuple[_FleetShard, Dict[str, Any], list, list]] = []
+        served: List[Tuple[_FleetShard, Dict[str, Any]]] = []
         fed: Set[str] = set()
         for st, outcome in zip(active, outcomes):
             if outcome.ok:
                 res = outcome.value
-                prev = st.ckpt
-                acc_steps = [
-                    (list(prev["steps"][k]) if prev is not None else [])
-                    + res["steps"][k]
-                    for k in range(len(st.shard.indices))
-                ]
-                acc_strides = [
-                    (list(prev["strides"][k]) if prev is not None else [])
-                    + res["strides"][k]
-                    for k in range(len(st.shard.indices))
-                ]
+                for acc, new in zip(st.steps, res["steps"]):
+                    acc.extend(new)
+                for acc, new in zip(st.strides, res["strides"]):
+                    acc.extend(new)
+                st.pool = res["live"]
                 st.epoch += 1
                 st.attempt = 0
                 if res["telemetry"] is not None:
@@ -675,8 +712,8 @@ def _serve_fleet(
                         ][k]
                         results[index] = SessionReport(
                             session_index=index,
-                            steps=tuple(acc_steps[k]),
-                            strides=tuple(acc_strides[k]),
+                            steps=tuple(st.steps[k]),
+                            strides=tuple(st.strides[k]),
                             status=status,
                             error=error,
                             samples_repaired=repaired,
@@ -687,12 +724,14 @@ def _serve_fleet(
                         store.delete(st.name)
                 else:
                     survivors.append(st)
-                    served.append((st, res, acc_steps, acc_strides))
+                    served.append((st, res))
                 continue
 
             # Shard-level death: restore from the last checkpoint and
             # replay the lost epoch, or re-serve from the trace when
-            # there is none.
+            # there is none. The live pool went part-way into the lost
+            # epoch, so it goes.
+            st.pool = None
             st.crashes += 1
             st.attempt += 1
             if st.attempt >= _MAX_SHARD_ATTEMPTS:
@@ -730,8 +769,10 @@ def _serve_fleet(
                     st.restarts += 1
                 st.epoch = st.ckpt["epoch"] if st.ckpt is not None else 0
             if st.ckpt is None:
+                st.clear_credits()
                 retries += 1
             else:
+                st.truncate_credits(st.ckpt)
                 if profile_ctx is not None:
                     # Fail loud before resuming over profiles an
                     # external writer advanced mid-run.
@@ -745,12 +786,12 @@ def _serve_fleet(
         if fed:
             profile_ctx.write_back(fed)
         epoch_stats: List[ShardEpochStats] = []
-        for st, res, acc_steps, acc_strides in served:
+        for st, res in served:
             st.ckpt = make_checkpoint(
                 res["pool"],
                 res["next_offset"],
-                acc_steps,
-                acc_strides,
+                [len(acc) for acc in st.steps],
+                [len(acc) for acc in st.strides],
                 st.epoch,
             )
             if profile_ctx is not None:
@@ -771,20 +812,21 @@ def _serve_fleet(
             )
 
         # Live rebalancing: split overloaded shards between epochs by
-        # splitting their checkpoints (pool snapshot + settled credits),
-        # so the migrated sessions resume bit-identically on the new
-        # shard and no credit is lost or duplicated.
+        # splitting their checkpoints (pool snapshot + credit counts)
+        # and their credit lists at the same cut, so the migrated
+        # sessions resume bit-identically on the new shard from the
+        # checkpoint and no credit is lost or duplicated.
         if rebalance is not None and epoch_stats:
             by_sid = {st.sid: st for st in survivors}
             for sid in rebalance.plan(epoch_stats):
                 st = by_sid.get(sid)
                 if st is None or st.ckpt is None or len(st.shard.indices) < 2:
                     continue
-                left_ck, right_ck = split_checkpoint(
-                    st.ckpt, len(st.shard.indices) // 2
-                )
+                mid = len(st.shard.indices) // 2
+                left_ck, right_ck = split_checkpoint(st.ckpt, mid)
                 st.shard, right_shard = st.shard.halves()
                 st.ckpt = left_ck
+                st.pool = None
                 right = _FleetShard(
                     sid=next_sid,
                     shard=right_shard,
@@ -793,7 +835,10 @@ def _serve_fleet(
                     crashes=st.crashes,
                     obs_fed=st.obs_fed,
                     bisected=st.bisected,
+                    steps=st.steps[mid:],
+                    strides=st.strides[mid:],
                 )
+                st.steps, st.strides = st.steps[:mid], st.strides[:mid]
                 next_sid += 1
                 if store is not None:
                     store.save(st.name, left_ck)
@@ -905,13 +950,13 @@ def serve_fleet(
             the shard layout).
         checkpoint_every_s: Enable *durable mode*: serve in epochs of
             this many stream-seconds (finite, > 0), snapshotting every
-            shard's pool (``ptrack-session-v1``) plus its settled
-            credits after each epoch. A shard lost mid-epoch restores
-            from its last checkpoint and replays only the lost epoch
-            instead of re-ingesting. ``None`` (default) serves one
-            epoch covering the longest trace, so a lost shard re-serves
-            from the trace. Either way a shard that keeps failing is
-            bisected.
+            shard's pool (``ptrack-session-v1``) plus its sessions'
+            settled credit counts after each epoch. A shard lost
+            mid-epoch restores from its last checkpoint and replays
+            only the lost epoch instead of re-ingesting. ``None``
+            (default) serves one epoch covering the longest trace, so
+            a lost shard re-serves from the trace. Either way a shard
+            that keeps failing is bisected.
         checkpoint_dir: Persist checkpoints to this directory through
             an atomic :class:`~repro.serving.checkpoint.CheckpointStore`
             (created if missing). The disk copy is authoritative on

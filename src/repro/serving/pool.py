@@ -164,6 +164,14 @@ class SessionPool:
         self._profiles: Dict[int, Dict[str, Any]] = {}
         self._next_id = 0
         self._buffers = FleetBatchBuffer()
+        self._bind_telemetry(telemetry)
+
+    def _bind_telemetry(self, telemetry: Optional[MetricsRegistry]) -> None:
+        """Point the pool and every session at ``telemetry`` (``None``:
+        the process gate), which from here on sees only their new work
+        (see :meth:`StreamingPTrack._bind_telemetry`). A fleet serving
+        in-process rebinds its live shard pool to each epoch's fresh
+        registry, as a pool rebuilt from the epoch's snapshot would be."""
         self._telemetry = (
             telemetry if telemetry is not None else get_registry()
         )
@@ -178,6 +186,7 @@ class SessionPool:
             self._m_failed = reg.counter("serving_sessions_failed_total")
             self._m_revived = reg.counter("serving_sessions_revived_total")
             self._m_live = reg.gauge("serving_pool_sessions")
+            self._m_live.set(len(self._sessions))
             self._m_occupancy = reg.histogram(
                 "serving_batch_round_occupancy", buckets=OCCUPANCY_BUCKETS
             )
@@ -185,6 +194,8 @@ class SessionPool:
                 reg.histogram(f"serving_batch_stage_{name}_seconds")
                 for name in ROUND_STAGES
             ]
+        for sess in self._sessions.values():
+            sess._bind_telemetry(self._telemetry)
 
     # ------------------------------------------------------------------
     # Session management
@@ -719,22 +730,29 @@ class SessionPool:
         self._validate_append(session_ids, batches)
         sessions = [self._sessions[sid] for sid in session_ids]
         out: List[Credits] = [NO_CREDITS] * len(sessions)
-        active: List[int] = []
         errors = self._errors
-        for k in range(len(sessions)):
-            sid = session_ids[k]
-            if sid in errors:
-                continue
-            sess = sessions[k]
-            try:
-                sess.ingest(batches[k])
-                parked = sess.take_pending_credits()
-            except Exception as exc:  # noqa: BLE001 — isolation boundary
-                self._mark_failed(sid, exc)
-                continue
-            if parked is not None:
-                out[k] = parked
-            active.append(k)
+        active = [
+            k for k in range(len(sessions)) if session_ids[k] not in errors
+        ]
+        if self._fault_policy is None and _strict_batches_ok(batches, active):
+            # One finiteness check cleared every batch, and a strict
+            # ingest parks no credits: each session only buffers.
+            for k in active:
+                sessions[k]._accept(batches[k])
+        else:
+            ingested: List[int] = []
+            for k in active:
+                sess = sessions[k]
+                try:
+                    sess.ingest(batches[k])
+                    parked = sess.take_pending_credits()
+                except Exception as exc:  # noqa: BLE001 — isolation boundary
+                    self._mark_failed(session_ids[k], exc)
+                    continue
+                if parked is not None:
+                    out[k] = parked
+                ingested.append(k)
+            active = ingested
         drain_rounds(
             sessions, active, out, self._fail_at(session_ids),
             self._m_occupancy, self._m_stages, self._buffers,
@@ -867,6 +885,24 @@ class SessionPool:
                 "call; a session takes at most one batch per call — "
                 "concatenate the batches upstream or split the call"
             )
+
+
+def _strict_batches_ok(
+    batches: Sequence[np.ndarray], positions: Sequence[int]
+) -> bool:
+    """Whether every batch at ``positions`` would pass a strict
+    :meth:`StreamingPTrack.ingest`: a float64 ``(n, 3)`` array, all of
+    it finite. The finiteness check runs once over all the batches."""
+    picked = [batches[k] for k in positions]
+    for b in picked:
+        if not (
+            isinstance(b, np.ndarray)
+            and b.ndim == 2
+            and b.shape[1] == 3
+            and b.dtype == np.float64
+        ):
+            return False
+    return not picked or bool(np.isfinite(np.concatenate(picked)).all())
 
 
 #: The pool's former name, kept for callers that still import it.

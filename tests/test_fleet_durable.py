@@ -9,12 +9,14 @@ trace through its own StreamingPTrack. Crashes may cost wall-clock;
 they may never cost (or duplicate) a credit.
 """
 
+import dataclasses
 import multiprocessing
 import pickle
+from collections import deque
 
 import pytest
 
-from repro.core.streaming import StreamingPTrack
+from repro.core.streaming import SESSION_SNAPSHOT_SCHEMA, StreamingPTrack
 from repro.exceptions import ConfigurationError
 from repro.faults import ShardCrash, TornCheckpoint, plan_shard_crash
 from repro.serving import (
@@ -28,7 +30,9 @@ from repro.serving import (
     split_pool_snapshot,
     synthesize_workload,
 )
+from repro.serving import fleet as fleet_mod
 from repro.telemetry import MetricsRegistry
+from repro.types import StepEvent, StrideEstimate
 
 RATE = 100.0
 BATCH = 50
@@ -149,6 +153,236 @@ class TestRollingRestart:
             checkpoint_every_s=5.0,
         )
         assert report.checkpoint_restores == 0
+        assert _credits(report) == serial_credits
+
+
+@pytest.fixture
+def rebuilds(monkeypatch):
+    """Count sessions and pools built from a snapshot."""
+    calls = {"session": 0, "pool": 0}
+    real_session = StreamingPTrack.from_snapshot.__func__
+    real_pool = SessionPool.from_snapshot.__func__
+
+    def session(cls, snapshot, telemetry=None):
+        calls["session"] += 1
+        return real_session(cls, snapshot, telemetry=telemetry)
+
+    def pool(cls, snapshot, telemetry=None):
+        calls["pool"] += 1
+        return real_pool(cls, snapshot, telemetry=telemetry)
+
+    monkeypatch.setattr(StreamingPTrack, "from_snapshot", classmethod(session))
+    monkeypatch.setattr(SessionPool, "from_snapshot", classmethod(pool))
+    return calls
+
+
+@pytest.fixture
+def saves(monkeypatch):
+    """Every checkpoint the fleet saves, by name, pickled as saved."""
+    saved = {}
+    real_save = CheckpointStore.save
+
+    def save(store, name, payload):
+        saved.setdefault(name, []).append(pickle.dumps(payload))
+        return real_save(store, name, payload)
+
+    monkeypatch.setattr(CheckpointStore, "save", save)
+    return saved
+
+
+class TestLivePool:
+    def test_clean_in_process_run_rebuilds_nothing(
+        self, rebuilds, serial_credits
+    ):
+        # 20 s traces in 2 s epochs: ten epochs per shard, and each
+        # one continues the pool the previous epoch left.
+        report = serve_fleet(
+            _TRACES,
+            RATE,
+            profiles=_PROFILES,
+            workers=1,
+            batch_samples=BATCH,
+            sessions_per_shard=3,
+            checkpoint_every_s=2.0,
+        )
+        assert _credits(report) == serial_credits
+        assert rebuilds == {"session": 0, "pool": 0}
+
+    def test_raised_crash_resumes_from_the_checkpoint(
+        self, rebuilds, serial_credits
+    ):
+        # The crash raises part-way into an epoch, after the live pool
+        # took some of its batches: only the checkpoint may resume.
+        report = serve_fleet(
+            _TRACES,
+            RATE,
+            profiles=_PROFILES,
+            workers=1,
+            batch_samples=BATCH,
+            sessions_per_shard=3,
+            checkpoint_every_s=2.0,
+            shard_faults=[ShardCrash(prob=0.3, mode="raise")],
+            fault_seed=5,
+        )
+        assert report.checkpoint_restores >= 1
+        assert rebuilds["pool"] >= 1
+        assert rebuilds["session"] >= 3
+        assert _credits(report) == serial_credits
+
+    def test_split_halves_resume_from_their_checkpoints(
+        self, tmp_path, rebuilds, saves, serial_credits
+    ):
+        # A split drops the live pool: each half goes on from its half
+        # of the checkpoint, then keeps its own live pool.
+        planned = []
+
+        class SplitOnce(RebalancePolicy):
+            def plan(self, stats):
+                planned.append(len(stats))
+                return [0] if len(planned) == 2 else []
+
+        report = serve_fleet(
+            _TRACES,
+            RATE,
+            profiles=_PROFILES,
+            workers=1,
+            batch_samples=BATCH,
+            sessions_per_shard=6,
+            checkpoint_every_s=2.0,
+            checkpoint_dir=tmp_path,
+            rebalance=SplitOnce(),
+        )
+        assert report.rebalances == 1
+        assert report.checkpoint_restores == 0
+        assert rebuilds == {"session": 6, "pool": 2}
+        for blobs in saves.values():
+            for blob in blobs:
+                ckpt = pickle.loads(blob)
+                assert len(ckpt["pool"]["sessions"]) == len(
+                    ckpt["step_counts"]
+                )
+        assert _credits(report) == serial_credits
+
+
+def _walk(value):
+    """Every value nested in dicts, lists, tuples and deques."""
+    yield value
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _walk(item)
+    elif isinstance(value, (list, tuple, deque)):
+        for item in value:
+            yield from _walk(item)
+
+
+class TestCheckpointHoldsCounts:
+    def test_checkpoint_size_does_not_grow_with_credits(
+        self, tmp_path, saves, serial_credits
+    ):
+        report = serve_fleet(
+            _TRACES,
+            RATE,
+            profiles=_PROFILES,
+            workers=1,
+            batch_samples=BATCH,
+            sessions_per_shard=3,
+            checkpoint_every_s=2.0,
+            checkpoint_dir=tmp_path,
+        )
+        assert _credits(report) == serial_credits
+        blobs = saves["shard-0"]
+        assert len(blobs) >= 6
+        first, last = pickle.loads(blobs[0]), pickle.loads(blobs[-1])
+        assert not any(
+            isinstance(v, (StepEvent, StrideEstimate)) for v in _walk(last)
+        )
+        assert sum(last["step_counts"]) > sum(first["step_counts"]) + 50
+        assert sum(last["stride_counts"]) > sum(first["stride_counts"]) + 20
+
+        # Beyond its pool snapshot, a checkpoint is a small header of
+        # a few counts that stays put while the credits pile up.
+        def header(blob):
+            return len(blob) - len(pickle.dumps(pickle.loads(blob)["pool"]))
+
+        settled = pickle.dumps(
+            [(s.steps, s.strides) for s in report.sessions[:3]]
+        )
+        assert all(header(blob) < 256 for blob in blobs)
+        assert abs(header(blobs[-1]) - header(blobs[0])) <= 8
+        assert len(settled) > 20 * 256
+
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+    def test_crash_in_the_last_epoch_restores_serial_credits(
+        self, tmp_path, monkeypatch, on_disk, serial_credits
+    ):
+        # Each shard's final epoch raises half-way through once: the
+        # driver must drop the live pool and the lost epoch's credits,
+        # and resume from the checkpoint's counts.
+        real = fleet_mod._serve_shard_epoch
+        crashed = set()
+
+        def crash_last_epoch(job):
+            longest = max(t.shape[0] for t in job.shard.traces)
+            last = job.start + job.epoch_ticks * BATCH >= longest
+            key = tuple(job.shard.indices)
+            if last and job.start > 0 and key not in crashed:
+                crashed.add(key)
+                job = dataclasses.replace(job, crash=("raise", 0.5))
+            return real(job)
+
+        monkeypatch.setattr(fleet_mod, "_serve_shard_epoch", crash_last_epoch)
+        report = serve_fleet(
+            _TRACES,
+            RATE,
+            profiles=_PROFILES,
+            workers=1,
+            batch_samples=BATCH,
+            sessions_per_shard=3,
+            checkpoint_every_s=2.0,
+            checkpoint_dir=tmp_path if on_disk else None,
+        )
+        assert len(crashed) == 2
+        assert report.checkpoint_restores == 2
+        assert report.shard_retries == 0
+        assert _credits(report) == serial_credits
+
+
+    def test_restore_cuts_credits_back_to_the_disk_checkpoint(
+        self, tmp_path, monkeypatch, serial_credits
+    ):
+        # The disk is authoritative: when it holds an older checkpoint
+        # than the driver last wrote (here, one write lost), a restore
+        # drops the credits settled after it and replays from there.
+        real_save = CheckpointStore.save
+        real_serve = fleet_mod._serve_shard_epoch
+        lost = int(6.0 * RATE)  # the shard-0 checkpoint at 6 s
+        crashed = []
+
+        def save(store, name, payload):
+            if name == "shard-0" and payload["next_offset"] == lost:
+                return store.directory / f"{name}.ckpt"
+            return real_save(store, name, payload)
+
+        def serve(job):
+            if job.shard.indices[0] == 0 and job.start == lost and not crashed:
+                crashed.append(job.start)
+                job = dataclasses.replace(job, crash=("raise", 0.5))
+            return real_serve(job)
+
+        monkeypatch.setattr(CheckpointStore, "save", save)
+        monkeypatch.setattr(fleet_mod, "_serve_shard_epoch", serve)
+        report = serve_fleet(
+            _TRACES,
+            RATE,
+            profiles=_PROFILES,
+            workers=1,
+            batch_samples=BATCH,
+            sessions_per_shard=3,
+            checkpoint_every_s=2.0,
+            checkpoint_dir=tmp_path,
+        )
+        assert crashed == [lost]
+        assert report.checkpoint_restores == 1
         assert _credits(report) == serial_credits
 
 
@@ -283,7 +517,7 @@ class TestCheckpointStore:
         sids = pool.add_sessions(_PROFILES[:n_sessions])
         pool.append(sids, [t[:BATCH] for t in _TRACES[:n_sessions]])
         return make_checkpoint(
-            pool.snapshot(), BATCH, [[] for _ in sids], [[] for _ in sids], 1
+            pool.snapshot(), BATCH, [0 for _ in sids], [0 for _ in sids], 1
         )
 
     def test_save_load_roundtrip(self, tmp_path):
@@ -366,6 +600,21 @@ class TestCheckpointStore:
         with pytest.raises(ConfigurationError, match="v999"):
             store.load("shard-0")
 
+    def test_credit_carrying_v1_blob_raises(self, tmp_path):
+        # The checkpoint layout that held every credit settled so far
+        # (under the session schema) is refused, not read as counts.
+        store = CheckpointStore(tmp_path)
+        payload = dict(self._payload(), schema=SESSION_SNAPSHOT_SCHEMA)
+        del payload["step_counts"], payload["stride_counts"]
+        payload["steps"] = [[], []]
+        payload["strides"] = [[], []]
+        (tmp_path / "shard-0.ckpt").write_bytes(pickle.dumps(payload))
+        with pytest.raises(ConfigurationError, match="ptrack-checkpoint-v2"):
+            store.load("shard-0")
+        assert (tmp_path / "shard-0.ckpt").exists()
+        with pytest.raises(ConfigurationError):
+            split_checkpoint(payload, 1)
+
     def test_wrong_kind_blob_raises(self, tmp_path):
         store = CheckpointStore(tmp_path)
         pool = SessionPool(RATE)
@@ -381,15 +630,16 @@ class TestCheckpointSplit:
     def test_split_partitions_sessions_and_credits(self):
         pool = SessionPool(RATE)
         sids = pool.add_sessions(_PROFILES[:4])
-        steps = [[("s", i)] for i in range(4)]
-        strides = [[("r", i)] for i in range(4)]
+        steps = [10, 11, 12, 13]
+        strides = [5, 6, 7, 8]
         ckpt = make_checkpoint(pool.snapshot(), 100, steps, strides, 2)
         left, right = split_checkpoint(ckpt, 1)
         assert sorted(left["pool"]["sessions"]) == sids[:1]
         assert sorted(right["pool"]["sessions"]) == sids[1:]
-        assert left["steps"] == steps[:1] and right["steps"] == steps[1:]
-        assert left["strides"] == strides[:1]
-        assert right["strides"] == strides[1:]
+        assert left["step_counts"] == steps[:1]
+        assert right["step_counts"] == steps[1:]
+        assert left["stride_counts"] == strides[:1]
+        assert right["stride_counts"] == strides[1:]
         assert left["epoch"] == right["epoch"] == 2
         assert left["next_offset"] == right["next_offset"] == 100
 
@@ -437,7 +687,7 @@ class TestCheckpointSplit:
     def test_split_rejects_empty_half(self):
         pool = SessionPool(RATE)
         pool.add_sessions(_PROFILES[:2])
-        ckpt = make_checkpoint(pool.snapshot(), 0, [[], []], [[], []], 0)
+        ckpt = make_checkpoint(pool.snapshot(), 0, [0, 0], [0, 0], 0)
         for mid in (0, 2):
             with pytest.raises(ConfigurationError, match="non-empty"):
                 split_checkpoint(ckpt, mid)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.streaming import StreamingPTrack
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SignalError
 from repro.faults import FaultPolicy, Outage, SampleDropout, inject_faults
 from repro.serving import SessionPool, serve_fleet, synthesize_workload
 from repro.serving import fleet as fleet_mod
@@ -111,6 +111,109 @@ class TestPoolIsolation:
             pool.append([sid], [traces[0][off : off + 50]])
         pool.flush([sid])
         assert pool.step_count(sid) > 0
+
+
+def _credit_rows(credits):
+    steps, strides = credits
+    return (
+        [(e.index, e.time) for e in steps],
+        [(e.time, e.length_m) for e in strides],
+    )
+
+
+class TestStrictAppendCheck:
+    """A strict pool checks a round's batches for finiteness together,
+    and falls back to per-session ingest when any batch fails."""
+
+    N = 64
+    BAD_AT = 300  # sample offset of the poisoned upload
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        return _workload(self.N, duration_s=8.0, seed=23)
+
+    @pytest.fixture(scope="class")
+    def solo_credits(self, fleet):
+        traces, profiles = fleet
+        rows = []
+        for trace, profile in zip(traces, profiles):
+            session = StreamingPTrack(100.0, profile=profile)
+            steps, strides = [], []
+            for off in range(0, trace.shape[0], 50):
+                new_steps, new_strides = session.append(trace[off : off + 50])
+                steps.extend(new_steps)
+                strides.extend(new_strides)
+            new_steps, new_strides = session.flush()
+            steps.extend(new_steps)
+            strides.extend(new_strides)
+            rows.append(_credit_rows((steps, strides)))
+        return rows
+
+    def _serve(self, fleet, bad, victim=17, **pool_kwargs):
+        traces, profiles = fleet
+        pool = SessionPool(100.0, **pool_kwargs)
+        sids = pool.add_sessions(profiles)
+        acc = [([], []) for _ in sids]
+        for off in range(0, max(t.shape[0] for t in traces), 50):
+            batches = [t[off : off + 50] for t in traces]
+            if off == self.BAD_AT:
+                batches[victim] = bad
+            out = pool.append(sids, batches)
+            for (steps, strides), (new_steps, new_strides) in zip(acc, out):
+                steps.extend(new_steps)
+                strides.extend(new_strides)
+        for (steps, strides), (new_steps, new_strides) in zip(
+            acc, pool.flush(sids)
+        ):
+            steps.extend(new_steps)
+            strides.extend(new_strides)
+        return pool, sids, [_credit_rows(c) for c in acc]
+
+    def test_clean_rounds_skip_per_session_ingest(self, fleet, monkeypatch):
+        calls = []
+        real = StreamingPTrack.ingest
+
+        def ingest(session, samples):
+            calls.append(samples.shape[0])
+            return real(session, samples)
+
+        monkeypatch.setattr(StreamingPTrack, "ingest", ingest)
+        bad = fleet[0][5][self.BAD_AT : self.BAD_AT + 50].copy()
+        bad[7, 1] = np.nan
+        pool, sids, _ = self._serve(fleet, bad, victim=5)
+        # Only the round holding the NaN batch ingests session by
+        # session; after it the failed session sits out the check.
+        assert calls == [50] * self.N
+        assert pool.failed_sessions.keys() == {sids[5]}
+        assert pool.session(sids[0]).op_stats.appends == -(
+            -fleet[0][0].shape[0] // 50
+        )
+
+    def test_one_nan_batch_fails_only_its_session(self, fleet, solo_credits):
+        bad = fleet[0][17][self.BAD_AT : self.BAD_AT + 50].copy()
+        bad[3, 2] = np.nan
+        pool, sids, rows = self._serve(fleet, bad)
+        assert pool.failed_sessions == {
+            sids[17]: "SignalError: samples contain non-finite values"
+        }
+        mates = [k for k in range(self.N) if k != 17]
+        assert [rows[k] for k in mates] == [solo_credits[k] for k in mates]
+
+    def test_nan_batch_raises_without_isolation(self, fleet):
+        bad = np.full((50, 3), np.inf)
+        with pytest.raises(SignalError, match="non-finite"):
+            self._serve(fleet, bad, isolate_failures=False)
+
+    def test_float32_batch_keeps_its_message(self, fleet, solo_credits):
+        bad = fleet[0][17][self.BAD_AT : self.BAD_AT + 50].astype(np.float32)
+        pool, sids, rows = self._serve(fleet, bad)
+        error = pool.failed_sessions[sids[17]]
+        assert error.startswith(
+            "SignalError: samples dtype float32 forces a silent conversion"
+        )
+        assert list(pool.failed_sessions) == [sids[17]]
+        mates = [k for k in range(self.N) if k != 17]
+        assert [rows[k] for k in mates] == [solo_credits[k] for k in mates]
 
 
 class TestEagerValidation:

@@ -17,7 +17,8 @@ from repro.eval.reporting import fleet_health_table
 from repro.exceptions import ConfigurationError
 from repro.runtime.cache import TraceCache
 from repro.runtime.parallel import parallel_map, parallel_map_outcomes
-from repro.serving import BatchedSessionPool, IngestGateway
+from repro.serving import BatchedSessionPool, IngestGateway, RebalancePolicy
+from repro.serving import fleet as fleet_mod
 from repro.serving.fleet import serve_fleet
 from repro.serving.pool import ROUND_STAGES, SessionPool
 from repro.serving.workload import synthesize_workload
@@ -543,6 +544,67 @@ class TestFleetTelemetry:
                 dist, rel=1e-12
             )
             assert counters == base
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_epochs_leave_the_fleet_totals_alone(
+        self, fleet, workers, monkeypatch
+    ):
+        # Each epoch reports its own work only, whether its shard pool
+        # lives on in-process or is rebuilt from the snapshot in a
+        # worker: counters and histogram counts add up to what one
+        # epoch covering the whole stream reports.
+        traces, profiles = fleet
+        epoch_counts = []
+        real = fleet_mod._serve_shard_epoch
+
+        def recording(job):
+            res = real(job)
+            epoch_counts.append(res["round_seconds_count"])
+            return res
+
+        if workers == 1:
+            monkeypatch.setattr(fleet_mod, "_serve_shard_epoch", recording)
+        kwargs = dict(
+            profiles=profiles,
+            sessions_per_shard=2,
+            workers=workers,
+            telemetry=True,
+        )
+        whole = serve_fleet(traces, RATE_HZ, **kwargs).telemetry
+        epoch_counts.clear()
+        stats = []
+
+        class Recording(RebalancePolicy):
+            def plan(self, epoch_stats):
+                stats.extend(epoch_stats)
+                return []
+
+        durable = serve_fleet(
+            traces,
+            RATE_HZ,
+            checkpoint_every_s=1.5,
+            rebalance=Recording(),
+            **kwargs,
+        ).telemetry
+
+        def totals(snap):
+            counters = dict(snap["counters"])
+            distance = counters.pop("ptrack_distance_m_total")
+            hists = {
+                name: h["count"] for name, h in snap["histograms"].items()
+            }
+            occupancy = snap["histograms"]["serving_batch_round_occupancy"]
+            return distance, (counters, hists, occupancy, snap["gauges"])
+
+        distance, rest = totals(durable)
+        assert rest == totals(whole)[1]
+        assert distance == pytest.approx(totals(whole)[0], rel=1e-12)
+        rounds = durable["histograms"]["serving_pool_round_seconds"]["count"]
+        # 1.5 s epochs of 0.5 s uploads: three rounds per shard epoch.
+        assert stats and all(0 < s.round_seconds_count <= 3 for s in stats)
+        if workers == 1:
+            assert len(epoch_counts) > len(stats)
+            assert sum(epoch_counts) == rounds
 
     def test_empty_fleet_yields_empty_snapshot(self):
         report = serve_fleet([], RATE_HZ, telemetry=True)
