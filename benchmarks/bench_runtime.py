@@ -21,17 +21,15 @@ from __future__ import annotations
 
 import functools
 import platform
+import sys
 import time
+from pathlib import Path
 from typing import Any, Callable, Dict, List
 
 import numpy as np
 
 from repro.core.config import PTrackConfig
-from repro.core.offset import (
-    _offset_from_points_scalar,
-    critical_points_for_offset,
-    offset_from_points,
-)
+from repro.core.offset import critical_points_for_offset, offset_from_points
 from repro.core.step_counter import PTrackStepCounter
 from repro.eval.harness import repeat
 from repro.eval.metrics import count_accuracy
@@ -44,9 +42,16 @@ from repro.runtime import (
     simulate_walk_cached,
 )
 from repro.signal.correlation import _best_lag_scalar, best_lag
-from repro.signal.critical_points import _zero_crossings_scalar, zero_crossings
+from repro.signal.critical_points import zero_crossings
 from repro.simulation.profiles import sample_users
 from repro.simulation.walker import simulate_walk
+
+# The scalar baselines are the references the tests hold the kernels to.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from scalar_references import (  # noqa: E402
+    offset_from_points_scalar,
+    zero_crossings_scalar,
+)
 
 BENCH_SCHEMA = "ptrack-bench-v1"
 
@@ -70,10 +75,10 @@ def bench_zero_crossings(n: int = 200_000, repeats: int = 3) -> Dict[str, Any]:
     signal = np.cumsum(rng.normal(0.0, 1.0, n))
     signal -= signal.mean()
     hysteresis = 0.5 * float(np.std(signal))
-    assert zero_crossings(signal, hysteresis) == _zero_crossings_scalar(
+    assert zero_crossings(signal, hysteresis) == zero_crossings_scalar(
         signal, hysteresis
     )
-    scalar_s = _time(lambda: _zero_crossings_scalar(signal, hysteresis), repeats)
+    scalar_s = _time(lambda: zero_crossings_scalar(signal, hysteresis), repeats)
     vector_s = _time(lambda: zero_crossings(signal, hysteresis), repeats)
     return {
         "n_samples": n,
@@ -113,14 +118,14 @@ def bench_offset_matching(
             point_sets.append((v_pts, a_pts))
     for v_pts, a_pts in point_sets:
         fast = offset_from_points(v_pts, a_pts, cycle_len, cfg)
-        slow = _offset_from_points_scalar(v_pts, a_pts, cycle_len, cfg)
+        slow = offset_from_points_scalar(v_pts, a_pts, cycle_len, cfg)
         assert abs(fast - slow) <= 1e-12
 
     def run(fn: Callable) -> None:
         for v_pts, a_pts in point_sets:
             fn(v_pts, a_pts, cycle_len, cfg)
 
-    scalar_s = _time(lambda: run(_offset_from_points_scalar), repeats)
+    scalar_s = _time(lambda: run(offset_from_points_scalar), repeats)
     vector_s = _time(lambda: run(offset_from_points), repeats)
     return {
         "n_cycles": len(point_sets),

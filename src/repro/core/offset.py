@@ -94,8 +94,8 @@ def offset_from_points(
     # Nearest-neighbour matching against the *sorted* anterior indices:
     # each vertical point's nearest anterior point is one of the two
     # bracketing entries found by binary search, so the whole matching
-    # collapses to one searchsorted plus elementwise minima (the old
-    # per-point scan is kept in ``_offset_from_points_scalar``).
+    # collapses to one searchsorted plus elementwise minima (the
+    # per-point scan is the reference in ``tests/scalar_references.py``).
     anterior_idx = np.sort(np.asarray([p.index for p in anterior_points], dtype=float))
     vertical_idx = np.asarray([p.index for p in vertical_points], dtype=float)
     pos = np.searchsorted(anterior_idx, vertical_idx)
@@ -109,37 +109,6 @@ def offset_from_points(
         np.diff(vertical_idx, prepend=0.0) / n, cfg.max_point_weight
     )
     return float(np.sum(weights * mismatch / n))
-
-
-def _offset_from_points_scalar(
-    vertical_points: Sequence[CriticalPoint],
-    anterior_points: Sequence[CriticalPoint],
-    n: int,
-    config: Optional[PTrackConfig] = None,
-) -> float:
-    """Per-point reference implementation of :func:`offset_from_points`.
-
-    Kept as the behavioural specification for the vectorised matching
-    (asserted equivalent within 1e-12 by the golden and property
-    suites) and as the baseline timed by ``scripts/bench.py``.
-    """
-    cfg = config if config is not None else PTrackConfig()
-    if n < 2:
-        raise SignalError(f"cycle length must be >= 2, got {n}")
-    if not vertical_points or len(anterior_points) < 2:
-        return 0.0
-    cap = cfg.max_normalized_offset * n
-    anterior_idx = np.asarray([p.index for p in anterior_points], dtype=float)
-
-    total = 0.0
-    prev_index = 0
-    for point in vertical_points:
-        weight = min((point.index - prev_index) / n, cfg.max_point_weight)
-        prev_index = point.index
-        mismatch = float(np.min(np.abs(anterior_idx - point.index)))
-        mismatch = min(mismatch, cap)
-        total += weight * mismatch / n
-    return total
 
 
 def cycle_offset(

@@ -7,8 +7,10 @@ flushes through a round of one, and a :class:`repro.serving.SessionPool`
 through a round of every due session. Each round runs every numeric
 kernel once for all of its sessions:
 
-1. the pending filter blocks of every session are column-stacked by
-   length and low-passed in one filter call per length group;
+1. the pending filter blocks of every session are gathered by length
+   into row-major stacks, one row per block axis, and low-passed along
+   the rows in one filter call per length group, whose backward pass
+   stops at the first row any block keeps;
 2. every session's segmentation window is packed into one concatenated
    signal, checked finite once, scanned by one peak and one valley
    kernel dispatch and paired into cycles on the packed signal's flat
@@ -64,7 +66,7 @@ from repro.core.step_counter import CycleCandidate, ResolvedCycle
 from repro.core.stepping import batch_stepping_tests
 from repro.runtime.buffers import FleetBatchBuffer
 from repro.signal.batched import WindowCycles, batched_segment_windows
-from repro.signal.filters import butter_lowpass
+from repro.signal.filters import lowpass_rows
 from repro.telemetry.registry import Histogram
 from repro.types import StepEvent, StrideEstimate, UserProfile
 
@@ -90,11 +92,11 @@ NO_CREDITS: Credits = ((), ())
 #: position ``k``. It records the failure or raises ``exc``.
 FailFn = Callable[[int, BaseException], None]
 
-#: Most pending filter blocks (one per session, three columns each) a
-#: round low-passes in one column-stacked call. Filtering runs per
-#: column, so the cap cannot change a credit; it bounds the stack and
-#: the filter's temporaries, which otherwise grow with the fleet, and
-#: measured as fast as one uncapped stack.
+#: Most pending filter blocks a round low-passes in one call: each
+#: block is three rows (one per axis) of a row-major stack. Filtering
+#: runs per row, so the cap cannot change a credit; it bounds the stack
+#: and the filter's temporaries, which otherwise grow with the fleet,
+#: and measured as fast as one uncapped stack.
 FILTER_STACK_BLOCKS = 64
 
 #: The six stages of one round, in order; a pool keeps one wall-time
@@ -115,8 +117,9 @@ class RoundCycles:
     * :func:`admit_cycles` fills ``starts[i]``, ``ends[i]`` (absolute
       indices) and ``peaks[i]``, its new step peaks; window ``w``'s
       cycles are ``bounds[w]:bounds[w + 1]``;
-    * :meth:`StreamingPTrack.commit_cycles` appends the copied
-      segments ``v_segs[i]`` and ``h_segs[i]``;
+    * the round appends the segments ``v_segs[i]`` and ``h_segs[i]``,
+      copied out of the window :meth:`StreamingPTrack.begin_pass`
+      exposed;
     * the measurement stage fills ``a_segs[i]``, ``anterior_ok[i]``,
       ``motion_ok[i]`` and ``offsets[i]``, and ``errors`` maps a cycle
       the scalar measurement raises on to its exception (the other
@@ -212,7 +215,7 @@ def admit_cycles(
         The round's :class:`RoundCycles`, holding every window's
         admitted cycles ``starts``/``ends``/``peaks`` (absolute indices,
         time order) and each window's range of them in ``bounds``, for
-        :meth:`StreamingPTrack.commit_cycles`.
+        :meth:`StreamingPTrack.stage_cycles`.
     """
     owners = cycles.owners
     lift = (np.asarray(origins) - cycles.window_starts)[owners]
@@ -418,9 +421,9 @@ def run_round(
 
     # -- Stage 1: filter -----------------------------------------------
     # Gather every session's pending filter blocks (block ``e`` belongs
-    # to session ``owners[e]``), low-pass equal-length blocks in
-    # column-stacked filter calls of at most FILTER_STACK_BLOCKS
-    # blocks, then commit per session in plan order (the order
+    # to session ``owners[e]``) as rows of row-major stacks, one stack
+    # of at most FILTER_STACK_BLOCKS equal-length blocks per call, then
+    # commit per session in plan order (the order
     # apply_filtered_block requires).
     owners: List[int] = []
     los: List[int] = []
@@ -434,21 +437,15 @@ def run_round(
         for _ in range(count):
             owners.append(d)
     blocks: List[Union[np.ndarray, Exception, None]] = [None] * len(los)
-
-    def lowpass(block: np.ndarray) -> np.ndarray:
-        # The round copies hop-sized slices straight out of the result,
-        # so skip the final contiguous copy of the block.
-        return butter_lowpass(
-            block,
-            cfg.lowpass_cutoff_hz,
-            rate,
-            cfg.lowpass_order,
-            contiguous=False,
-        )
+    cutoff, order = cfg.lowpass_cutoff_hz, cfg.lowpass_order
 
     def lowpass_solo(e: int) -> None:
         try:
-            blocks[e] = lowpass(due_sess[owners[e]].raw_block(los[e], his[e]))
+            keep = finals[e] - los[e]
+            blocks[e] = lowpass_rows(
+                due_sess[owners[e]].raw_block(los[e], his[e]).T,
+                cutoff, rate, order, keep,
+            ).T
         except Exception as exc:  # noqa: BLE001
             blocks[e] = exc
 
@@ -462,28 +459,31 @@ def run_round(
     for length, group in groups.items():
         for at in range(0, len(group), FILTER_STACK_BLOCKS):
             entries = group[at : at + FILTER_STACK_BLOCKS]
-            if len(entries) == 1:
-                lowpass_solo(entries[0])
-                continue
-            shape = (length, 3 * len(entries))
+            shape = (3 * len(entries), length)
             stack = (
                 np.empty(shape)
                 if buffers is None
                 else buffers.request("filter", shape)
             )
-            for col, e in enumerate(entries):
-                np.copyto(
-                    stack[:, 3 * col : 3 * col + 3],
-                    due_sess[owners[e]].raw_block(los[e], his[e]),
-                )
+            # The backward pass stops at the first row any block keeps.
+            keep = length
+            row = 0
+            for e in entries:
+                stack[row : row + 3] = due_sess[owners[e]].raw_block(
+                    los[e], his[e]
+                ).T
+                keep = min(keep, finals[e] - los[e])
+                row += 3
             try:
-                filtered = lowpass(stack)
+                filtered = lowpass_rows(stack, cutoff, rate, order, keep)
             except Exception:  # noqa: BLE001 — retry solo to find the owner
                 for e in entries:
                     lowpass_solo(e)
-            else:
-                for col, e in enumerate(entries):
-                    blocks[e] = filtered[:, 3 * col : 3 * col + 3]
+                continue
+            row = 0
+            for e in entries:
+                blocks[e] = filtered[row : row + 3, finals[e] - los[e] - keep :].T
+                row += 3
     for e in range(len(los)):
         d = owners[e]
         if not alive[d]:
@@ -503,8 +503,11 @@ def run_round(
         lap = _lap(stages[0], lap)
 
     # -- Stage 2: segmentation -------------------------------------------
+    # Session ``seg_ds[w]`` opened window ``w``: its filtered rows
+    # ``panes[w]``, whose vertical axis ``windows[w]`` is segmented.
     settle_margin = 0 if final else None
     seg_ds: List[int] = []
+    panes: List[np.ndarray] = []
     windows: List[np.ndarray] = []
     origins: List[int] = []
     settled_ends: List[int] = []
@@ -513,15 +516,16 @@ def run_round(
         if not alive[d]:
             continue
         try:
-            window = due_sess[d].begin_pass(
+            pane = due_sess[d].begin_pass(
                 boundaries[d], settle_margin, origins, settled_ends, last_peaks
             )
         except Exception as exc:  # noqa: BLE001
             drop(d, exc)
             continue
-        if window is not None:
+        if pane is not None:
             seg_ds.append(d)
-            windows.append(window)
+            panes.append(pane)
+            windows.append(pane[:, 2])
     cycles = batched_segment_windows(
         windows,
         rate,
@@ -542,38 +546,45 @@ def run_round(
     # -- Stage 3: admit + measure every cycle ----------------------------
     # Session ``d`` owns cycles ``cyc_lo[d]:cyc_hi[d]`` of the round
     # (none when it opened no window: its boundary still closes and
-    # its trim still runs, via an empty credit).
+    # its trim still runs, via an empty credit). Each admitted cycle's
+    # vertical and horizontal segments are copied out of its window, in
+    # window order, so they line up with the admission lists.
     rc = admit_cycles(cycles, origins, settled_ends, last_peaks)
     cyc_lo = [0] * n_due
     cyc_hi = [0] * n_due
+    bounds, starts, ends = rc.bounds, rc.starts, rc.ends
+    v_segs, h_segs = rc.v_segs, rc.h_segs
     for w, d in enumerate(seg_ds):
         error = cycles.errors[w]
         if error is not None:
-            # Such a window has no cycles, so the ones committed after
-            # it still line up with the admission lists.
+            # Such a window has no cycles, so the ones copied after it
+            # still line up with the admission lists.
             drop(d, error)
             continue
-        lo, hi = rc.bounds[w], rc.bounds[w + 1]
-        due_sess[d].commit_cycles(rc, lo, hi)
-        cyc_lo[d] = lo
-        cyc_hi[d] = hi
-    del cycles, seg_ds, windows, origins, settled_ends, last_peaks
-    if rc.v_segs:
+        lo, hi = bounds[w], bounds[w + 1]
+        if hi > lo:
+            pane = panes[w]
+            base = origins[w]
+            for i in range(lo, hi):
+                a, b = starts[i] - base, ends[i] - base
+                v_segs.append(pane[a:b, 2].copy())
+                h_segs.append(pane[a:b, :2].copy())
+            cyc_lo[d] = lo
+            cyc_hi[d] = hi
+    del cycles, seg_ds, panes, windows, origins, settled_ends, last_peaks
+    if v_segs:
         (
             rc.a_segs, rc.anterior_ok, rc.motion_ok, rc.offsets, rc.errors
-        ) = batched_stage_measurements(rc.v_segs, rc.h_segs, cfg)
+        ) = batched_stage_measurements(v_segs, h_segs, cfg)
     for d in range(n_due):
         if not alive[d]:
             continue
-        if cyc_hi[d] > cyc_lo[d]:
-            try:
-                due_sess[d].stage_cycles(rc, cyc_lo[d], cyc_hi[d])
-            except Exception as exc:  # noqa: BLE001
-                # Staging raises at a cycle whose measurement failed,
-                # after having staged the session's earlier cycles.
-                drop(d, exc)
-                continue
-        due_sess[d].finish_collect(boundaries[d])
+        try:
+            due_sess[d].stage_cycles(rc, cyc_lo[d], cyc_hi[d], boundaries[d])
+        except Exception as exc:  # noqa: BLE001
+            # Staging raises at a cycle whose measurement failed,
+            # after having staged the session's earlier cycles.
+            drop(d, exc)
     if stages is not None:
         lap = _lap(stages[2], lap)
 
@@ -591,13 +602,12 @@ def run_round(
     rows: List[int] = []
     profiles: List[UserProfile] = []
     for d in range(n_due):
-        if not alive[d]:
+        if not alive[d] or cyc_hi[d] == cyc_lo[d]:
             continue
         start = len(rc.resolved)
         n_rows = len(rows)
         try:
-            due_sess[d].classify(rc, cyc_lo[d], cyc_hi[d])
-            due_sess[d].stride_rows(rc, start, len(rc.resolved), rows, profiles)
+            due_sess[d].classify(rc, cyc_lo[d], cyc_hi[d], rows, profiles)
         except Exception as exc:  # noqa: BLE001
             rc.drop_credits(start)
             del rows[n_rows:]

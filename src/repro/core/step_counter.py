@@ -94,6 +94,18 @@ class ResolvedCycle:
     correlation: Optional[float]
     phase_ok: Optional[bool]
 
+    # The streak emits one per cycle fleet-wide: slotted, so one is a
+    # single object, and rebuilt through ``__init__`` by pickle and
+    # copy, like :class:`repro.types.StepEvent`.
+    __slots__ = ("candidate", "gait_type", "offset", "correlation", "phase_ok")
+
+    def __reduce__(self):
+        return (
+            type(self),
+            (self.candidate, self.gait_type, self.offset, self.correlation,
+             self.phase_ok),
+        )
+
     @property
     def credited(self) -> bool:
         """Whether the cycle's step peaks are counted."""
@@ -108,15 +120,23 @@ def _resolved(
     phase_ok: Optional[bool],
 ) -> ResolvedCycle:
     """Field-for-field :class:`ResolvedCycle` without the frozen
-    constructor — the streak machine emits one per cycle fleet-wide."""
+    constructor — the streak machine emits one per cycle fleet-wide —
+    set through its slot descriptors, at half the cost of
+    ``object.__setattr__``."""
     res = object.__new__(ResolvedCycle)
-    _set = object.__setattr__
-    _set(res, "candidate", cand)
-    _set(res, "gait_type", gait)
-    _set(res, "offset", offset)
-    _set(res, "correlation", correlation)
-    _set(res, "phase_ok", phase_ok)
+    _set_res_candidate(res, cand)
+    _set_res_gait(res, gait)
+    _set_res_offset(res, offset)
+    _set_res_correlation(res, correlation)
+    _set_res_phase(res, phase_ok)
     return res
+
+
+_set_res_candidate = ResolvedCycle.candidate.__set__
+_set_res_gait = ResolvedCycle.gait_type.__set__
+_set_res_offset = ResolvedCycle.offset.__set__
+_set_res_correlation = ResolvedCycle.correlation.__set__
+_set_res_phase = ResolvedCycle.phase_ok.__set__
 
 
 class Fig4Streak:
@@ -223,7 +243,10 @@ class Fig4Streak:
 
         if cand.offset > cfg.offset_threshold:
             # Walking: superposed arm + body sources.
-            self._flush_interference(out)
+            if self._pending:
+                self._flush_interference(out)
+            else:
+                self._streak = 0
             out.append(
                 _resolved(cand, GaitType.WALKING, cand.offset, None, None)
             )

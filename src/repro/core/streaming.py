@@ -163,6 +163,21 @@ def _reraise(k: int, exc: BaseException) -> None:
     raise exc
 
 
+# The slot descriptors' setters of the credit records. Crediting builds
+# each record with ``object.__new__`` and these sets: field for field
+# what the frozen dataclass's constructor builds, at half its cost
+# (``object.__setattr__`` would check the frozen class first).
+_set_step_time = StepEvent.time.__set__
+_set_step_index = StepEvent.index.__set__
+_set_step_gait = StepEvent.gait_type.__set__
+_set_step_cycle = StepEvent.cycle_id.__set__
+_set_stride_time = StrideEstimate.time.__set__
+_set_stride_length = StrideEstimate.length_m.__set__
+_set_stride_bounce = StrideEstimate.bounce_m.__set__
+_set_stride_cycle = StrideEstimate.cycle_id.__set__
+_set_stride_gait = StrideEstimate.gait_type.__set__
+
+
 @functools.lru_cache(maxsize=None)
 def _stride_fractions(per_cycle: int) -> Tuple[float, ...]:
     """Where in its cycle each of a cycle's ``per_cycle`` strides is
@@ -287,6 +302,10 @@ class StreamingPTrack:
             if fault_policy is not None
             else 0.0
         )
+        # The rolling raw and filtered buffers. Buffer row 0 (absolute
+        # index ``_buf_start``) sits at array row ``_off``: a trim only
+        # moves the offset, and the rows move to the front when an
+        # ingest reaches the end of the arrays.
         self._data = np.empty((max(256, self._max_buffer // 8), 3))
         self._filt = np.empty_like(self._data)
         self._machine = Fig4Streak(self._config)
@@ -319,6 +338,7 @@ class StreamingPTrack:
     def _reset_positions(self) -> None:
         """Zero all stream positions (construction and :meth:`reset`)."""
         self._size = 0
+        self._off = 0  # array row of buffer row 0
         self._buf_start = 0  # absolute index of buffer row 0
         self._filt_final = 0  # filtered rows [buf_start, here) are final
         self._next_boundary = self._hop  # next processing pass position
@@ -469,8 +489,8 @@ class StreamingPTrack:
                 if pending is None
                 else (list(pending[0]), list(pending[1]))
             ),
-            "data": self._data[: self._size].copy(),
-            "filt": self._filt[:n_filt].copy(),
+            "data": self._data[self._off : self._off + self._size].copy(),
+            "filt": self._filt[self._off : self._off + n_filt].copy(),
             "seg_store": {
                 cid: (
                     v.copy(),
@@ -522,6 +542,7 @@ class StreamingPTrack:
             self._data = np.empty((capacity, 3))
             self._filt = np.empty_like(self._data)
         self._size = size
+        self._off = 0
         self._data[:size] = st["data"]
         self._buf_start = int(st["buf_start"])
         self._filt_final = int(st["filt_final"])
@@ -736,8 +757,9 @@ class StreamingPTrack:
         n = samples.shape[0]
         if n == 0:
             return 0
-        self._stats.samples_in += n
-        self._stats.appends += 1
+        stats = self._stats
+        stats.samples_in += n
+        stats.appends += 1
         if self._policy is None:
             self._write(samples)
         else:
@@ -811,7 +833,7 @@ class StreamingPTrack:
         :meth:`end_flush`). Otherwise the caller drains the due hop
         boundaries, finalises the filter (:meth:`final_filter_plan`),
         runs one zero-settle pass at the head closed by
-        :meth:`finish_collect`, credits it, then calls
+        :meth:`stage_cycles`, credits it, then calls
         :meth:`end_flush`.
         """
         if self._pending_invalid:
@@ -837,13 +859,6 @@ class StreamingPTrack:
             return None
         return boundary
 
-    def finish_collect(self, boundary: int) -> None:
-        """Close a pass at ``boundary``: schedule the next boundary and
-        arm the trim :meth:`credit_resolved` runs once the pass's cycles
-        are credited."""
-        self._next_boundary = boundary + self._hop
-        self._trim_boundary = boundary
-
     def filter_plan(
         self,
         limit_abs: int,
@@ -857,10 +872,10 @@ class StreamingPTrack:
         Each block is one hop-sized finalisation: filter raw rows
         ``[los[e], his[e])`` and keep the output rows starting at
         absolute index ``finals[e]`` (exactly what
-        :meth:`apply_filtered_block` consumes). A batched pool collects
-        the plans of every due session into the same three lists,
-        stacks equal-length raw blocks column-wise and runs one filter
-        call per length group.
+        :meth:`apply_filtered_block` consumes). A round collects the
+        plans of every due session into the same three lists, gathers
+        equal-length raw blocks as the rows of one stack and runs one
+        filter call per length group.
         """
         final = self._filt_final
         hop, pad = self._hop, self._pad
@@ -875,22 +890,23 @@ class StreamingPTrack:
 
     def raw_block(self, lo: int, hi: int) -> np.ndarray:
         """Raw buffer rows ``[lo, hi)`` by absolute index (a view)."""
-        return self._data[lo - self._buf_start : hi - self._buf_start]
+        base = self._buf_start - self._off
+        return self._data[lo - base : hi - base]
 
     def apply_filtered_block(
-        self, lo: int, hi: int, final: int, block: np.ndarray
+        self, lo: int, hi: int, final: int, rows: np.ndarray
     ) -> None:
         """Commit one filtered block from a :meth:`filter_plan` entry.
 
-        ``block`` is the filtered ``raw_block(lo, hi)``; the hop-sized
-        slice starting at ``final`` becomes final filtered output.
-        Blocks must be applied in plan order.
+        ``rows`` is the filtered ``raw_block(lo, hi)`` from absolute
+        index ``final`` on (at least a hop of rows); its first hop
+        becomes final filtered output. Blocks must be applied in plan
+        order.
         """
-        out_lo = final - lo
-        self._filt[
-            final - self._buf_start : final + self._hop - self._buf_start
-        ] = block[out_lo : out_lo + self._hop]
-        self._filt_final = final + self._hop
+        at = final - self._buf_start + self._off
+        hop = self._hop
+        self._filt[at : at + hop] = rows[:hop]
+        self._filt_final = final + hop
         self._stats.samples_filtered += hi - lo
 
     def final_filter_plan(
@@ -908,8 +924,8 @@ class StreamingPTrack:
         filtered at once from raw rows ``[lo, head)``, with up to
         ``pad`` rows of left context (what :meth:`apply_final_block`
         consumes). None when the filter already reaches ``head``. A
-        batched pool stacks equal-length tail blocks exactly as it
-        stacks :meth:`filter_plan` blocks.
+        round stacks equal-length tail blocks exactly as it stacks
+        :meth:`filter_plan` blocks.
         """
         if head <= self._filt_final:
             return 0
@@ -919,13 +935,13 @@ class StreamingPTrack:
         return 1
 
     def apply_final_block(
-        self, lo: int, hi: int, final: int, block: np.ndarray
+        self, lo: int, hi: int, final: int, rows: np.ndarray
     ) -> None:
-        """Commit the filtered :meth:`final_filter_plan` block: rows
-        from ``final`` through ``hi`` become final filtered output."""
-        self._filt[final - self._buf_start : hi - self._buf_start] = block[
-            final - lo :
-        ]
+        """Commit the filtered :meth:`final_filter_plan` block: ``rows``
+        are its filtered rows from ``final`` through ``hi``, and become
+        final filtered output."""
+        at = final - self._buf_start + self._off
+        self._filt[at : at + hi - final] = rows
         self._stats.samples_filtered += hi - lo
         self._filt_final = hi
 
@@ -940,15 +956,18 @@ class StreamingPTrack:
         """Open a pass at ``boundary``, whose filter blocks the round
         has applied: expose the segmentation window.
 
-        Returns the filtered vertical-axis view the segmenter scans and
+        Returns the retained window's filtered rows (a view, all three
+        axes: the segmenter scans the vertical one, column 2, and the
+        round copies each admitted cycle's segments out of it) and
         appends the window's :func:`admit_cycles` inputs — the absolute
         index of its first sample, the absolute index before which
         cycles are settled and the consumed-peak watermark — to
         ``origins``, ``settled_ends`` and ``last_peaks``. Returns
         ``None`` (appending nothing) when the retained window is too
         small to segment: the pass still counts, and callers proceed
-        straight to an empty credit so the boundary's trim runs.
-        ``settle_margin`` ``None`` is the session's settle horizon.
+        straight to :meth:`stage_cycles` with no cycles so the pass
+        closes and its trim runs. ``settle_margin`` ``None`` is the
+        session's settle horizon.
         """
         margin = self._settle_margin if settle_margin is None else settle_margin
         self._stats.passes += 1
@@ -960,94 +979,101 @@ class StreamingPTrack:
         origins.append(self._buf_start)
         settled_ends.append(settled_end)
         last_peaks.append(self._last_peak)
-        return self._filt[:window, 2]
+        return self._filt[self._off : self._off + window]
 
-    def commit_cycles(self, rc: RoundCycles, lo: int, hi: int) -> None:
-        """Consume this pass's admitted cycles ``lo:hi`` of ``rc``.
+    def stage_cycles(
+        self, rc: RoundCycles, lo: int, hi: int, boundary: int
+    ) -> None:
+        """Stage this pass's measured cycles ``lo:hi`` of ``rc`` and
+        close the pass at ``boundary``.
 
-        Appends each cycle's vertical and horizontal segments, copied
-        out of the buffer, to ``rc.v_segs`` and ``rc.h_segs`` (sessions
-        commit in window order, so the segments line up with the
-        admission lists), and moves the consumed-peak watermark to the
-        last cycle's peak.
+        The state half of staging: moves the consumed-peak watermark to
+        the last cycle's peak, assigns the cycle ids, bumps the staging
+        counters and builds each candidate into ``rc.cands``, leaving
+        the measurements (anterior projection, motion gate, offset) to
+        the round, which stacks them through
+        :func:`repro.core.batched.batched_stage_measurements`. Then
+        schedules the next boundary and arms the trim
+        :meth:`credit_resolved` runs once the pass's cycles are
+        credited. A cycle whose measurement raised re-raises here,
+        after the cycles before it were staged and before the pass
+        closes, as the per-cycle path would.
         """
         if hi > lo:
             self._last_peak = rc.peaks[hi - 1][-1]
-        base = self._buf_start
-        filt = self._filt
-        v_segs, h_segs = rc.v_segs, rc.h_segs
-        starts, ends = rc.starts, rc.ends
-        for i in range(lo, hi):
-            start = starts[i] - base
-            end = ends[i] - base
-            v_segs.append(filt[start:end, 2].copy())
-            h_segs.append(filt[start:end, :2].copy())
+            errors = rc.errors
+            cands, starts, ends, peaks = rc.cands, rc.starts, rc.ends, rc.peaks
+            motion, offsets = rc.motion_ok, rc.offsets
+            stats = self._stats
+            new = object.__new__
+            for i in range(lo, hi):
+                if errors and i in errors:
+                    raise errors[i]
+                motion_ok = motion[i]
+                if motion_ok:
+                    stats.offset_evaluations += 1
+                # Built via __new__ + attribute sets: one candidate per
+                # admitted cycle fleet-wide, and the dataclass
+                # constructor is ~2x the cost of plain sets.
+                cand = new(CycleCandidate)
+                cand.cycle_id = self._cycle_counter
+                cand.start = starts[i]
+                cand.end = ends[i]
+                cand.peaks = peaks[i]
+                cand.motion_ok = motion_ok
+                cand.offset = offsets[i]
+                cand.corr = 0.0
+                cand.corr_v = 0.0
+                cand.phase_ok = False
+                self._cycle_counter += 1
+                stats.cycles_staged += 1
+                cands[i] = cand
+        self._next_boundary = boundary + self._hop
+        self._trim_boundary = boundary
 
-    def stage_cycles(self, rc: RoundCycles, lo: int, hi: int) -> None:
-        """Stage measured cycles ``lo:hi`` of ``rc``: build their
-        candidates into ``rc.cands``.
-
-        The state half of staging: assigns the cycle ids and bumps the
-        staging counters, leaving the measurements (anterior
-        projection, motion gate, offset) to the round, which stacks
-        them through
-        :func:`repro.core.batched.batched_stage_measurements`. A cycle
-        whose measurement raised re-raises here, after the cycles
-        before it were staged, as the per-cycle path would.
-        """
-        errors = rc.errors
-        cands = rc.cands
-        motion, offsets = rc.motion_ok, rc.offsets
-        stats = self._stats
-        for i in range(lo, hi):
-            if errors and i in errors:
-                raise errors[i]
-            motion_ok = motion[i]
-            if motion_ok:
-                stats.offset_evaluations += 1
-            # Built via __new__ + attribute sets: one candidate per
-            # admitted cycle fleet-wide, and the dataclass constructor
-            # is ~2x the cost of plain sets.
-            cand = object.__new__(CycleCandidate)
-            cand.cycle_id = self._cycle_counter
-            cand.start = rc.starts[i]
-            cand.end = rc.ends[i]
-            cand.peaks = rc.peaks[i]
-            cand.motion_ok = motion_ok
-            cand.offset = offsets[i]
-            cand.corr = 0.0
-            cand.corr_v = 0.0
-            cand.phase_ok = False
-            self._cycle_counter += 1
-            stats.cycles_staged += 1
-            cands[i] = cand
-
-    def classify(self, rc: RoundCycles, lo: int, hi: int) -> None:
+    def classify(
+        self,
+        rc: RoundCycles,
+        lo: int,
+        hi: int,
+        rows: List[int],
+        profiles: List[UserProfile],
+    ) -> None:
         """Feed staged cycles ``lo:hi`` of ``rc`` through the Fig.-4 streak.
 
         The state half of a pass's crediting: counts the stepping tests
         :func:`stepping_values` ran, stores each cycle's segments until
         the streak resolves it, advances the confirmation streak, and
         appends the cycles it credits to ``rc``'s credited lists
-        (``resolved``, ``cr_v``, ``cr_h``, ``cr_a``).
+        (``resolved``, ``cr_v``, ``cr_h``, ``cr_a``). Then appends the
+        index of each credited cycle that needs a stride solve to
+        ``rows``, and this session's profile to ``profiles``: the rows
+        a round passes to
+        :func:`repro.core.batched.batched_cycle_solutions`. Cycles left
+        out never consult a solution (no estimator, retired segments,
+        or no new peaks).
         """
         threshold = self._config.offset_threshold
         seg_v, seg_h, seg_a = self._seg_v, self._seg_h, self._seg_a
-        resolved = rc.resolved
-        machine = self._machine
+        cands, v_segs, h_segs = rc.cands, rc.v_segs, rc.h_segs
+        a_segs, anterior_ok = rc.a_segs, rc.anterior_ok
+        resolved, cr_v, cr_h, cr_a = rc.resolved, rc.cr_v, rc.cr_h, rc.cr_a
+        feed = self._machine.feed
+        stats = self._stats
+        first = len(resolved)
         for i in range(lo, hi):
-            cand = rc.cands[i]
+            cand = cands[i]
             if cand.motion_ok and cand.offset <= threshold:
-                self._stats.stepping_tests += 1
+                stats.stepping_tests += 1
             cid = cand.cycle_id
-            seg_v[cid] = rc.v_segs[i]
-            seg_h[cid] = rc.h_segs[i]
-            seg_a[cid] = rc.a_segs[i] if rc.anterior_ok[i] else None
+            seg_v[cid] = v_segs[i]
+            seg_h[cid] = h_segs[i]
+            seg_a[cid] = a_segs[i] if anterior_ok[i] else None
             # The streak appends this cycle's resolutions to the round's
             # credited list; interference is compacted away in place.
             keep = len(resolved)
-            machine.feed(cand, resolved)
-            rc.cands[i] = None
+            feed(cand, resolved)
+            cands[i] = None
             for n in range(keep, len(resolved)):
                 res = resolved[n]
                 rid = res.candidate.cycle_id
@@ -1057,32 +1083,15 @@ class StreamingPTrack:
                 if res.gait_type is GaitType.INTERFERENCE:
                     continue
                 resolved[keep] = res
-                rc.cr_v.append(v)
-                rc.cr_h.append(h)
-                rc.cr_a.append(a)
+                cr_v.append(v)
+                cr_h.append(h)
+                cr_a.append(a)
                 keep += 1
             del resolved[keep:]
-
-    def stride_rows(
-        self,
-        rc: RoundCycles,
-        lo: int,
-        hi: int,
-        rows: List[int],
-        profiles: List[UserProfile],
-    ) -> None:
-        """Which credited cycles ``lo:hi`` of ``rc`` need a stride solve.
-
-        Appends each one's index to ``rows`` and this session's profile
-        to ``profiles``: the rows a round passes to
-        :func:`repro.core.batched.batched_cycle_solutions`. Cycles left
-        out never consult a solution (no estimator, retired segments,
-        or no new peaks).
-        """
         if self._estimator is None:
             return
-        cr_v, resolved, profile = rc.cr_v, rc.resolved, self._profile
-        for j in range(lo, hi):
+        profile = self._profile
+        for j in range(first, len(resolved)):
             if cr_v[j] is None or not resolved[j].candidate.peaks:
                 continue
             rows.append(j)
@@ -1103,25 +1112,30 @@ class StreamingPTrack:
         ``steps`` and ``strides`` (untouched when ``lo == hi``), with
         the sequential median-imputation fallback, totals, the
         credited-frontier advance, the boundary trim, and telemetry.
+
+        A credited cycle's stride solve (``rc.stride_m[j]``, from the
+        round's :func:`~repro.core.batched.batched_cycle_solutions`) is
+        consulted only when the cycle qualifies for a solve, and the
+        median imputation stays sequential, so a failed solve sees
+        exactly the strides credited before it in this round.
         """
-        n_steps = len(steps)
-        n_strides = len(strides)
-        for j in range(lo, hi):
-            self._credit(rc, j, steps, strides)
-        if self._collect_observations and hi > lo:
-            self._observe_credited(rc, lo, hi)
-        for j in range(lo, hi):
-            rc.resolved[j] = None
-        new_steps = len(steps) - n_steps
-        self._total_steps += new_steps
-        distance = float(
-            sum(strides[n].length_m for n in range(n_strides, len(strides)))
-        )
-        self._total_distance += distance
-        if new_steps:
-            self._credited_until = max(
-                self._credited_until, steps[-1].index + 1
-            )
+        new_steps = new_strides = 0
+        if hi > lo:
+            n_steps = len(steps)
+            n_strides = len(strides)
+            self._credit_cycles(rc, lo, hi, steps, strides)
+            new_steps = len(steps) - n_steps
+            new_strides = len(strides) - n_strides
+            self._total_steps += new_steps
+            if new_strides:
+                distance = float(
+                    sum(strides[n].length_m for n in range(n_strides, len(strides)))
+                )
+                self._total_distance += distance
+            if new_steps:
+                self._credited_until = max(
+                    self._credited_until, steps[-1].index + 1
+                )
         if self._trim_boundary is not None:
             boundary = self._trim_boundary
             self._trim_boundary = None
@@ -1129,8 +1143,8 @@ class StreamingPTrack:
         if self._telemetry is not None:
             if new_steps:
                 self._m_steps.inc(new_steps)
-            if len(strides) > n_strides:
-                self._m_strides.inc(len(strides) - n_strides)
+            if new_strides:
+                self._m_strides.inc(new_strides)
                 self._m_distance.inc(distance)
             self._publish_ops()
 
@@ -1160,9 +1174,11 @@ class StreamingPTrack:
         """
         dt = 1.0 / self._rate
         out = self._pending_observations
+        resolved = rc.resolved
         for j in range(lo, hi):
             v_seg = rc.cr_v[j]
-            res = rc.resolved[j]
+            res = resolved[j]
+            resolved[j] = None
             gait = res.gait_type
             if v_seg is None or not res.candidate.peaks:
                 continue
@@ -1222,19 +1238,34 @@ class StreamingPTrack:
 
     def _write(self, block: np.ndarray) -> None:
         """Append validated rows to the rolling buffer (grow as needed)."""
-        needed = self._size + block.shape[0]
-        if needed > self._data.shape[0]:
-            capacity = self._data.shape[0]
+        n = block.shape[0]
+        size = self._size
+        at = self._off + size
+        if at + n > self._data.shape[0]:
+            self._make_room(size + n)
+            at = size
+        self._data[at : at + n] = block
+        self._size = size + n
+
+    def _make_room(self, needed: int) -> None:
+        """Move the buffered rows to the front of the arrays, doubling
+        their capacity first while it is under ``needed`` rows."""
+        size, off = self._size, self._off
+        capacity = self._data.shape[0]
+        if needed > capacity:
             while capacity < needed:
                 capacity *= 2
             grown = np.empty((capacity, 3))
-            grown[: self._size] = self._data[: self._size]
+            grown[:size] = self._data[off : off + size]
             self._data = grown
             grown_f = np.empty((capacity, 3))
-            grown_f[: self._size] = self._filt[: self._size]
+            grown_f[:size] = self._filt[off : off + size]
             self._filt = grown_f
-        self._data[self._size : needed] = block
-        self._size = needed
+        else:
+            # Overlapping copies: NumPy buffers them.
+            self._data[:size] = self._data[off : off + size]
+            self._filt[:size] = self._filt[off : off + size]
+        self._off = 0
 
     def _ingest_degraded(self, samples: np.ndarray) -> None:
         """Quarantine/repair/reset ingest under the fault policy.
@@ -1328,6 +1359,7 @@ class StreamingPTrack:
         self._seg_h.clear()
         self._seg_a.clear()
         self._size = 0
+        self._off = 0
         self._buf_start = new_start
         self._filt_final = new_start
         self._next_boundary = new_start + self._hop
@@ -1344,68 +1376,72 @@ class StreamingPTrack:
         self._credited_until = self._buf_start
         self._last_peak = max(self._last_peak, self._buf_start - 1)
 
-    def _credit(
+    def _credit_cycles(
         self,
         rc: RoundCycles,
-        j: int,
+        lo: int,
+        hi: int,
         steps: List[StepEvent],
         strides: List[StrideEstimate],
     ) -> None:
-        """Emit credited cycle ``j`` of ``rc``: its step events and
-        stride estimates.
-
-        The cycle's stride solve (``rc.stride_m[j]``, from the round's
-        :func:`~repro.core.batched.batched_cycle_solutions`) is consulted only
-        when the cycle qualifies for a solve, and the median imputation
-        below stays sequential so a failed solve sees exactly the
-        strides credited before it in this round.
-        """
-        res = rc.resolved[j]
-        cand = res.candidate
-        gait = res.gait_type
+        """Emit credited cycles ``lo:hi`` of ``rc``: their step events
+        and stride estimates, in one pass with the loop's lookups
+        hoisted, releasing each resolution once it is spent."""
         dt = 1.0 / self._rate
-        # Step/stride records are built via __new__/__setattr__: the
-        # frozen-dataclass constructor costs ~2x per instance and this
-        # loop emits a few records per credited cycle fleet-wide. The
-        # instances are field-for-field what the constructor builds.
-        _new = object.__new__
-        _set = object.__setattr__
-        for peak in cand.peaks:
-            ev = _new(StepEvent)
-            _set(ev, "time", peak * dt)
-            _set(ev, "index", int(peak))
-            _set(ev, "gait_type", gait)
-            _set(ev, "cycle_id", cand.cycle_id)
-            steps.append(ev)
-        if self._estimator is None or rc.cr_v[j] is None or not cand.peaks:
-            return
-        stride = rc.stride_m[j]
-        if stride is not None:
-            bounce = rc.bounce_m[j]
-            self._recent_strides.append(stride)
-        elif self._recent_strides:
-            # A credited cycle whose geometry did not admit a solve
-            # still moved the user; impute with the recent median as
-            # the batch estimator does with the walk median.
-            stride = float(np.median(self._recent_strides))
-            bounce = None
-        else:
-            return
-        n_seg = cand.end - cand.start
+        resolved, cr_v = rc.resolved, rc.cr_v
+        stride_m, bounce_m = rc.stride_m, rc.bounce_m
+        estimating = self._estimator is not None
+        recent = self._recent_strides
         per_cycle = self._config.steps_per_cycle
         fracs = _stride_fractions(per_cycle)
-        # A cycle whose earlier peaks were already consumed by a
-        # previous (overlapping) cycle contributes only as many strides
-        # as it contributes new steps — the latest positions.
-        for k in range(max(0, per_cycle - len(cand.peaks)), per_cycle):
-            frac = fracs[k]
-            est = _new(StrideEstimate)
-            _set(est, "time", (cand.start + frac * n_seg) * dt)
-            _set(est, "length_m", stride)
-            _set(est, "bounce_m", bounce)
-            _set(est, "cycle_id", cand.cycle_id)
-            _set(est, "gait_type", gait)
-            strides.append(est)
+        # The observation tap reads the resolutions after this loop.
+        release = not self._collect_observations
+        add_step, add_stride = steps.append, strides.append
+        new = object.__new__
+        for j in range(lo, hi):
+            res = resolved[j]
+            if release:
+                resolved[j] = None
+            cand = res.candidate
+            gait = res.gait_type
+            cid = cand.cycle_id
+            peaks = cand.peaks
+            for peak in peaks:
+                ev = new(StepEvent)
+                _set_step_time(ev, peak * dt)
+                _set_step_index(ev, int(peak))
+                _set_step_gait(ev, gait)
+                _set_step_cycle(ev, cid)
+                add_step(ev)
+            if not estimating or cr_v[j] is None or not peaks:
+                continue
+            stride = stride_m[j]
+            if stride is not None:
+                bounce = bounce_m[j]
+                recent.append(stride)
+            elif recent:
+                # A credited cycle whose geometry did not admit a solve
+                # still moved the user; impute with the recent median as
+                # the batch estimator does with the walk median.
+                stride = float(np.median(recent))
+                bounce = None
+            else:
+                continue
+            start = cand.start
+            n_seg = cand.end - start
+            # A cycle whose earlier peaks were already consumed by a
+            # previous (overlapping) cycle contributes only as many
+            # strides as it contributes new steps — the latest positions.
+            for k in range(max(0, per_cycle - len(peaks)), per_cycle):
+                est = new(StrideEstimate)
+                _set_stride_time(est, (start + fracs[k] * n_seg) * dt)
+                _set_stride_length(est, stride)
+                _set_stride_bounce(est, bounce)
+                _set_stride_cycle(est, cid)
+                _set_stride_gait(est, gait)
+                add_stride(est)
+        if not release:
+            self._observe_credited(rc, lo, hi)
 
     def _trim(self, boundary: int) -> None:
         """Drop buffer rows no stage can read again (bounded memory).
@@ -1423,24 +1459,22 @@ class StreamingPTrack:
         pure function of the boundary index, which is what makes
         credits chunking-invariant bit for bit (the head trails the
         last boundary by less than one hop, so the memory bound holds
-        with ``boundary + hop``).
+        with ``boundary + hop``). Dropping rows moves no data: the
+        buffer's first row advances, and :meth:`_write` moves the rows
+        to the front of the arrays only when it reaches their end.
         """
         keep_abs = min(
             boundary - 2 * self._settle_margin,
             self._credited_until,
             self._filt_final - self._pad,
         )
-        keep_abs = max(keep_abs, boundary + self._hop - self._max_buffer)
-        keep_abs = max(keep_abs, self._buf_start)
+        keep_abs = max(
+            keep_abs,
+            boundary + self._hop - self._max_buffer,
+            self._buf_start,
+        )
         keep_from = keep_abs - self._buf_start
-        if keep_from <= 0:
-            return
-        kept = self._size - keep_from
-        # In-place tail copies: the regions overlap left-to-right, so a
-        # single bounded copy keeps the active prefix compact without
-        # allocating fresh buffers.
-        self._data[:kept] = self._data[keep_from : self._size].copy()
-        self._filt[:kept] = self._filt[keep_from : self._size].copy()
-        self._size = kept
-        self._buf_start = keep_abs
-
+        if keep_from:
+            self._off += keep_from
+            self._size -= keep_from
+            self._buf_start = keep_abs

@@ -106,9 +106,9 @@ def zero_crossings(x: np.ndarray, hysteresis: float = 0.0) -> List[CriticalPoint
     beyond ``±hysteresis``): samples inside the dead band never change
     the armed sign, so the crossings are exactly the sign changes of
     the armed subsequence — which is what the vectorised form below
-    computes. ``_zero_crossings_scalar`` keeps the stateful reference
-    implementation; the two are asserted identical by the property
-    suite.
+    computes. The stateful per-sample reference lives in
+    ``tests/scalar_references.py``; the property suite asserts the
+    two identical.
 
     Args:
         x: 1-D signal segment.
@@ -140,36 +140,6 @@ def _validate_crossing_args(x: np.ndarray, hysteresis: float) -> np.ndarray:
     if hysteresis < 0:
         raise SignalError(f"hysteresis must be >= 0, got {hysteresis}")
     return arr
-
-
-def _zero_crossings_scalar(
-    x: np.ndarray, hysteresis: float = 0.0
-) -> List[CriticalPoint]:
-    """Per-sample reference implementation of :func:`zero_crossings`.
-
-    Kept as the behavioural specification for the vectorised kernel
-    (property-tested bit-identical) and as the baseline timed by
-    ``scripts/bench.py``.
-    """
-    arr = _validate_crossing_args(x, hysteresis)
-    points: List[CriticalPoint] = []
-    if arr.size < 2:
-        return points
-    armed_sign = 0  # sign the signal most recently exceeded hysteresis at
-    for i in range(arr.size):
-        v = arr[i]
-        if v > hysteresis:
-            sign = 1
-        elif v < -hysteresis:
-            sign = -1
-        else:
-            continue
-        if armed_sign == 0:
-            armed_sign = sign
-        elif sign != armed_sign:
-            points.append(CriticalPoint(i, CriticalPointKind.CROSSING))
-            armed_sign = sign
-    return points
 
 
 def critical_points(

@@ -16,6 +16,7 @@ from repro.exceptions import ConfigurationError, SignalError
 
 __all__ = [
     "butter_lowpass",
+    "lowpass_rows",
     "moving_average",
     "detrend_mean",
     "gravity_component",
@@ -67,67 +68,38 @@ def _sosfiltfilt_setup(
     return sos, zi, 3 * int(ntaps)
 
 
-def _sosfiltfilt_cached(
-    arr: np.ndarray,
-    order: int,
-    normalized_cutoff: float,
-    contiguous: bool = True,
-) -> np.ndarray:
-    """``sosfiltfilt(sos, arr, axis=0)`` with the setup cost memoized.
-
-    Reproduces scipy's odd extension, forward/backward passes and
-    trimming operation-for-operation (bit-identical output; asserted by
-    the differential tests), but reads the steady-state initial
-    conditions from the cache instead of re-deriving them per call.
-    """
-    sos, zi0, edge = _sosfiltfilt_setup(order, normalized_cutoff)
-    zi_shape = [sos.shape[0], 2] + [1] * (arr.ndim - 1)
-    zi = zi0.reshape(zi_shape)
-    ext = np.concatenate(
-        (
-            2.0 * arr[0:1] - arr[edge:0:-1],
-            arr,
-            2.0 * arr[-1:] - arr[-2 : -(edge + 2) : -1],
-        ),
-        axis=0,
-    )
-    y, _ = sp_signal.sosfilt(sos, ext, axis=0, zi=zi * ext[0:1])
-    y, _ = sp_signal.sosfilt(sos, y[::-1], axis=0, zi=zi * y[-1:])
-    out = y[::-1][edge:-edge]
-    return np.ascontiguousarray(out) if contiguous else out
-
-
-def butter_lowpass(
-    x: np.ndarray,
+def lowpass_rows(
+    rows: np.ndarray,
     cutoff_hz: float,
     sample_rate_hz: float,
     order: int = 4,
-    contiguous: bool = True,
+    keep_from: int = 0,
 ) -> np.ndarray:
-    """Zero-phase Butterworth low-pass filter.
+    """Zero-phase Butterworth low-pass of every row of a 2-D array.
 
-    Uses forward-backward filtering (``filtfilt``) so gait peaks are not
-    delayed relative to the raw signal — peak timestamps feed the
-    critical-point offset metric, so phase distortion would directly
-    corrupt the step counter.
+    Row ``r`` of the result is ``butter_lowpass(rows[r], ...)[keep_from:]``
+    bit for bit: each row is one signal, filtered along the last axis,
+    so a stack of many short signals runs as one call. Only the output
+    columns from ``keep_from`` on are returned, and the backward pass
+    stops there: in reversed time its output at a column depends only on
+    the columns after it, so the columns before ``keep_from`` are never
+    computed. The result may be a non-contiguous view.
 
     Args:
-        x: 1-D signal (or 2-D array filtered along axis 0).
+        rows: ``(m, n)`` array of ``m`` signals of ``n`` samples.
         cutoff_hz: -3 dB cutoff frequency in Hz; must lie strictly
             below the Nyquist frequency.
-        sample_rate_hz: Sampling rate of ``x`` in Hz.
+        sample_rate_hz: Sampling rate in Hz.
         order: Filter order (of the underlying one-pass design).
-        contiguous: When ``False``, the result may be a (bitwise
-            identical) non-contiguous view into filter scratch —
-            for hot callers that immediately copy slices out and
-            would otherwise pay a redundant full-block copy.
+        keep_from: First output column wanted (``0 <= keep_from < n``).
 
     Returns:
-        The filtered signal, same shape as ``x``.
+        ``(m, n - keep_from)`` filtered columns ``keep_from:``.
 
     Raises:
-        ConfigurationError: If the cutoff or rate are invalid.
-        SignalError: If the signal is too short for the filter edges.
+        ConfigurationError: If the cutoff, rate or order are invalid.
+        SignalError: If a row is empty, or is short enough for the
+            moving-average fallback and holds non-finite values.
     """
     if sample_rate_hz <= 0:
         raise ConfigurationError(f"sample_rate_hz must be positive, got {sample_rate_hz}")
@@ -138,22 +110,74 @@ def butter_lowpass(
         )
     if order < 1:
         raise ConfigurationError(f"order must be >= 1, got {order}")
-
-    arr = np.asarray(x, dtype=float)
-    if arr.size == 0:
+    if rows.size == 0:
         raise SignalError("cannot filter an empty signal")
+    n = rows.shape[-1]
     # filtfilt needs a minimum length related to the filter's impulse
     # response; fall back to a moving average for very short segments so
     # tiny gait-cycle tails do not crash the pipeline.
-    min_len = 3 * (2 * order + 1)
-    if arr.shape[0] <= min_len:
-        width = max(1, arr.shape[0] // 4)
-        if arr.ndim == 1:
-            return moving_average(arr, width)
-        return np.column_stack(
-            [moving_average(arr[:, j], width) for j in range(arr.shape[1])]
-        )
-    return _sosfiltfilt_cached(arr, order, cutoff_hz / nyquist, contiguous)
+    if n <= 3 * (2 * order + 1):
+        width = max(1, n // 4)
+        return np.array([moving_average(row, width)[keep_from:] for row in rows])
+    sos, zi, edge = _sosfiltfilt_setup(order, cutoff_hz / nyquist)
+    # scipy's sosfiltfilt, operation for operation: odd extension by
+    # ``edge`` samples a side, a forward pass, then a backward pass over
+    # the reversed output, each seeded with the steady-state conditions
+    # scaled by the first sample it filters.
+    ext = np.concatenate(
+        (
+            2.0 * rows[:, :1] - rows[:, edge:0:-1],
+            rows,
+            2.0 * rows[:, -1:] - rows[:, -2 : -(edge + 2) : -1],
+        ),
+        axis=1,
+    )
+    zi = zi[:, None, :]
+    fwd, _ = sp_signal.sosfilt(sos, ext, zi=zi * ext[:, :1])
+    # Backward over extended columns ``edge + keep_from`` on only
+    # (``edge >= 3``, so the slice stop is never -1).
+    back, _ = sp_signal.sosfilt(
+        sos, fwd[:, : edge + keep_from - 1 : -1], zi=zi * fwd[:, -1:]
+    )
+    # Undo the reversal and drop the right extension.
+    return back[:, : edge - 1 : -1]
+
+
+def butter_lowpass(
+    x: np.ndarray,
+    cutoff_hz: float,
+    sample_rate_hz: float,
+    order: int = 4,
+) -> np.ndarray:
+    """Zero-phase Butterworth low-pass filter.
+
+    Uses forward-backward filtering (``filtfilt``) so gait peaks are not
+    delayed relative to the raw signal — peak timestamps feed the
+    critical-point offset metric, so phase distortion would directly
+    corrupt the step counter. Reproduces ``scipy.signal.sosfiltfilt``
+    bit for bit (asserted by the differential tests) with its setup
+    cost memoized; each signal runs through :func:`lowpass_rows`.
+
+    Args:
+        x: 1-D signal (or 2-D array filtered along axis 0).
+        cutoff_hz: -3 dB cutoff frequency in Hz; must lie strictly
+            below the Nyquist frequency.
+        sample_rate_hz: Sampling rate of ``x`` in Hz.
+        order: Filter order (of the underlying one-pass design).
+
+    Returns:
+        The filtered signal, same shape as ``x``.
+
+    Raises:
+        ConfigurationError: If the cutoff or rate are invalid.
+        SignalError: If the signal is empty.
+    """
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 1:
+        out = lowpass_rows(arr[None, :], cutoff_hz, sample_rate_hz, order)[0]
+    else:
+        out = lowpass_rows(arr.T, cutoff_hz, sample_rate_hz, order).T
+    return np.ascontiguousarray(out)
 
 
 def moving_average(x: np.ndarray, width: int) -> np.ndarray:

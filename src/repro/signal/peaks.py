@@ -4,13 +4,12 @@ Peak detection over the (filtered) vertical acceleration is the
 canonical step-counting primitive used by GFit-style pedometers,
 Montage [6] and — as the *candidate generator* only — by PTrack itself.
 
-The semantics are fully specified by the pure-Python reference
-implementations in this module: a peak is a strict local maximum
-(plateaus resolve to their centre) that clears a prominence floor and
-a minimum spacing to the previously accepted peak. The hot paths
-dispatch to the C kernels in :mod:`scipy.signal`, which implement the
-same definitions; the differential tests assert bit-identical results
-against the references.
+A peak is a strict local maximum (plateaus resolve to their centre)
+that clears a prominence floor and a minimum spacing to the previously
+accepted peak. The hot paths dispatch to the C kernels in
+:mod:`scipy.signal`, which implement the same definitions; the
+differential tests assert bit-identical results against pure-Python
+references (``tests/scalar_references.py``).
 """
 
 from __future__ import annotations
@@ -26,59 +25,16 @@ from repro.exceptions import ConfigurationError, SignalError
 __all__ = ["detect_peaks", "detect_valleys", "peak_prominences"]
 
 
-def _local_maxima_reference(x: np.ndarray) -> np.ndarray:
-    """Pure-Python specification of :func:`_local_maxima` (kept for tests)."""
-    n = x.size
-    if n < 3:
-        return np.empty(0, dtype=int)
-    maxima = []
-    i = 1
-    while i < n - 1:
-        if x[i] > x[i - 1]:
-            # Walk over a potential plateau.
-            j = i
-            while j < n - 1 and x[j + 1] == x[j]:
-                j += 1
-            if j < n - 1 and x[j + 1] < x[j]:
-                maxima.append((i + j) // 2)
-            i = j + 1
-        else:
-            i += 1
-    return np.asarray(maxima, dtype=int)
-
-
 def _local_maxima(x: np.ndarray) -> np.ndarray:
     """Indices of strict local maxima, resolving flat tops to their centre.
 
     ``scipy.signal.find_peaks`` without conditions returns exactly the
-    plateau-centre local maxima of the reference implementation, via a
-    C scan instead of a Python loop.
+    plateau-centre local maxima of the scalar reference, via a C scan
+    instead of a Python loop.
     """
     if x.size < 3:
         return np.empty(0, dtype=int)
     return sp_signal.find_peaks(x)[0]
-
-
-def _peak_prominences_reference(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
-    """Pure-Python specification of :func:`peak_prominences` (kept for tests)."""
-    arr = np.asarray(x, dtype=float)
-    out = np.empty(len(peaks), dtype=float)
-    for k, p in enumerate(peaks):
-        height = arr[p]
-        # Left search: lowest point until terrain exceeds the peak.
-        left_min = height
-        i = p - 1
-        while i >= 0 and arr[i] <= height:
-            left_min = min(left_min, arr[i])
-            i -= 1
-        # Right search symmetric.
-        right_min = height
-        i = p + 1
-        while i < arr.size and arr[i] <= height:
-            right_min = min(right_min, arr[i])
-            i += 1
-        out[k] = height - max(left_min, right_min)
-    return out
 
 
 def peak_prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
@@ -87,8 +43,8 @@ def peak_prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     The prominence of a peak is its height above the higher of the two
     deepest valleys separating it from taller terrain on either side —
     the standard definition. The scipy C kernel performs the same
-    bounded left/right scans as the reference implementation and
-    produces bit-identical values.
+    bounded left/right scans as the scalar reference and produces
+    bit-identical values.
 
     Args:
         x: 1-D signal.
@@ -103,7 +59,7 @@ def peak_prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=float)
     with warnings.catch_warnings():
         # scipy warns (and returns 0) for indices that are not local
-        # maxima; the reference implementation returns 0 silently.
+        # maxima; the scalar reference returns 0 silently.
         warnings.simplefilter("ignore")
         return sp_signal.peak_prominences(arr, idx)[0]
 

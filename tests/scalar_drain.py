@@ -119,16 +119,16 @@ class ScalarDrain:
         else:
             sess.filter_plan(limit, los, his, starts)
         for lo, hi, start in zip(los, his, starts):
-            block = butter_lowpass(
+            rows = butter_lowpass(
                 sess.raw_block(lo, hi),
                 cfg.lowpass_cutoff_hz,
                 sess.sample_rate_hz,
                 cfg.lowpass_order,
-            )
+            )[start - lo :]
             if final:
-                sess.apply_final_block(lo, hi, start, block)
+                sess.apply_final_block(lo, hi, start, rows)
             else:
-                sess.apply_filtered_block(lo, hi, start, block)
+                sess.apply_filtered_block(lo, hi, start, rows)
 
     def _settle_pass(
         self,
@@ -137,17 +137,15 @@ class ScalarDrain:
         steps: List[StepEvent],
         strides: List[StrideEstimate],
     ) -> None:
-        """One credited pass at ``boundary``: stage, close, test,
+        """One credited pass at ``boundary``: stage and close, test,
         classify, solve per cycle, credit."""
         sess = self.session
         rc = self._pass(boundary, settle_margin)
-        sess.finish_collect(boundary)
         stepping_values(rc, sess.config)
-        sess.classify(rc, 0, len(rc.starts))
+        rows: List[int] = []
+        sess.classify(rc, 0, len(rc.starts), rows, [])
         rc.reset_solves()
         if self.estimator is not None:
-            rows: List[int] = []
-            sess.stride_rows(rc, 0, len(rc.resolved), rows, [])
             dt = 1.0 / sess.sample_rate_hz
             for j in rows:
                 solved = self.estimator.cycle_stride(
@@ -158,19 +156,22 @@ class ScalarDrain:
         sess.credit_resolved(rc, 0, len(rc.resolved), steps, strides)
 
     def _pass(self, boundary: int, settle_margin: Optional[int]) -> RoundCycles:
-        """Segment, admit, commit, measure and stage one pass's cycles."""
+        """Segment, admit, copy out, measure and stage one pass's
+        cycles, closing the pass."""
         sess = self.session
         cfg = sess.config
         origins: List[int] = []
         settled_ends: List[int] = []
         last_peaks: List[int] = []
-        vertical = sess.begin_pass(
+        pane = sess.begin_pass(
             boundary, settle_margin, origins, settled_ends, last_peaks
         )
-        if vertical is None:
-            return RoundCycles([0], [], [], [])
+        if pane is None:
+            rc = RoundCycles([0], [], [], [])
+            sess.stage_cycles(rc, 0, 0, boundary)
+            return rc
         cycles = batched_segment_windows(
-            [vertical],
+            [pane[:, 2]],
             sess.sample_rate_hz,
             min_step_rate_hz=cfg.min_step_rate_hz,
             max_step_rate_hz=cfg.max_step_rate_hz,
@@ -180,7 +181,10 @@ class ScalarDrain:
             raise cycles.errors[0]
         rc = admit_cycles(cycles, origins, settled_ends, last_peaks)
         n = len(rc.starts)
-        sess.commit_cycles(rc, 0, n)
+        for start, end in zip(rc.starts, rc.ends):
+            seg = pane[start - origins[0] : end - origins[0]]
+            rc.v_segs.append(seg[:, 2].copy())
+            rc.h_segs.append(seg[:, :2].copy())
         for i in range(n):
             try:
                 a_seg, anterior_ok, motion_ok, offset = scalar_measure(
@@ -193,5 +197,5 @@ class ScalarDrain:
             rc.anterior_ok.append(anterior_ok)
             rc.motion_ok.append(motion_ok)
             rc.offsets.append(offset)
-        sess.stage_cycles(rc, 0, n)
+        sess.stage_cycles(rc, 0, n, boundary)
         return rc

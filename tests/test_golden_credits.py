@@ -14,12 +14,16 @@ Inputs:
 * ``slow_cadence`` — the pinned slow-cadence user (``cadence_hz =
   1.046875``, walk seed 292; see ``test_slow_cadence_regression.py``);
 * ``low_rate`` — the pinned 35 s walk resampled to 26.4765625 Hz (see
-  ``test_low_rate_resample_regression.py``).
+  ``test_low_rate_resample_regression.py``);
+* ``stepping`` — a 30 s walk with the arm held rigid (100 Hz), whose
+  every credit goes through the Fig. 4 stepping tests and streak,
+  which no walking cycle reaches.
 
 The faulted variant clips every trace at ±10 m/s² (flattened peaks,
 kept as data by the policy's 78 m/s² rail) and cuts NaN bursts and
 outages into it; the walks' outages are long enough to force gap
-resets.
+resets. The rigid arm never reaches the clip, so its faulted variant
+exercises the NaN repairs only.
 
 Every driver must hit the same stored digest: a serial
 :class:`~repro.core.streaming.StreamingPTrack` per session (a round of
@@ -55,6 +59,7 @@ from repro.serving import BatchedSessionPool, serve_fleet, synthesize_workload
 from repro.signal.resample import resample_trace
 from repro.simulation.profiles import SimulatedUser
 from repro.simulation.walker import simulate_walk
+from repro.types import GaitType
 from scalar_drain import ScalarDrain
 
 GOLDEN_PATH = Path(__file__).with_name("golden_credits.json")
@@ -87,6 +92,10 @@ def _inputs():
     low = SimulatedUser()
     low_trace, _ = simulate_walk(low, 35.0, rng=np.random.default_rng(2024))
     low_trace = resample_trace(low_trace, LOW_RATE_HZ)
+    stepper = SimulatedUser()
+    step_trace, _ = simulate_walk(
+        stepper, 30.0, rng=np.random.default_rng(101), arm_mode="rigid"
+    )
     return {
         "walks": (
             100.0,
@@ -102,6 +111,11 @@ def _inputs():
             LOW_RATE_HZ,
             [np.ascontiguousarray(low_trace.linear_acceleration)],
             [low.profile],
+        ),
+        "stepping": (
+            100.0,
+            [np.ascontiguousarray(step_trace.linear_acceleration)],
+            [stepper.profile],
         ),
     }
 
@@ -224,7 +238,7 @@ def cases():
 
 CASE_NAMES = [
     f"{name}/{policy}"
-    for name in ("walks", "slow_cadence", "low_rate")
+    for name in ("walks", "slow_cadence", "low_rate", "stepping")
     for policy in ("strict", "faulted")
 ]
 
@@ -237,10 +251,20 @@ def test_faulted_cases_exercise_degraded_ingest(cases):
     # The faulted inputs must actually carry gaps and clipped peaks,
     # or the degraded half of the corpus pins nothing the strict half
     # does not.
-    for name in ("walks", "slow_cadence", "low_rate"):
+    for name in ("walks", "slow_cadence", "low_rate", "stepping"):
         _rate, traces, _profiles, _policy = cases[f"{name}/faulted"]
         assert all(np.isnan(t).any() for t in traces)
-        assert any((np.abs(t) == 10.0).any() for t in traces)
+        if name != "stepping":
+            assert any((np.abs(t) == 10.0).any() for t in traces)
+
+
+@pytest.mark.parametrize("policy", ["strict", "faulted"])
+def test_stepping_cases_credit_stepping_cycles(cases, policy):
+    # The stepping anchor pins the Fig. 4 stepping branch only if its
+    # credits actually come from it.
+    steps, strides = _serve_serial(*cases[f"stepping/{policy}"])[0]
+    assert len(steps) > 20 and strides
+    assert {e.gait_type for e in steps} == {GaitType.STEPPING}
 
 
 @pytest.mark.parametrize("case", CASE_NAMES)

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.config import PTrackConfig
 from repro.core.offset import cycle_offset
+from scalar_references import offset_from_points_scalar
 
 CFG = PTrackConfig()
 N = 120
@@ -130,24 +131,20 @@ class TestVectorizedMatchingEquivalence:
         return v_pts, a_pts
 
     def test_matches_scalar_on_random_cycles(self):
-        from repro.core.offset import _offset_from_points_scalar, offset_from_points
+        from repro.core.offset import offset_from_points
 
         rng = np.random.default_rng(21)
         compared = 0
         for _ in range(50):
             v_pts, a_pts = self._point_sets(rng)
             fast = offset_from_points(v_pts, a_pts, N, CFG)
-            slow = _offset_from_points_scalar(v_pts, a_pts, N, CFG)
+            slow = offset_from_points_scalar(v_pts, a_pts, N, CFG)
             assert abs(fast - slow) <= 1e-12
             compared += 1
         assert compared == 50
 
     def test_matches_scalar_on_golden_waveforms(self):
-        from repro.core.offset import (
-            _offset_from_points_scalar,
-            critical_points_for_offset,
-            offset_from_points,
-        )
+        from repro.core.offset import critical_points_for_offset, offset_from_points
 
         driver = np.cos(4 * np.pi * T) + 0.5 * np.sin(2 * np.pi * T)
         for v, a in [
@@ -160,13 +157,13 @@ class TestVectorizedMatchingEquivalence:
             ]
             a_pts = critical_points_for_offset(a, CFG)
             fast = offset_from_points(v_pts, a_pts, N, CFG)
-            slow = _offset_from_points_scalar(v_pts, a_pts, N, CFG)
+            slow = offset_from_points_scalar(v_pts, a_pts, N, CFG)
             assert abs(fast - slow) <= 1e-12
 
     def test_unsorted_anterior_points_handled(self):
         # The scalar scan never needed sorted matching points; the
         # vectorised matcher sorts internally and must agree.
-        from repro.core.offset import _offset_from_points_scalar, offset_from_points
+        from repro.core.offset import offset_from_points
         from repro.signal.critical_points import CriticalPoint, CriticalPointKind
 
         v_pts = [CriticalPoint(i, CriticalPointKind.PEAK) for i in (20, 60, 100)]
@@ -174,5 +171,5 @@ class TestVectorizedMatchingEquivalence:
             CriticalPoint(i, CriticalPointKind.CROSSING) for i in (90, 15, 55, 110)
         ]
         fast = offset_from_points(v_pts, a_pts, N, CFG)
-        slow = _offset_from_points_scalar(v_pts, a_pts, N, CFG)
+        slow = offset_from_points_scalar(v_pts, a_pts, N, CFG)
         assert abs(fast - slow) <= 1e-12

@@ -7,7 +7,6 @@ from hypothesis.extra import numpy as npst
 
 from repro.core.config import PTrackConfig
 from repro.core.offset import (
-    _offset_from_points_scalar,
     critical_points_for_offset,
     offset_from_points,
 )
@@ -20,7 +19,6 @@ from repro.signal.correlation import (
     normalized_cross_correlation,
 )
 from repro.signal.critical_points import (
-    _zero_crossings_scalar,
     critical_points,
     zero_crossings,
 )
@@ -31,6 +29,7 @@ from repro.signal.integration import (
     integrate_mean_removal,
 )
 from repro.signal.peaks import detect_peaks, detect_valleys
+from scalar_references import offset_from_points_scalar, zero_crossings_scalar
 
 finite_signals = npst.arrays(
     dtype=np.float64,
@@ -143,7 +142,7 @@ def test_hysteresis_monotone(x, hyst):
 @given(finite_signals, st.floats(min_value=0.0, max_value=2.0))
 def test_zero_crossings_matches_scalar_reference(x, hyst):
     centred = x - x.mean()
-    assert zero_crossings(centred, hyst) == _zero_crossings_scalar(centred, hyst)
+    assert zero_crossings(centred, hyst) == zero_crossings_scalar(centred, hyst)
 
 
 @settings(max_examples=100, deadline=None)
@@ -155,7 +154,7 @@ def test_offset_matching_matches_scalar_reference(v, a):
     v_pts = [p for p in critical_points_for_offset(v, cfg) if p.kind.is_turning]
     a_pts = critical_points_for_offset(a, cfg)
     fast = offset_from_points(v_pts, a_pts, n, cfg)
-    slow = _offset_from_points_scalar(v_pts, a_pts, n, cfg)
+    slow = offset_from_points_scalar(v_pts, a_pts, n, cfg)
     assert abs(fast - slow) <= 1e-12
 
 

@@ -10,9 +10,10 @@ round's transients into full ones. Pools and a solo
 :class:`~repro.core.streaming.StreamingPTrack` (a round of one) are
 held to the same bounds.
 
-Each check counts net tracked containers with ``gc.get_count()[0]``
-(allocations minus deallocations of collector-tracked objects) across
-one call, with the collector disabled for the call only.
+Each check counts the collector-tracked containers one call creates
+that are still alive when it returns, with the collector disabled for
+the call only. Transient objects do not count, whether CPython frees
+them or keeps them on its free lists for reuse.
 """
 
 import gc
@@ -21,32 +22,31 @@ import pytest
 
 from repro.core.streaming import StreamingPTrack
 from repro.serving import NO_CREDITS, SessionPool, synthesize_workload
-from repro.signal.filters import butter_lowpass
 
 RATE = 100.0
-#: Net containers an append may add whatever the fleet size: the
-#: result list, the round's own lists and slack for CPython internals.
-APPEND_CONSTANT = 24
-#: Net containers a round may add per credited cycle beyond the
-#: credits it returns (the candidate, its peaks, its resolution).
-PER_CYCLE = 3
-ROUND_CONSTANT = 64
+#: Containers an idle append may leave alive whatever the fleet size:
+#: the result list (a solo append's pair of lists) and slack for
+#: CPython internals.
+APPEND_CONSTANT = 8
+#: Containers a crediting round may leave alive per credited cycle
+#: beyond the credits it returns (a cycle the streak still holds), and
+#: per round.
+PER_CYCLE = 1
+ROUND_CONSTANT = 12
 
 
 def _net_containers(call):
-    """``call()``'s result and the net tracked containers it created."""
-    gc.collect()
-    # Keep the young count off zero: a deallocation at count zero is
-    # not subtracted, which would hide allocations behind older frees.
-    padding = [[] for _ in range(256)]
+    """``call()``'s result and the tracked containers it created that
+    are still alive."""
+    # A young collection empties generation 0 (its survivors move on)
+    # and, unlike a full one, leaves CPython's free lists warm.
+    gc.collect(1)
     gc.disable()
     try:
-        before = gc.get_count()[0]
         result = call()
-        grown = gc.get_count()[0] - before
+        grown = len(gc.get_objects(0))
     finally:
         gc.enable()
-    del padding
     return result, grown
 
 
@@ -111,27 +111,12 @@ def test_round_allocates_per_credited_cycle_only():
 
 
 def test_solo_round_allocates_per_credited_cycle_only():
-    # A round of one pays its filter call alone, where a pool round
-    # shares one call among up to FILTER_STACK_BLOCKS blocks. scipy's
-    # sosfilt wrapper (two calls per filter) leaves tens of tuples on
-    # CPython's free lists, which this count reads as growth, so the
-    # solo round constant adds one such filter call, measured here.
-    session, append, traces = _solo()
-    cfg = session.config
-    block = traces[0][:325]  # one hop block: 125 samples, 100 of context a side
-    _, filter_call = _net_containers(
-        lambda: butter_lowpass(
-            block, cfg.lowpass_cutoff_hz, RATE, cfg.lowpass_order,
-            contiguous=False,
-        )
-    )
-    credited = _check_crediting_append(
-        append, traces, ROUND_CONSTANT + max(filter_call, 0)
-    )
+    _session, append, traces = _solo()
+    credited = _check_crediting_append(append, traces)
     assert credited >= 1
 
 
-def _check_crediting_append(append, traces, round_constant=ROUND_CONSTANT):
+def _check_crediting_append(append, traces):
     """Append 50-sample batches until one credits after a warm-up
     crediting append; hold that append to the per-cycle budget and
     return how many cycles it credited."""
@@ -159,7 +144,7 @@ def _check_crediting_append(append, traces, round_constant=ROUND_CONSTANT):
         budget = (
             _returned_containers(results)
             + PER_CYCLE * len(cycles)
-            + round_constant
+            + ROUND_CONSTANT
         )
         assert grown <= budget, (
             f"an append crediting {len(cycles)} cycles grew {grown} "

@@ -624,15 +624,16 @@ def test_batched_pool_stage_histograms_count_rounds(monkeypatch):
 
 
 def _spy_lowpass(monkeypatch):
-    """Record the shape of every low-pass call of the batched round."""
+    """Record the ``(rows, length)`` shape of every low-pass call of the
+    batched round (three rows per block)."""
     shapes = []
-    lowpass = rounds_module.butter_lowpass
+    lowpass = rounds_module.lowpass_rows
 
-    def spy(block, *args, **kwargs):
-        shapes.append(block.shape)
-        return lowpass(block, *args, **kwargs)
+    def spy(stack, *args, **kwargs):
+        shapes.append(stack.shape)
+        return lowpass(stack, *args, **kwargs)
 
-    monkeypatch.setattr(rounds_module, "butter_lowpass", spy)
+    monkeypatch.setattr(rounds_module, "lowpass_rows", spy)
     return shapes
 
 
@@ -729,9 +730,9 @@ def test_batched_flush_ragged_tails_bit_identical(monkeypatch):
     pool, sids, _ = _flush_pool(traces, profiles, 96, flush_at=[])
     shapes.clear()
     pool.flush(sids)
-    tail_rows = [rows for rows, _cols in shapes]
-    assert len(tail_rows) == len(set(tail_rows)) >= 3
-    assert max(cols for _rows, cols in shapes) >= 6
+    tail_lengths = [length for _rows, length in shapes]
+    assert len(tail_lengths) == len(set(tail_lengths)) >= 3
+    assert max(rows for rows, _length in shapes) >= 6
 
 
 def test_batched_flush_degraded_tails_bit_identical():
@@ -789,16 +790,16 @@ TAIL_SENTINEL = 77.25  # finite and under FaultPolicy's saturation rail
 
 
 def _fail_lowpass_on_sentinel(monkeypatch):
-    """Make the batched round's low-pass raise on every block holding
+    """Make the batched round's low-pass raise on every stack holding
     :data:`TAIL_SENTINEL`."""
-    lowpass = rounds_module.butter_lowpass
+    lowpass = rounds_module.lowpass_rows
 
-    def failing(block, *args, **kwargs):
-        if (block == TAIL_SENTINEL).any():
+    def failing(stack, *args, **kwargs):
+        if (stack == TAIL_SENTINEL).any():
             raise FloatingPointError("tail filter blew up")
-        return lowpass(block, *args, **kwargs)
+        return lowpass(stack, *args, **kwargs)
 
-    monkeypatch.setattr(rounds_module, "butter_lowpass", failing)
+    monkeypatch.setattr(rounds_module, "lowpass_rows", failing)
 
 
 def test_batched_flush_isolates_failing_tail(monkeypatch):

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from scipy import signal as sp_signal
+
 from repro.exceptions import ConfigurationError, SignalError
 from repro.signal.filters import (
     butter_lowpass,
     detrend_mean,
     gravity_component,
+    lowpass_rows,
     moving_average,
 )
 
@@ -71,6 +74,29 @@ class TestButterLowpass:
     def test_rejects_empty(self):
         with pytest.raises(SignalError):
             butter_lowpass(np.empty(0), 5.0, 100.0)
+
+
+class TestLowpassRows:
+    @pytest.mark.parametrize("n", [28, 57, 325])
+    def test_kept_columns_equal_sosfiltfilt_per_row(self, n):
+        # The backward pass stops at ``keep_from``; every column from
+        # there on is scipy's zero-phase filter of the row, bit for bit.
+        rows = np.random.default_rng(n).normal(size=(5, n))
+        sos = sp_signal.butter(4, 5.0 / 50.0, btype="low", output="sos")
+        want = sp_signal.sosfiltfilt(sos, rows, axis=-1)
+        for keep_from in (0, 1, n // 3, n - 1):
+            got = lowpass_rows(rows, 5.0, 100.0, 4, keep_from)
+            assert np.array_equal(got, want[:, keep_from:])
+
+    def test_short_rows_fall_back_per_row(self):
+        rows = np.random.default_rng(3).normal(size=(3, 20))
+        got = lowpass_rows(rows, 5.0, 100.0, 4, 4)
+        for row, out in zip(rows, got):
+            assert np.array_equal(out, butter_lowpass(row, 5.0, 100.0)[4:])
+
+    def test_rejects_empty(self):
+        with pytest.raises(SignalError):
+            lowpass_rows(np.empty((3, 0)), 5.0, 100.0)
 
 
 class TestMovingAverage:

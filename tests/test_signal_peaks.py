@@ -6,11 +6,13 @@ from scipy import signal as sp_signal
 
 from repro.exceptions import ConfigurationError, SignalError
 from repro.signal.peaks import (
-    _local_maxima_reference,
-    _peak_prominences_reference,
     detect_peaks,
     detect_valleys,
     peak_prominences,
+)
+from scalar_references import (
+    local_maxima_reference,
+    peak_prominences_reference,
 )
 
 
@@ -128,13 +130,13 @@ class TestReferenceScans:
     def test_local_maxima_reference_matches_scipy(self, seed):
         x = _gait_like(seed=seed)
         np.testing.assert_array_equal(
-            _local_maxima_reference(x), sp_signal.find_peaks(x)[0]
+            local_maxima_reference(x), sp_signal.find_peaks(x)[0]
         )
 
     def test_local_maxima_reference_plateaus(self):
         x = np.asarray([0.0, 1.0, 1.0, 1.0, 0.0, 2.0, 0.0])
         np.testing.assert_array_equal(
-            _local_maxima_reference(x), sp_signal.find_peaks(x)[0]
+            local_maxima_reference(x), sp_signal.find_peaks(x)[0]
         )
 
     @pytest.mark.parametrize("seed", range(5))
@@ -143,5 +145,5 @@ class TestReferenceScans:
         peaks = sp_signal.find_peaks(x)[0]
         expected = sp_signal.peak_prominences(x, peaks)[0]
         np.testing.assert_array_equal(
-            _peak_prominences_reference(x, peaks), expected
+            peak_prominences_reference(x, peaks), expected
         )
