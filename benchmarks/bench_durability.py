@@ -34,6 +34,7 @@ import pickle
 import time
 from typing import Any, Dict, List, Tuple
 
+from bench_common import credit_signature
 from repro.core.streaming import StreamingPTrack
 from repro.serving import (
     BatchedSessionPool,
@@ -53,14 +54,6 @@ CHECKPOINT_EVERY_S = 10.0
 OVERHEAD_BUDGET = 0.05
 
 
-def _credit_signature(steps, strides) -> Tuple[tuple, tuple]:
-    """A bitwise-comparable signature of one session's credits."""
-    return (
-        tuple((s.index, s.time, s.gait_type.name) for s in steps),
-        tuple((s.time, s.length_m) for s in strides),
-    )
-
-
 def _drive_session(sess, samples, cut=None):
     """Serve one trace; at tick ``cut``, pickle-round-trip a snapshot
     and continue on the restored session."""
@@ -76,7 +69,7 @@ def _drive_session(sess, samples, cut=None):
     s, r = sess.flush()
     steps.extend(s)
     strides.extend(r)
-    return _credit_signature(steps, strides)
+    return credit_signature(steps, strides)
 
 
 def assert_resume_identity(
@@ -115,9 +108,9 @@ def assert_resume_identity(
         batch_samples=BATCH_SAMPLES, checkpoint_every_s=3.0,
     )
     assert [
-        _credit_signature(s.steps, s.strides) for s in one_epoch.sessions
+        credit_signature(s.steps, s.strides) for s in one_epoch.sessions
     ] == [
-        _credit_signature(s.steps, s.strides) for s in durable.sessions
+        credit_signature(s.steps, s.strides) for s in durable.sessions
     ], "checkpointed fleet diverged from the one-epoch fleet"
     return {
         "oracle": (

@@ -20,12 +20,16 @@ that silently diverges from the reference is reporting noise.
 
 from __future__ import annotations
 
-import gc
 import time
-from typing import Any, Dict, List, Tuple
+from functools import partial
+from typing import Any, Dict
 
-import numpy as np
-
+from bench_common import (
+    HEADLINE_CADENCE,
+    SAMPLE_RATE_HZ,
+    paired_overhead,
+    serve_session,
+)
 from repro.core.streaming import StreamingPTrack
 from repro.faults import (
     FaultPolicy,
@@ -36,26 +40,9 @@ from repro.faults import (
 )
 from repro.serving import serve_fleet, synthesize_workload
 
-SAMPLE_RATE_HZ = 100.0
-HEADLINE_CADENCE = 50  # samples per append: the 0.5 s upload interval
-
 #: Tracked budget: degraded-mode ingest on a clean trace must cost
 #: less than this fraction over strict ingest.
 CLEAN_OVERHEAD_BUDGET = 0.05
-
-
-def _serve(profile, data: np.ndarray, policy) -> tuple:
-    """Drive one session at the headline cadence; return its credits."""
-    sess = StreamingPTrack(
-        SAMPLE_RATE_HZ, profile=profile, fault_policy=policy
-    )
-    steps: List[Any] = []
-    for i in range(0, data.shape[0], HEADLINE_CADENCE):
-        new_steps, _ = sess.append(data[i : i + HEADLINE_CADENCE])
-        steps.extend(new_steps)
-    new_steps, _ = sess.flush()
-    steps.extend(new_steps)
-    return steps, sess
 
 
 def bench_clean_overhead(
@@ -68,8 +55,10 @@ def bench_clean_overhead(
     data = workload.samples
     policy = FaultPolicy()
 
-    strict_steps, _ = _serve(workload.profile, data, None)
-    degraded_steps, degraded_sess = _serve(workload.profile, data, policy)
+    strict_steps, _ = serve_session(data, profile=workload.profile)
+    degraded_steps, degraded_sess = serve_session(
+        data, profile=workload.profile, fault_policy=policy
+    )
     # Bit-identical credits on clean input, and a quiet health ledger.
     assert [(e.index, e.time) for e in strict_steps] == [
         (e.index, e.time) for e in degraded_steps
@@ -79,63 +68,24 @@ def bench_clean_overhead(
     assert ops.samples_rejected == 0
     assert ops.gaps_reset == 0
 
-    # Gate on the median of interleaved pair ratios: both arms of a
-    # pair serve the trace side by side, one upload at a time, so
-    # host-speed drift on a shared machine hits both alike, and the
-    # median rides out a stalled pair.
-    strict_times: List[float] = []
-    degraded_times: List[float] = []
-    for pair in range(repeats):
-        strict_s, degraded_s = _time_pair(
-            workload.profile, data, policy, strict_first=pair % 2 == 0
-        )
-        strict_times.append(strict_s)
-        degraded_times.append(degraded_s)
-    ratios = [d / s for s, d in zip(strict_times, degraded_times)]
-    overhead = float(np.median(ratios)) - 1.0
+    session = partial(
+        StreamingPTrack, SAMPLE_RATE_HZ, profile=workload.profile
+    )
+    pairs = paired_overhead(
+        data,
+        ("strict", session),
+        ("degraded", partial(session, fault_policy=policy)),
+        repeats,
+    )
     return {
         "duration_s": duration_s,
         "n_samples": int(data.shape[0]),
         "repeats": repeats,
-        "strict_s": float(np.median(strict_times)),
-        "degraded_s": float(np.median(degraded_times)),
-        "overhead_frac": overhead,
-        "overhead_min": min(ratios) - 1.0,
-        "overhead_max": max(ratios) - 1.0,
+        **pairs,
         "overhead_budget": CLEAN_OVERHEAD_BUDGET,
-        "overhead_ok": overhead < CLEAN_OVERHEAD_BUDGET,
+        "overhead_ok": pairs["overhead_frac"] < CLEAN_OVERHEAD_BUDGET,
         "identical_credits": True,
     }
-
-
-def _time_pair(
-    profile, data: np.ndarray, policy, strict_first: bool
-) -> Tuple[float, float]:
-    """Serve ``data`` through a strict and a degraded session in
-    lockstep, timing each session's appends and flush separately;
-    ``strict_first`` picks which arm takes each upload first."""
-    sessions = {
-        "strict": StreamingPTrack(SAMPLE_RATE_HZ, profile=profile),
-        "degraded": StreamingPTrack(
-            SAMPLE_RATE_HZ, profile=profile, fault_policy=policy
-        ),
-    }
-    order = ["strict", "degraded"] if strict_first else ["degraded", "strict"]
-    elapsed = dict.fromkeys(order, 0.0)
-    # Start from a collected heap, so a full collection of earlier
-    # pairs' garbage never lands inside this one.
-    gc.collect()
-    for i in range(0, data.shape[0], HEADLINE_CADENCE):
-        batch = data[i : i + HEADLINE_CADENCE]
-        for arm in order:
-            t0 = time.perf_counter()
-            sessions[arm].append(batch)
-            elapsed[arm] += time.perf_counter() - t0
-    for arm in order:
-        t0 = time.perf_counter()
-        sessions[arm].flush()
-        elapsed[arm] += time.perf_counter() - t0
-    return elapsed["strict"], elapsed["degraded"]
 
 
 def bench_faulted_fleet(

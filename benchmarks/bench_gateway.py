@@ -1,7 +1,7 @@
-"""Tracked ragged-ingest gateway benchmarks (the PR-7 scoreboard).
+"""Tracked ragged-ingest gateway benchmarks.
 
 Three sections, written into the ``ragged_ingest`` block of
-``BENCH_PR7.json``:
+``BENCH_GATEWAY.json``:
 
 * **identity** — the gateway equivalence oracle, asserted *before any
   timing*: on a seeded ragged arrival schedule (bursts, quiet gaps,
@@ -16,8 +16,8 @@ Three sections, written into the ``ragged_ingest`` block of
   arrivals, one ``StreamingPTrack.append`` per session per tick, no
   mailboxes) as the baseline. The tracked target is that mailbox +
   coalescing overhead keeps the gateway within 2x of the serial
-  µs/sample. (``BENCH_PR7.json`` records the retired lockstep pool as
-  its baseline, under ``ragged_vs_lockstep``.)
+  µs/sample. (The history file ``BENCH_PR7.json`` records the retired
+  lockstep pool as its baseline, under ``ragged_vs_lockstep``.)
 * **shedding** — the backpressure row: the same schedule re-timed by a
   :class:`repro.faults.MailboxFlood` against deliberately small
   mailboxes. Records the shed fraction, the exactly-once accounting
@@ -36,7 +36,8 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Tuple
 
-from bench_batch import timed_serial
+from bench_common import credit_signature
+from bench_pool import timed_serial
 from repro.core.streaming import StreamingPTrack
 from repro.faults import MailboxFlood, inject_schedule_faults
 from repro.serving import (
@@ -48,7 +49,7 @@ from repro.serving import (
 
 SAMPLE_RATE_HZ = 100.0
 #: Upload granularity of the ragged schedules — a 2.56 s device burst,
-#: matching the fleet-batch scoreboard's append size.
+#: matching the pool suite's append size.
 BATCH_SAMPLES = 256
 #: Tracked bound: gateway µs/sample under ragged arrivals may cost at
 #: most this multiple of serial sessions' synchronized-arrival cost.
@@ -61,14 +62,6 @@ _SCHEDULE_KNOBS = dict(
     reorder_prob=0.15,
     join_spread_ticks=6,
 )
-
-
-def _credit_signature(steps, strides) -> Tuple[tuple, tuple]:
-    """A bitwise-comparable signature of one session's credits."""
-    return (
-        tuple((s.index, s.time, s.gait_type.name) for s in steps),
-        tuple((s.time, s.length_m) for s in strides),
-    )
 
 
 def _serial_replay(workloads, schedule) -> Dict[int, Tuple[tuple, tuple]]:
@@ -87,7 +80,7 @@ def _serial_replay(workloads, schedule) -> Dict[int, Tuple[tuple, tuple]]:
         s, r = sess.flush()
         steps.extend(s)
         strides.extend(r)
-        out[i] = _credit_signature(steps, strides)
+        out[i] = credit_signature(steps, strides)
     return out
 
 
@@ -146,7 +139,7 @@ def assert_gateway_identity(
         [w.samples for w in workloads],
         profiles=[w.profile for w in workloads],
     )
-    got = {i: _credit_signature(*c) for i, c in credits.items()}
+    got = {i: credit_signature(*c) for i, c in credits.items()}
     assert gw.stats.samples_shed == 0, "gateway shed samples"
     assert got == oracle, "gateway diverged from serial replay"
     return {

@@ -37,6 +37,7 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
+from bench_common import credit_signature
 from repro.core.config import PTrackConfig
 from repro.core.selftrain import (
     CalibrationWalk,
@@ -56,14 +57,6 @@ BATCH_SAMPLES = 50
 #: nightly write-back" granularity; each batch rewrites every shard at
 #: most once.
 PUT_BATCH = 200_000
-
-
-def _signature(steps, strides) -> Tuple[tuple, tuple]:
-    """A bitwise-comparable signature of one session's credits."""
-    return (
-        tuple((s.index, s.time, s.gait_type.name) for s in steps),
-        tuple((s.time, s.length_m) for s in strides),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -279,9 +272,9 @@ def bench_warm_load(
             best_stored = min(best_stored, wall_s)
             loaded = stored.profiles_loaded
             assert [
-                _signature(s.steps, s.strides) for s in direct.sessions
+                credit_signature(s.steps, s.strides) for s in direct.sessions
             ] == [
-                _signature(s.steps, s.strides) for s in stored.sessions
+                credit_signature(s.steps, s.strides) for s in stored.sessions
             ], "store-loaded fleet diverged from directly-passed profiles"
     overhead = best_stored / best_direct - 1.0
     return {

@@ -22,66 +22,23 @@ that silently diverges from the reference is reporting noise.
 
 from __future__ import annotations
 
-import gc
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, Optional
 
-import numpy as np
-
+from bench_common import (
+    HEADLINE_CADENCE,
+    SAMPLE_RATE_HZ,
+    paired_overhead,
+    serve_session,
+)
 from repro.core.streaming import StreamingPTrack
 from repro.serving import serve_fleet, synthesize_workload
 from repro.telemetry import MetricsRegistry
 
-SAMPLE_RATE_HZ = 100.0
-HEADLINE_CADENCE = 50  # samples per append: the 0.5 s upload interval
-
 #: Tracked budget: instrumented streaming on a clean trace must cost
 #: less than this fraction over the uninstrumented path.
 TELEMETRY_OVERHEAD_BUDGET = 0.05
-
-
-def _serve(
-    profile, data: np.ndarray, registry: Optional[MetricsRegistry]
-) -> Tuple[list, StreamingPTrack]:
-    """Drive one session at the headline cadence; return its credits."""
-    sess = StreamingPTrack(
-        SAMPLE_RATE_HZ, profile=profile, telemetry=registry
-    )
-    steps: List[Any] = []
-    for i in range(0, data.shape[0], HEADLINE_CADENCE):
-        new_steps, _ = sess.append(data[i : i + HEADLINE_CADENCE])
-        steps.extend(new_steps)
-    new_steps, _ = sess.flush()
-    steps.extend(new_steps)
-    return steps, sess
-
-
-def _time_pair(profile, data: np.ndarray, plain_first: bool) -> Tuple[float, float]:
-    """Serve ``data`` through a plain and an instrumented session in
-    lockstep, timing each session's appends and flush separately;
-    ``plain_first`` picks which arm takes each upload first."""
-    sessions = {
-        "plain": StreamingPTrack(SAMPLE_RATE_HZ, profile=profile),
-        "instrumented": StreamingPTrack(
-            SAMPLE_RATE_HZ, profile=profile, telemetry=MetricsRegistry()
-        ),
-    }
-    order = ["plain", "instrumented"] if plain_first else ["instrumented", "plain"]
-    elapsed = dict.fromkeys(order, 0.0)
-    # Start from a collected heap, so a full collection of earlier
-    # pairs' garbage never lands inside this one.
-    gc.collect()
-    for i in range(0, data.shape[0], HEADLINE_CADENCE):
-        batch = data[i : i + HEADLINE_CADENCE]
-        for arm in order:
-            t0 = time.perf_counter()
-            sessions[arm].append(batch)
-            elapsed[arm] += time.perf_counter() - t0
-    for arm in order:
-        t0 = time.perf_counter()
-        sessions[arm].flush()
-        elapsed[arm] += time.perf_counter() - t0
-    return elapsed["plain"], elapsed["instrumented"]
 
 
 def bench_instrumented_overhead(
@@ -93,9 +50,11 @@ def bench_instrumented_overhead(
     (workload,) = synthesize_workload(1, duration_s, seed=seed)
     data = workload.samples
 
-    plain_steps, _ = _serve(workload.profile, data, None)
+    plain_steps, _ = serve_session(data, profile=workload.profile)
     registry = MetricsRegistry()
-    instr_steps, instr_sess = _serve(workload.profile, data, registry)
+    instr_steps, instr_sess = serve_session(
+        data, profile=workload.profile, telemetry=registry
+    )
     # Bit-identical credits: telemetry observes, never steers.
     assert [(e.index, e.time) for e in plain_steps] == [
         (e.index, e.time) for e in instr_steps
@@ -108,31 +67,22 @@ def bench_instrumented_overhead(
         == instr_sess.op_stats.samples_in
     )
 
-    # Gate on the median of interleaved pair ratios: both arms of a
-    # pair serve the trace side by side, one upload at a time, so
-    # host-speed drift on a shared machine hits both alike, and the
-    # median rides out a stalled pair.
-    plain_times: List[float] = []
-    instr_times: List[float] = []
-    for pair in range(repeats):
-        plain_s, instr_s = _time_pair(
-            workload.profile, data, plain_first=pair % 2 == 0
-        )
-        plain_times.append(plain_s)
-        instr_times.append(instr_s)
-    ratios = [i / p for p, i in zip(plain_times, instr_times)]
-    overhead = float(np.median(ratios)) - 1.0
+    session = partial(
+        StreamingPTrack, SAMPLE_RATE_HZ, profile=workload.profile
+    )
+    pairs = paired_overhead(
+        data,
+        ("plain", session),
+        ("instrumented", lambda: session(telemetry=MetricsRegistry())),
+        repeats,
+    )
     return {
         "duration_s": duration_s,
         "n_samples": int(data.shape[0]),
         "repeats": repeats,
-        "plain_s": float(np.median(plain_times)),
-        "instrumented_s": float(np.median(instr_times)),
-        "overhead_frac": overhead,
-        "overhead_min": min(ratios) - 1.0,
-        "overhead_max": max(ratios) - 1.0,
+        **pairs,
         "overhead_budget": TELEMETRY_OVERHEAD_BUDGET,
-        "overhead_ok": overhead < TELEMETRY_OVERHEAD_BUDGET,
+        "overhead_ok": pairs["overhead_frac"] < TELEMETRY_OVERHEAD_BUDGET,
         "identical_credits": True,
     }
 

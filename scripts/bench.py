@@ -4,18 +4,22 @@
 Usage::
 
     PYTHONPATH=src python scripts/bench.py                   # all suites
-    PYTHONPATH=src python scripts/bench.py --check           # seconds-long smoke
-    PYTHONPATH=src python scripts/bench.py --suite serving \
-        --output BENCH_PR3.json
+    PYTHONPATH=src python scripts/bench.py --check           # smoke, writes no file
+    PYTHONPATH=src python scripts/bench.py --suite pool      # -> BENCH_POOL.json
 
 Suites:
 
 * ``runtime`` — kernel scalar-vs-vectorised speedups, trace-cache
   cold/warm behaviour, and the macro replicate-study timings
   (the PR-1 scoreboard, ``BENCH_PR1.json``).
-* ``serving`` — the amortised-append cost curve of the incremental
-  streaming core and SessionPool fleet scaling (the PR-3 scoreboard,
-  ``BENCH_PR3.json``).
+* ``pool`` — the one ``SessionPool``: the ``serial == pooled ==
+  sharded`` crediting oracle at 50- and 256-sample uploads and the
+  bitwise ``solve_bounce_block == solve_bounce`` differential before
+  any timing; the amortised-append cost curve; the 1000-session pool
+  against serial sessions (tracked >= 5x, <= 1.2 µs/sample, >= 1.5x
+  over the PR-6 batched row); the occupancy sweep; the bounce-kernel
+  microbenchmark; and the check-scale pool-over-serial floor
+  (``BENCH_POOL.json``).
 * ``faulted-serving`` — degraded-mode ingest overhead on clean traces
   (tracked <5% budget, bit-identical credits) and self-healing fleet
   throughput over fault-injected workloads (the PR-4 scoreboard,
@@ -24,25 +28,12 @@ Suites:
   path (tracked <5% budget, bit-identical credits) and shard/worker
   invariance of the merged fleet registry (the PR-5 scoreboard,
   ``BENCH_PR5.json``).
-* ``fleet-batch`` — the fleet-batched pool against serial sessions
-  (tracked >= 5x amortized µs/sample reduction at 1000 sessions),
-  and the occupancy sweep — both gated on the
-  ``serial == pooled == sharded`` crediting oracle (the PR-6
-  scoreboard, ``BENCH_PR6.json``).
 * ``ragged-ingest`` — the async ingest gateway under seeded ragged
   arrival schedules: sustained samples/s with serial sessions as
   the synchronized-arrival baseline (tracked <= 2x overhead), and the
   deterministic-shedding row under a mailbox flood — gated on the
-  ``serial replay == gateway`` crediting oracle (the PR-7 scoreboard,
-  ``BENCH_PR7.json``).
-* ``fleet-kernels`` — the batched round kernels: 1000-session
-  batched µs/sample against the tracked PR-6 batched baseline
-  (tracked >= 1.5x improvement, <= 1.2 µs/sample), the 10-session
-  small-fleet row against serial sessions, the check-scale
-  pool-over-serial speedup gate, and the batched bounce solver —
-  gated on the crediting oracle *and* a bitwise
-  ``solve_bounce_block == solve_bounce`` differential sweep (the PR-8
-  scoreboard, ``BENCH_PR8.json``).
+  ``serial replay == gateway`` crediting oracle
+  (``BENCH_GATEWAY.json``).
 * ``durability`` — the durable-session machinery: per-epoch
   checkpoint overhead on the 1000-session round (tracked <= 5%
   budget) and the restore-vs-reingest recovery speedup after a late
@@ -56,6 +47,11 @@ Suites:
   trainer equivalence oracle and the bit-identical warm-load crediting
   oracle (the PR-10 scoreboard, ``BENCH_PR10.json``).
 
+Without ``--output`` a full run writes each suite's own scoreboard,
+``all`` included, and a ``--check`` run writes no file; with
+``--output`` every selected suite goes into that one file.
+``BENCH_PR3.json``, ``BENCH_PR6.json``, ``BENCH_PR7.json`` and
+``BENCH_PR8.json`` are history: no suite writes them any more.
 The suite list and default scoreboard filenames live in
 :mod:`repro.benchsuites`, shared with the ``repro bench`` CLI verb.
 Every scoreboard is stamped with the schema version and the git
@@ -70,22 +66,25 @@ import json
 import pathlib
 import subprocess
 import sys
+from typing import Optional
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-import bench_batch  # noqa: E402
 import bench_durability  # noqa: E402
 import bench_faults  # noqa: E402
 import bench_gateway  # noqa: E402
-import bench_kernels  # noqa: E402
+import bench_pool  # noqa: E402
 import bench_profiles  # noqa: E402
 import bench_runtime  # noqa: E402
-import bench_serving  # noqa: E402
 import bench_telemetry  # noqa: E402
 
-from repro.benchsuites import DEFAULT_OUTPUTS, SUITE_CHOICES  # noqa: E402
+from repro.benchsuites import (  # noqa: E402
+    DEFAULT_OUTPUTS,
+    SUITE_CHOICES,
+    SUITES,
+)
 
 BENCH_SCHEMA = "ptrack-bench-v2"
 
@@ -130,26 +129,6 @@ def _print_runtime(results) -> bool:
     )
     if not macro["identical_results"]:
         print("ERROR: runtime results differ from the serial baseline")
-        return False
-    return True
-
-
-def _print_serving(serving) -> bool:
-    amort = serving["amortized_append"]
-    print(
-        f"  amortised append: wall spread {amort['wall_spread']:.2f}x "
-        f"across cadences, work counters invariant: "
-        f"{amort['work_counters_cadence_invariant']}"
-    )
-    fleet = serving["fleet_scaling"]
-    for row in fleet["scaling"]:
-        print(
-            f"  fleet {row['sessions']:>4} sessions: "
-            f"{row['samples_per_s']:,.0f} samples/s, "
-            f"{row['real_time_factor']:.0f}x real time"
-        )
-    if not fleet["identity_serial_pooled_sharded"]:
-        print("ERROR: pooled/sharded serving diverged from serial sessions")
         return False
     return True
 
@@ -211,99 +190,75 @@ def _print_telemetry(telemetry) -> bool:
     return ok
 
 
-def _print_fleet_batch(fleet_batch) -> bool:
-    identity = fleet_batch["identity"]
+def _print_pool(pool) -> bool:
+    identity = pool["identity"]
     print(
         f"  crediting oracle ({identity['n_sessions']} sessions, "
-        f"{identity['compared_steps']} steps): {identity['oracle']}: "
+        f"{identity['compared_steps']} steps, uploads of "
+        f"{identity['batch_samples']} samples): {identity['oracle']}: "
         f"{identity['ok']}"
     )
-    headline = fleet_batch["pool_vs_serial"]
-    print(
-        f"  pool vs serial ({headline['n_sessions']} sessions): "
-        f"{headline['pool_us_per_sample']:.2f} vs "
-        f"{headline['serial_us_per_sample']:.2f} us/sample "
-        f"({headline['speedup']:.2f}x, target "
-        f"{headline['target_speedup']:.1f}x)"
-    )
-    for row in fleet_batch["occupancy"]["rows"]:
-        print(
-            f"  occupancy {row['sessions']:>5} sessions: "
-            f"{row['us_per_sample']:.2f} us/sample, "
-            f"{row['samples_per_s']:,.0f} samples/s, "
-            f"{row['real_time_factor']:.0f}x real time"
-        )
-    ok = True
-    if not identity["ok"]:
-        print("ERROR: batched serving diverged from the crediting oracle")
-        ok = False
-    if not fleet_batch["check_mode"] and not headline["speedup_ok"]:
-        print("ERROR: fleet pool missed the tracked 5x target")
-        ok = False
-    return ok
-
-
-def _print_fleet_kernels(fleet_kernels) -> bool:
-    identity = fleet_kernels["identity"]
-    print(
-        f"  crediting oracle ({identity['n_sessions']} sessions, "
-        f"{identity['compared_steps']} steps): {identity['oracle']}: "
-        f"{identity['ok']}"
-    )
-    diff = fleet_kernels["bounce_differential"]
+    diff = pool["bounce_differential"]
     print(
         f"  bounce differential ({diff['rows']} rows, "
         f"{diff['solved_rows']} solved / {diff['rejected_rows']} "
         f"rejected): {diff['oracle']}: {diff['ok']}"
     )
-    headline = fleet_kernels["headline"]
+    amort = pool["amortized_append"]
     print(
-        f"  headline ({headline['n_sessions']} sessions): "
-        f"{headline['us_per_sample']:.3f} "
-        f"us/sample vs tracked {headline['baseline_us_per_sample']:.3f} "
-        f"({headline['improvement_x']:.2f}x, target "
-        f"{headline['target_improvement_x']:.1f}x, abs target "
+        f"  amortised append: wall spread {amort['wall_spread']:.2f}x "
+        f"across cadences, work counters invariant: "
+        f"{amort['work_counters_cadence_invariant']}"
+    )
+    headline = pool["pool_vs_serial"]
+    print(
+        f"  pool vs serial ({headline['n_sessions']} sessions): "
+        f"{headline['pool_us_per_sample']:.3f} vs "
+        f"{headline['serial_us_per_sample']:.3f} us/sample "
+        f"({headline['speedup']:.2f}x, target "
+        f"{headline['target_speedup']:.1f}x; "
+        f"{headline['improvement_x']:.2f}x over the PR-6 batched "
+        f"{headline['baseline_us_per_sample']:.3f}, target "
+        f"{headline['target_improvement_x']:.1f}x; abs target "
         f"{headline['target_us_per_sample']:.1f})"
     )
-    small = fleet_kernels["small_fleet"]
-    print(
-        f"  small fleet ({small['n_sessions']} sessions): packed "
-        f"{small['packed_us_per_sample']:.3f} vs serial "
-        f"{small['serial_us_per_sample']:.3f} us/sample "
-        f"({small['improvement_x']:.2f}x over tracked "
-        f"{small['baseline_us_per_sample']:.3f})"
-    )
-    kernel = fleet_kernels["bounce_kernel"]
+    for row in pool["occupancy"]["rows"]:
+        serial = (
+            f", serial {row['serial_us_per_sample']:.2f} us/sample "
+            f"({row['speedup']:.2f}x)"
+            if "serial_us_per_sample" in row
+            else ""
+        )
+        print(
+            f"  occupancy {row['sessions']:>5} sessions: "
+            f"{row['us_per_sample']:.2f} us/sample, "
+            f"{row['real_time_factor']:.0f}x real time{serial}"
+        )
+    kernel = pool["bounce_kernel"]
     print(
         f"  bounce kernel ({kernel['rows']} rows): block "
         f"{kernel['block_us_per_row']:.3f} vs scalar "
         f"{kernel['scalar_us_per_row']:.3f} us/row "
         f"({kernel['speedup']:.1f}x)"
     )
-    regression = fleet_kernels["regression"]
-    reading = (
-        f", median of {fleet_kernels['check_reference']['pairs']} pairs "
-        f"{regression['current_speedup']:.2f}x vs floor "
-        f"{regression['floor_speedup']:.2f}x"
-        if regression["status"] == "compared"
-        else ""
-    )
+    gate = pool["check_reference"]
     print(
-        f"  regression gate: {regression['status']} "
-        f"(ok={regression['regression_ok']}{reading})"
+        f"  regression gate: median of {gate['pairs']} pairs "
+        f"{gate['speedup']:.2f}x vs floor {gate['floor_speedup']:.2f}x "
+        f"(ok={gate['regression_ok']})"
     )
     ok = True
-    if not identity["ok"] or not diff["ok"]:
-        print("ERROR: kernel suite failed its identity oracles")
+    if not pool["check_mode"] and not (
+        headline["speedup_ok"]
+        and headline["improvement_ok"]
+        and headline["absolute_ok"]
+    ):
+        print(
+            "ERROR: pool headline missed the tracked 5x / 1.5x / "
+            "1.2 us/sample targets"
+        )
         ok = False
-    if not fleet_kernels["check_mode"]:
-        if not headline["improvement_ok"] or not headline["absolute_ok"]:
-            print(
-                "ERROR: kernel headline missed the tracked 1.5x / "
-                "1.2 us/sample targets"
-            )
-            ok = False
-    elif not regression["regression_ok"]:
+    if not gate["regression_ok"]:
         print(
             "ERROR: check-scale pool-over-serial speedup fell below "
             "its floor"
@@ -434,8 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         type=pathlib.Path,
         default=None,
-        help="where to write the JSON scoreboard (default: the suite's "
-        "scoreboard from repro.benchsuites, e.g. "
+        help="write every selected suite into this one JSON scoreboard "
+        "(default: --check writes none; a full run writes each suite's "
+        "own scoreboard from repro.benchsuites: "
         + ", ".join(
             f"{name}: {out}" for name, out in DEFAULT_OUTPUTS.items()
         )
@@ -455,77 +411,97 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_runtime(args):
+    runtime = bench_runtime.run_all(
+        n_seeds=args.seeds,
+        n_users=args.users,
+        duration_s=args.duration,
+        workers=args.workers,
+        check=args.check,
+    )
+    # The runtime sections stay top-level for scoreboard-schema
+    # compatibility with the PR-1 consumers.
+    runtime["schema"] = BENCH_SCHEMA
+    return runtime
+
+
+#: Per suite: its scoreboard section (``None``: top level), how to run
+#: it from the parsed arguments, and the printer that reports it and
+#: returns whether its gates passed.
+SUITE_RUNS = {
+    "runtime": (None, _run_runtime, _print_runtime),
+    "pool": (
+        "pool",
+        lambda args: bench_pool.run_pool(check=args.check),
+        _print_pool,
+    ),
+    "faulted-serving": (
+        "faults",
+        lambda args: bench_faults.run_faults(check=args.check),
+        _print_faults,
+    ),
+    "telemetry": (
+        "telemetry",
+        lambda args: bench_telemetry.run_telemetry(check=args.check),
+        _print_telemetry,
+    ),
+    "ragged-ingest": (
+        "ragged_ingest",
+        lambda args: bench_gateway.run_ragged_ingest(check=args.check),
+        _print_ragged_ingest,
+    ),
+    "durability": (
+        "durability",
+        lambda args: bench_durability.run_durability(check=args.check),
+        _print_durability,
+    ),
+    "profile-store": (
+        "profiles",
+        lambda args: bench_profiles.run_profiles(check=args.check),
+        _print_profiles,
+    ),
+}
+
+
+def _run_suites(names, output: Optional[pathlib.Path], args) -> bool:
+    """Run ``names`` into one scoreboard, written to ``output`` unless
+    that is ``None``; report each suite."""
+    results = {
+        "schema": BENCH_SCHEMA,
+        "git_revision": git_revision(),
+        "check_mode": args.check,
+    }
+    for name in names:
+        section, run, _report = SUITE_RUNS[name]
+        if section is None:
+            results.update(run(args))
+        else:
+            results[section] = run(args)
+    if output is not None:
+        output.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {output} (rev {results['git_revision']})")
+    ok = True
+    for name in names:
+        section, _run, report = SUITE_RUNS[name]
+        ok = report(results if section is None else results[section]) and ok
+    return ok
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    output = args.output
-    if output is None:
-        output = REPO_ROOT / DEFAULT_OUTPUTS[args.suite]
-
+    names = [s.name for s in SUITES] if args.suite == "all" else [args.suite]
+    if args.output is not None:
+        plan = [(names, args.output)]
+    elif args.check:
+        # A smoke run's numbers must never replace a full-run scoreboard.
+        plan = [(names, None)]
+    else:
+        # Every suite writes its own scoreboard, so no default run
+        # leaves a file its suite cannot regenerate.
+        plan = [([name], REPO_ROOT / DEFAULT_OUTPUTS[name]) for name in names]
     ok = True
-    results = {"schema": BENCH_SCHEMA, "git_revision": git_revision()}
-    if args.suite in ("runtime", "all"):
-        runtime = bench_runtime.run_all(
-            n_seeds=args.seeds,
-            n_users=args.users,
-            duration_s=args.duration,
-            workers=args.workers,
-            check=args.check,
-        )
-        # The runtime sections stay top-level for scoreboard-schema
-        # compatibility with the PR-1 consumers.
-        runtime["schema"] = BENCH_SCHEMA
-        results.update(runtime)
-    if args.suite in ("serving", "all"):
-        results["check_mode"] = args.check
-        results["serving"] = bench_serving.run_serving(check=args.check)
-    if args.suite in ("faulted-serving", "all"):
-        results["check_mode"] = args.check
-        results["faults"] = bench_faults.run_faults(check=args.check)
-    if args.suite in ("telemetry", "all"):
-        results["check_mode"] = args.check
-        results["telemetry"] = bench_telemetry.run_telemetry(check=args.check)
-    if args.suite in ("fleet-batch", "all"):
-        results["check_mode"] = args.check
-        results["fleet_batch"] = bench_batch.run_fleet_batch(check=args.check)
-    if args.suite in ("ragged-ingest", "all"):
-        results["check_mode"] = args.check
-        results["ragged_ingest"] = bench_gateway.run_ragged_ingest(
-            check=args.check
-        )
-    if args.suite in ("fleet-kernels", "all"):
-        results["check_mode"] = args.check
-        results["fleet_kernels"] = bench_kernels.run_fleet_kernels(
-            check=args.check
-        )
-    if args.suite in ("durability", "all"):
-        results["check_mode"] = args.check
-        results["durability"] = bench_durability.run_durability(
-            check=args.check
-        )
-    if args.suite in ("profile-store", "all"):
-        results["check_mode"] = args.check
-        results["profiles"] = bench_profiles.run_profiles(check=args.check)
-
-    output.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {output} (rev {results['git_revision']})")
-    if args.suite in ("runtime", "all"):
-        ok = _print_runtime(results) and ok
-    if args.suite in ("serving", "all"):
-        ok = _print_serving(results["serving"]) and ok
-    if args.suite in ("faulted-serving", "all"):
-        ok = _print_faults(results["faults"]) and ok
-    if args.suite in ("telemetry", "all"):
-        ok = _print_telemetry(results["telemetry"]) and ok
-    if args.suite in ("fleet-batch", "all"):
-        ok = _print_fleet_batch(results["fleet_batch"]) and ok
-    if args.suite in ("ragged-ingest", "all"):
-        ok = _print_ragged_ingest(results["ragged_ingest"]) and ok
-    if args.suite in ("fleet-kernels", "all"):
-        ok = _print_fleet_kernels(results["fleet_kernels"]) and ok
-    if args.suite in ("durability", "all"):
-        ok = _print_durability(results["durability"]) and ok
-    if args.suite in ("profile-store", "all"):
-        ok = _print_profiles(results["profiles"]) and ok
+    for group, output in plan:
+        ok = _run_suites(group, output, args) and ok
     return 0 if ok else 1
 
 

@@ -222,43 +222,6 @@ class HeadingEstimator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _disambiguate(
-        self,
-        heading: float,
-        window: np.ndarray,
-        axis: np.ndarray,
-        previous: Optional[float],
-    ) -> float:
-        """Resolve the 180-degree ambiguity of the fitted axis.
-
-        Two cues are available:
-
-        * **skew** — the anterior acceleration is skewed *against* the
-          travel direction (the forward-biased arm swing accelerates
-          gently backward for most of the cycle and brakes sharply at
-          the front, so the distribution's long tail points backward);
-          direction-correct on its own, but weak on some cycles;
-        * **continuity** — people rarely reverse between consecutive
-          cycles; reliable on straight legs, *wrong* for turns sharper
-          than 90 degrees (where the flipped sign is angularly closer
-          to the previous heading).
-
-        A strong skew therefore decides outright; continuity only
-        breaks the tie when the skew is too weak to trust.
-        """
-        flipped = _wrap(heading + np.pi)
-        projected = project_horizontal(window, axis)
-        centred = projected - projected.mean()
-        scale = centred.std()
-        skew = (
-            float(np.mean((centred / scale) ** 3)) if scale > 1e-9 else 0.0
-        )
-        if abs(skew) >= 0.1 or previous is None:
-            return heading if skew <= 0 else flipped
-        keep = _angular_distance(heading, previous)
-        flip = _angular_distance(flipped, previous)
-        return heading if keep <= flip else flipped
-
     @staticmethod
     def _fill(headings: np.ndarray, last: Optional[float]) -> np.ndarray:
         """Hold headings across gaps (fill NaNs forward, then back)."""

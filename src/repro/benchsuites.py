@@ -42,8 +42,9 @@ class BenchSuite:
     title: str
 
 
-#: Every tracked suite, in scoreboard (PR) order. The last entry's
-#: scoreboard doubles as the default output for ``--suite all``.
+#: Every tracked suite, in the order ``--suite all`` runs them. Each
+#: writes its own scoreboard, one its code regenerates in full; the
+#: ``BENCH_PR*.json`` files no suite writes (3, 6, 7, 8) are history.
 SUITES: Tuple[BenchSuite, ...] = (
     BenchSuite(
         "runtime",
@@ -51,9 +52,9 @@ SUITES: Tuple[BenchSuite, ...] = (
         "kernel speedups, trace cache, and macro replicate-study timings",
     ),
     BenchSuite(
-        "serving",
-        "BENCH_PR3.json",
-        "amortised streaming append and SessionPool scaling",
+        "pool",
+        "BENCH_POOL.json",
+        "SessionPool vs serial sessions, occupancy sweep, bounce kernel",
     ),
     BenchSuite(
         "faulted-serving",
@@ -66,19 +67,9 @@ SUITES: Tuple[BenchSuite, ...] = (
         "instrumentation overhead and fleet registry merge invariance",
     ),
     BenchSuite(
-        "fleet-batch",
-        "BENCH_PR6.json",
-        "fleet-batched pool vs serial sessions, serial-replay oracle",
-    ),
-    BenchSuite(
         "ragged-ingest",
-        "BENCH_PR7.json",
+        "BENCH_GATEWAY.json",
         "async ingest gateway under ragged arrivals with shedding",
-    ),
-    BenchSuite(
-        "fleet-kernels",
-        "BENCH_PR8.json",
-        "batched round kernels and the batched bounce solver",
     ),
     BenchSuite(
         "durability",
@@ -95,17 +86,15 @@ SUITES: Tuple[BenchSuite, ...] = (
 #: Valid ``--suite`` values: every registered suite plus ``all``.
 SUITE_CHOICES: Tuple[str, ...] = tuple(s.name for s in SUITES) + ("all",)
 
-#: Default scoreboard per suite; ``all`` writes the newest scoreboard.
-DEFAULT_OUTPUTS: Dict[str, str] = {
-    **{s.name: s.scoreboard for s in SUITES},
-    "all": SUITES[-1].scoreboard,
-}
+#: Default scoreboard per suite. ``all`` has none of its own: with no
+#: ``--output`` each suite it runs writes its own scoreboard.
+DEFAULT_OUTPUTS: Dict[str, str] = {s.name: s.scoreboard for s in SUITES}
 
 
 def default_output(suite: str) -> str:
-    """The default scoreboard filename for a ``--suite`` value.
+    """The default scoreboard filename of a registered suite.
 
     Raises:
-        KeyError: On a suite name not in :data:`SUITE_CHOICES`.
+        KeyError: On ``all`` or a name not in :data:`SUITES`.
     """
     return DEFAULT_OUTPUTS[suite]

@@ -52,12 +52,23 @@ class TestRegistry:
             assert suite.title
 
     def test_default_outputs_cover_every_choice(self):
-        assert set(DEFAULT_OUTPUTS) == set(SUITE_CHOICES)
+        assert set(DEFAULT_OUTPUTS) == set(SUITE_CHOICES) - {"all"}
         for suite in SUITES:
             assert DEFAULT_OUTPUTS[suite.name] == suite.scoreboard
             assert default_output(suite.name) == suite.scoreboard
-        # "all" lands on the newest suite's scoreboard.
-        assert DEFAULT_OUTPUTS["all"] == SUITES[-1].scoreboard
+        # "all" has no scoreboard of its own: each suite writes its own.
+        with pytest.raises(KeyError):
+            default_output("all")
+
+    def test_scoreboards_are_distinct(self):
+        # Two suites sharing a default file would overwrite each other.
+        boards = [s.scoreboard for s in SUITES]
+        assert len(boards) == len(set(boards))
+
+    def test_pool_suite_registered(self):
+        by_name = {s.name: s for s in SUITES}
+        assert by_name["pool"].scoreboard == "BENCH_POOL.json"
+        assert by_name["ragged-ingest"].scoreboard == "BENCH_GATEWAY.json"
 
     def test_default_output_rejects_unknown(self):
         with pytest.raises(KeyError):
@@ -79,6 +90,29 @@ class TestConsumersDoNotDrift:
             # Parse, don't run: drift shows up as argparse SystemExit.
             args = parser.parse_args(["--suite", choice, "--check"])
             assert args.suite == choice
+
+    def test_bench_script_runs_every_registry_suite(self):
+        runs = _load_bench_script().SUITE_RUNS
+        assert list(runs) == [s.name for s in SUITES]
+
+    def test_only_full_runs_write_default_scoreboards(
+        self, monkeypatch, tmp_path
+    ):
+        bench = _load_bench_script()
+        monkeypatch.setattr(bench, "REPO_ROOT", tmp_path)
+        for name, (section, _run, _report) in list(bench.SUITE_RUNS.items()):
+            monkeypatch.setitem(
+                bench.SUITE_RUNS,
+                name,
+                (section, lambda args: {"check_mode": args.check}, bool),
+            )
+        # A smoke run never replaces a full-run scoreboard.
+        assert bench.main(["--check"]) == 0
+        assert list(tmp_path.iterdir()) == []
+        # A full run of every suite writes each suite's own scoreboard.
+        assert bench.main([]) == 0
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == sorted(s.scoreboard for s in SUITES)
 
     def test_bench_script_rejects_unknown_suite(self):
         parser = _load_bench_script().build_parser()

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from repro.benchsuites import SUITE_CHOICES
+from repro.benchsuites import SUITE_CHOICES, SUITES
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -103,16 +103,6 @@ def test_revision_and_schema_stamped(check_results):
     assert rev == "unknown" or len(rev.split("-")[0]) == 40
 
 
-def test_serving_sections_complete(check_suite):
-    serving = check_suite("serving")["serving"]
-    assert set(serving) == {"amortized_append", "fleet_scaling"}
-    amort = serving["amortized_append"]
-    assert amort["work_counters_cadence_invariant"] is True
-    fleet = serving["fleet_scaling"]
-    assert fleet["identity_serial_pooled_sharded"] is True
-    assert all(r["samples_per_s"] > 0 for r in fleet["scaling"])
-
-
 def test_telemetry_sections_complete(check_suite):
     telemetry = check_suite("telemetry")["telemetry"]
     assert set(telemetry) == {"instrumented_overhead", "fleet_merge"}
@@ -157,21 +147,6 @@ def test_pr3_scoreboard_meets_acceptance():
     fleet = serving["fleet_scaling"]
     assert fleet["max_sessions"] >= 1000
     assert fleet["identity_serial_pooled_sharded"] is True
-
-
-def test_fleet_batch_sections_complete(check_suite):
-    fleet_batch = check_suite("fleet-batch")["fleet_batch"]
-    assert set(fleet_batch) == {
-        "check_mode",
-        "identity",
-        "pool_vs_serial",
-        "occupancy",
-    }
-    assert fleet_batch["identity"]["ok"] is True
-    headline = fleet_batch["pool_vs_serial"]
-    assert headline["pool_us_per_sample"] > 0
-    assert headline["serial_us_per_sample"] > 0
-    assert all(r["samples_per_s"] > 0 for r in fleet_batch["occupancy"]["rows"])
 
 
 def test_pr6_scoreboard_meets_acceptance():
@@ -236,29 +211,60 @@ def test_pr7_scoreboard_meets_acceptance():
     assert shed["deterministic"] is True
 
 
-def test_fleet_kernels_sections_complete(check_suite):
-    kernels = check_suite("fleet-kernels")["fleet_kernels"]
-    assert set(kernels) == {
+def test_pool_sections_complete(check_suite):
+    pool = check_suite("pool")["pool"]
+    assert set(pool) == {
         "check_mode",
         "identity",
         "bounce_differential",
-        "headline",
-        "small_fleet",
+        "amortized_append",
+        "pool_vs_serial",
+        "occupancy",
         "bounce_kernel",
         "check_reference",
-        "regression",
     }
-    assert kernels["identity"]["ok"] is True
-    diff = kernels["bounce_differential"]
+    identity = pool["identity"]
+    assert identity["ok"] is True
+    assert identity["oracle"] == "serial == pooled == sharded"
+    assert identity["batch_samples"] == [50, 256]
+    diff = pool["bounce_differential"]
     assert diff["ok"] is True
     assert diff["solved_rows"] + diff["rejected_rows"] == diff["rows"]
-    assert kernels["headline"]["us_per_sample"] > 0
-    assert kernels["small_fleet"]["packed_us_per_sample"] > 0
-    assert kernels["small_fleet"]["serial_us_per_sample"] > 0
-    assert kernels["bounce_kernel"]["block_us_per_row"] > 0
-    assert kernels["check_reference"]["speedup"] > 0
-    assert kernels["regression"]["floor_speedup"] >= 3.0
-    assert kernels["regression"]["regression_ok"] is True
+    assert pool["amortized_append"]["work_counters_cadence_invariant"] is True
+    headline = pool["pool_vs_serial"]
+    assert headline["pool_us_per_sample"] > 0
+    assert headline["serial_us_per_sample"] > 0
+    rows = pool["occupancy"]["rows"]
+    assert all(r["samples_per_s"] > 0 for r in rows)
+    small = next(r for r in rows if "serial_us_per_sample" in r)
+    assert small["sessions"] == 10
+    assert small["us_per_sample"] > 0 and small["serial_us_per_sample"] > 0
+    assert pool["bounce_kernel"]["block_us_per_row"] > 0
+    gate = pool["check_reference"]
+    assert gate["speedup"] > 0
+    assert gate["floor_speedup"] >= 3.0
+    assert gate["regression_ok"] is True
+
+
+def _fields(node, prefix=""):
+    """Every key path in a scoreboard; list items share one path."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            path = f"{prefix}.{key}" if prefix else key
+            yield path
+            yield from _fields(value, path)
+    elif isinstance(node, list):
+        for item in node:
+            yield from _fields(item, prefix + "[]")
+
+
+@pytest.mark.parametrize("suite", SUITES, ids=lambda s: s.name)
+def test_default_scoreboard_is_regenerable(check_suite, suite):
+    # A suite's default output must be a file its code writes: a fresh
+    # --check run carries every section and field of the committed one.
+    committed = json.loads((REPO_ROOT / suite.scoreboard).read_text())
+    fresh = set(_fields(check_suite(suite.name)))
+    assert sorted(set(_fields(committed)) - fresh) == []
 
 
 def test_pr8_scoreboard_meets_acceptance():
@@ -288,11 +294,9 @@ def test_cli_bench_verb_wiring():
     from repro import cli
 
     parser = cli.build_parser()
-    args = parser.parse_args(["bench", "--suite", "fleet-batch", "--check"])
+    args = parser.parse_args(["bench", "--suite", "pool", "--check"])
     assert args.func is cli._cmd_bench
-    assert args.suite == "fleet-batch"
+    assert args.suite == "pool"
     assert args.check is True
     args = parser.parse_args(["bench", "--suite", "ragged-ingest", "--check"])
     assert args.suite == "ragged-ingest"
-    args = parser.parse_args(["bench", "--suite", "fleet-kernels", "--check"])
-    assert args.suite == "fleet-kernels"
