@@ -45,12 +45,18 @@ def check_results(check_suite):
     return check_suite("runtime")
 
 
+# Suites folded into `pool`: their oracles and gates run in its check.
+FOLDED_INTO_POOL = ("serving", "fleet-batch", "fleet-kernels")
+
+
 @pytest.mark.parametrize(
-    "suite", [name for name in SUITE_CHOICES if name != "all"]
+    "suite",
+    [name for name in SUITE_CHOICES if name != "all"] + list(FOLDED_INTO_POOL),
 )
 def test_every_suite_check_passes(check_suite, suite):
     # Every suite `--suite all --check` covers passes its own gates.
-    assert check_suite(suite)["schema"] == "ptrack-bench-v2"
+    name = "pool" if suite in FOLDED_INTO_POOL else suite
+    assert check_suite(name)["schema"] == "ptrack-bench-v2"
 
 
 def test_check_mode_reports_all_sections(check_results):
@@ -227,16 +233,35 @@ def test_pool_sections_complete(check_suite):
     assert identity["ok"] is True
     assert identity["oracle"] == "serial == pooled == sharded"
     assert identity["batch_samples"] == [50, 256]
-    diff = pool["bounce_differential"]
-    assert diff["ok"] is True
-    assert diff["solved_rows"] + diff["rejected_rows"] == diff["rows"]
+
+
+def test_serving_sections_complete(check_suite):
+    # What the folded `serving` suite reported, now in the pool suite.
+    pool = check_suite("pool")["pool"]
+    assert pool["identity"]["ok"] is True
     assert pool["amortized_append"]["work_counters_cadence_invariant"] is True
+    assert all(r["samples_per_s"] > 0 for r in pool["occupancy"]["rows"])
+
+
+def test_fleet_batch_sections_complete(check_suite):
+    # What the folded `fleet-batch` suite reported, now in the pool suite.
+    pool = check_suite("pool")["pool"]
+    assert pool["identity"]["ok"] is True
     headline = pool["pool_vs_serial"]
     assert headline["pool_us_per_sample"] > 0
     assert headline["serial_us_per_sample"] > 0
-    rows = pool["occupancy"]["rows"]
-    assert all(r["samples_per_s"] > 0 for r in rows)
-    small = next(r for r in rows if "serial_us_per_sample" in r)
+    assert all(r["samples_per_s"] > 0 for r in pool["occupancy"]["rows"])
+
+
+def test_fleet_kernels_sections_complete(check_suite):
+    # What the folded `fleet-kernels` suite reported, now in the pool suite.
+    pool = check_suite("pool")["pool"]
+    assert pool["identity"]["ok"] is True
+    diff = pool["bounce_differential"]
+    assert diff["ok"] is True
+    assert diff["solved_rows"] + diff["rejected_rows"] == diff["rows"]
+    assert pool["pool_vs_serial"]["pool_us_per_sample"] > 0
+    small = next(r for r in pool["occupancy"]["rows"] if "serial_us_per_sample" in r)
     assert small["sessions"] == 10
     assert small["us_per_sample"] > 0 and small["serial_us_per_sample"] > 0
     assert pool["bounce_kernel"]["block_us_per_row"] > 0
